@@ -14,11 +14,11 @@ from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
 from .fitting import (BuildUpData, FitParameter, FitResult, FitSpec,
                       ModelParams, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,
-                      model_curve, save_buildup)
+                      model_curve, model_from_values, save_buildup)
 from .oracle import (Trajectory, ZqDqComponents, dq_constancy_report,
                      hamiltonian_at, matrix_exponential_step, propagate,
                      propagate_blockwise, zq_dq_decompose)
-from .powder import (OrientationSet, grid_orientation_set, powder_average,
-                     zcw_orientation_set)
+from .powder import (OrientationSet, averaged_efficiency, grid_orientation_set,
+                     powder_average, zcw_orientation_set)
 
 __version__ = "0.1.0"

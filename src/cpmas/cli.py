@@ -340,9 +340,7 @@ def run_powder(resolved) -> int:
     spin = _spin_from(resolved)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
-    curve = powder.powder_average(
-        lambda orient: analytic.efficiency_curve(coupling, orient, spin, grid),
-        oset)
+    curve = powder.powder_average(coupling, spin, grid, oset)
     name = "eta"
     if damped:
         curve = analytic.magnetization(curve, relax)
@@ -464,6 +462,7 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
         f"free_parameters = {','.join(spec.free_names)}",
         f"converged = {str(result.converged).lower()}",
         f"iterations = {result.iterations}",
+        f"stop_reason = {result.stop_reason}",
         f"rss = {result.rss!r}",
     ]
     v = result.values
@@ -486,12 +485,11 @@ def run_fit(resolved) -> int:
     data = fitting.load_buildup(resolved["data"])
     spec = _fit_spec_from(resolved)
     result = fitting.fit_buildup(data, spec)
-    model = fitting.model_curve(
-        fitting._model_from_values(result.values, spec), data.times)
-    residual = model - data.magnetizations
+    residual = result.model - data.magnetizations
     write_curve_csv(resolved["out"],
                     ["time_us", "magnetization", "model", "residual"],
-                    [data.times_us(), data.magnetizations, model, residual],
+                    [data.times_us(), data.magnetizations, result.model,
+                     residual],
                     _echo_lines("fit", resolved))
     report = _fit_report(resolved, data, spec, result)
     print("\n".join(report))

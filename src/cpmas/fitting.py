@@ -8,9 +8,14 @@ absorbed into r and r1, so d is a single effective pair coupling that
 converts to an internuclear distance through the point-dipole inverse-cube
 law.
 
-Fitting uses a damped least-squares (Levenberg-Marquardt) loop with a
-forward-difference Jacobian, damping scaled x10 on a rejected step and
-/10 on an accepted one, and box bounds enforced by projection.  Accepted
+Fitting uses a damped least-squares (Levenberg-Marquardt) loop with an
+analytic Jacobian, damping scaled x10 on a rejected step and /10 on an
+accepted one, and box bounds enforced by projection.  The model depends on
+the coupling only through the powder-averaged efficiency eta, so eta (and,
+when d is free, its slope d(eta)/dd from the same kernel pass) is computed
+once per distinct d and reused by every residual and Jacobian evaluation.
+With d free the fit also runs from a second start, the other parameters
+first settled at the initial d, and keeps the lower end point.  Accepted
 steps never increase the weighted residual sum, and the returned result
 always satisfies rss <= rss(initial guess).
 """
@@ -25,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import RelaxationParams, damped_magnetization
-from .core import CouplingParams, RfScheme, SpinningParams, effective_field, scaled_coupling
+from .core import (CouplingParams, RfScheme, SpinningParams, effective_field,
+                   scaled_coupling)
 from .powder import OrientationSet, averaged_efficiency
 
 PARAMETER_NAMES = ("d", "r", "r1", "t1rho", "m0")
@@ -35,6 +41,7 @@ RSS_RELATIVE_TOL = 1e-10
 STEP_NORM_TOL = 1e-12
 DAMPING_INITIAL = 1e-3
 DAMPING_FACTOR = 10.0
+WARM_START_ITERATIONS = 20
 
 # Point-dipole conversion constants (SI).
 HBAR = 1.0545718e-34          # J*s
@@ -297,7 +304,9 @@ class FitResult:
     ``values`` holds all five parameters (fitted or fixed); ``stderr`` has
     an entry per free parameter, derived from the Jacobian at the optimum.
     A non-converged fit (iteration cap hit) is returned flagged, with the
-    best point found.
+    best point found.  ``stop_reason`` is one of ``rss_tol``, ``step_tol``,
+    ``max_iterations`` or ``no_free_parameters``; ``model`` holds the model
+    magnetization at the data times for ``values``.
     """
 
     values: dict[str, float]
@@ -305,9 +314,12 @@ class FitResult:
     stderr: dict[str, float] = field(default_factory=dict)
     converged: bool = True
     iterations: int = 0
+    stop_reason: str = "no_free_parameters"
+    model: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
+def model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
+    """Model parameters for a full set of parameter values and a fit spec."""
     params = ModelParams(
         coupling=CouplingParams(d=values["d"]),
         spin=spec.spin,
@@ -319,79 +331,128 @@ def _model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
     return params
 
 
-def _to_internal(name: str, value: float, spec: FitSpec) -> float:
-    if spec.use_inverse_rates and name in ("r", "r1"):
-        return 1.0 / value
-    return value
+def _reparametrize(name: str, value: float, spec: FitSpec) -> float:
+    """Map a parameter between its value and the optimizer coordinate.
 
-
-def _to_external(name: str, value: float, spec: FitSpec) -> float:
-    if spec.use_inverse_rates and name in ("r", "r1"):
-        return 1.0 / value
-    return value
-
-
-def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
-    """Levenberg-Marquardt fit of the powder build-up model to measured data.
-
-    Minimizes sum of ((model(t_i) - M_i)/sigma_i)^2 (sigma_i = 1 without an
-    uncertainty column).  Stops when the relative residual change drops
-    below 1e-10, the step norm drops below 1e-12, or after 500 iterations
-    (then flagged non-converged).
-
-    Raises:
-        DataError: if the data under-determine the requested free set.
-        FitError: if the Jacobian at the initial guess is rank deficient
-            (the message suggests which parameter to fix).
+    With inverse rates the coordinate of r and r1 is 1/value, else the
+    value itself; either way the map is its own inverse.
     """
-    free = spec.free_names
-    n_pts = len(data)
-    if n_pts <= len(free):
-        raise DataError(f"under-determined fit: {n_pts} points for "
-                        f"{len(free)} free parameters")
-    if len(free) >= 2 and n_pts < 6:
-        raise DataError(f"under-determined fit: need >= 6 points for "
-                        f"{len(free)} free parameters, got {n_pts}")
+    if spec.use_inverse_rates and name in ("r", "r1"):
+        return 1.0 / value
+    return value
 
-    weights = (1.0 / data.sigmas) if data.sigmas is not None else None
-    values = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        trial = dict(values)
-        for name, xi in zip(free, x):
-            trial[name] = _to_external(name, float(xi), spec)
-        model = model_curve(_model_from_values(trial, spec), data.times)
-        res = model - data.magnetizations
-        return res * weights if weights is not None else res
+class _BuildUpModel:
+    """Residuals and analytic Jacobian of one fit.
 
-    if not free:
-        res = residuals(np.empty(0))
-        return FitResult(values=values, rss=float(res @ res), stderr={},
-                         converged=True, iterations=0)
+    eta depends only on d, so it is computed once per distinct d and kept
+    for the life of the fit (one entry per trial d, at most one per
+    iteration); with d free each evaluation also keeps d(eta)/dd for the
+    Jacobian.
+    """
 
-    x = np.array([_to_internal(n, spec.parameters[n].value, spec) for n in free])
-    lo = np.empty(len(free))
-    hi = np.empty(len(free))
-    for j, name in enumerate(free):
-        b = sorted((_to_internal(name, spec.parameters[name].lower, spec),
-                    _to_internal(name, spec.parameters[name].upper, spec)))
+    def __init__(self, data: BuildUpData, spec: FitSpec):
+        self.data, self.spec = data, spec
+        self.weights = (1.0 / data.sigmas) if data.sigmas is not None else None
+        self.eff = effective_field(spec.rf)
+        # d enters only as scale*d, scale = sin(theta_i)*sin(theta_s)
+        self.tilt = scaled_coupling(CouplingParams(d=1.0), self.eff).d
+        self.with_slope = "d" in spec.free_names
+        self._eta: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+
+    def efficiency(self, d: float) -> tuple[np.ndarray, np.ndarray | None]:
+        if d not in self._eta:
+            d_eff = scaled_coupling(CouplingParams(d=d), self.eff)
+            out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
+                                      self.spec.orientations,
+                                      with_slope=self.with_slope)
+            self._eta[d] = out if self.with_slope else (out, None)
+        return self._eta[d]
+
+    def evaluate(self, v: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Model magnetization and weighted residuals at parameter values v."""
+        eta, _ = self.efficiency(v["d"])
+        relax = RelaxationParams(m0=v["m0"], r=v["r"], r1=v["r1"],
+                                 t1rho=v["t1rho"])
+        model = damped_magnetization(self.data.times, eta, relax)
+        res = model - self.data.magnetizations
+        return model, (res * self.weights if self.weights is not None else res)
+
+    def jacobian(self, v: dict[str, float], model: np.ndarray,
+                 names: tuple[str, ...]) -> np.ndarray:
+        """Analytic d(residuals)/d(coordinates of names) at v.
+
+        ``model`` is the model magnetization at v.
+        """
+        t = self.data.times
+        eta, slope = self.efficiency(v["d"])
+        envelope = np.exp(-t / v["t1rho"])
+        decay_r1 = np.exp(-v["r1"] * t)
+        columns = {
+            "d": lambda: v["m0"] * decay_r1 * envelope * (self.tilt * slope),
+            "r": lambda: 0.5 * v["m0"] * t * np.exp(-v["r"] * t) * envelope,
+            "r1": lambda: (0.5 * v["m0"] * t * decay_r1 * (1.0 - 2.0 * eta)
+                           * envelope),
+            "t1rho": lambda: model * t / (v["t1rho"] * v["t1rho"]),
+            "m0": lambda: model / v["m0"],
+        }
+        jac = np.empty((len(t), len(names)))
+        for j, name in enumerate(names):
+            jac[:, j] = columns[name]()
+            if name in ("r", "r1") and self.spec.use_inverse_rates:
+                jac[:, j] *= -(v[name] * v[name])
+        if self.weights is not None:
+            jac *= self.weights[:, None]
+        return jac
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """Outcome of one Levenberg-Marquardt run over a subset of parameters."""
+
+    values: dict[str, float]
+    model: np.ndarray
+    rss: float
+    rss_start: float
+    jac: np.ndarray
+    iterations: int
+    stop_reason: str
+
+
+def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
+                         start: dict[str, float],
+                         max_iterations: int) -> _Stage:
+    """Minimize the residual sum over ``names``; other values stay at start."""
+    spec = fm.spec
+
+    def values_at(x: np.ndarray) -> dict[str, float]:
+        values = dict(start)
+        for name, xi in zip(names, x):
+            values[name] = _reparametrize(name, float(xi), spec)
+        return values
+
+    x = np.array([_reparametrize(n, start[n], spec) for n in names])
+    lo = np.empty(len(names))
+    hi = np.empty(len(names))
+    for j, name in enumerate(names):
+        b = sorted((_reparametrize(name, spec.parameters[name].lower, spec),
+                    _reparametrize(name, spec.parameters[name].upper, spec)))
         lo[j], hi[j] = b
 
-    res = residuals(x)
+    values = values_at(x)
+    model, res = fm.evaluate(values)
     rss = float(res @ res)
-    rss_initial = rss
-    jac = _forward_jacobian(residuals, x, res)
-    _check_jacobian(jac, free)
+    rss_start = rss
+    jac = fm.jacobian(values, model, names)
+    _check_jacobian(jac, names)
 
     mu = DAMPING_INITIAL
     iterations = 0
-    converged = False
-    need_jacobian = False
-    while iterations < MAX_ITERATIONS:
+    stop_reason = "max_iterations"
+    while iterations < max_iterations:
         iterations += 1
-        if need_jacobian:
-            jac = _forward_jacobian(residuals, x, res)
-            need_jacobian = False
+        if jac is None:
+            jac = fm.jacobian(values, model, names)
         a = jac.T @ jac
         g = jac.T @ res
         diag = np.diag(a).copy()
@@ -405,44 +466,102 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         step = x_trial - x
         step_norm = float(np.linalg.norm(step))
         if step_norm < STEP_NORM_TOL:
-            converged = True
+            stop_reason = "step_tol"
             break
-        res_trial = residuals(x_trial)
+        values_trial = values_at(x_trial)
+        model_trial, res_trial = fm.evaluate(values_trial)
         rss_trial = float(res_trial @ res_trial)
         if rss_trial <= rss:
             rel_change = (rss - rss_trial) / max(rss, np.finfo(float).tiny)
-            x, res, rss = x_trial, res_trial, rss_trial
+            x, values, model, res, rss = (x_trial, values_trial, model_trial,
+                                          res_trial, rss_trial)
             mu = max(mu / DAMPING_FACTOR, 1e-14)
-            need_jacobian = True
+            jac = None
             if rel_change < RSS_RELATIVE_TOL:
-                converged = True
+                stop_reason = "rss_tol"
                 break
         else:
             mu *= DAMPING_FACTOR
 
-    for name, xi in zip(free, x):
-        values[name] = _to_external(name, float(xi), spec)
-    stderr = _standard_errors(residuals, x, res, rss, free, spec)
-    assert rss <= rss_initial
-    return FitResult(values=values, rss=rss, stderr=stderr,
-                     converged=converged, iterations=iterations)
+    if jac is None:
+        jac = fm.jacobian(values, model, names)
+    return _Stage(values=values, model=model, rss=rss, rss_start=rss_start,
+                  jac=jac, iterations=iterations, stop_reason=stop_reason)
 
 
-def _forward_jacobian(residuals, x: np.ndarray, res0: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of the residual vector."""
-    eps = math.sqrt(np.finfo(float).eps)
-    jac = np.empty((len(res0), len(x)))
-    for j in range(len(x)):
-        h = eps * max(abs(x[j]), 1e-30)
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (residuals(xp) - res0) / h
-    return jac
+def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
+    """Levenberg-Marquardt fit of the powder build-up model to measured data.
+
+    Minimizes sum of ((model(t_i) - M_i)/sigma_i)^2 (sigma_i = 1 without an
+    uncertainty column).  Stops when the relative residual change drops
+    below 1e-10, the step norm drops below 1e-12, or after 500 iterations
+    (then flagged non-converged).
+
+    With d free alongside other parameters the fit runs from two starts,
+    the initial guess and the guess with the other parameters first fitted
+    at the initial d (at most WARM_START_ITERATIONS iterations), and keeps
+    the lower end point: far-off rate guesses can drag d across a barrier
+    of the residual profile into a neighbouring, higher minimum.  eta is
+    shared between the starts; ``iterations`` counts both.
+
+    Raises:
+        DataError: if the data under-determine the requested free set.
+        FitError: if the Jacobian at the initial guess is rank deficient
+            (the message suggests which parameter to fix), or if the
+            residual sum ended above its value at the initial guess.
+    """
+    free = spec.free_names
+    n_pts = len(data)
+    if n_pts <= len(free):
+        raise DataError(f"under-determined fit: {n_pts} points for "
+                        f"{len(free)} free parameters")
+    if len(free) >= 2 and n_pts < 6:
+        raise DataError(f"under-determined fit: need >= 6 points for "
+                        f"{len(free)} free parameters, got {n_pts}")
+
+    fm = _BuildUpModel(data, spec)
+    values = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
+    if not free:
+        model, res = fm.evaluate(values)
+        return FitResult(values=values, rss=float(res @ res), stderr={},
+                         converged=True, iterations=0,
+                         stop_reason="no_free_parameters", model=model)
+
+    first = _levenberg_marquardt(fm, free, values, MAX_ITERATIONS)
+    best, iterations = first, first.iterations
+    if "d" in free and len(free) > 1:
+        # second start: the other parameters settled at the initial d first
+        try:
+            warm = _levenberg_marquardt(
+                fm, tuple(n for n in free if n != "d"), values,
+                WARM_START_ITERATIONS)
+            second = _levenberg_marquardt(fm, free, warm.values,
+                                          MAX_ITERATIONS)
+        except FitError:
+            pass  # degenerate along the way: the first start stands
+        else:
+            iterations += warm.iterations + second.iterations
+            if second.rss < best.rss:
+                best = second
+    _check_descent(best.rss, first.rss_start)
+    return FitResult(values=best.values, rss=best.rss,
+                     stderr=_standard_errors(best.jac, best.rss, free,
+                                             best.values, spec),
+                     converged=best.stop_reason != "max_iterations",
+                     iterations=iterations, stop_reason=best.stop_reason,
+                     model=best.model)
+
+
+def _check_descent(rss: float, rss_initial: float) -> None:
+    """The fit may only lower the residual sum; also fails on a NaN rss."""
+    if not rss <= rss_initial:
+        raise FitError(f"residual sum {rss!r} ended above its value at the "
+                       f"initial guess {rss_initial!r}")
 
 
 def _check_jacobian(jac: np.ndarray, free) -> None:
-    # rank threshold sits above the forward-difference noise floor
-    # (~sqrt(eps)), well below the conditioning of healthy problems
+    # relative singular-value threshold for rank deficiency, well below the
+    # conditioning of healthy problems
     rank_tol = 1e-6
     if not np.all(np.isfinite(jac)):
         raise FitError("non-finite Jacobian at the initial guess")
@@ -460,11 +579,10 @@ def _check_jacobian(jac: np.ndarray, free) -> None:
                        f"fixing parameter '{free[culprit]}'")
 
 
-def _standard_errors(residuals, x, res, rss, free, spec) -> dict[str, float]:
-    dof = len(res) - len(x)
+def _standard_errors(jac, rss, free, values, spec) -> dict[str, float]:
+    dof = jac.shape[0] - len(free)
     if dof <= 0:
         return {name: math.nan for name in free}
-    jac = _forward_jacobian(residuals, x, res)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (rss / dof)
     except np.linalg.LinAlgError:
@@ -474,7 +592,8 @@ def _standard_errors(residuals, x, res, rss, free, spec) -> dict[str, float]:
         var = cov[j, j]
         se = math.sqrt(var) if var >= 0.0 else math.nan
         if spec.use_inverse_rates and name in ("r", "r1"):
-            se = se / (x[j] * x[j])
+            # coordinate 1/r: se(r) = se(1/r) * r^2
+            se = se * values[name] * values[name]
         err[name] = se
     return err
 

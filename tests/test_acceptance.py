@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cpmas.cli as cli
-from cpmas.analytic import RelaxationParams, efficiency_curve, transfer_efficiency
+from cpmas.analytic import RelaxationParams, transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, effective_field)
 from cpmas.fitting import (BuildUpData, FitParameter, FitSpec, ModelParams,
@@ -28,7 +28,7 @@ from cpmas.oracle import (IY, SY, dq_constancy_report, fictitious_operator,
                           propagate_blockwise, propagate_expectations,
                           tilted_spin_operators, zq_dq_decompose)
 from cpmas.powder import (DEFAULT_FIT_LEVEL, grid_orientation_set,
-                          zcw_orientation_set)
+                          powder_average, zcw_orientation_set)
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -184,10 +184,7 @@ def test_criterion_6_powder_average_convergence():
     grid = TimeGrid(dt=10e-6, n_points=201)
 
     def averaged(oset):
-        from cpmas.powder import powder_average
-        return powder_average(
-            lambda o: efficiency_curve(POWDER_COUPLING, o, POWDER_MAS, grid),
-            oset).values
+        return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset).values
 
     coarse = averaged(grid_orientation_set(64, 64))
     fine = averaged(grid_orientation_set(128, 128))

@@ -11,7 +11,7 @@ from cpmas.fitting import (BuildUpData, DataError, FitError, FitParameter,
                            FitResult, FitSpec, ModelParams,
                            coupling_from_distance, distance_from_coupling,
                            fit_buildup, load_buildup, model_curve,
-                           save_buildup)
+                           model_from_values, save_buildup)
 from cpmas.powder import grid_orientation_set, zcw_orientation_set
 
 KHZ = 2.0 * math.pi * 1e3
@@ -213,7 +213,7 @@ class TestFitBuildup:
         data, oset = self.make_data(noise=0.05)
         spec = benchmark_spec(oset)
         initial = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        res0 = model_curve(fitting._model_from_values(initial, spec),
+        res0 = model_curve(fitting.model_from_values(initial, spec),
                            data.times) - data.magnetizations
         result = fit_buildup(data, spec)
         assert result.rss <= float(res0 @ res0)
@@ -225,32 +225,119 @@ class TestFitBuildup:
         assert not result.converged
         assert result.iterations == 2
 
-    def test_forward_jacobian_close_to_central(self):
-        data, oset = self.make_data()
-        spec = benchmark_spec(oset)
-        free = spec.free_names
-        values = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+    @pytest.mark.parametrize("use_inverse_rates", [False, True])
+    def test_analytic_jacobian_matches_central_differences(
+            self, use_inverse_rates):
+        # all five parameters free, non-uniform sigma weights
+        data, oset = self.make_data(noise=0.01)
+        rng = np.random.default_rng(42)
+        data = BuildUpData(times=data.times,
+                           magnetizations=data.magnetizations,
+                           sigmas=rng.uniform(0.005, 0.02, len(data)))
+        spec = benchmark_spec(oset, free=fitting.PARAMETER_NAMES,
+                              guess_factor=1.1,
+                              use_inverse_rates=use_inverse_rates)
+        fm = fitting._BuildUpModel(data, spec)
+        names = spec.free_names
+        start = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
 
         def residuals(x):
-            trial = dict(values)
-            trial.update(dict(zip(free, x)))
-            return (model_curve(fitting._model_from_values(trial, spec),
-                                data.times) - data.magnetizations)
+            values = dict(start)
+            values.update({n: fitting._reparametrize(n, float(xi), spec)
+                           for n, xi in zip(names, x)})
+            return fm.evaluate(values)[1]
 
-        x0 = np.array([spec.parameters[n].value for n in free])
-        res0 = residuals(x0)
-        forward = fitting._forward_jacobian(residuals, x0, res0)
-        central = np.empty_like(forward)
-        eps = math.sqrt(np.finfo(float).eps)
+        x0 = np.array([fitting._reparametrize(n, start[n], spec)
+                       for n in names])
+        analytic = fm.jacobian(start, fm.evaluate(start)[0], names)
+        central = np.empty_like(analytic)
         for j in range(len(x0)):
-            h = eps * abs(x0[j])
+            h = 1e-5 * abs(x0[j])
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h
             xm[j] -= h
             central[:, j] = (residuals(xp) - residuals(xm)) / (2 * h)
-        rel = (np.linalg.norm(forward - central)
-               / np.linalg.norm(central))
-        assert rel < 1e-4
+        rel = (np.linalg.norm(analytic - central, axis=0)
+               / np.linalg.norm(central, axis=0))
+        assert np.all(rel < 1e-6), dict(zip(spec.free_names, rel))
+
+    def test_one_powder_average_per_distinct_coupling(self, monkeypatch):
+        calls = []
+        original = fitting.averaged_efficiency
+
+        def counting(coupling, *args, **kwargs):
+            calls.append(coupling.d)
+            return original(coupling, *args, **kwargs)
+
+        data, oset = self.make_data(noise=0.01, n=61)
+        monkeypatch.setattr(fitting, "averaged_efficiency", counting)
+        fixed = fit_buildup(data, benchmark_spec(oset))
+        assert fixed.iterations > 1
+        assert len(calls) == 1
+
+        calls.clear()
+        free_d = fit_buildup(data, benchmark_spec(
+            oset, free=("d", "r", "r1", "t1rho"), guess_factor=1.05))
+        assert free_d.converged
+        assert len(calls) > 1
+        assert len(set(calls)) == len(calls)
+
+    def test_second_start_escapes_a_higher_minimum(self):
+        # from the guess alone, far-off rates drag d from 9.25 kHz across a
+        # barrier of the residual profile to a higher minimum at 6.8 kHz
+        oset = zcw_orientation_set(8)
+        spin = SpinningParams(omega_r=9.416 * KHZ)
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ)
+        truth = {"d": 9.106 * KHZ, "r": 2631.2, "r1": 5798.8,
+                 "t1rho": 1.6433e-3, "m0": 1.41}
+        guess = {"d": 9.2546 * KHZ, "r": 1 / 445.23e-6, "r1": 1 / 192.01e-6,
+                 "t1rho": 1.1636e-3, "m0": 1.8822}
+        times = np.arange(121) * 25e-6
+        clean = model_curve(ModelParams(
+            coupling=CouplingParams(d=truth["d"]), spin=spin, rf=rf,
+            relax=RelaxationParams(m0=truth["m0"], r=truth["r"],
+                                   r1=truth["r1"], t1rho=truth["t1rho"]),
+            orientations=oset), times)
+        noise = 0.01 * truth["m0"] * np.random.default_rng(95).standard_normal(
+            len(times))
+        spec = FitSpec(parameters={
+            n: FitParameter(value=v, free=True, lower=v / 1000, upper=v * 1000)
+            for n, v in guess.items()}, orientations=oset, spin=spin, rf=rf)
+        result = fit_buildup(BuildUpData(times=times,
+                                         magnetizations=clean + noise), spec)
+        assert result.converged
+        assert result.values["d"] == pytest.approx(truth["d"], rel=0.1)
+
+    def test_model_is_the_model_curve_at_the_optimum(self):
+        data, oset = self.make_data(noise=0.01, n=61)
+        for spec in (benchmark_spec(oset),
+                     benchmark_spec(oset, free=("d", "r", "m0"),
+                                    guess_factor=1.05,
+                                    use_inverse_rates=True),
+                     benchmark_spec(oset, free=())):
+            result = fit_buildup(data, spec)
+            expected = model_curve(model_from_values(result.values, spec),
+                                   data.times)
+            assert np.array_equal(result.model, expected)
+
+    def test_stop_reason(self, monkeypatch):
+        data, oset = self.make_data(noise=0.01, n=61)
+        assert fit_buildup(data, benchmark_spec(oset, free=())).stop_reason \
+            == "no_free_parameters"
+        result = fit_buildup(data, benchmark_spec(oset))
+        assert result.converged
+        assert result.stop_reason in ("rss_tol", "step_tol")
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+        capped = fit_buildup(data, benchmark_spec(oset))
+        assert capped.stop_reason == "max_iterations"
+        assert not capped.converged
+
+    def test_descent_check_raises_fit_error(self):
+        fitting._check_descent(1.0, 1.0)
+        with pytest.raises(FitError, match="initial guess"):
+            fitting._check_descent(2.0, 1.0)
+        with pytest.raises(FitError):
+            fitting._check_descent(math.nan, math.nan)
 
     def test_rate_and_inverse_rate_fits_agree(self):
         data, oset = self.make_data(noise=0.005, n=61)
@@ -258,10 +345,10 @@ class TestFitBuildup:
         by_times = fit_buildup(data, benchmark_spec(oset,
                                                     use_inverse_rates=True))
         curve_a = model_curve(
-            fitting._model_from_values(by_rates.values,
+            fitting.model_from_values(by_rates.values,
                                        benchmark_spec(oset)), data.times)
         curve_b = model_curve(
-            fitting._model_from_values(by_times.values,
+            fitting.model_from_values(by_times.values,
                                        benchmark_spec(oset)), data.times)
         assert np.max(np.abs(curve_a - curve_b)) <= 1e-3 * np.max(np.abs(curve_a))
 

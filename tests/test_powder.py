@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpmas.analytic import CpCurve, CurveKind, efficiency_curve
+from cpmas.analytic import (EFFICIENCY_RANGE_TOL, CurveKind, efficiency_curve,
+                            transfer_efficiency)
 from cpmas.core import CouplingParams, Orientation, SpinningParams, TimeGrid
 from cpmas.fitting import coupling_from_distance
-from cpmas.powder import (OrientationSet, ZCW_SET_SIZES, averaged_efficiency,
-                          grid_orientation_set, powder_average,
-                          zcw_orientation_set)
+from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
+                          averaged_efficiency, grid_orientation_set,
+                          powder_average, zcw_orientation_set)
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -19,8 +22,7 @@ POWDER_GRID = TimeGrid(dt=10e-6, n_points=201)
 
 
 def powder_eta(oset, grid=POWDER_GRID):
-    return powder_average(
-        lambda o: efficiency_curve(POWDER_COUPLING, o, POWDER_MAS, grid), oset)
+    return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset)
 
 
 def set_average(oset, fn):
@@ -90,35 +92,14 @@ class TestPowderAverage:
         assert np.array_equal(averaged.values, direct.values)
 
     def test_constant_curve_preserved(self):
-        oset = grid_orientation_set(7, 5)
-        grid = TimeGrid(dt=1e-6, n_points=11)
-        constant = CpCurve(grid=grid, values=np.full(11, 0.37),
-                           kind=CurveKind.EFFICIENCY)
-        averaged = powder_average(lambda o: constant, oset)
-        np.testing.assert_allclose(averaged.values, 0.37, rtol=0, atol=1e-12)
-
-    def test_mismatched_grids_rejected(self):
-        oset = grid_orientation_set(2, 2)
-        grids = iter([TimeGrid(dt=1e-6, n_points=5)] * 3
-                     + [TimeGrid(dt=2e-6, n_points=5)])
-
-        def curve(_orient):
-            return CpCurve(grid=next(grids), values=np.zeros(5),
-                           kind=CurveKind.EFFICIENCY)
-
-        with pytest.raises(ValueError, match="grid"):
-            powder_average(curve, oset)
-
-    def test_mismatched_kinds_rejected(self):
-        oset = grid_orientation_set(2, 1)
-        grid = TimeGrid(dt=1e-6, n_points=5)
-        kinds = iter([CurveKind.EFFICIENCY, CurveKind.MAGNETIZATION])
-
-        def curve(_orient):
-            return CpCurve(grid=grid, values=np.zeros(5), kind=next(kinds))
-
-        with pytest.raises(ValueError, match="kind"):
-            powder_average(curve, oset)
+        # every entry carries the same curve: the weights must sum to one
+        orient = Orientation(beta=0.7, gamma=4.0)
+        weights = (0.1, 0.25, 0.05, 0.3, 0.2, 0.1)
+        oset = OrientationSet(entries=tuple((orient, w) for w in weights))
+        direct = efficiency_curve(POWDER_COUPLING, orient, POWDER_MAS,
+                                  POWDER_GRID)
+        np.testing.assert_allclose(powder_eta(oset).values, direct.values,
+                                   rtol=0, atol=1e-12)
 
     def test_permutation_leaves_average_bit_identical(self):
         oset = grid_orientation_set(8, 6)
@@ -160,6 +141,30 @@ class TestAveragedEfficiency:
                                         POWDER_GRID.times(), oset)
         assert np.array_equal(via_curves, pointwise)
 
+    def test_slope_matches_central_difference(self):
+        oset = zcw_orientation_set(3)
+        times = np.array([0.0, 13e-6, 40e-6, 41e-6, 250e-6, 1e-3])
+        d = POWDER_COUPLING.d
+        eta, slope = averaged_efficiency(POWDER_COUPLING, POWDER_MAS, times,
+                                         oset, with_slope=True)
+        assert np.array_equal(eta, averaged_efficiency(
+            POWDER_COUPLING, POWDER_MAS, times, oset))
+        h = 1e-5 * d
+        central = (averaged_efficiency(CouplingParams(d=d + h), POWDER_MAS,
+                                       times, oset)
+                   - averaged_efficiency(CouplingParams(d=d - h), POWDER_MAS,
+                                         times, oset)) / (2 * h)
+        np.testing.assert_allclose(slope, central, rtol=1e-6,
+                                   atol=1e-9 * np.max(np.abs(central)))
+
+    def test_slope_at_zero_coupling_is_zero(self):
+        for spin in (POWDER_MAS, SpinningParams(omega_r=0.0)):
+            eta, slope = averaged_efficiency(
+                CouplingParams(d=0.0), spin, POWDER_GRID.times(),
+                zcw_orientation_set(2), with_slope=True)
+            assert np.all(eta == 0.0)
+            assert np.all(slope == 0.0)
+
     def test_supports_irregular_times(self):
         oset = zcw_orientation_set(1)
         times = np.array([0.0, 13e-6, 40e-6, 41e-6, 1e-3])
@@ -182,3 +187,46 @@ class TestOrientationSetValidation:
         orient = Orientation(beta=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             OrientationSet(entries=((orient, 0.5), (orient, 0.6)))
+
+
+KERNEL_TIMES = np.array([0.0, 3e-6, 25e-6, 50e-6, 137e-6, 200e-6, 0.61e-3,
+                         1e-3, 2.5e-3])
+
+
+@st.composite
+def weighted_sets(draw):
+    """Random orientation sets on both sides of the kernel block size."""
+    n = draw(st.integers(min_value=1, max_value=3 * ORIENT_BLOCK))
+    betas = draw(st.lists(st.floats(0.0, math.pi), min_size=n, max_size=n))
+    gammas = draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                           min_size=n, max_size=n))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    total = math.fsum(raw)
+    entries = tuple((Orientation(beta=b, gamma=g), w / total)
+                    for b, g, w in zip(betas, gammas, raw))
+    perm = draw(st.permutations(range(n)))
+    return entries, tuple(entries[i] for i in perm)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sets=weighted_sets(),
+           d=st.floats(-2e5, 2e5),
+           omega_r=st.one_of(st.just(0.0), st.floats(1e3, 1e5)))
+    def test_bounded_permutation_invariant_and_matches_scalar_loop(
+            self, sets, d, omega_r):
+        entries, shuffled = sets
+        coupling = CouplingParams(d=d)
+        spin = SpinningParams(omega_r=omega_r)
+        eta = averaged_efficiency(coupling, spin, KERNEL_TIMES,
+                                  OrientationSet(entries=entries))
+        assert eta.min() >= 0.0
+        assert eta.max() <= 1.0 + EFFICIENCY_RANGE_TOL
+        again = averaged_efficiency(coupling, spin, KERNEL_TIMES,
+                                    OrientationSet(entries=shuffled))
+        assert np.array_equal(eta, again)
+        per_orientation = [w * transfer_efficiency(coupling, o, spin,
+                                                   KERNEL_TIMES)
+                           for o, w in entries]
+        scalar = np.array([math.fsum(col) for col in zip(*per_orientation)])
+        np.testing.assert_allclose(eta, scalar, rtol=0, atol=1e-12)
