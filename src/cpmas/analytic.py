@@ -58,7 +58,7 @@ class RelaxationParams:
     def __post_init__(self):
         if not self.m0 > 0.0:
             raise ValueError(f"m0 must be > 0, got {self.m0}")
-        if self.r < 0.0 or self.r1 < 0.0:
+        if not (self.r >= 0.0 and self.r1 >= 0.0):
             raise ValueError("rates r and r1 must be >= 0")
         if not self.t1rho > 0.0:
             raise ValueError(f"t1rho must be > 0 (inf allowed), got {self.t1rho}")

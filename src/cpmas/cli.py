@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,8 @@ _RF_OPTS = [
     Opt("offset-i-khz", float, "I resonance offset, kHz", default=0.0),
     Opt("offset-s-khz", float, "S resonance offset, kHz", default=0.0),
 ]
+# oracle and compare need the lock amplitudes; offsets keep their defaults
+_RF_OPTS_REQUIRED = [replace(o, required=o.default is None) for o in _RF_OPTS]
 _COUPLING_OPT = Opt("d-khz", float, "dipolar coupling d/2pi, kHz", required=True)
 _MAS_OPT = Opt("mas-khz", float, "spinning rate, kHz", required=True)
 _ANGLE_OPTS = [
@@ -101,17 +103,11 @@ COMMAND_OPTS = {
                    default="zcw:8"),
                *_RELAX_OPTS, *_COMMON_OPTS],
     "oracle": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
-               Opt("b1i-khz", float, "I spin-lock amplitude, kHz", required=True),
-               Opt("b1s-khz", float, "S spin-lock amplitude, kHz", required=True),
-               Opt("offset-i-khz", float, "I resonance offset, kHz", default=0.0),
-               Opt("offset-s-khz", float, "S resonance offset, kHz", default=0.0),
+               *_RF_OPTS_REQUIRED,
                Opt("substeps", int, "propagation substeps per grid interval"),
                *_COMMON_OPTS],
     "compare": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
-                Opt("b1i-khz", float, "I spin-lock amplitude, kHz", required=True),
-                Opt("b1s-khz", float, "S spin-lock amplitude, kHz", required=True),
-                Opt("offset-i-khz", float, "I resonance offset, kHz", default=0.0),
-                Opt("offset-s-khz", float, "S resonance offset, kHz", default=0.0),
+                *_RF_OPTS_REQUIRED,
                 Opt("substeps", int, "propagation substeps per grid interval"),
                 Opt("threshold", float, "max allowed |analytic - oracle|",
                     default=0.02),
@@ -237,10 +233,10 @@ def read_curve_csv(path) -> dict[str, np.ndarray]:
 
 def _grid_from(resolved) -> TimeGrid:
     tmax, dt = resolved["tmax_us"], resolved["dt_us"]
-    if tmax <= 0.0:
-        raise ConfigError(f"tmax-us must be > 0, got {tmax}")
-    if dt <= 0.0:
-        raise ConfigError(f"dt-us must be > 0, got {dt}")
+    if not (math.isfinite(tmax) and tmax > 0.0):
+        raise ConfigError(f"tmax-us must be finite and > 0, got {tmax}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt-us must be finite and > 0, got {dt}")
     n = int(math.floor(tmax / dt + 1e-9)) + 1
     if n < 2:
         raise ConfigError("grid must contain at least 2 points "
@@ -274,8 +270,13 @@ def _rf_from(resolved, required: bool) -> RfScheme | None:
         raise ConfigError(str(exc)) from exc
 
 
-def _coupling_from(resolved, rf: RfScheme | None) -> CouplingParams:
-    coupling = CouplingParams(d=resolved["d_khz"] * KHZ)
+def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
+    """The coupling, tilt-scaled for the effective fields of ``rf`` if given."""
+    try:
+        coupling = CouplingParams(d=resolved["d_khz"] * KHZ)
+    except ValueError as exc:
+        raise ConfigError(
+            f"d-khz must be finite, got {resolved['d_khz']}") from exc
     if rf is not None:
         coupling = scaled_coupling(coupling, effective_field(rf))
     return coupling
@@ -283,9 +284,11 @@ def _coupling_from(resolved, rf: RfScheme | None) -> CouplingParams:
 
 def _spin_from(resolved) -> SpinningParams:
     mas = resolved["mas_khz"]
-    if mas < 0.0:
-        raise ConfigError(f"mas-khz must be >= 0, got {mas}")
-    return SpinningParams(omega_r=mas * KHZ)
+    try:
+        return SpinningParams(omega_r=mas * KHZ)
+    except ValueError as exc:
+        raise ConfigError(
+            f"mas-khz must be finite and >= 0, got {mas}") from exc
 
 
 def _orientation_set(text: str) -> powder.OrientationSet:
@@ -371,7 +374,7 @@ def run_oracle(resolved) -> int:
     grid = _grid_from(resolved)
     orient = _orientation_from(resolved)
     rf = _rf_from(resolved, required=True)
-    coupling = CouplingParams(d=resolved["d_khz"] * KHZ)
+    coupling = _coupling_from(resolved)
     spin = _spin_from(resolved)
     out = _propagate_tilted(rf, coupling, orient, spin, grid,
                             resolved.get("substeps"))
@@ -389,8 +392,8 @@ def run_compare(resolved) -> int:
     spin = _spin_from(resolved)
     coupling_scaled = _coupling_from(resolved, rf)
     eta = analytic.efficiency_curve(coupling_scaled, orient, spin, grid).values
-    out = _propagate_tilted(rf, CouplingParams(d=resolved["d_khz"] * KHZ),
-                            orient, spin, grid, resolved.get("substeps"))
+    out = _propagate_tilted(rf, _coupling_from(resolved), orient, spin,
+                            grid, resolved.get("substeps"))
     sy = out[0]
     max_dev = float(np.max(np.abs(eta - sy)))
     rms_dev = float(np.sqrt(np.mean((eta - sy) ** 2)))
@@ -417,7 +420,7 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     else:
-        d = resolved["d_khz"] * KHZ
+        d = _coupling_from(resolved).d
     free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
     unknown = set(free) - set(fitting.PARAMETER_NAMES)
     if unknown:

@@ -89,6 +89,8 @@ class BuildUpData:
             raise DataError("times and magnetizations must be 1-d and equal length")
         if len(times) < 2:
             raise DataError(f"need at least 2 points, got {len(times)}")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(mags))):
+            raise DataError("times and magnetizations must be finite")
         if times[0] < 0.0:
             raise DataError("times must be >= 0")
         if np.any(np.diff(times) <= 0.0):
@@ -99,8 +101,8 @@ class BuildUpData:
             sig = np.asarray(self.sigmas, dtype=float)
             if sig.shape != times.shape:
                 raise DataError("sigma column must match the data length")
-            if np.any(sig <= 0.0):
-                raise DataError("sigma values must be > 0")
+            if not np.all(np.isfinite(sig) & (sig > 0.0)):
+                raise DataError("sigma values must be finite and > 0")
             object.__setattr__(self, "sigmas", sig)
         if self.source_times_us is not None:
             us = np.asarray(self.source_times_us, dtype=float)

@@ -9,6 +9,12 @@ Hamiltonians, unitaries from Hermitian eigendecomposition), independent of
 every closed-form result in `analytic`.  It is the ground truth the
 analytic curves are validated against.
 
+One core serves both the full-space and the block-wise propagation: the
+midpoint Hamiltonians of all substeps are built as one stack and
+exponentiated in one batched call, the substep unitaries of each grid
+interval are multiplied together (batched over intervals), and the state
+is then stepped once per grid point.
+
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
 space, so for rho(0) = I_y the raw traces <S_y> = Tr(S_y @ rho) start at 0,
@@ -17,9 +23,10 @@ efficiency.
 
 The zero-/double-quantum decomposition (the commuting 2x2 blocks of the
 y-quantized basis) is exposed both for structural tests and for block-wise
-propagation.  Fictitious spin-1/2 axes within each block are labeled so
-that sigma_y is the spin-lock (sum/difference) direction and sigma_z is the
-coupling direction:
+propagation, which projects the full Hamiltonian stack onto each block and
+exponentiates the blocks on their own.  Fictitious spin-1/2 axes within
+each block are labeled so that sigma_y is the spin-lock (sum/difference)
+direction and sigma_z is the coupling direction:
 
     sigma_y_zq = (I_y - S_y)/2      sigma_y_dq = (I_y + S_y)/2
     sigma_z_zq = ZQ part of 2*I_z*S_z,  sigma_z_dq = DQ part of 2*I_z*S_z
@@ -77,6 +84,16 @@ _DQ_IDX = (0, 3)
 _ZQ_IDX = (1, 2)
 
 
+def _in_y_basis(op) -> np.ndarray:
+    """An operator, or a stack of them, in the y-quantized basis."""
+    return Y_BASIS.conj().T @ np.asarray(op, dtype=complex) @ Y_BASIS
+
+
+def _block(op_y: np.ndarray, idx) -> np.ndarray:
+    """The (idx, idx) 2x2 block of a y-basis operator or stack."""
+    return op_y[..., idx, :][..., idx]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Expectation values along one propagation.
@@ -100,31 +117,38 @@ class Trajectory:
 
 
 def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
-                   spin: SpinningParams, t: float) -> np.ndarray:
-    """Full 4x4 Hamiltonian at time t (Hermitian, rad/s)."""
-    d_t = dipolar_coupling_at(coupling, orient, spin, t)
-    h = (rf.omega1_i * IY + rf.omega1_s * SY + 2.0 * d_t * IZSZ)
-    if rf.offset_i != 0.0:
-        h = h + rf.offset_i * IZ
-    if rf.offset_s != 0.0:
-        h = h + rf.offset_s * SZ
-    return h
+                   spin: SpinningParams, t) -> np.ndarray:
+    """Full 4x4 Hamiltonian at time t (Hermitian, rad/s).
+
+    Args:
+        t: time in seconds, scalar or 1-d array.
+
+    Returns:
+        A (4, 4) matrix for scalar ``t``, an (n, 4, 4) stack for n times.
+    """
+    d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
+    h0 = (rf.omega1_i * IY + rf.omega1_s * SY
+          + rf.offset_i * IZ + rf.offset_s * SZ)
+    return h0 + (2.0 * d_t)[..., None, None] * IZSZ
 
 
 def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Unitary exp(-i*h*dt) of a Hermitian matrix via eigendecomposition.
 
+    ``h`` may be one (n, n) matrix or a (..., n, n) stack; the result has
+    the same shape.
+
     Raises:
         ValueError: if ``h`` is not Hermitian within 1e-12 (max elementwise
-            asymmetry).
+            asymmetry over the stack).
     """
     h = np.asarray(h, dtype=complex)
-    asym = np.max(np.abs(h - h.conj().T))
+    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0)
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     evals, evecs = np.linalg.eigh(h)
     phases = np.exp(-1j * evals * dt)
-    return (evecs * phases) @ evecs.conj().T
+    return np.einsum("...ij,...j,...kj->...ik", evecs, phases, evecs.conj())
 
 
 def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
@@ -140,21 +164,41 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     return max(1, math.ceil(dt / max_step - 1e-9))
 
 
-def _midpoint_unitaries(rf: RfScheme, coupling: CouplingParams,
-                        orient: Orientation, spin: SpinningParams,
-                        dt_sub: float, n_steps: int) -> np.ndarray:
-    """All substep unitaries at once: midpoint Hamiltonians, batched eigh."""
-    t_mid = (np.arange(n_steps) + 0.5) * dt_sub
-    d_vals = dipolar_coupling_at(coupling, orient, spin, t_mid)
-    h0 = rf.omega1_i * IY + rf.omega1_s * SY
-    if rf.offset_i != 0.0:
-        h0 = h0 + rf.offset_i * IZ
-    if rf.offset_s != 0.0:
-        h0 = h0 + rf.offset_s * SZ
-    hs = h0[None, :, :] + 2.0 * d_vals[:, None, None] * IZSZ[None, :, :]
-    evals, evecs = np.linalg.eigh(hs)
-    phases = np.exp(-1j * evals * dt_sub)
-    return np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
+def _substep_midpoints(rf: RfScheme, spin: SpinningParams, grid: TimeGrid,
+                       substeps: int | None) -> tuple[int, float, np.ndarray]:
+    """Checked substep count, substep length and every substep midpoint time."""
+    needed = required_substeps(rf, spin, grid.dt)
+    if substeps is None:
+        substeps = needed
+    elif substeps < needed:
+        raise ValueError(
+            f"substeps={substeps} violates the step-size rule for this grid; "
+            f"at least {needed} substeps per grid interval are required")
+    dt_sub = grid.dt / substeps
+    t_mid = (np.arange((grid.n_points - 1) * substeps) + 0.5) * dt_sub
+    return substeps, dt_sub, t_mid
+
+
+def _propagate_stack(hs: np.ndarray, dt_sub: float, substeps: int,
+                     rho0: np.ndarray, observables) -> np.ndarray:
+    """Tr(O @ rho) per grid point under the substep Hamiltonians ``hs``.
+
+    ``hs`` holds ``substeps`` midpoint Hamiltonians per grid interval in
+    time order.  Each interval's substep unitaries are multiplied together
+    (batched over intervals), so the state is stepped once per grid point.
+    """
+    n = hs.shape[-1]
+    steps = matrix_exponential_step(hs, dt_sub).reshape(-1, substeps, n, n)
+    u = steps[:, 0]
+    for k in range(1, substeps):
+        u = steps[:, k] @ u
+    u_dag = np.swapaxes(u, -1, -2).conj()
+    rhos = np.empty((len(u) + 1, n, n), dtype=complex)
+    rhos[0] = rho0
+    for i in range(len(u)):
+        rhos[i + 1] = u[i] @ rhos[i] @ u_dag[i]
+    obs = np.asarray(observables, dtype=complex)
+    return np.einsum("oij,nji->on", obs, rhos).real
 
 
 def propagate_expectations(rho0: np.ndarray, observables,
@@ -176,33 +220,9 @@ def propagate_expectations(rho0: np.ndarray, observables,
         ValueError: if an explicit ``substeps`` violates the step-size rule
             (the message names the required count).
     """
-    needed = required_substeps(rf, spin, grid.dt)
-    if substeps is None:
-        substeps = needed
-    elif substeps < needed:
-        raise ValueError(
-            f"substeps={substeps} violates the step-size rule for this grid; "
-            f"at least {needed} substeps per grid interval are required")
-    obs = [np.asarray(o, dtype=complex) for o in observables]
-    rho = np.asarray(rho0, dtype=complex).copy()
-    n_pts = grid.n_points
-    out = np.empty((len(obs), n_pts))
-    for j, o in enumerate(obs):
-        out[j, 0] = np.trace(o @ rho).real
-    if n_pts == 1:
-        return out
-    dt_sub = grid.dt / substeps
-    unitaries = _midpoint_unitaries(rf, coupling, orient, spin, dt_sub,
-                                    (n_pts - 1) * substeps)
-    k = 0
-    for i in range(1, n_pts):
-        for _ in range(substeps):
-            u = unitaries[k]
-            rho = u @ rho @ u.conj().T
-            k += 1
-        for j, o in enumerate(obs):
-            out[j, i] = np.trace(o @ rho).real
-    return out
+    substeps, dt_sub, t_mid = _substep_midpoints(rf, spin, grid, substeps)
+    hs = hamiltonian_at(rf, coupling, orient, spin, t_mid)
+    return _propagate_stack(hs, dt_sub, substeps, rho0, observables)
 
 
 def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
@@ -223,56 +243,21 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     On resonance the Hamiltonian is block diagonal in the y-quantized basis
     ([H_zq, H_dq] = 0), so evolving the two 2x2 blocks independently must
     reproduce the full 4x4 propagation; this provides the structural
-    cross-check of that claim.
+    cross-check of that claim.  Each block of the full Hamiltonian stack is
+    exponentiated and propagated on its own.
 
     Raises:
-        ValueError: for nonzero offsets (which couple the blocks).
+        ValueError: for nonzero offsets (which couple the blocks), or an
+            explicit ``substeps`` that violates the step-size rule.
     """
     if rf.offset_i != 0.0 or rf.offset_s != 0.0:
         raise ValueError("block-wise propagation requires zero offsets")
-    needed = required_substeps(rf, spin, grid.dt)
-    if substeps is None:
-        substeps = needed
-    elif substeps < needed:
-        raise ValueError(
-            f"substeps={substeps} violates the step-size rule for this grid; "
-            f"at least {needed} substeps per grid interval are required")
-
-    def to_blocks(op4):
-        opy = Y_BASIS.conj().T @ np.asarray(op4, dtype=complex) @ Y_BASIS
-        return opy[np.ix_(_ZQ_IDX, _ZQ_IDX)], opy[np.ix_(_DQ_IDX, _DQ_IDX)]
-
-    rho_zq, rho_dq = to_blocks(rho0)
-    sy_zq, sy_dq = to_blocks(SY)
-
-    n_pts = grid.n_points
-    sy = np.empty(n_pts)
-    sy[0] = (np.trace(sy_zq @ rho_zq) + np.trace(sy_dq @ rho_dq)).real
-    if n_pts == 1:
-        return sy
-    dt_sub = grid.dt / substeps
-    t_mid = (np.arange((n_pts - 1) * substeps) + 0.5) * dt_sub
-    d_vals = dipolar_coupling_at(coupling, orient, spin, t_mid)
-    h_rf4 = rf.omega1_i * IY + rf.omega1_s * SY
-    rf_zq, rf_dq = to_blocks(h_rf4)
-    dip_zq, dip_dq = to_blocks(2.0 * IZSZ)
-
-    def unitaries(h_rf, h_dip):
-        hs = h_rf[None, :, :] + d_vals[:, None, None] * h_dip[None, :, :]
-        evals, evecs = np.linalg.eigh(hs)
-        phases = np.exp(-1j * evals * dt_sub)
-        return np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
-
-    u_zq = unitaries(rf_zq, dip_zq)
-    u_dq = unitaries(rf_dq, dip_dq)
-    k = 0
-    for i in range(1, n_pts):
-        for _ in range(substeps):
-            rho_zq = u_zq[k] @ rho_zq @ u_zq[k].conj().T
-            rho_dq = u_dq[k] @ rho_dq @ u_dq[k].conj().T
-            k += 1
-        sy[i] = (np.trace(sy_zq @ rho_zq) + np.trace(sy_dq @ rho_dq)).real
-    return sy
+    substeps, dt_sub, t_mid = _substep_midpoints(rf, spin, grid, substeps)
+    h_y = _in_y_basis(hamiltonian_at(rf, coupling, orient, spin, t_mid))
+    rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
+    return sum(_propagate_stack(_block(h_y, idx), dt_sub, substeps,
+                                _block(rho_y, idx), [_block(sy_y, idx)])[0]
+               for idx in (_ZQ_IDX, _DQ_IDX))
 
 
 @dataclass(frozen=True)
@@ -339,9 +324,9 @@ def zq_dq_decompose(op: np.ndarray) -> ZqDqComponents:
     module builds on resonance, and rho(0) = I_y), ``recompose()``
     reproduces the input and ``remainder_norm`` is ~0.
     """
-    opy = Y_BASIS.conj().T @ np.asarray(op, dtype=complex) @ Y_BASIS
-    zq = opy[np.ix_(_ZQ_IDX, _ZQ_IDX)].copy()
-    dq = opy[np.ix_(_DQ_IDX, _DQ_IDX)].copy()
+    opy = _in_y_basis(op)
+    zq = _block(opy, _ZQ_IDX)
+    dq = _block(opy, _DQ_IDX)
     mask = np.ones((4, 4), dtype=bool)
     mask[np.ix_(_ZQ_IDX, _ZQ_IDX)] = False
     mask[np.ix_(_DQ_IDX, _DQ_IDX)] = False

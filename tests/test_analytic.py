@@ -211,6 +211,10 @@ class TestRelaxationParams:
         with pytest.raises(ValueError):
             RelaxationParams(r1=-1.0)
         with pytest.raises(ValueError):
+            RelaxationParams(r=math.nan)
+        with pytest.raises(ValueError):
+            RelaxationParams(r1=math.nan)
+        with pytest.raises(ValueError):
             RelaxationParams(t1rho=0.0)
         RelaxationParams(t1rho=math.inf)
 

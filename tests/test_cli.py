@@ -239,6 +239,12 @@ class TestFitCommand:
                     "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
 
+    def test_non_finite_coupling_is_config_error(self, tmp_path, capsys):
+        code = run(["fit", "--data", str(REPO_DATASET), "--d-khz", "inf",
+                    "--mas-khz", "5", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: d-khz must be finite, got inf\n"
+
     def test_free_parameter_without_guess(self, tmp_path, capsys):
         code = run(["fit", "--data", str(REPO_DATASET), "--d-khz", "23.33",
                     "--mas-khz", "5", "--free", "r", "--out",
@@ -250,6 +256,23 @@ class TestFitCommand:
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+    @pytest.mark.parametrize("flag, value", [
+        ("tmax-us", "nan"), ("tmax-us", "inf"), ("dt-us", "nan"),
+        ("d-khz", "inf"), ("d-khz", "nan"), ("mas-khz", "nan"),
+        ("mas-khz", "inf")])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, command,
+                                              flag, value):
+        args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
+        args[f"--{flag}"] = value
+        out = tmp_path / "x.csv"
+        argv = [command, *(x for kv in args.items() for x in kv)]
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_no_command(self, capsys):
         assert run([]) == EXIT_CONFIG

@@ -481,3 +481,27 @@ class TestBuildUpDataValidation:
             BuildUpData(times=np.array([0.0, 1e-6]),
                         magnetizations=np.zeros(2),
                         sigmas=np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("column, value", [
+        ("times", math.nan), ("times", math.inf),
+        ("magnetizations", math.nan), ("magnetizations", -math.inf),
+        ("sigmas", math.nan), ("sigmas", math.inf)])
+    def test_rejects_non_finite(self, column, value):
+        columns = {"times": np.array([0.0, 1e-6, 2e-6]),
+                   "magnetizations": np.zeros(3), "sigmas": np.full(3, 0.1)}
+        columns[column][2] = value
+        with pytest.raises(DataError, match="finite"):
+            BuildUpData(**columns)
+
+    def test_nan_magnetization_stops_fit_before_iterating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fitting, "_levenberg_marquardt",
+                            lambda *args: calls.append(args))
+        oset = zcw_orientation_set(2)
+        times = np.arange(10) * 25e-6
+        mags = model_curve(benchmark_params(oset), times)
+        mags[4] = math.nan
+        with pytest.raises(DataError, match="finite"):
+            fit_buildup(BuildUpData(times=times, magnetizations=mags),
+                        benchmark_spec(oset))
+        assert calls == []

@@ -108,6 +108,30 @@ class TestMatrixExponentialStep:
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_exponential_step(h, 1e-6)
 
+    def test_rejects_non_hermitian_stack(self):
+        rng = np.random.default_rng(34)
+        hs = np.array([random_hermitian(rng) for _ in range(5)])
+        hs[3, 2, 0] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix_exponential_step(hs, 1e-6)
+
+    def test_stack_equals_scalar_calls(self, bench_coupling, slow_mas,
+                                       bench_orientation):
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=70.0 * KHZ,
+                      offset_i=11.0 * KHZ, offset_s=-3.0 * KHZ)
+        times = np.linspace(0.0, 4e-4, 7)
+        hs = hamiltonian_at(rf, bench_coupling, bench_orientation, slow_mas,
+                            times)
+        us = matrix_exponential_step(hs, 1e-7)
+        assert hs.shape == us.shape == (7, 4, 4)
+        for t, h, u in zip(times, hs, us):
+            h1 = hamiltonian_at(rf, bench_coupling, bench_orientation,
+                                slow_mas, float(t))
+            np.testing.assert_allclose(h, h1, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(h1)))
+            np.testing.assert_allclose(u, matrix_exponential_step(h1, 1e-7),
+                                       rtol=0, atol=1e-14)
+
 
 class TestPropagate:
     def test_no_coupling_is_static(self, matched_rf, slow_mas):
@@ -185,6 +209,40 @@ class TestPropagate:
         sy_blocks = propagate_blockwise(IY, matched_rf, bench_coupling,
                                         bench_orientation, slow_mas, grid)
         assert np.max(np.abs(traj.sy - sy_blocks)) < 1e-8
+
+    def test_matches_per_substep_loop(self, bench_coupling, slow_mas,
+                                      bench_orientation):
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
+        grid = TimeGrid(dt=0.1e-6, n_points=41)
+        substeps = 3
+        assert required_substeps(rf, slow_mas, grid.dt) <= substeps
+        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
+                                     bench_orientation, slow_mas, grid,
+                                     substeps=substeps)
+        dt_sub = grid.dt / substeps
+        rho = np.array(i_e, dtype=complex)
+        expected = [[np.trace(s_e @ rho).real, np.trace(i_e @ rho).real]]
+        for k in range((grid.n_points - 1) * substeps):
+            h = hamiltonian_at(rf, bench_coupling, bench_orientation, slow_mas,
+                               (k + 0.5) * dt_sub)
+            u = matrix_exponential_step(h, dt_sub)
+            rho = u @ rho @ u.conj().T
+            if (k + 1) % substeps == 0:
+                expected.append([np.trace(s_e @ rho).real,
+                                 np.trace(i_e @ rho).real])
+        np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
+                                   atol=1e-12)
+
+    def test_blockwise_step_rule_violation_names_required_substeps(
+            self, matched_rf, bench_coupling, slow_mas, bench_orientation):
+        grid = TimeGrid(dt=1e-6, n_points=11)
+        needed = required_substeps(matched_rf, slow_mas, grid.dt)
+        with pytest.raises(ValueError, match=f"at least {needed} substeps"):
+            propagate_blockwise(IY, matched_rf, bench_coupling,
+                                bench_orientation, slow_mas, grid,
+                                substeps=needed - 1)
 
     def test_blockwise_rejects_offsets(self, bench_coupling, slow_mas,
                                        bench_orientation):
