@@ -16,8 +16,10 @@ times, and degrees for angles; everything is converted to rad/s, s, rad at
 parse time.  A plain-text key-value config file can supply any flag
 (--config); explicit flags override file values.
 
-Exit codes: 0 success, 1 usage/config error, 2 comparison threshold
-exceeded, 3 data error, 4 fit non-convergence or fit failure.
+Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
+--report path, a time grid over 10**7 points, or a grid:NxM set over 10**6
+orientations), 2 comparison threshold exceeded, 3 data error, 4 fit
+non-convergence or fit failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +36,7 @@ import numpy as np
 from . import analytic, fitting, oracle, powder
 from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                    TimeGrid, effective_field, scaled_coupling)
+from .fitting import write_curve_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,6 +48,12 @@ KHZ = 2.0 * math.pi * 1e3   # kHz -> rad/s
 US = 1e-6                   # microseconds -> s
 MS = 1e-3                   # milliseconds -> s
 DEG = math.pi / 180.0
+
+# Size caps checked before anything is allocated, far above real use (the
+# tests and the benchmark stay below ~1000 grid points and 128x128
+# orientations): an absurd --tmax-us/--dt-us or grid:NxM is a usage error.
+MAX_GRID_POINTS = 10**7
+MAX_ORIENTATIONS = 10**6
 
 
 class ConfigError(Exception):
@@ -192,56 +202,30 @@ def _resolve(args, opts: list[Opt]) -> dict:
 _LOCATION_KEYS = {"config", "out", "report"}
 
 
+def _echo_items(resolved: dict) -> list[tuple[str, object]]:
+    """The physics inputs of a run, sorted by key, without location keys."""
+    return [(key, resolved[key]) for key in sorted(resolved)
+            if key not in _LOCATION_KEYS and resolved[key] is not None]
+
+
 def _echo_lines(command: str, resolved: dict) -> list[str]:
-    lines = [f"# cpmas {command}"]
-    for key in sorted(resolved):
-        if key in _LOCATION_KEYS or resolved[key] is None:
-            continue
-        lines.append(f"# {key.replace('_', '-')} = {resolved[key]!r}")
-    return lines
+    return [f"# cpmas {command}"] + [f"# {key.replace('_', '-')} = {value!r}"
+                                     for key, value in _echo_items(resolved)]
 
 
-def write_curve_csv(path, header: list[str], columns: list[np.ndarray],
-                    echo: list[str]) -> None:
-    """Write comment echo lines, a header row, then repr-formatted columns."""
-    lines = list(echo)
-    lines.append(",".join(header))
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_curve_csv(path) -> dict[str, np.ndarray]:
-    """Read a CSV written by `write_curve_csv` back into named columns."""
-    names = None
-    columns = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if names is None:
-            names = fields
-            columns = [[] for _ in names]
-            continue
-        for col, value in zip(columns, fields):
-            col.append(float(value))
-    if names is None:
-        raise ValueError(f"{path}: no data")
-    return {name: np.array(col) for name, col in zip(names, columns)}
-
-
-def _grid_from(resolved) -> TimeGrid:
+def _grid_from(resolved) -> tuple[TimeGrid, np.ndarray]:
+    """The time grid and its sample times in microseconds."""
     tmax, dt = resolved["tmax_us"], resolved["dt_us"]
     if not (math.isfinite(tmax) and tmax > 0.0):
         raise ConfigError(f"tmax-us must be finite and > 0, got {tmax}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt-us must be finite and > 0, got {dt}")
-    n = int(math.floor(tmax / dt + 1e-9)) + 1
-    if n < 2:
-        raise ConfigError("grid must contain at least 2 points "
+    steps = tmax / dt + 1e-9   # the grid has floor(steps) + 1 points
+    if not 1.0 <= steps < MAX_GRID_POINTS:
+        raise ConfigError(f"grid must contain 2 to {MAX_GRID_POINTS} points "
                           f"(tmax-us={tmax}, dt-us={dt})")
-    return TimeGrid(dt=dt * US, n_points=n)
+    n = int(math.floor(steps)) + 1
+    return TimeGrid(dt=dt * US, n_points=n), np.arange(n) * dt
 
 
 def _orientation_from(resolved) -> Orientation:
@@ -252,11 +236,11 @@ def _orientation_from(resolved) -> Orientation:
         raise ConfigError(str(exc)) from exc
 
 
-def _rf_from(resolved, required: bool) -> RfScheme | None:
-    b1i, b1s = resolved.get("b1i_khz"), resolved.get("b1s_khz")
-    off_i = resolved.get("offset_i_khz", 0.0)
-    off_s = resolved.get("offset_s_khz", 0.0)
-    if b1i is None and b1s is None and not required:
+def _rf_from(resolved) -> RfScheme | None:
+    """The lock scheme, or None when neither amplitude is given."""
+    b1i, b1s = resolved["b1i_khz"], resolved["b1s_khz"]
+    off_i, off_s = resolved["offset_i_khz"], resolved["offset_s_khz"]
+    if b1i is None and b1s is None:
         if off_i or off_s:
             raise ConfigError("offsets need --b1i-khz and --b1s-khz for the "
                               "effective-field geometry")
@@ -296,7 +280,10 @@ def _orientation_set(text: str) -> powder.OrientationSet:
     try:
         if kind == "grid":
             nb, _, ng = arg.partition("x")
-            return powder.grid_orientation_set(int(nb), int(ng))
+            nb, ng = int(nb), int(ng)
+            if nb * ng > MAX_ORIENTATIONS:
+                raise ValueError(f"at most {MAX_ORIENTATIONS} orientations")
+            return powder.grid_orientation_set(nb, ng)
         if kind == "zcw":
             return powder.zcw_orientation_set(int(arg))
     except ValueError as exc:
@@ -306,105 +293,70 @@ def _orientation_set(text: str) -> powder.OrientationSet:
 
 def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
     """RelaxationParams plus whether any damping flag was given."""
-    given = any(resolved.get(k) is not None
-                for k in ("r_inv_us", "r1_inv_us", "t1rho_ms"))
+    keys = ("r_inv_us", "r1_inv_us", "t1rho_ms")
+    # an absent time constant is infinite: that process does not damp
+    r_inv_us, r1_inv_us, t1rho_ms = (
+        math.inf if resolved[key] is None else resolved[key]
+        for key in keys)
     try:
         relax = analytic.RelaxationParams(
-            m0=resolved.get("m0", 1.0),
-            r=1.0 / (resolved["r_inv_us"] * US)
-            if resolved.get("r_inv_us") is not None else 0.0,
-            r1=1.0 / (resolved["r1_inv_us"] * US)
-            if resolved.get("r1_inv_us") is not None else 0.0,
-            t1rho=resolved["t1rho_ms"] * MS
-            if resolved.get("t1rho_ms") is not None else math.inf,
-        )
+            m0=resolved["m0"], r=1.0 / (r_inv_us * US),
+            r1=1.0 / (r1_inv_us * US), t1rho=t1rho_ms * MS)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad relaxation parameters: {exc}") from exc
-    return relax, given
+    return relax, any(resolved[key] is not None for key in keys)
 
 
-def run_simulate(resolved) -> int:
-    grid = _grid_from(resolved)
+def run_simulate(resolved) -> tuple[dict, list[str], int]:
+    grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
-    rf = _rf_from(resolved, required=False)
-    coupling = _coupling_from(resolved, rf)
+    coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
-    t_us = np.arange(grid.n_points) * resolved["dt_us"]
-    write_curve_csv(resolved["out"], ["t_us", "eta"], [t_us, curve.values],
-                    _echo_lines("simulate", resolved))
-    return EXIT_OK
+    return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK
 
 
-def run_powder(resolved) -> int:
-    grid = _grid_from(resolved)
-    rf = _rf_from(resolved, required=False)
-    coupling = _coupling_from(resolved, rf)
+def run_powder(resolved) -> tuple[dict, list[str], int]:
+    grid, t_us = _grid_from(resolved)
+    coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
     curve = powder.powder_average(coupling, spin, grid, oset)
-    name = "eta"
     if damped:
         curve = analytic.magnetization(curve, relax)
-        name = "m"
-    t_us = np.arange(grid.n_points) * resolved["dt_us"]
-    write_curve_csv(resolved["out"], ["t_us", name], [t_us, curve.values],
-                    _echo_lines("powder", resolved))
-    return EXIT_OK
+    return {"t_us": t_us, "m" if damped else "eta": curve.values}, [], EXIT_OK
 
 
-def _propagate_tilted(rf, coupling, orient, spin, grid, substeps):
-    """Propagation with state/observables along the effective-field axes.
-
-    On resonance these reduce to I_y and S_y exactly.
-    """
-    eff = effective_field(rf)
-    i_e, s_e = oracle.tilted_spin_operators(eff)
-    try:
-        out = oracle.propagate_expectations(
-            i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
-            substeps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return out
-
-
-def run_oracle(resolved) -> int:
-    grid = _grid_from(resolved)
+def run_oracle(resolved) -> tuple[dict, list[str], int]:
+    """Propagation with state and observables along the effective-field
+    axes; on resonance these reduce to I_y and S_y exactly."""
+    grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
-    rf = _rf_from(resolved, required=True)
+    rf = _rf_from(resolved)
     coupling = _coupling_from(resolved)
     spin = _spin_from(resolved)
-    out = _propagate_tilted(rf, coupling, orient, spin, grid,
-                            resolved.get("substeps"))
-    t_us = np.arange(grid.n_points) * resolved["dt_us"]
-    write_curve_csv(resolved["out"], ["t_us", "sy", "iy", "dq_y"],
-                    [t_us, out[0], out[1], out[2]],
-                    _echo_lines("oracle", resolved))
-    return EXIT_OK
+    i_e, s_e = oracle.tilted_spin_operators(effective_field(rf))
+    try:
+        sy, iy, dq_y = oracle.propagate_expectations(
+            i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
+            resolved["substeps"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return {"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK
 
 
-def run_compare(resolved) -> int:
-    grid = _grid_from(resolved)
-    orient = _orientation_from(resolved)
-    rf = _rf_from(resolved, required=True)
-    spin = _spin_from(resolved)
-    coupling_scaled = _coupling_from(resolved, rf)
-    eta = analytic.efficiency_curve(coupling_scaled, orient, spin, grid).values
-    out = _propagate_tilted(rf, _coupling_from(resolved), orient, spin,
-                            grid, resolved.get("substeps"))
-    sy = out[0]
+def run_compare(resolved) -> tuple[dict, list[str], int]:
+    columns = run_simulate(resolved)[0]
+    eta, sy = columns["eta"], run_oracle(resolved)[0]["sy"]
     max_dev = float(np.max(np.abs(eta - sy)))
     rms_dev = float(np.sqrt(np.mean((eta - sy) ** 2)))
-    t_us = np.arange(grid.n_points) * resolved["dt_us"]
-    write_curve_csv(resolved["out"], ["t_us", "eta_analytic", "sy_oracle"],
-                    [t_us, eta, sy], _echo_lines("compare", resolved))
-    print(f"max_deviation = {max_dev!r}")
-    print(f"rms_deviation = {rms_dev!r}")
     threshold = resolved["threshold"]
-    print(f"threshold = {threshold!r}")
-    return EXIT_OK if max_dev <= threshold else EXIT_THRESHOLD
+    report = [f"max_deviation = {max_dev!r}", f"rms_deviation = {rms_dev!r}",
+              f"threshold = {threshold!r}"]
+    code = EXIT_OK if max_dev <= threshold else EXIT_THRESHOLD
+    return ({"t_us": columns["t_us"], "eta_analytic": eta, "sy_oracle": sy},
+            report, code)
 
 
 def _fit_spec_from(resolved) -> fitting.FitSpec:
@@ -441,7 +393,7 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
                                                     lower=lo, upper=hi)
         else:
             parameters[name] = fitting.FitParameter(value=value, free=False)
-    rf = _rf_from(resolved, required=False)
+    rf = _rf_from(resolved)
     if rf is None:
         # Fields only rescale d through the tilt angles; on resonance any
         # matched pair is equivalent, so supply a nominal matched lock.
@@ -455,12 +407,9 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
 
 
 def _fit_report(resolved, data, spec, result) -> list[str]:
-    lines = ["command = fit"]
-    for key in sorted(resolved):
-        if key in _LOCATION_KEYS or resolved[key] is None:
-            continue
-        lines.append(f"{key} = {resolved[key]!r}")
-    lines += [
+    lines = [
+        "command = fit",
+        *(f"{key} = {value!r}" for key, value in _echo_items(resolved)),
         f"n_points = {len(data)}",
         f"free_parameters = {','.join(spec.free_names)}",
         f"converged = {str(result.converged).lower()}",
@@ -484,34 +433,52 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
     return lines
 
 
-def run_fit(resolved) -> int:
+def run_fit(resolved) -> tuple[dict, list[str], int]:
     data = fitting.load_buildup(resolved["data"])
     spec = _fit_spec_from(resolved)
     result = fitting.fit_buildup(data, spec)
-    residual = result.model - data.magnetizations
-    write_curve_csv(resolved["out"],
-                    ["time_us", "magnetization", "model", "residual"],
-                    [data.times_us(), data.magnetizations, result.model,
-                     residual],
-                    _echo_lines("fit", resolved))
-    report = _fit_report(resolved, data, spec, result)
-    print("\n".join(report))
-    if resolved.get("report"):
-        Path(resolved["report"]).write_text("\n".join(report) + "\n",
-                                            encoding="utf-8")
-    return EXIT_OK if result.converged else EXIT_FIT
+    columns = {"time_us": data.times_us(),
+               "magnetization": data.magnetizations, "model": result.model,
+               "residual": result.model - data.magnetizations}
+    return (columns, _fit_report(resolved, data, spec, result),
+            EXIT_OK if result.converged else EXIT_FIT)
+
+
+_RUNNERS = {"simulate": run_simulate, "powder": run_powder,
+            "oracle": run_oracle, "compare": run_compare, "fit": run_fit}
+
+
+@contextmanager
+def _writing(path):
+    """Turn a failure to write ``path`` into a one-line config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, run the command, and write its outputs.
+
+    Every ``run_*`` returns ``(columns, report_lines, exit_code)``: the CSV
+    columns by header name, the lines printed to stdout (and written to
+    ``--report`` when given), and the exit code this returns.
+    """
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         resolved = _resolve(args, COMMAND_OPTS[args.command])
-        runner = {"simulate": run_simulate, "powder": run_powder,
-                  "oracle": run_oracle, "compare": run_compare,
-                  "fit": run_fit}[args.command]
-        return runner(resolved)
+        columns, report, code = _RUNNERS[args.command](resolved)
+        with _writing(resolved["out"]):
+            write_curve_csv(resolved["out"], columns,
+                            _echo_lines(args.command, resolved))
+        if report:
+            print("\n".join(report))
+        if resolved.get("report"):
+            with _writing(resolved["report"]):
+                Path(resolved["report"]).write_text("\n".join(report) + "\n",
+                                                    encoding="utf-8")
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Build-up curve ingestion, model evaluation, and nonlinear least squares.
+"""Build-up and curve CSV files, model evaluation, nonlinear least squares.
 
 The measured quantity is S-spin magnetization versus contact time.  The
 model is the powder-averaged transfer efficiency pushed through the
@@ -18,6 +18,9 @@ With d free the fit also runs from a second start, the other parameters
 first settled at the initial d, and keeps the lower end point.  Accepted
 steps never increase the weighted residual sum, and the returned result
 always satisfies rss <= rss(initial guess).
+
+`write_curve_csv` is the only writer of the CSV row format: every CLI
+command's output and `save_buildup` go through it.
 """
 
 from __future__ import annotations
@@ -203,15 +206,40 @@ def save_buildup(data: BuildUpData, path) -> None:
     File-originated data re-export their original microsecond values, so a
     load/save cycle is byte-exact.
     """
-    t_us = data.times_us()
-    lines = ["time_us,magnetization,sigma" if data.sigmas is not None
-             else "time_us,magnetization"]
-    for i in range(len(data)):
-        row = [repr(float(t_us[i])), repr(float(data.magnetizations[i]))]
-        if data.sigmas is not None:
-            row.append(repr(float(data.sigmas[i])))
-        lines.append(",".join(row))
+    columns = {"time_us": data.times_us(), "magnetization": data.magnetizations}
+    if data.sigmas is not None:
+        columns["sigma"] = data.sigmas
+    write_curve_csv(path, columns, [])
+
+
+def write_curve_csv(path, columns: dict[str, np.ndarray],
+                    echo: list[str]) -> None:
+    """Write comment echo lines, a header row of the column names, then one
+    row of repr-formatted values per sample."""
+    lines = [*echo, ",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_curve_csv(path) -> dict[str, np.ndarray]:
+    """Read a CSV written by `write_curve_csv` back into named columns."""
+    names = None
+    columns = None
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if names is None:
+            names = fields
+            columns = [[] for _ in names]
+            continue
+        for col, value in zip(columns, fields):
+            col.append(float(value))
+    if names is None:
+        raise ValueError(f"{path}: no data")
+    return {name: np.array(col) for name, col in zip(names, columns)}
 
 
 @dataclass(frozen=True)
@@ -616,8 +644,8 @@ def coupling_from_distance(r_angstrom: float, isotope_i: str = "1H",
     The sign follows the product of the gyromagnetic ratios; downstream
     transfer curves are even in d.
     """
-    if r_angstrom <= 0.0:
-        raise ValueError(f"distance must be > 0, got {r_angstrom}")
+    if not (math.isfinite(r_angstrom) and r_angstrom > 0.0):
+        raise ValueError(f"distance must be finite and > 0, got {r_angstrom}")
     r = r_angstrom * ANGSTROM
     return MU0_OVER_4PI * _gamma(isotope_i) * _gamma(isotope_s) * HBAR / r**3
 

@@ -1,12 +1,14 @@
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpmas.cli as cli
 from cpmas.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK,
-                       EXIT_THRESHOLD, main, read_curve_csv)
-from cpmas.fitting import load_buildup
+                       EXIT_THRESHOLD, main)
+from cpmas.fitting import load_buildup, read_curve_csv
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -16,9 +18,125 @@ BENCH_SIM = ["--d-khz", "2.5", "--mas-khz", "2", "--beta-deg", "60",
              "--gamma-deg", "36", "--tmax-us", "1000", "--dt-us", "1"]
 BENCH_CMP = BENCH_SIM + ["--b1i-khz", "80", "--b1s-khz", "80"]
 
+POWDER_ARGS = ["--d-khz", "23.33", "--mas-khz", "5", "--tmax-us", "1000",
+               "--dt-us", "10", "--orient-set", "zcw:3"]
+RELAX_ARGS = ["--r-inv-us", "290.8", "--r1-inv-us", "137.9", "--t1rho-ms",
+              "1.867"]
+# the data path is relative (a copy in the working directory), so the
+# echoed value does not depend on where the tests run
+FIT_ARGS = ["--data", "buildup.csv", "--distance-angstrom", "1.09",
+            "--mas-khz", "5", "--r-inv-us", "400", "--r1-inv-us", "200",
+            "--t1rho-ms", "2.5", "--free", "r,r1,t1rho", "--orient-set",
+            "zcw:4"]
+
+# echo block and header row of each command's CSV, byte for byte
+GOLDEN_HEADS = {
+    "simulate": (["simulate", *BENCH_SIM], """\
+# cpmas simulate
+# beta-deg = 60.0
+# d-khz = 2.5
+# dt-us = 1.0
+# gamma-deg = 36.0
+# mas-khz = 2.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# seed = 0
+# tmax-us = 1000.0
+t_us,eta
+"""),
+    "powder": (["powder", *POWDER_ARGS], """\
+# cpmas powder
+# d-khz = 23.33
+# dt-us = 10.0
+# m0 = 1.0
+# mas-khz = 5.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# orient-set = 'zcw:3'
+# seed = 0
+# tmax-us = 1000.0
+t_us,eta
+"""),
+    "powder-relaxation": (["powder", *POWDER_ARGS, *RELAX_ARGS], """\
+# cpmas powder
+# d-khz = 23.33
+# dt-us = 10.0
+# m0 = 1.0
+# mas-khz = 5.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# orient-set = 'zcw:3'
+# r1-inv-us = 137.9
+# r-inv-us = 290.8
+# seed = 0
+# t1rho-ms = 1.867
+# tmax-us = 1000.0
+t_us,m
+"""),
+    "oracle": (["oracle", *BENCH_CMP], """\
+# cpmas oracle
+# b1i-khz = 80.0
+# b1s-khz = 80.0
+# beta-deg = 60.0
+# d-khz = 2.5
+# dt-us = 1.0
+# gamma-deg = 36.0
+# mas-khz = 2.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# seed = 0
+# tmax-us = 1000.0
+t_us,sy,iy,dq_y
+"""),
+    "compare": (["compare", *BENCH_CMP], """\
+# cpmas compare
+# b1i-khz = 80.0
+# b1s-khz = 80.0
+# beta-deg = 60.0
+# d-khz = 2.5
+# dt-us = 1.0
+# gamma-deg = 36.0
+# mas-khz = 2.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# seed = 0
+# threshold = 0.02
+# tmax-us = 1000.0
+t_us,eta_analytic,sy_oracle
+"""),
+    "fit": (["fit", *FIT_ARGS], """\
+# cpmas fit
+# data = 'buildup.csv'
+# distance-angstrom = 1.09
+# free = 'r,r1,t1rho'
+# isotopes = '1H,13C'
+# m0 = 1.0
+# mas-khz = 5.0
+# offset-i-khz = 0.0
+# offset-s-khz = 0.0
+# orient-set = 'zcw:4'
+# r1-inv-us = 200.0
+# r-inv-us = 400.0
+# seed = 0
+# t1rho-ms = 2.5
+time_us,magnetization,model,residual
+"""),
+}
+FIT_REPORT_KEYS = [
+    "command", "data", "distance_angstrom", "free", "isotopes", "m0",
+    "mas_khz", "offset_i_khz", "offset_s_khz", "orient_set", "r1_inv_us",
+    "r_inv_us", "seed", "t1rho_ms", "n_points", "free_parameters",
+    "converged", "iterations", "stop_reason", "rss", "d_rad_per_s", "d_khz",
+    "r_per_s", "r_inv_us", "r1_per_s", "r1_inv_us", "t1rho_ms", "m0",
+    "stderr_r", "stderr_r1", "stderr_t1rho"]
+
 
 def run(argv):
     return main(argv)
+
+
+def report_keys(text):
+    return [line.partition(" = ")[0] for line in text.splitlines()]
 
 
 class TestSimulate:
@@ -276,3 +394,98 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert run([]) == EXIT_CONFIG
+
+
+class TestGoldenLines:
+    """Lines that no platform's floating point can change, pinned byte for
+    byte: every output path writes exactly these."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_HEADS))
+    def test_echo_block_and_header(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        argv, expected = GOLDEN_HEADS[name]
+        assert run([*argv, "--out", "out.csv"]) == EXIT_OK
+        lines = Path("out.csv").read_text().splitlines(keepends=True)
+        n_echo = next(i for i, line in enumerate(lines)
+                      if not line.startswith("#"))
+        assert "".join(lines[:n_echo + 1]) == expected
+
+    def test_report_key_orders(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        assert run(["compare", *BENCH_CMP, "--out", "c.csv"]) == EXIT_OK
+        assert report_keys(capsys.readouterr().out) == [
+            "max_deviation", "rms_deviation", "threshold"]
+        assert run(["fit", *FIT_ARGS, "--out", "f.csv", "--report",
+                    "r.txt"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert report_keys(printed) == FIT_REPORT_KEYS
+        assert Path("r.txt").read_text() == printed
+
+
+def assert_one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(start), err
+    assert err.count("\n") == 1
+
+
+class TestOutputErrors:
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["simulate", *BENCH_SIM, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, f"error: cannot write {out}: ")
+
+    def test_unwritable_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        report = tmp_path / "missing" / "r.txt"
+        assert run(["fit", *FIT_ARGS, "--out", "f.csv", "--report",
+                    str(report)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, f"error: cannot write {report}: ")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+    @pytest.mark.parametrize("tmax", ["1e308", "1e12"])
+    def test_oversize_time_grid(self, tmp_path, capsys, command, tmax):
+        args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
+        args["--tmax-us"], args["--dt-us"] = tmax, "0.01"
+        out = tmp_path / "x.csv"
+        argv = [command, *(x for kv in args.items() for x in kv)]
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, f"error: grid must contain 2 to {cli.MAX_GRID_POINTS} "
+            "points")
+        assert not out.exists()
+
+    def test_time_grid_cap_counts_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+        argv = ["simulate", *BENCH_SIM[:-4], "--dt-us", "1", "--out",
+                str(tmp_path / "x.csv")]
+        assert run([*argv, "--tmax-us", "10"]) == EXIT_OK
+        assert len(read_curve_csv(tmp_path / "x.csv")["t_us"]) == 11
+        assert run([*argv, "--tmax-us", "11"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["grid:100000x100000", "grid:1001x1000"])
+    def test_oversize_orientation_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "p.csv"
+        assert run(["powder", *POWDER_ARGS, "--orient-set", grid, "--out",
+                    str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, f"error: bad orientation set '{grid}'")
+        assert not out.exists()
+
+    def test_orientation_cap_counts_orientations(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ORIENTATIONS", 12)
+        argv = ["powder", *POWDER_ARGS, "--out", str(tmp_path / "p.csv")]
+        assert run([*argv, "--orient-set", "grid:3x4"]) == EXIT_OK
+        assert run([*argv, "--orient-set", "grid:13x1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_distance_is_config_error(tmp_path, capsys, value):
+    code = run(["fit", "--data", str(REPO_DATASET), "--distance-angstrom",
+                value, "--mas-khz", "5", "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: distance must be finite and > 0, got {value}\n")

@@ -464,6 +464,11 @@ class TestDistanceConversion:
         with pytest.raises(ValueError):
             coupling_from_distance(0.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            coupling_from_distance(r)
+
 
 class TestBuildUpDataValidation:
     def test_rejects_negative_time(self):
