@@ -131,21 +131,26 @@ def load_buildup(source) -> BuildUpData:
     microseconds (converted to seconds here at the boundary).
 
     Raises:
-        DataError: on a malformed header or row, a duplicate or decreasing
-            time, or fewer than 2 data points; messages name the line.
+        DataError: on input that cannot be read or is not UTF-8, a
+            malformed header or row, a duplicate or decreasing time, or
+            fewer than 2 data points; messages name the line.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return _parse_buildup_lines(fh, str(source))
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-    if isinstance(source, (bytes, bytearray)):
-        return _parse_buildup_lines(io.StringIO(source.decode("utf-8")), "<bytes>")
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return _parse_buildup_lines(io.StringIO(data), "<stream>")
+    is_path = isinstance(source, (str, Path))
+    is_bytes = isinstance(source, (bytes, bytearray))
+    name = str(source) if is_path else "<bytes>" if is_bytes else "<stream>"
+    try:
+        if is_path:
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    return _parse_buildup_lines(fh, name)
+            except OSError as exc:
+                raise DataError(f"cannot read {source}: {exc}") from exc
+        data = source if is_bytes else source.read()
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text ({exc})") from exc
+    return _parse_buildup_lines(io.StringIO(data), name)
 
 
 def _parse_buildup_lines(lines, name: str) -> BuildUpData:

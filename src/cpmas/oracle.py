@@ -48,6 +48,11 @@ HERMITICITY_TOL = 1e-12
 # Minimum sampling of the fastest coherent frequency by the midpoint rule.
 STEPS_PER_FASTEST_PERIOD = 50
 
+# Most substeps in one propagation.  Every substep's Hamiltonian and
+# unitary are held at once (~1 KiB per substep at peak), so this bounds a
+# propagation at ~1 GiB and is checked before anything is allocated.
+MAX_SUBSTEPS = 10**6
+
 
 def _spin_half():
     sx = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -157,11 +162,20 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     The substep must resolve the fastest coherent frequency - the sum of
     the effective spin-lock fields or twice the rotor frequency, whichever
     is larger - with at least ``STEPS_PER_FASTEST_PERIOD`` steps per period.
+
+    Raises:
+        ValueError: if that is more than ``MAX_SUBSTEPS`` (an overflowing
+            lock field counts as infinitely many).
     """
     eff = effective_field(rf)
     omega_fast = max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r)
     max_step = 2.0 * math.pi / (STEPS_PER_FASTEST_PERIOD * omega_fast)
-    return max(1, math.ceil(dt / max_step - 1e-9))
+    steps = dt / max_step - 1e-9 if max_step > 0.0 else math.inf
+    if steps > MAX_SUBSTEPS:
+        raise ValueError(
+            f"the step-size rule needs {steps:.3g} substeps per grid "
+            f"interval, more than the limit of {MAX_SUBSTEPS} per propagation")
+    return max(1, math.ceil(steps))
 
 
 def _substep_midpoints(rf: RfScheme, spin: SpinningParams, grid: TimeGrid,
@@ -174,8 +188,13 @@ def _substep_midpoints(rf: RfScheme, spin: SpinningParams, grid: TimeGrid,
         raise ValueError(
             f"substeps={substeps} violates the step-size rule for this grid; "
             f"at least {needed} substeps per grid interval are required")
+    total = (grid.n_points - 1) * substeps
+    if total > MAX_SUBSTEPS:
+        raise ValueError(
+            f"{total} substeps ({grid.n_points - 1} grid intervals x "
+            f"{substeps}) exceed the limit of {MAX_SUBSTEPS} per propagation")
     dt_sub = grid.dt / substeps
-    t_mid = (np.arange((grid.n_points - 1) * substeps) + 0.5) * dt_sub
+    t_mid = (np.arange(total) + 0.5) * dt_sub
     return substeps, dt_sub, t_mid
 
 
@@ -218,7 +237,8 @@ def propagate_expectations(rho0: np.ndarray, observables,
 
     Raises:
         ValueError: if an explicit ``substeps`` violates the step-size rule
-            (the message names the required count).
+            (the message names the required count), or the propagation
+            would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
     substeps, dt_sub, t_mid = _substep_midpoints(rf, spin, grid, substeps)
     hs = hamiltonian_at(rf, coupling, orient, spin, t_mid)
@@ -247,8 +267,9 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     exponentiated and propagated on its own.
 
     Raises:
-        ValueError: for nonzero offsets (which couple the blocks), or an
-            explicit ``substeps`` that violates the step-size rule.
+        ValueError: for nonzero offsets (which couple the blocks), an
+            explicit ``substeps`` that violates the step-size rule, or more
+            than ``MAX_SUBSTEPS`` substeps in all.
     """
     if rf.offset_i != 0.0 or rf.offset_s != 0.0:
         raise ValueError("block-wise propagation requires zero offsets")

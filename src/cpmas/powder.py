@@ -8,25 +8,25 @@ low-discrepancy set (golden-ratio style, Fibonacci point counts) that
 reaches the same accuracy with far fewer orientations and is the default
 for fitting.
 
-Every average runs one array kernel.  An `OrientationSet` stores its
-orientations once, sorted by (beta, gamma, weight), as arrays of weights,
-gamma, sin(gamma), sin(2*gamma) and the two phase coefficients; the kernel
-evaluates eta over blocks of ORIENT_BLOCK orientations x all times and adds
-the weighted blocks in that fixed order.  The result is therefore
-bit-identical however the entries were ordered, and no temporary grows
-with the set size.  On request the same pass also returns d(eta)/dd, the
-slope the fit's Jacobian needs.
+Every average runs one array kernel.  An `OrientationSet` is three arrays,
+beta, gamma and weights, stored once in canonical (beta, gamma, weight)
+order.  The kernel derives the phase coefficients from beta and gamma,
+evaluates eta over blocks of ORIENT_BLOCK orientations x all times and
+adds the weighted blocks in that fixed order.  The result is therefore
+bit-identical however the orientations were ordered, and no temporary
+grows with the set size.  On request the same pass also returns
+d(eta)/dd, the slope the fit's Jacobian needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import CpCurve, CurveKind
-from .core import SQRT2, CouplingParams, Orientation, SpinningParams, TimeGrid
+from .core import SQRT2, CouplingParams, SpinningParams, TimeGrid
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -46,57 +46,47 @@ ZCW_SET_SIZES = {
 DEFAULT_FIT_LEVEL = 8
 
 
-def _table_field():
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationSet:
-    """Weighted orientations; weights are > 0 and sum to 1.
+    """Weighted orientations as three read-only arrays of equal length.
 
-    Besides ``entries`` the set holds read-only arrays in canonical
-    (beta, gamma, weight) order: ``weights``, ``gamma``, ``sin_gamma``,
-    ``sin_2gamma`` and the phase coefficients ``c1`` = 2*sqrt(2)*sin(2*beta)
-    and ``c2`` = sin(beta)^2, computed with the same scalar calls as
-    `core.dipolar_phase`.
+    ``beta`` lies in [0, pi] and ``gamma`` in [0, 2*pi), as for
+    `core.Orientation`; ``weights`` are finite, > 0 and sum to 1.  The
+    arrays are copied and put in canonical (beta, gamma, weight) order at
+    construction.
     """
 
-    entries: tuple[tuple[Orientation, float], ...]
-    weights: np.ndarray = _table_field()
-    gamma: np.ndarray = _table_field()
-    sin_gamma: np.ndarray = _table_field()
-    sin_2gamma: np.ndarray = _table_field()
-    c1: np.ndarray = _table_field()
-    c2: np.ndarray = _table_field()
+    beta: np.ndarray
+    gamma: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) == 0:
+        beta, gamma, weights = (np.array(a, dtype=float) for a in
+                                (self.beta, self.gamma, self.weights))
+        if beta.ndim != 1 or not beta.shape == gamma.shape == weights.shape:
+            raise ValueError("beta, gamma and weights must be 1-D arrays of "
+                             f"equal length, got shapes {beta.shape}, "
+                             f"{gamma.shape}, {weights.shape}")
+        if len(beta) == 0:
             raise ValueError("orientation set must be nonempty")
-        weights = [w for _, w in self.entries]
-        total = math.fsum(weights)
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("orientation weights must be > 0")
+        if not np.all((beta >= 0.0) & (beta <= math.pi)):
+            raise ValueError("beta must be in [0, pi]")
+        if not np.all((gamma >= 0.0) & (gamma < 2.0 * math.pi)):
+            raise ValueError("gamma must be in [0, 2*pi)")
+        if not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise ValueError("orientation weights must be finite and > 0")
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"orientation weights must sum to 1, got {total}")
-        betas = [o.beta for o, _ in self.entries]
-        gammas = [o.gamma for o, _ in self.entries]
-        columns = {
-            "weights": np.array(weights),
-            "gamma": np.array(gammas),
-            "sin_gamma": np.array([math.sin(g) for g in gammas]),
-            "sin_2gamma": np.array([math.sin(2.0 * g) for g in gammas]),
-            "c1": np.array([2.0 * SQRT2 * math.sin(2.0 * b) for b in betas]),
-            "c2": np.array([s * s for s in map(math.sin, betas)]),
-        }
-        canonical = np.lexsort((columns["weights"], columns["gamma"],
-                                np.array(betas)))
-        for name, column in columns.items():
+        canonical = np.lexsort((weights, gamma, beta))
+        for name, column in (("beta", beta), ("gamma", gamma),
+                             ("weights", weights)):
             array = column[canonical]
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
 
 def grid_orientation_set(n_beta: int, n_gamma: int) -> OrientationSet:
@@ -109,13 +99,10 @@ def grid_orientation_set(n_beta: int, n_gamma: int) -> OrientationSet:
     betas = (np.arange(n_beta) + 0.5) * math.pi / n_beta
     gammas = (np.arange(n_gamma) + 0.5) * 2.0 * math.pi / n_gamma
     raw = np.sin(betas)
-    norm = raw.sum() * n_gamma
-    entries = []
-    for beta, w in zip(betas, raw):
-        for gamma in gammas:
-            entries.append((Orientation(beta=float(beta), gamma=float(gamma)),
-                            float(w / norm)))
-    return OrientationSet(entries=tuple(entries))
+    weights = raw / (raw.sum() * n_gamma)
+    return OrientationSet(beta=np.repeat(betas, n_gamma),
+                          gamma=np.tile(gammas, n_beta),
+                          weights=np.repeat(weights, n_gamma))
 
 
 def zcw_orientation_set(level: int) -> OrientationSet:
@@ -141,13 +128,9 @@ def zcw_orientation_set(level: int) -> OrientationSet:
         n = fib[-1] + fib[-2]
     g = fib[-1]
     j = np.arange(n)
-    gammas = 2.0 * math.pi * np.mod(j * g / n, 1.0)
-    betas = np.arccos(2.0 * j / n - 1.0)
-    weight = 1.0 / n
-    entries = tuple(
-        (Orientation(beta=float(b), gamma=float(gm)), weight)
-        for b, gm in zip(betas, gammas))
-    return OrientationSet(entries=entries)
+    return OrientationSet(beta=np.arccos(2.0 * j / n - 1.0),
+                          gamma=2.0 * math.pi * np.mod(j * g / n, 1.0),
+                          weights=np.full(n, 1.0 / n))
 
 
 def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
@@ -155,11 +138,17 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
     """Weighted sum over the set of eta(t) and, if asked, of d(eta)/dd.
 
     eta and the phase are formed with the operations of
-    `analytic.transfer_efficiency` and `core.dipolar_phase`, so a one-entry
-    set reproduces the single-orientation curve bit for bit.  The slope is
-    (1/2)*sin(phi)*dphi/dd with dphi/dd taken from the phase bracket, never
-    as phi/d, so d = 0 is safe.
+    `analytic.transfer_efficiency` and `core.dipolar_phase`, including the
+    phase coefficients c1 = 2*sqrt(2)*sin(2*beta) and c2 = sin(beta)^2, so
+    a one-orientation set reproduces the single-orientation curve bit for
+    bit.  The slope is (1/2)*sin(phi)*dphi/dd with dphi/dd taken from the
+    phase bracket, never as phi/d, so d = 0 is safe.
     """
+    sin_beta = np.sin(oset.beta)
+    c1 = 2.0 * SQRT2 * np.sin(2.0 * oset.beta)
+    c2 = sin_beta * sin_beta
+    sin_gamma = np.sin(oset.gamma)
+    sin_2gamma = np.sin(2.0 * oset.gamma)
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
@@ -174,19 +163,18 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
             # phase bracket: c1*(sin(wt) - sin(g)) - c2*(sin(2wt) - sin(2g))
             wt = wr_t + oset.gamma[blk, None]
             bracket = np.sin(wt)
-            bracket -= oset.sin_gamma[blk, None]
-            bracket *= oset.c1[blk, None]
+            bracket -= sin_gamma[blk, None]
+            bracket *= c1[blk, None]
             wt *= 2.0
             second = np.sin(wt, out=wt)
-            second -= oset.sin_2gamma[blk, None]
-            second *= oset.c2[blk, None]
+            second -= sin_2gamma[blk, None]
+            second *= c2[blk, None]
             bracket -= second
             phi = np.multiply(bracket, pref, out=second)
         else:
             # stationary branch: phi = d(0)*t, with d(0)/d per orientation
             g = oset.gamma[blk]
-            rate = (0.5 * oset.c1[blk] * np.cos(g)
-                    - oset.c2[blk] * np.cos(2.0 * g))
+            rate = 0.5 * c1[blk] * np.cos(g) - c2[blk] * np.cos(2.0 * g)
             phi = np.multiply.outer(d * rate, t)
         w = oset.weights[blk, None]
         if with_slope:

@@ -76,8 +76,10 @@ def test_criterion_1_analytic_matches_propagator_at_match():
 def test_criterion_2_rotor_periodicity_and_nulls():
     period = 500e-6
     t = np.linspace(0.0, 4.9e-4, 211)
+    oset = grid_orientation_set(6, 6)
     orientations = (SPANNING_ORIENTATIONS
-                    + [o for o, _ in grid_orientation_set(6, 6).entries])
+                    + [Orientation(beta=b, gamma=g)
+                       for b, g in zip(oset.beta, oset.gamma)])
     worst_shift = 0.0
     worst_null = 0.0
     for orient in orientations:

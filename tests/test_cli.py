@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cpmas.cli as cli
+import cpmas.oracle as oracle
 from cpmas.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK,
                        EXIT_THRESHOLD, main)
 from cpmas.fitting import load_buildup, read_curve_csv
@@ -197,6 +198,15 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "not-a-flag" in capsys.readouterr().err.replace("_", "-")
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"d-khz = 2.5\nmas-khz = 2\xff\n")
+        code = run(["simulate", "--config", str(cfg), "--out",
+                    str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert_one_error_line(capsys,
+                              f"error: config file {cfg} is not UTF-8 text")
+
     def test_units_echoed_for_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
         run(["simulate", *BENCH_SIM, "--out", str(out)])
@@ -341,6 +351,16 @@ class TestFitCommand:
         assert code == EXIT_DATA
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"time_us,magnetization\n0,0\n\xff,1\n")
+        code = run(["fit", "--data", str(data), "--d-khz", "23.33",
+                    "--mas-khz", "5", "--r-inv-us", "300", "--r1-inv-us",
+                    "140", "--t1rho-ms", "1.9", "--out",
+                    str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        assert_one_error_line(capsys, f"data error: {data}: not UTF-8 text")
+
     def test_under_determined_fit(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("time_us,magnetization\n0,0\n100,0.5\n")
@@ -480,6 +500,29 @@ class TestSizeCaps:
         argv = ["powder", *POWDER_ARGS, "--out", str(tmp_path / "p.csv")]
         assert run([*argv, "--orient-set", "grid:3x4"]) == EXIT_OK
         assert run([*argv, "--orient-set", "grid:13x1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--b1i-khz", "1e9", "--b1s-khz", "1e9"],
+         "error: the step-size rule needs 1e+08 substeps per grid interval"),
+        (["--substeps", "100000000000000000000"],
+         "error: 100000000000000000000000 substeps (1000 grid intervals x "),
+    ])
+    def test_substep_cap(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "x.csv"
+        assert run([command, *BENCH_CMP, *flags, "--out",
+                    str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, message)
+        assert not out.exists()
+
+    def test_substep_cap_counts_substeps(self, tmp_path, monkeypatch):
+        # 100 grid intervals x the 8 substeps the step-size rule asks for
+        monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 800)
+        argv = ["oracle", *BENCH_SIM[:-4], "--tmax-us", "100", "--dt-us",
+                "1", *BENCH_CMP[-4:], "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == EXIT_OK
+        monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 799)
+        assert run(argv) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

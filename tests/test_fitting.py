@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpmas.fitting as fitting
 from cpmas.analytic import RelaxationParams
@@ -101,6 +103,16 @@ class TestLoadBuildup:
         with pytest.raises(DataError, match="cannot read"):
             load_buildup(tmp_path / "absent.csv")
 
+    def test_non_utf8_input_is_data_error(self, tmp_path):
+        raw = b"time_us,magnetization\n0,0\n\xff,1\n"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(raw)
+        sources = [path, str(path), raw, bytearray(raw), io.BytesIO(raw),
+                   io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")]
+        for source in sources:
+            with pytest.raises(DataError, match="not UTF-8 text"):
+                load_buildup(source)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(40)
         source = tmp_path / "source.csv"
@@ -117,6 +129,36 @@ class TestLoadBuildup:
         assert np.array_equal(back.times, data.times)
         assert np.array_equal(back.magnetizations, data.magnetizations)
         assert np.array_equal(back.sigmas, data.sigmas)
+
+
+BUILDUP_HEADERS = st.sampled_from(["time_us,magnetization\n",
+                                   "time_us,magnetization,sigma\n"])
+# characters that make rows which almost parse, so later checks are reached
+ROW_TEXT = st.text(alphabet="0123456789.,-+eEinfa# \n\r\t")
+
+
+def load_or_data_error(source):
+    try:
+        assert isinstance(load_buildup(source), BuildUpData)
+    except DataError:
+        pass
+
+
+class TestLoadBuildupProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.one_of(st.just(b""), BUILDUP_HEADERS.map(str.encode)),
+           raw=st.binary(max_size=256))
+    def test_arbitrary_bytes_raise_only_data_error(self, head, raw):
+        load_or_data_error(head + raw)
+        load_or_data_error(io.BytesIO(head + raw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=BUILDUP_HEADERS, text=st.one_of(st.text(max_size=256),
+                                                ROW_TEXT))
+    def test_arbitrary_text_after_header_raises_only_data_error(self, head,
+                                                                text):
+        load_or_data_error(io.StringIO(head + text))
+        load_or_data_error((head + text).encode())
 
 
 class TestModelCurve:
@@ -151,8 +193,7 @@ class TestModelCurve:
         expected = []
         for t in times:
             acc = []
-            for orient, weight in oset.entries:
-                b, g = orient.beta, orient.gamma
+            for b, g, weight in zip(oset.beta, oset.gamma, oset.weights):
                 phi = d / (2 * wr) * (
                     2 * math.sqrt(2) * math.sin(2 * b)
                     * (math.sin(wr * t + g) - math.sin(g))

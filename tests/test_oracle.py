@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import cpmas.oracle as oracle
 from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, dipolar_coupling_at, effective_field)
@@ -243,6 +245,39 @@ class TestPropagate:
             propagate_blockwise(IY, matched_rf, bench_coupling,
                                 bench_orientation, slow_mas, grid,
                                 substeps=needed - 1)
+
+    def test_total_substeps_capped(self, monkeypatch, matched_rf,
+                                   bench_coupling, slow_mas,
+                                   bench_orientation):
+        grid = TimeGrid(dt=1e-6, n_points=11)  # 10 intervals x 8 substeps
+        args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
+                grid)
+        monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 80)
+        propagate(*args)
+        propagate_blockwise(*args)
+        monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 79)
+        for fn in (propagate, propagate_blockwise):
+            with pytest.raises(ValueError, match=r"^80 substeps \(10 grid "
+                               r"intervals x 8\) exceed the limit of 79 "):
+                fn(*args)
+            with pytest.raises(ValueError, match="exceed the limit of 79 "):
+                fn(*args, substeps=10**30)
+
+    @pytest.mark.parametrize("b1_khz,needed", [(1e9, "1e+08"),
+                                               (2e304, "inf")])
+    def test_absurd_lock_exceeds_cap_per_interval(self, b1_khz, needed,
+                                                  bench_coupling, slow_mas,
+                                                  bench_orientation):
+        # 2e304 kHz is finite, but the sum of the two lock fields overflows
+        rf = RfScheme(omega1_i=b1_khz * KHZ, omega1_s=b1_khz * KHZ)
+        grid = TimeGrid(dt=1e-6, n_points=1001)
+        message = re.escape(f"needs {needed} substeps per grid interval, "
+                            f"more than the limit of {oracle.MAX_SUBSTEPS}")
+        with pytest.raises(ValueError, match=message):
+            required_substeps(rf, slow_mas, grid.dt)
+        for fn in (propagate, propagate_blockwise):
+            with pytest.raises(ValueError, match=message):
+                fn(IY, rf, bench_coupling, bench_orientation, slow_mas, grid)
 
     def test_blockwise_rejects_offsets(self, bench_coupling, slow_mas,
                                        bench_orientation):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,23 +27,24 @@ def powder_eta(oset, grid=POWDER_GRID):
 
 
 def set_average(oset, fn):
-    return math.fsum(w * fn(o) for o, w in oset.entries)
+    return math.fsum(w * fn(Orientation(beta=b, gamma=g))
+                     for b, g, w in zip(oset.beta, oset.gamma, oset.weights))
 
 
 class TestGridOrientationSet:
     def test_single_cell_is_midpoint(self):
         oset = grid_orientation_set(1, 1)
         assert len(oset) == 1
-        orient, weight = oset.entries[0]
-        assert orient.beta == pytest.approx(math.pi / 2)
-        assert orient.gamma == pytest.approx(math.pi)
+        beta, gamma, weight = oset.beta[0], oset.gamma[0], oset.weights[0]
+        assert beta == pytest.approx(math.pi / 2)
+        assert gamma == pytest.approx(math.pi)
         assert weight == 1.0
 
     @pytest.mark.parametrize("nb,ng", [(3, 5), (16, 9), (64, 64)])
     def test_weights_sum_to_one(self, nb, ng):
         oset = grid_orientation_set(nb, ng)
         assert len(oset) == nb * ng
-        assert math.fsum(w for _, w in oset.entries) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(oset.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_average_of_cos_squared(self):
         # solid-angle average of cos(beta)^2 over the sphere is 1/3
@@ -60,9 +62,9 @@ class TestZcwOrientationSet:
         for level in (1, 5, 8):
             oset = zcw_orientation_set(level)
             assert len(oset) == ZCW_SET_SIZES[level]
-            weights = {w for _, w in oset.entries}
+            weights = set(oset.weights.tolist())
             assert len(weights) == 1
-            assert math.fsum(w for _, w in oset.entries) == pytest.approx(
+            assert math.fsum(oset.weights) == pytest.approx(
                 1.0, abs=1e-12)
 
     def test_sphere_average_of_cos_squared(self):
@@ -86,7 +88,8 @@ class TestZcwOrientationSet:
 class TestPowderAverage:
     def test_singleton_identity(self):
         orient = Orientation(beta=1.0, gamma=2.0)
-        oset = OrientationSet(entries=((orient, 1.0),))
+        oset = OrientationSet(beta=[orient.beta], gamma=[orient.gamma],
+                              weights=[1.0])
         direct = efficiency_curve(POWDER_COUPLING, orient, POWDER_MAS, POWDER_GRID)
         averaged = powder_eta(oset)
         assert np.array_equal(averaged.values, direct.values)
@@ -95,7 +98,9 @@ class TestPowderAverage:
         # every entry carries the same curve: the weights must sum to one
         orient = Orientation(beta=0.7, gamma=4.0)
         weights = (0.1, 0.25, 0.05, 0.3, 0.2, 0.1)
-        oset = OrientationSet(entries=tuple((orient, w) for w in weights))
+        oset = OrientationSet(beta=[orient.beta] * len(weights),
+                              gamma=[orient.gamma] * len(weights),
+                              weights=weights)
         direct = efficiency_curve(POWDER_COUPLING, orient, POWDER_MAS,
                                   POWDER_GRID)
         np.testing.assert_allclose(powder_eta(oset).values, direct.values,
@@ -104,9 +109,9 @@ class TestPowderAverage:
     def test_permutation_leaves_average_bit_identical(self):
         oset = grid_orientation_set(8, 6)
         rng = np.random.default_rng(20)
-        perm = rng.permutation(len(oset.entries))
-        shuffled = OrientationSet(
-            entries=tuple(oset.entries[i] for i in perm))
+        perm = rng.permutation(len(oset))
+        shuffled = OrientationSet(beta=oset.beta[perm], gamma=oset.gamma[perm],
+                                  weights=oset.weights[perm])
         a = powder_eta(oset)
         b = powder_eta(shuffled)
         assert np.array_equal(a.values, b.values)
@@ -176,17 +181,71 @@ class TestAveragedEfficiency:
 class TestOrientationSetValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            OrientationSet(entries=())
+            OrientationSet(beta=[], gamma=[], weights=[])
 
     def test_rejects_nonpositive_weights(self):
-        orient = Orientation(beta=1.0, gamma=1.0)
         with pytest.raises(ValueError):
-            OrientationSet(entries=((orient, 0.0), (orient, 1.0)))
+            OrientationSet(beta=[1.0, 1.0], gamma=[1.0, 1.0],
+                           weights=[0.0, 1.0])
 
     def test_rejects_unnormalized(self):
-        orient = Orientation(beta=1.0, gamma=1.0)
         with pytest.raises(ValueError):
-            OrientationSet(entries=((orient, 0.5), (orient, 0.6)))
+            OrientationSet(beta=[1.0, 1.0], gamma=[1.0, 1.0],
+                           weights=[0.5, 0.6])
+
+    @pytest.mark.parametrize("beta,gamma,weights", [
+        ([1.0, 1.0], [1.0], [0.5, 0.5]),
+        ([1.0], [1.0, 1.0], [1.0]),
+        ([1.0, 1.0], [1.0, 1.0], [1.0]),
+        ([[1.0]], [[1.0]], [[1.0]]),
+    ])
+    def test_rejects_mismatched_or_non_1d_arrays(self, beta, gamma, weights):
+        with pytest.raises(ValueError, match="equal length"):
+            OrientationSet(beta=beta, gamma=gamma, weights=weights)
+
+    @pytest.mark.parametrize("beta,gamma", [
+        (-1e-12, 1.0), (math.pi + 1e-12, 1.0), (math.nan, 1.0),
+        (math.inf, 1.0), (1.0, -1e-12), (1.0, 2.0 * math.pi),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_rejects_what_orientation_rejects(self, beta, gamma):
+        with pytest.raises(ValueError):
+            Orientation(beta=beta, gamma=gamma)
+        with pytest.raises(ValueError, match="beta|gamma"):
+            OrientationSet(beta=[1.0, beta], gamma=[1.0, gamma],
+                           weights=[0.5, 0.5])
+
+    def test_accepts_the_range_ends_orientation_accepts(self):
+        ends = [(0.0, 0.0), (math.pi, 0.0), (1.0, math.nextafter(
+            2.0 * math.pi, 0.0))]
+        for beta, gamma in ends:
+            Orientation(beta=beta, gamma=gamma)
+        oset = OrientationSet(beta=[b for b, _ in ends],
+                              gamma=[g for _, g in ends],
+                              weights=[0.25, 0.25, 0.5])
+        assert len(oset) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OrientationSet(beta=[1.0, 1.0], gamma=[1.0, 2.0],
+                           weights=[bad, 1.0])
+
+    def test_holds_three_sorted_read_only_copies(self):
+        beta = np.array([2.0, 1.0, 1.0])
+        gamma = np.array([0.5, 3.0, 0.5])
+        weights = np.array([0.5, 0.25, 0.25])
+        oset = OrientationSet(beta=beta, gamma=gamma, weights=weights)
+        assert [f.name for f in dataclasses.fields(oset)] == [
+            "beta", "gamma", "weights"]
+        assert oset.beta.tolist() == [1.0, 1.0, 2.0]
+        assert oset.gamma.tolist() == [0.5, 3.0, 0.5]
+        assert oset.weights.tolist() == [0.25, 0.25, 0.5]
+        beta[:] = 0.0
+        assert oset.beta.tolist() == [1.0, 1.0, 2.0]
+        for array in (oset.beta, oset.gamma, oset.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 KERNEL_TIMES = np.array([0.0, 3e-6, 25e-6, 50e-6, 137e-6, 200e-6, 0.61e-3,
@@ -202,10 +261,9 @@ def weighted_sets(draw):
                            min_size=n, max_size=n))
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
     total = math.fsum(raw)
-    entries = tuple((Orientation(beta=b, gamma=g), w / total)
-                    for b, g, w in zip(betas, gammas, raw))
-    perm = draw(st.permutations(range(n)))
-    return entries, tuple(entries[i] for i in perm)
+    arrays = (np.array(betas), np.array(gammas), np.array(raw) / total)
+    perm = list(draw(st.permutations(range(n))))
+    return arrays, tuple(a[perm] for a in arrays)
 
 
 class TestKernelProperties:
@@ -215,18 +273,19 @@ class TestKernelProperties:
            omega_r=st.one_of(st.just(0.0), st.floats(1e3, 1e5)))
     def test_bounded_permutation_invariant_and_matches_scalar_loop(
             self, sets, d, omega_r):
-        entries, shuffled = sets
+        arrays, shuffled = sets
         coupling = CouplingParams(d=d)
         spin = SpinningParams(omega_r=omega_r)
         eta = averaged_efficiency(coupling, spin, KERNEL_TIMES,
-                                  OrientationSet(entries=entries))
+                                  OrientationSet(*arrays))
         assert eta.min() >= 0.0
         assert eta.max() <= 1.0 + EFFICIENCY_RANGE_TOL
         again = averaged_efficiency(coupling, spin, KERNEL_TIMES,
-                                    OrientationSet(entries=shuffled))
+                                    OrientationSet(*shuffled))
         assert np.array_equal(eta, again)
-        per_orientation = [w * transfer_efficiency(coupling, o, spin,
-                                                   KERNEL_TIMES)
-                           for o, w in entries]
+        per_orientation = [w * transfer_efficiency(
+                               coupling, Orientation(beta=b, gamma=g), spin,
+                               KERNEL_TIMES)
+                           for b, g, w in zip(*arrays)]
         scalar = np.array([math.fsum(col) for col in zip(*per_orientation)])
         np.testing.assert_allclose(eta, scalar, rtol=0, atol=1e-12)
