@@ -17,9 +17,9 @@ parse time.  A plain-text key-value config file can supply any flag
 (--config); explicit flags override file values.
 
 Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
---report path, a time grid over 10**7 points, or a grid:NxM set over 10**6
-orientations), 2 comparison threshold exceeded, 3 data error, 4 fit
-non-convergence or fit failure.
+--report path, a time grid over 10**7 points, a grid:NxM set over 10**6
+orientations, or a compare --threshold not finite and >= 0), 2 comparison
+threshold exceeded, 3 data error, 4 fit non-convergence or fit failure.
 """
 
 from __future__ import annotations
@@ -350,11 +350,14 @@ def run_oracle(resolved) -> tuple[dict, list[str], int]:
 
 
 def run_compare(resolved) -> tuple[dict, list[str], int]:
+    threshold = resolved["threshold"]
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ConfigError(
+            f"threshold must be finite and >= 0, got {threshold}")
     columns = run_simulate(resolved)[0]
     eta, sy = columns["eta"], run_oracle(resolved)[0]["sy"]
     max_dev = float(np.max(np.abs(eta - sy)))
     rms_dev = float(np.sqrt(np.mean((eta - sy) ** 2)))
-    threshold = resolved["threshold"]
     report = [f"max_deviation = {max_dev!r}", f"rms_deviation = {rms_dev!r}",
               f"threshold = {threshold!r}"]
     code = EXIT_OK if max_dev <= threshold else EXIT_THRESHOLD

@@ -1,9 +1,12 @@
 """Domain types and the dipolar-coupling kernel.
 
 Everything downstream (analytic transfer curves, the density-matrix
-propagator, powder averaging, fitting) is driven by two scalar functions of
-time defined here: the rotor-modulated heteronuclear dipolar coupling d(t)
-and its exact running integral, the accumulated dipolar phase phi(t).
+propagator, powder averaging, fitting) is driven by two functions of time
+defined here: the rotor-modulated heteronuclear dipolar coupling d(t) and
+its exact running integral, the accumulated dipolar phase phi(t).  Their
+formulas live once, array-native in the angles, in `coupling_shape` and
+`phase_bracket`, which the powder kernel calls per block of orientations.
+
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d.
 
@@ -133,24 +136,52 @@ class TimeGrid:
         return (self.n_points - 1) * self.dt
 
 
+def _coefficients(beta):
+    """c1 = 2*sqrt(2)*sin(2*beta) and c2 = sin(beta)^2."""
+    sin_beta = np.sin(beta)
+    return 2.0 * SQRT2 * np.sin(2.0 * beta), sin_beta * sin_beta
+
+
+def coupling_shape(beta, gamma, rotor_angle):
+    """d(t)/d = (c1/2)*cos(a) - c2*cos(2a) at a = rotor_angle + gamma.
+
+    ``rotor_angle`` is omega_r*t (0 gives the stationary rate d(0)/d); the
+    angles broadcast against each other.
+    """
+    c1, c2 = _coefficients(beta)
+    a = rotor_angle + gamma
+    return 0.5 * c1 * np.cos(a) - c2 * np.cos(2.0 * a)
+
+
+def phase_bracket(beta, gamma, rotor_angle):
+    """B = c1*[sin(a) - sin(gamma)] - c2*[sin(2a) - sin(2*gamma)].
+
+    With a as in `coupling_shape`, phi = d*B/(2*omega_r) when spinning; B
+    is built in place on two temporaries of the broadcast shape.
+    """
+    c1, c2 = _coefficients(beta)
+    a = rotor_angle + gamma
+    bracket = np.sin(a)
+    bracket -= np.sin(gamma)
+    bracket *= c1
+    a *= 2.0
+    second = np.sin(a, out=a if np.ndim(a) else None)  # in place for arrays
+    second -= np.sin(2.0 * gamma)
+    second *= c2
+    bracket -= second
+    return bracket
+
+
 def dipolar_coupling_at(coupling: CouplingParams, orient: Orientation,
                         spin: SpinningParams, t):
-    """Rotor-modulated dipolar coupling d(t) in rad/s.
+    """Rotor-modulated dipolar coupling d(t) in rad/s, for ``t`` in seconds
+    (scalar or ndarray; the result matches it).
 
     d(t) = d * [sqrt(2)*sin(2*beta)*cos(omega_r*t + gamma)
                 - sin(beta)^2 * cos(2*omega_r*t + 2*gamma)]
-
-    Args:
-        t: time in seconds, scalar or ndarray.
-
-    Returns:
-        Scalar or ndarray matching ``t``.
     """
-    wt = spin.omega_r * np.asarray(t, dtype=float) + orient.gamma
-    sin_beta = math.sin(orient.beta)
-    c1 = SQRT2 * math.sin(2.0 * orient.beta)
-    c2 = sin_beta * sin_beta
-    out = coupling.d * (c1 * np.cos(wt) - c2 * np.cos(2.0 * wt))
+    out = coupling.d * coupling_shape(
+        orient.beta, orient.gamma, spin.omega_r * np.asarray(t, dtype=float))
     return out if np.ndim(t) else float(out)
 
 
@@ -158,29 +189,18 @@ def dipolar_phase(coupling: CouplingParams, orient: Orientation,
                   spin: SpinningParams, t):
     """Accumulated dipolar phase phi(t) = integral of d(t') from 0 to t, in rad.
 
-    Closed form of the exact antiderivative; for a spinning sample
-
-        phi(t) = d/(2*omega_r) * {2*sqrt(2)*sin(2*beta)*[sin(omega_r*t + gamma) - sin(gamma)]
-                                  - sin(beta)^2 * [sin(2*omega_r*t + 2*gamma) - sin(2*gamma)]}
-
-    and for omega_r = 0 the stationary branch phi(t) = d(0)*t is used
-    (an explicit branch, not a small-denominator limit).  phi vanishes at
-    every integer multiple of the rotor period (rotor echo).
-
-    Args:
-        t: time in seconds, scalar or ndarray.
+    The exact antiderivative: phi = d*B/(2*omega_r) with B from
+    `phase_bracket` for a spinning sample, and phi = d(0)*t for
+    omega_r = 0 (an explicit branch, not a small-denominator limit).  phi
+    vanishes at every integer multiple of the rotor period (rotor echo).
+    ``t`` is in seconds, scalar or ndarray.
     """
     tt = np.asarray(t, dtype=float)
     if spin.omega_r == 0.0:
-        out = dipolar_coupling_at(coupling, orient, spin, 0.0) * tt
-        return out if np.ndim(t) else float(out)
-    wt = spin.omega_r * tt + orient.gamma
-    sin_beta = math.sin(orient.beta)
-    c1 = 2.0 * SQRT2 * math.sin(2.0 * orient.beta)
-    c2 = sin_beta * sin_beta
-    pref = coupling.d / (2.0 * spin.omega_r)
-    out = pref * (c1 * (np.sin(wt) - math.sin(orient.gamma))
-                  - c2 * (np.sin(2.0 * wt) - math.sin(2.0 * orient.gamma)))
+        out = coupling.d * coupling_shape(orient.beta, orient.gamma, 0.0) * tt
+    else:
+        out = (coupling.d / (2.0 * spin.omega_r)) * phase_bracket(
+            orient.beta, orient.gamma, spin.omega_r * tt)
     return out if np.ndim(t) else float(out)
 
 

@@ -9,11 +9,11 @@ Hamiltonians, unitaries from Hermitian eigendecomposition), independent of
 every closed-form result in `analytic`.  It is the ground truth the
 analytic curves are validated against.
 
-One core serves both the full-space and the block-wise propagation: the
-midpoint Hamiltonians of all substeps are built as one stack and
-exponentiated in one batched call, the substep unitaries of each grid
-interval are multiplied together (batched over intervals), and the state
-is then stepped once per grid point.
+One core serves both the full-space and the block-wise propagation: per
+block of about SUBSTEP_BLOCK substeps, the midpoint Hamiltonians are
+exponentiated in one batched call and the substep unitaries of each grid
+interval multiplied together (batched over intervals); the state is then
+stepped once per grid point, so memory does not grow with the substeps.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -48,17 +48,13 @@ HERMITICITY_TOL = 1e-12
 # Minimum sampling of the fastest coherent frequency by the midpoint rule.
 STEPS_PER_FASTEST_PERIOD = 50
 
-# Most substeps in one propagation.  Every substep's Hamiltonian and
-# unitary are held at once (~1 KiB per substep at peak), so this bounds a
-# propagation at ~1 GiB and is checked before anything is allocated.
+# Most substeps in one propagation (one 4x4 eigh each), checked before any
+# work: it bounds the work of a propagation, not its memory.
 MAX_SUBSTEPS = 10**6
 
-
-def _spin_half():
-    sx = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-    return sx, sy, sz
+# Substeps held at once (~1 KiB each): whole grid intervals up to this many,
+# and an interval with more in chunks of this size.
+SUBSTEP_BLOCK = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -66,7 +62,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_SX, _SY, _SZ = _spin_half()
+_SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
 _E2 = np.eye(2, dtype=complex)
 
 IX = _frozen(np.kron(_SX, _E2))
@@ -178,44 +176,46 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _substep_midpoints(rf: RfScheme, spin: SpinningParams, grid: TimeGrid,
-                       substeps: int | None) -> tuple[int, float, np.ndarray]:
-    """Checked substep count, substep length and every substep midpoint time."""
+def _propagate(hamiltonians, rf: RfScheme, spin: SpinningParams,
+               grid: TimeGrid, substeps: int | None, rho0: np.ndarray,
+               observables) -> np.ndarray:
+    """Tr(O @ rho) per grid point; ``hamiltonians(t)`` stacks the
+    Hamiltonians at substep midpoint times t (substep j at (j + 1/2)*dt_sub).
+
+    ``substeps`` is checked against the step-size rule and ``MAX_SUBSTEPS``
+    before any work; None picks the smallest count the rule allows.
+    """
     needed = required_substeps(rf, spin, grid.dt)
+    intervals = grid.n_points - 1
     if substeps is None:
         substeps = needed
     elif substeps < needed:
         raise ValueError(
             f"substeps={substeps} violates the step-size rule for this grid; "
             f"at least {needed} substeps per grid interval are required")
-    total = (grid.n_points - 1) * substeps
-    if total > MAX_SUBSTEPS:
+    if intervals * substeps > MAX_SUBSTEPS:
         raise ValueError(
-            f"{total} substeps ({grid.n_points - 1} grid intervals x "
+            f"{intervals * substeps} substeps ({intervals} grid intervals x "
             f"{substeps}) exceed the limit of {MAX_SUBSTEPS} per propagation")
+    n = rho0.shape[-1]
     dt_sub = grid.dt / substeps
-    t_mid = (np.arange(total) + 0.5) * dt_sub
-    return substeps, dt_sub, t_mid
-
-
-def _propagate_stack(hs: np.ndarray, dt_sub: float, substeps: int,
-                     rho0: np.ndarray, observables) -> np.ndarray:
-    """Tr(O @ rho) per grid point under the substep Hamiltonians ``hs``.
-
-    ``hs`` holds ``substeps`` midpoint Hamiltonians per grid interval in
-    time order.  Each interval's substep unitaries are multiplied together
-    (batched over intervals), so the state is stepped once per grid point.
-    """
-    n = hs.shape[-1]
-    steps = matrix_exponential_step(hs, dt_sub).reshape(-1, substeps, n, n)
-    u = steps[:, 0]
-    for k in range(1, substeps):
-        u = steps[:, k] @ u
-    u_dag = np.swapaxes(u, -1, -2).conj()
-    rhos = np.empty((len(u) + 1, n, n), dtype=complex)
+    per_block = max(1, SUBSTEP_BLOCK // substeps)
+    chunk = min(substeps, SUBSTEP_BLOCK)
+    rhos = np.empty((grid.n_points, n, n), dtype=complex)
     rhos[0] = rho0
-    for i in range(len(u)):
-        rhos[i + 1] = u[i] @ rhos[i] @ u_dag[i]
+    for first in range(0, intervals, per_block):
+        offsets = np.arange(first, min(first + per_block, intervals))[:, None]
+        u = None
+        for k0 in range(0, substeps, chunk):
+            j = offsets * substeps + np.arange(k0, min(k0 + chunk, substeps))
+            t_mid = (j + 0.5) * dt_sub
+            steps = matrix_exponential_step(hamiltonians(t_mid.ravel()),
+                                            dt_sub).reshape(*j.shape, n, n)
+            for k in range(j.shape[1]):
+                u = steps[:, k] if u is None else steps[:, k] @ u
+        u_dag = np.swapaxes(u, -1, -2).conj()
+        for i in range(len(u)):
+            rhos[first + i + 1] = u[i] @ rhos[first + i] @ u_dag[i]
     obs = np.asarray(observables, dtype=complex)
     return np.einsum("oij,nji->on", obs, rhos).real
 
@@ -240,9 +240,8 @@ def propagate_expectations(rho0: np.ndarray, observables,
             (the message names the required count), or the propagation
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
-    substeps, dt_sub, t_mid = _substep_midpoints(rf, spin, grid, substeps)
-    hs = hamiltonian_at(rf, coupling, orient, spin, t_mid)
-    return _propagate_stack(hs, dt_sub, substeps, rho0, observables)
+    return _propagate(lambda t: hamiltonian_at(rf, coupling, orient, spin, t),
+                      rf, spin, grid, substeps, rho0, observables)
 
 
 def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
@@ -273,12 +272,12 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     """
     if rf.offset_i != 0.0 or rf.offset_s != 0.0:
         raise ValueError("block-wise propagation requires zero offsets")
-    substeps, dt_sub, t_mid = _substep_midpoints(rf, spin, grid, substeps)
-    h_y = _in_y_basis(hamiltonian_at(rf, coupling, orient, spin, t_mid))
     rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
-    return sum(_propagate_stack(_block(h_y, idx), dt_sub, substeps,
-                                _block(rho_y, idx), [_block(sy_y, idx)])[0]
-               for idx in (_ZQ_IDX, _DQ_IDX))
+    return sum(_propagate(
+        lambda t, idx=idx: _block(_in_y_basis(
+            hamiltonian_at(rf, coupling, orient, spin, t)), idx),
+        rf, spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
+        for idx in (_ZQ_IDX, _DQ_IDX))
 
 
 @dataclass(frozen=True)
@@ -299,19 +298,22 @@ class ZqDqComponents:
 
     def recompose(self) -> np.ndarray:
         """Embed the blocks back into the 4x4 product-basis operator."""
-        opy = np.zeros((4, 4), dtype=complex)
-        opy[np.ix_(_ZQ_IDX, _ZQ_IDX)] = self.zq
-        opy[np.ix_(_DQ_IDX, _DQ_IDX)] = self.dq
-        return Y_BASIS @ opy @ Y_BASIS.conj().T
+        return _from_blocks(self.zq, self.dq)
+
+
+def _from_blocks(zq, dq) -> np.ndarray:
+    """The 4x4 product-basis operator with these ZQ and DQ blocks."""
+    opy = np.zeros((4, 4), dtype=complex)
+    opy[np.ix_(_ZQ_IDX, _ZQ_IDX)] = zq
+    opy[np.ix_(_DQ_IDX, _DQ_IDX)] = dq
+    return Y_BASIS @ opy @ Y_BASIS.conj().T
 
 
 # Fictitious axes expressed in the within-block matrix basis: the physical
 # axis labels (x, y, z) map to block matrices (e_y, e_z, e_x) so that the
 # spin-lock direction stays "y" and the coupling direction is "z"; the
 # cyclic relabeling keeps [s_x, s_y] = i*s_z.
-_BLOCK_X = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-_BLOCK_Y = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-_BLOCK_Z = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+_BLOCK_X, _BLOCK_Y, _BLOCK_Z = _SY, _SZ, _SX
 
 
 def fictitious_operator(space: str, axis: str) -> np.ndarray:
@@ -323,10 +325,7 @@ def fictitious_operator(space: str, axis: str) -> np.ndarray:
     """
     block = {"x": _BLOCK_X, "y": _BLOCK_Y, "z": _BLOCK_Z,
              "1": np.eye(2, dtype=complex)}[axis]
-    idx = {"zq": _ZQ_IDX, "dq": _DQ_IDX}[space]
-    opy = np.zeros((4, 4), dtype=complex)
-    opy[np.ix_(idx, idx)] = block
-    return Y_BASIS @ opy @ Y_BASIS.conj().T
+    return _from_blocks(*{"zq": (block, 0.0), "dq": (0.0, block)}[space])
 
 
 def _block_coeffs(block: np.ndarray) -> tuple[float, float, float, float]:

@@ -3,19 +3,17 @@
 A powder curve is the solid-angle average of single-orientation curves,
 weights proportional to sin(beta) so that a constant integrand averages to
 itself.  Two generators are provided: a transparent midpoint grid in
-(beta, gamma) used for convergence checks, and an equal-weight
-low-discrepancy set (golden-ratio style, Fibonacci point counts) that
-reaches the same accuracy with far fewer orientations and is the default
-for fitting.
+(beta, gamma) used for convergence checks, and the equal-weight ZCW set
+(Fibonacci point counts) that reaches the same accuracy with far fewer
+orientations and is the default for fitting.
 
 Every average runs one array kernel.  An `OrientationSet` is three arrays,
 beta, gamma and weights, stored once in canonical (beta, gamma, weight)
-order.  The kernel derives the phase coefficients from beta and gamma,
-evaluates eta over blocks of ORIENT_BLOCK orientations x all times and
-adds the weighted blocks in that fixed order.  The result is therefore
-bit-identical however the orientations were ordered, and no temporary
-grows with the set size.  On request the same pass also returns
-d(eta)/dd, the slope the fit's Jacobian needs.
+order.  The kernel takes the phase of each block of ORIENT_BLOCK
+orientations x all times from `core`'s dipolar formulas and adds the
+weighted blocks in that fixed order, so the result is bit-identical however
+the orientations were ordered and no temporary grows with the set size.
+On request the same pass also returns d(eta)/dd for the fit's Jacobian.
 """
 
 from __future__ import annotations
@@ -26,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import CpCurve, CurveKind
-from .core import SQRT2, CouplingParams, SpinningParams, TimeGrid
+from .core import (CouplingParams, SpinningParams, TimeGrid,
+                   coupling_shape, phase_bracket)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -34,7 +33,7 @@ WEIGHT_SUM_TOL = 1e-12
 # so a block's working set stays cache-resident at the largest grids used.
 ORIENT_BLOCK = 64
 
-# Supported low-discrepancy set sizes (level -> orientation count); the
+# Supported ZCW set sizes (level -> orientation count); the
 # counts follow the Fibonacci recursion used by the generator.
 ZCW_SET_SIZES = {
     1: 21, 2: 34, 3: 55, 4: 89, 5: 144, 6: 233, 7: 377,
@@ -106,13 +105,13 @@ def grid_orientation_set(n_beta: int, n_gamma: int) -> OrientationSet:
 
 
 def zcw_orientation_set(level: int) -> OrientationSet:
-    """Equal-weight low-discrepancy orientation set covering the full sphere.
+    """Equal-weight ZCW orientation set covering the full sphere.
 
-    Point counts follow the Fibonacci sequence in ``ZCW_SET_SIZES``; gamma
-    advances by a Fibonacci-ratio increment while cos(beta) sweeps [-1, 1)
-    uniformly.  This is a Fibonacci spiral on the sphere, named ``zcw``
-    after the Zaremba-Conroy-Wolfsberg family it resembles; it is not the
-    Conroy-Wolfsberg construction itself.
+    The Zaremba-Conroy-Wolfsberg set as given by Eden & Levitt (JMR 132,
+    220, 1998): N = F(M+2) points (``ZCW_SET_SIZES``), cos(beta_j) =
+    2*j/N - 1 and a gamma step of F(M+1)/N turns.  Their alpha step is
+    F(M)/N, and F(M+1) = -F(M) (mod N), so gamma here is their alpha
+    mirrored to 2*pi - alpha; beta is the same bit for bit.
 
     Raises:
         ValueError: if ``level`` is not one of the supported levels.
@@ -121,12 +120,9 @@ def zcw_orientation_set(level: int) -> OrientationSet:
         supported = ", ".join(str(k) for k in sorted(ZCW_SET_SIZES))
         raise ValueError(f"unsupported orientation-set level {level}; "
                          f"supported levels: {supported}")
-    fib = [8, 13]
-    n = 21
+    g, n = 13, 21  # F(M+1), F(M+2)
     for _ in range(level - 1):
-        fib.append(n)
-        n = fib[-1] + fib[-2]
-    g = fib[-1]
+        g, n = n, g + n
     j = np.arange(n)
     return OrientationSet(beta=np.arccos(2.0 * j / n - 1.0),
                           gamma=2.0 * math.pi * np.mod(j * g / n, 1.0),
@@ -137,44 +133,25 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
                        oset: OrientationSet, with_slope: bool):
     """Weighted sum over the set of eta(t) and, if asked, of d(eta)/dd.
 
-    eta and the phase are formed with the operations of
-    `analytic.transfer_efficiency` and `core.dipolar_phase`, including the
-    phase coefficients c1 = 2*sqrt(2)*sin(2*beta) and c2 = sin(beta)^2, so
-    a one-orientation set reproduces the single-orientation curve bit for
-    bit.  The slope is (1/2)*sin(phi)*dphi/dd with dphi/dd taken from the
-    phase bracket, never as phi/d, so d = 0 is safe.
+    phi comes from core's bracket (or stationary rate) and eta from the
+    operations of `analytic.transfer_efficiency`, so a one-orientation set
+    reproduces the single-orientation curve bit for bit.  The slope is
+    (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d taken from the bracket or
+    the rate, never by dividing by d, so d = 0 is safe.
     """
-    sin_beta = np.sin(oset.beta)
-    c1 = 2.0 * SQRT2 * np.sin(2.0 * oset.beta)
-    c2 = sin_beta * sin_beta
-    sin_gamma = np.sin(oset.gamma)
-    sin_2gamma = np.sin(2.0 * oset.gamma)
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
-    per_d = 1.0  # dphi/dd = per_d * (bracket, or d(0)/d * t when stationary)
-    if spinning:
-        wr_t = omega_r * t
-        pref = d / (2.0 * omega_r)
-        per_d = 1.0 / (2.0 * omega_r)
+    # dphi/dd = per_d * (bracket, or rate * t when stationary)
+    per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
     for start in range(0, len(oset), ORIENT_BLOCK):
         blk = slice(start, start + ORIENT_BLOCK)
         if spinning:
-            # phase bracket: c1*(sin(wt) - sin(g)) - c2*(sin(2wt) - sin(2g))
-            wt = wr_t + oset.gamma[blk, None]
-            bracket = np.sin(wt)
-            bracket -= sin_gamma[blk, None]
-            bracket *= c1[blk, None]
-            wt *= 2.0
-            second = np.sin(wt, out=wt)
-            second -= sin_2gamma[blk, None]
-            second *= c2[blk, None]
-            bracket -= second
-            phi = np.multiply(bracket, pref, out=second)
+            bracket = phase_bracket(oset.beta[blk, None],
+                                    oset.gamma[blk, None], omega_r * t)
+            phi = (d / (2.0 * omega_r)) * bracket
         else:
-            # stationary branch: phi = d(0)*t, with d(0)/d per orientation
-            g = oset.gamma[blk]
-            rate = 0.5 * c1[blk] * np.cos(g) - c2[blk] * np.cos(2.0 * g)
+            rate = coupling_shape(oset.beta[blk], oset.gamma[blk], 0.0)
             phi = np.multiply.outer(d * rate, t)
         w = oset.weights[blk, None]
         if with_slope:
@@ -212,6 +189,5 @@ def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
 def powder_average(coupling: CouplingParams, spin: SpinningParams,
                    grid: TimeGrid, oset: OrientationSet) -> CpCurve:
     """Powder-averaged transfer-efficiency curve on a uniform time grid."""
-    values = _efficiency_kernel(coupling.d, spin.omega_r, grid.times(), oset,
-                                False)
+    values = averaged_efficiency(coupling, spin, grid.times(), oset)
     return CpCurve(grid=grid, values=values, kind=CurveKind.EFFICIENCY)

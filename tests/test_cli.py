@@ -395,11 +395,16 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
-    @pytest.mark.parametrize("flag, value", [
-        ("tmax-us", "nan"), ("tmax-us", "inf"), ("dt-us", "nan"),
-        ("d-khz", "inf"), ("d-khz", "nan"), ("mas-khz", "nan"),
-        ("mas-khz", "inf")])
+    @pytest.mark.parametrize("flag, value, command", [
+        *((flag, value, command)
+          for flag, value in [("tmax-us", "nan"), ("tmax-us", "inf"),
+                              ("dt-us", "nan"), ("d-khz", "inf"),
+                              ("d-khz", "nan"), ("mas-khz", "nan"),
+                              ("mas-khz", "inf")]
+          for command in ["simulate", "oracle", "compare"]),
+        # a bad threshold is rejected before any propagation
+        ("threshold", "nan", "compare"), ("threshold", "inf", "compare"),
+        ("threshold", "-1", "compare")])
     def test_non_finite_input_is_config_error(self, tmp_path, capsys, command,
                                               flag, value):
         args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))

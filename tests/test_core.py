@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cpmas.core import (CouplingParams, EffectiveField, Orientation, RfScheme,
-                        SpinningParams, TimeGrid, dipolar_coupling_at,
-                        dipolar_phase, effective_field, scaled_coupling)
+                        SpinningParams, TimeGrid, coupling_shape,
+                        dipolar_coupling_at, dipolar_phase, effective_field,
+                        phase_bracket, scaled_coupling)
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -87,6 +88,27 @@ class TestDipolarPhase:
         d0 = dipolar_coupling_at(bench_coupling, orient, static, 0.0)
         for t in (0.0, 1e-4, 1e-3):
             assert dipolar_phase(bench_coupling, orient, static, t) == d0 * t
+
+    def test_shape_and_bracket_broadcast_bit_for_bit(self, bench_coupling,
+                                                     slow_mas):
+        # the powder kernel calls these on (orientations, 1) angle columns
+        orients = random_orientations(7, seed=6)
+        beta = np.array([o.beta for o in orients])[:, None]
+        gamma = np.array([o.gamma for o in orients])[:, None]
+        t = np.linspace(0.0, 1e-3, 33)
+        pref = bench_coupling.d / (2.0 * slow_mas.omega_r)
+        phi = pref * phase_bracket(beta, gamma, slow_mas.omega_r * t)
+        shape = coupling_shape(beta, gamma, slow_mas.omega_r * t)
+        rate = coupling_shape(beta[:, 0], gamma[:, 0], 0.0)
+        static = SpinningParams(omega_r=0.0)
+        for k, orient in enumerate(orients):
+            assert np.array_equal(
+                phi[k], dipolar_phase(bench_coupling, orient, slow_mas, t))
+            assert np.array_equal(
+                bench_coupling.d * shape[k],
+                dipolar_coupling_at(bench_coupling, orient, slow_mas, t))
+            assert (bench_coupling.d * rate[k] * t[5]
+                    == dipolar_phase(bench_coupling, orient, static, t[5]))
 
     def test_slow_spinning_approaches_stationary(self, bench_coupling):
         # omega_r = 1e-3 rad/s is indistinguishable from the static branch

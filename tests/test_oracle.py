@@ -237,6 +237,21 @@ class TestPropagate:
         np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 5, 24])
+    def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
+                                                  matched_rf, bench_coupling,
+                                                  slow_mas, bench_orientation):
+        # 8 substeps per interval: block 5 splits intervals into chunks,
+        # block 24 takes three whole intervals at a time
+        args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
+                TimeGrid(dt=1e-6, n_points=41))
+        full, blocks = propagate(*args), propagate_blockwise(*args)
+        monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
+        small = propagate(*args)
+        for name in ("sy", "iy", "dq_y"):
+            assert np.array_equal(getattr(small, name), getattr(full, name))
+        assert np.array_equal(propagate_blockwise(*args), blocks)
+
     def test_blockwise_step_rule_violation_names_required_substeps(
             self, matched_rf, bench_coupling, slow_mas, bench_orientation):
         grid = TimeGrid(dt=1e-6, n_points=11)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cpmas.analytic import (EFFICIENCY_RANGE_TOL, CurveKind, efficiency_curve,
                             transfer_efficiency)
-from cpmas.core import CouplingParams, Orientation, SpinningParams, TimeGrid
+from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
+                        phase_bracket)
 from cpmas.fitting import coupling_from_distance
 from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
                           averaged_efficiency, grid_orientation_set,
@@ -78,6 +79,27 @@ class TestZcwOrientationSet:
         with pytest.raises(ValueError):
             zcw_orientation_set(99)
 
+    def test_is_eden_levitt_zcw_with_gamma_mirrored(self):
+        # Eden & Levitt, JMR 132, 220 (1998): N = F(M+2) points with
+        # alpha_j = 2*pi*mod(j*F(M)/N, 1), beta_j = arccos(2*mod(j/N, 1) - 1).
+        # The generator steps gamma by F(M+1) = -F(M) (mod N), so its gamma
+        # is alpha mirrored to 2*pi - alpha.
+        fib = [1, 1]
+        for level, n in ZCW_SET_SIZES.items():
+            while fib[-1] < n:
+                fib.append(fib[-1] + fib[-2])
+            assert fib[-1] == n
+            j = np.arange(n)
+            alpha = 2.0 * math.pi * np.mod(j * fib[-3] / n, 1.0)
+            beta = np.arccos(2.0 * np.mod(j / n, 1.0) - 1.0)
+            canonical = np.lexsort((alpha, beta))
+            oset = zcw_orientation_set(level)
+            assert np.array_equal(oset.beta, beta[canonical])
+            mirrored = np.mod(2.0 * math.pi - oset.gamma, 2.0 * math.pi)
+            gap = np.mod(mirrored - alpha[canonical] + math.pi,
+                         2.0 * math.pi) - math.pi
+            assert np.max(np.abs(gap)) < 1e-11
+
     def test_consecutive_levels_converge_monotonically(self):
         curves = [powder_eta(zcw_orientation_set(level)).values
                   for level in range(4, 10)]
@@ -86,12 +108,14 @@ class TestZcwOrientationSet:
 
 
 class TestPowderAverage:
-    def test_singleton_identity(self):
+    @pytest.mark.parametrize("spin", [POWDER_MAS, SpinningParams(omega_r=0.0)],
+                             ids=["spinning", "stationary"])
+    def test_singleton_identity(self, spin):
         orient = Orientation(beta=1.0, gamma=2.0)
         oset = OrientationSet(beta=[orient.beta], gamma=[orient.gamma],
                               weights=[1.0])
-        direct = efficiency_curve(POWDER_COUPLING, orient, POWDER_MAS, POWDER_GRID)
-        averaged = powder_eta(oset)
+        direct = efficiency_curve(POWDER_COUPLING, orient, spin, POWDER_GRID)
+        averaged = powder_average(POWDER_COUPLING, spin, POWDER_GRID, oset)
         assert np.array_equal(averaged.values, direct.values)
 
     def test_constant_curve_preserved(self):
@@ -289,3 +313,32 @@ class TestKernelProperties:
                            for b, g, w in zip(*arrays)]
         scalar = np.array([math.fsum(col) for col in zip(*per_orientation)])
         np.testing.assert_allclose(eta, scalar, rtol=0, atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestRotorEcho:
+    """phi, and so eta, returns to 0 at every whole rotor period.
+
+    At t = 2*pi*n/omega_r the computed rotor angle omega_r*t + gamma is off
+    by at most ~2.5 eps * 2*pi*(n + 1), and |dB/da| <= |c1| + 2*|c2| < 5,
+    so |B| stays below 16 eps * 2*pi*(n + 1).  eta = (1 - cos(phi))/2
+    then stays below phi_max^2/4 plus the rounding of cos near 1.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.floats(0.0, math.pi),
+           gamma=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+           omega_r=st.floats(1e3, 1e5),
+           n=st.integers(0, 50))
+    def test_bracket_and_powder_vanish_at_rotor_periods(self, beta, gamma,
+                                                       omega_r, n):
+        t = 2.0 * math.pi * n / omega_r
+        bracket_tol = 16.0 * EPS * 2.0 * math.pi * (n + 1)
+        assert abs(phase_bracket(beta, gamma, omega_r * t)) <= bracket_tol
+        phi_max = abs(POWDER_COUPLING.d) / (2.0 * omega_r) * bracket_tol
+        eta = averaged_efficiency(POWDER_COUPLING,
+                                  SpinningParams(omega_r=omega_r),
+                                  np.array([t]), zcw_orientation_set(2))
+        assert 0.0 <= eta[0] <= phi_max ** 2 / 4.0 + 2.0 * EPS
