@@ -5,7 +5,9 @@ propagator, powder averaging, fitting) is driven by two functions of time
 defined here: the rotor-modulated heteronuclear dipolar coupling d(t) and
 its exact running integral, the accumulated dipolar phase phi(t).  Their
 formulas live once, array-native in the angles, in `coupling_shape` and
-`phase_bracket`, which the powder kernel calls per block of orientations.
+`phase_bracket`.  Neither depends on d: the powder kernel reads them per
+block of orientations, and a fit builds them once for all the d it tries
+(`powder.phase_table`).
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d.

@@ -14,10 +14,13 @@ accepted one, and box bounds enforced by projection.  The model depends on
 the coupling only through the powder-averaged efficiency eta, so eta (and,
 when d is free, its slope d(eta)/dd from the same kernel pass) is computed
 once per distinct d and reused by every residual and Jacobian evaluation.
-With d free the fit also runs from a second start, the other parameters
-first settled at the initial d, and keeps the lower end point.  Accepted
-steps never increase the weighted residual sum, and the returned result
-always satisfies rss <= rss(initial guess).
+The phase is d times a bracket that does not depend on d, so with d free
+the bracket is built once per fit (`powder.phase_table`) and a trial d
+costs one cos pass over it, plus one sin pass for the slope.  With d free
+the fit also runs from a second start, the other parameters first settled
+at the initial d, and keeps the lower end point.  Accepted steps never
+increase the weighted residual sum, and the returned result always
+satisfies rss <= rss(initial guess).
 
 `write_curve_csv` is the only writer of the CSV row format: every CLI
 command's output and `save_buildup` go through it.
@@ -35,7 +38,7 @@ import numpy as np
 from .analytic import RelaxationParams, damped_magnetization
 from .core import (CouplingParams, RfScheme, SpinningParams, effective_field,
                    scaled_coupling)
-from .powder import OrientationSet, averaged_efficiency
+from .powder import OrientationSet, averaged_efficiency, phase_table
 
 PARAMETER_NAMES = ("d", "r", "r1", "t1rho", "m0")
 
@@ -383,7 +386,9 @@ class _BuildUpModel:
     eta depends only on d, so it is computed once per distinct d and kept
     for the life of the fit (one entry per trial d, at most one per
     iteration); with d free each evaluation also keeps d(eta)/dd for the
-    Jacobian.
+    Jacobian.  With d free the phase bracket, which does not depend on d,
+    is built once as a `powder.phase_table` and every trial d reads it; a
+    fixed d is averaged once, straight from the orientation set.
     """
 
     def __init__(self, data: BuildUpData, spec: FitSpec):
@@ -393,14 +398,15 @@ class _BuildUpModel:
         # d enters only as scale*d, scale = sin(theta_i)*sin(theta_s)
         self.tilt = scaled_coupling(CouplingParams(d=1.0), self.eff).d
         self.with_slope = "d" in spec.free_names
+        self.source = (phase_table(spec.spin, data.times, spec.orientations)
+                       if self.with_slope else spec.orientations)
         self._eta: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def efficiency(self, d: float) -> tuple[np.ndarray, np.ndarray | None]:
         if d not in self._eta:
             d_eff = scaled_coupling(CouplingParams(d=d), self.eff)
             out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
-                                      self.spec.orientations,
-                                      with_slope=self.with_slope)
+                                      self.source, with_slope=self.with_slope)
             self._eta[d] = out if self.with_slope else (out, None)
         return self._eta[d]
 
@@ -536,8 +542,10 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     the initial guess and the guess with the other parameters first fitted
     at the initial d (at most WARM_START_ITERATIONS iterations), and keeps
     the lower end point: far-off rate guesses can drag d across a barrier
-    of the residual profile into a neighbouring, higher minimum.  eta is
-    shared between the starts; ``iterations`` counts both.
+    of the residual profile into a neighbouring, higher minimum.  eta and
+    the phase bracket behind it are shared between the starts; the bracket
+    is built once per fit however many trial d the starts try.
+    ``iterations`` counts both starts.
 
     Raises:
         DataError: if the data under-determine the requested free set.

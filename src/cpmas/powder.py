@@ -9,11 +9,17 @@ orientations and is the default for fitting.
 
 Every average runs one array kernel.  An `OrientationSet` is three arrays,
 beta, gamma and weights, stored once in canonical (beta, gamma, weight)
-order.  The kernel takes the phase of each block of ORIENT_BLOCK
-orientations x all times from `core`'s dipolar formulas and adds the
+order.  The phase is linear in d: phi = d*B/(2*omega_r), with the bracket
+B of `core.phase_bracket` (or d times the stationary rate times t).  The
+kernel reads the d-independent unit, B or the rate, of each block of
+ORIENT_BLOCK orientations x all times, multiplies it by d, and adds the
 weighted blocks in that fixed order, so the result is bit-identical however
-the orientations were ordered and no temporary grows with the set size.
-On request the same pass also returns d(eta)/dd for the fit's Jacobian.
+the orientations were ordered.  A one-shot average computes each block's
+unit when the loop reaches it, so no temporary grows with the set size.  A
+fit, which averages the same set at many d, builds the units once as a
+`phase_table` (cached up to PHASE_TABLE_BUDGET bytes, streamed above it)
+and passes that instead; the result is the same bit for bit.  On request
+the same pass also returns d(eta)/dd for the fit's Jacobian.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ WEIGHT_SUM_TOL = 1e-12
 # Orientations per kernel block: 64 x 801 doubles is ~400 kB per temporary,
 # so a block's working set stays cache-resident at the largest grids used.
 ORIENT_BLOCK = 64
+
+# Largest phase table, in bytes, that `phase_table` caches.  A fit keeps
+# its table for its whole run, so the cap is what caching may add to a
+# fit's memory: 16 MiB stays below half of the ~40 MiB a fit process holds
+# anyway and still covers every ZCW level up to 11 (2584 orientations) at
+# 801 points.  A larger table is streamed a block at a time instead.
+PHASE_TABLE_BUDGET = 16 * 2**20
 
 # Supported ZCW set sizes (level -> orientation count); the
 # counts follow the Fibonacci recursion used by the generator.
@@ -129,34 +142,85 @@ def zcw_orientation_set(level: int) -> OrientationSet:
                           weights=np.full(n, 1.0 / n))
 
 
-def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
-                       oset: OrientationSet, with_slope: bool):
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """The d-independent phase units of one set, rotor frequency and times.
+
+    phi is linear in d: phi = d*B/(2*omega_r) with the bracket B of
+    `core.phase_bracket` when spinning, and phi = (d*rate)*t with the
+    stationary rate d(0)/d when omega_r = 0.  `units` yields, one block of
+    ORIENT_BLOCK orientations at a time and in kernel order, B (block x
+    times) or the rate (block,), with the block's weights.  A cached table
+    holds every block; a streamed one (``cached`` None) computes each block
+    when asked, so it holds one block at a time.
+    """
+
+    oset: OrientationSet
+    omega_r: float
+    times: np.ndarray
+    cached: tuple | None = None
+
+    def units(self):
+        if self.cached is not None:
+            return self.cached
+        return _phase_units(self.oset, self.omega_r, self.times)
+
+
+def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray):
+    rotor_angle = omega_r * t
+    for start in range(0, len(oset), ORIENT_BLOCK):
+        blk = slice(start, start + ORIENT_BLOCK)
+        if omega_r != 0.0:
+            unit = phase_bracket(oset.beta[blk, None], oset.gamma[blk, None],
+                                 rotor_angle)
+        else:
+            unit = coupling_shape(oset.beta[blk], oset.gamma[blk], 0.0)
+        yield unit, oset.weights[blk, None]
+
+
+def phase_table(spin: SpinningParams, times,
+                oset: OrientationSet) -> PhaseTable:
+    """Phase units for repeated averages over one set, spin and time array.
+
+    The table is cached when its units fit in PHASE_TABLE_BUDGET bytes and
+    streamed otherwise; `averaged_efficiency` gives bit-identical results
+    from either, and from the set itself.
+    """
+    t = np.array(times, dtype=float).ravel()
+    t.flags.writeable = False
+    per_orientation = t.size if spin.omega_r != 0.0 else 1
+    if len(oset) * per_orientation * t.itemsize > PHASE_TABLE_BUDGET:
+        return PhaseTable(oset, spin.omega_r, t)
+    cached = tuple(_phase_units(oset, spin.omega_r, t))
+    for unit, _ in cached:
+        unit.flags.writeable = False
+    return PhaseTable(oset, spin.omega_r, t, cached)
+
+
+def _efficiency_kernel(d: float, table: PhaseTable, with_slope: bool):
     """Weighted sum over the set of eta(t) and, if asked, of d(eta)/dd.
 
-    phi comes from core's bracket (or stationary rate) and eta from the
-    operations of `analytic.transfer_efficiency`, so a one-orientation set
-    reproduces the single-orientation curve bit for bit.  The slope is
-    (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d taken from the bracket or
-    the rate, never by dividing by d, so d = 0 is safe.
+    phi is d times the table's unit (core's bracket, or stationary rate)
+    and eta comes from the operations of `analytic.transfer_efficiency`,
+    so a one-orientation set reproduces the single-orientation curve bit
+    for bit.  The slope is (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d
+    taken from the unit, never by dividing by d, so d = 0 is safe.  The
+    units are only read, so a cached table serves every d.
     """
+    t, omega_r = table.times, table.omega_r
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
     # dphi/dd = per_d * (bracket, or rate * t when stationary)
     per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
-    for start in range(0, len(oset), ORIENT_BLOCK):
-        blk = slice(start, start + ORIENT_BLOCK)
+    for unit, w in table.units():
         if spinning:
-            bracket = phase_bracket(oset.beta[blk, None],
-                                    oset.gamma[blk, None], omega_r * t)
-            phi = (d / (2.0 * omega_r)) * bracket
+            phi = (d / (2.0 * omega_r)) * unit
         else:
-            rate = coupling_shape(oset.beta[blk], oset.gamma[blk], 0.0)
-            phi = np.multiply.outer(d * rate, t)
-        w = oset.weights[blk, None]
+            phi = np.multiply.outer(d * unit, t)
         if with_slope:
             ds = np.sin(phi)
-            ds *= bracket if spinning else np.multiply.outer(rate, t)
+            ds *= unit if spinning else np.multiply.outer(unit, t)
             ds *= (0.5 * per_d) * w
             slope += ds.sum(axis=0)
         block = np.cos(phi, out=phi)
@@ -168,19 +232,33 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray,
 
 
 def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
-                        times, oset: OrientationSet, *,
+                        times, oset: OrientationSet | PhaseTable, *,
                         with_slope: bool = False):
     """Powder-averaged transfer efficiency at arbitrary sample times.
 
     Pointwise form of `powder_average`, free of its uniform-grid
-    requirement; on a uniform grid the two agree bit for bit.  With
+    requirement; on a uniform grid the two agree bit for bit.  ``oset`` is
+    an orientation set, whose phase units are built block by block for
+    this call, or a `phase_table` for ``spin`` and ``times``, whose units
+    are reused; the result is bit-identical either way.  With
     ``with_slope`` returns ``(eta, deta_dd)``, the derivative with respect
-    to the coupling constant from the same kernel pass; eta is bit-identical
-    either way.
+    to the coupling constant from the same kernel pass; eta is
+    bit-identical either way.
+
+    Raises:
+        ValueError: if a phase table was built for another rotor frequency
+            or other times.
     """
     t = np.asarray(times, dtype=float)
-    out = _efficiency_kernel(coupling.d, spin.omega_r, t.ravel(), oset,
-                             with_slope)
+    if isinstance(oset, PhaseTable):
+        table = oset
+        if (table.omega_r != spin.omega_r
+                or not np.array_equal(table.times, t.ravel())):
+            raise ValueError("phase table was built for another rotor "
+                             "frequency or other times")
+    else:
+        table = PhaseTable(oset, spin.omega_r, t.ravel())
+    out = _efficiency_kernel(coupling.d, table, with_slope)
     if with_slope:
         return out[0].reshape(t.shape), out[1].reshape(t.shape)
     return out.reshape(t.shape)

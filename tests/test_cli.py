@@ -1,5 +1,8 @@
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,21 @@ class TestSimulate:
         run(["simulate", *BENCH_SIM, "--seed", "7", "--out", str(a)])
         run(["simulate", *BENCH_SIM, "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_python_m_cpmas_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    by_module = tmp_path / "module.csv"
+    proc = subprocess.run([sys.executable, "-m", "cpmas", "simulate",
+                           *BENCH_SIM, "--out", str(by_module)],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+    by_main = tmp_path / "main.csv"
+    assert run(["simulate", *BENCH_SIM, "--out", str(by_main)]) == EXIT_OK
+    assert by_module.read_bytes() == by_main.read_bytes()
 
 
 class TestConfigFile:

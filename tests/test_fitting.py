@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cpmas.fitting as fitting
+import cpmas.powder as powder
 from cpmas.analytic import RelaxationParams
 from cpmas.core import CouplingParams, RfScheme, SpinningParams
 from cpmas.fitting import (BuildUpData, DataError, FitError, FitParameter,
@@ -322,6 +324,53 @@ class TestFitBuildup:
         assert free_d.converged
         assert len(calls) > 1
         assert len(set(calls)) == len(calls)
+
+    def test_phase_bracket_built_once_per_fit(self, monkeypatch):
+        calls = []
+        original = powder.phase_bracket
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        data, oset = self.make_data(noise=0.01, n=61)
+        monkeypatch.setattr(powder, "phase_bracket", counting)
+        blocks = math.ceil(len(oset) / powder.ORIENT_BLOCK)
+        assert blocks > 1
+        fit_buildup(data, benchmark_spec(oset))
+        assert len(calls) == blocks
+
+        calls.clear()
+        distinct = set()
+        averaged = fitting.averaged_efficiency
+
+        def recording(coupling, *args, **kwargs):
+            distinct.add(coupling.d)
+            return averaged(coupling, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "averaged_efficiency", recording)
+        fit_buildup(data, benchmark_spec(
+            oset, free=("d", "r", "r1", "t1rho"), guess_factor=1.05))
+        assert len(distinct) > 1
+        assert len(calls) == blocks
+
+    def test_streamed_table_gives_the_same_fit(self, monkeypatch):
+        # a budget of 0 bytes streams every block as a one-shot average does
+        data, oset = self.make_data(noise=0.01, n=61)
+        for spin in (SpinningParams(omega_r=5.0 * KHZ),
+                     SpinningParams(omega_r=0.0)):
+            spec = dataclasses.replace(benchmark_spec(
+                oset, free=("d", "r", "r1", "t1rho"), guess_factor=1.05),
+                spin=spin)
+            assert fitting._BuildUpModel(data, spec).source.cached is not None
+            cached = fit_buildup(data, spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(powder, "PHASE_TABLE_BUDGET", 0)
+                assert fitting._BuildUpModel(data, spec).source.cached is None
+                streamed = fit_buildup(data, spec)
+            # values, rss, stderr, iterations and stop reason; model apart
+            assert streamed == cached
+            assert np.array_equal(streamed.model, cached.model)
 
     def test_second_start_escapes_a_higher_minimum(self):
         # from the guess alone, far-off rates drag d from 9.25 kHz across a

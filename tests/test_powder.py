@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpmas.powder as powder
 from cpmas.analytic import (EFFICIENCY_RANGE_TOL, CurveKind, efficiency_curve,
                             transfer_efficiency)
 from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
@@ -13,7 +14,7 @@ from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
 from cpmas.fitting import coupling_from_distance
 from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
                           averaged_efficiency, grid_orientation_set,
-                          powder_average, zcw_orientation_set)
+                          phase_table, powder_average, zcw_orientation_set)
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -313,6 +314,59 @@ class TestKernelProperties:
                            for b, g, w in zip(*arrays)]
         scalar = np.array([math.fsum(col) for col in zip(*per_orientation)])
         np.testing.assert_allclose(eta, scalar, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sets=weighted_sets(),
+           d=st.one_of(st.just(0.0), st.floats(-2e5, 2e5)),
+           omega_r=st.one_of(st.just(0.0), st.floats(1e3, 1e5)))
+    def test_cached_table_equals_one_shot(self, sets, d, omega_r):
+        oset = OrientationSet(*sets[0])
+        coupling = CouplingParams(d=d)
+        spin = SpinningParams(omega_r=omega_r)
+        table = phase_table(spin, KERNEL_TIMES, oset)
+        assert table.cached is not None
+        one_shot = averaged_efficiency(coupling, spin, KERNEL_TIMES, oset,
+                                       with_slope=True)
+        cached = averaged_efficiency(coupling, spin, KERNEL_TIMES, table,
+                                     with_slope=True)
+        assert np.array_equal(one_shot[0], cached[0])
+        assert np.array_equal(one_shot[1], cached[1])
+        assert np.array_equal(
+            one_shot[0],
+            averaged_efficiency(coupling, spin, KERNEL_TIMES, table))
+
+
+class TestPhaseTable:
+    def test_budget_decides_between_cached_and_streamed(self, monkeypatch):
+        oset = zcw_orientation_set(2)
+        table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
+        assert len(table.cached) == math.ceil(len(oset) / ORIENT_BLOCK)
+        assert all(not unit.flags.writeable for unit, _ in table.cached)
+        monkeypatch.setattr(powder, "PHASE_TABLE_BUDGET",
+                            len(oset) * KERNEL_TIMES.size * 8 - 1)
+        streamed = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
+        assert streamed.cached is None
+        assert np.array_equal(
+            averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES,
+                                streamed),
+            averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES,
+                                table))
+
+    def test_stationary_table_holds_one_rate_per_orientation(self):
+        oset = zcw_orientation_set(2)
+        table = phase_table(SpinningParams(omega_r=0.0), KERNEL_TIMES, oset)
+        assert sum(unit.size for unit, _ in table.cached) == len(oset)
+
+    def test_table_for_other_spin_or_times_rejected(self):
+        oset = zcw_orientation_set(1)
+        table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
+        with pytest.raises(ValueError, match="phase table"):
+            averaged_efficiency(POWDER_COUPLING,
+                                SpinningParams(omega_r=POWDER_MAS.omega_r / 2),
+                                KERNEL_TIMES, table)
+        with pytest.raises(ValueError, match="phase table"):
+            averaged_efficiency(POWDER_COUPLING, POWDER_MAS,
+                                KERNEL_TIMES[:-1], table)
 
 
 EPS = np.finfo(float).eps
