@@ -25,6 +25,7 @@ threshold exceeded, 3 data error, 4 fit non-convergence or fit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -145,7 +146,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing reads the parser and never changes it, so every `main` call,
+    including one after a usage error, can share it.
+    """
     parser = _Parser(prog="cpmas", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,7 +7,10 @@ its exact running integral, the accumulated dipolar phase phi(t).  Their
 formulas live once, array-native in the angles, in `coupling_shape` and
 `phase_bracket`.  Neither depends on d: the powder kernel reads them per
 block of orientations, and a fit builds them once for all the d it tries
-(`powder.phase_table`).
+(`powder.phase_table`).  d(t) has two harmonics of omega_r*t + gamma, so
+`phase_bracket` splits by angle addition into sines of the rotor angle,
+taken once per time, and coefficients in gamma, taken once per
+orientation; no transcendental is evaluated per orientation-point.
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d.
@@ -158,19 +161,29 @@ def coupling_shape(beta, gamma, rotor_angle):
 def phase_bracket(beta, gamma, rotor_angle):
     """B = c1*[sin(a) - sin(gamma)] - c2*[sin(2a) - sin(2*gamma)].
 
-    With a as in `coupling_shape`, phi = d*B/(2*omega_r) when spinning; B
-    is built in place on two temporaries of the broadcast shape.
+    With a as in `coupling_shape`, phi = d*B/(2*omega_r) when spinning.  B
+    is evaluated in angle-addition form in a0 = ``rotor_angle``:
+
+        B = c1*cos(gamma)*sin(a0) + c1*sin(gamma)*(cos(a0) - 1)
+            - c2*cos(2*gamma)*sin(2*a0) - c2*sin(2*gamma)*(cos(2*a0) - 1)
+
+    with cos(a0) - 1 = -2*sin(a0/2)^2 and cos(2*a0) - 1 = -2*sin(a0)^2.
+    No difference of nearly equal sines is formed, so B keeps its relative
+    accuracy as a0 -> 0, and the only angle rounding left is that of a0.
+    The sines of a0 are taken once per time and the trigonometry of gamma
+    once per orientation; each point of the broadcast shape then costs four
+    multiplies and three adds.
     """
     c1, c2 = _coefficients(beta)
-    a = rotor_angle + gamma
-    bracket = np.sin(a)
-    bracket -= np.sin(gamma)
-    bracket *= c1
-    a *= 2.0
-    second = np.sin(a, out=a if np.ndim(a) else None)  # in place for arrays
-    second -= np.sin(2.0 * gamma)
-    second *= c2
-    bracket -= second
+    sin_a0 = np.sin(rotor_angle)
+    sin_half = np.sin(0.5 * rotor_angle)
+    cos_a0_m1 = -2.0 * sin_half * sin_half
+    cos_2a0_m1 = -2.0 * sin_a0 * sin_a0
+    sin_2a0 = np.sin(2.0 * rotor_angle)
+    bracket = (c1 * np.cos(gamma)) * sin_a0
+    bracket += (c1 * np.sin(gamma)) * cos_a0_m1
+    bracket -= (c2 * np.cos(2.0 * gamma)) * sin_2a0
+    bracket -= (c2 * np.sin(2.0 * gamma)) * cos_2a0_m1
     return bracket
 
 

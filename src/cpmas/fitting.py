@@ -16,11 +16,11 @@ when d is free, its slope d(eta)/dd from the same kernel pass) is computed
 once per distinct d and reused by every residual and Jacobian evaluation.
 The phase is d times a bracket that does not depend on d, so with d free
 the bracket is built once per fit (`powder.phase_table`) and a trial d
-costs one cos pass over it, plus one sin pass for the slope.  With d free
-the fit also runs from a second start, the other parameters first settled
-at the initial d, and keeps the lower end point.  Accepted steps never
-increase the weighted residual sum, and the returned result always
-satisfies rss <= rss(initial guess).
+costs a multiply and one cos pass over it, plus one sin pass for the
+slope.  With d free the fit also runs from a second start, the other
+parameters first settled at the initial d, and keeps the lower end point.
+Accepted steps never increase the weighted residual sum, and the returned
+result always satisfies rss <= rss(initial guess).
 
 `write_curve_csv` is the only writer of the CSV row format: every CLI
 command's output and `save_buildup` go through it.

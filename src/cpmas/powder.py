@@ -10,7 +10,9 @@ orientations and is the default for fitting.
 Every average runs one array kernel.  An `OrientationSet` is three arrays,
 beta, gamma and weights, stored once in canonical (beta, gamma, weight)
 order.  The phase is linear in d: phi = d*B/(2*omega_r), with the bracket
-B of `core.phase_bracket` (or d times the stationary rate times t).  The
+B of `core.phase_bracket` (or d times the stationary rate times t).  B
+costs four multiplies and three adds per orientation-point, so a point's
+one transcendental is the cos of eta (and a sin for the slope).  The
 kernel reads the d-independent unit, B or the rate, of each block of
 ORIENT_BLOCK orientations x all times, multiplies it by d, and adds the
 weighted blocks in that fixed order, so the result is bit-identical however

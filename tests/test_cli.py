@@ -197,6 +197,21 @@ def test_python_m_cpmas_runs_the_cli(tmp_path):
     assert by_module.read_bytes() == by_main.read_bytes()
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_the_shared_parser_intact(tmp_path, capsys):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert run(["simulate", *BENCH_SIM, "--out", str(before)]) == EXIT_OK
+    for bad in (["--no-such-flag", "1"], ["--d-khz", "abc"]):
+        assert run(["simulate", *BENCH_SIM, *bad, "--out",
+                    str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("error:") == 2
+    assert run(["simulate", *BENCH_SIM, "--out", str(after)]) == EXIT_OK
+    assert after.read_bytes() == before.read_bytes()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

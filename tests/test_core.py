@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpmas.core import (CouplingParams, EffectiveField, Orientation, RfScheme,
                         SpinningParams, TimeGrid, coupling_shape,
@@ -9,6 +11,8 @@ from cpmas.core import (CouplingParams, EffectiveField, Orientation, RfScheme,
                         phase_bracket, scaled_coupling)
 
 KHZ = 2.0 * math.pi * 1e3
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 
 
 def random_orientations(n, seed=0):
@@ -120,6 +124,57 @@ class TestDipolarPhase:
                 spun = dipolar_phase(bench_coupling, orient, slow, t)
                 lin = dipolar_phase(bench_coupling, orient, static, t)
                 assert spun == pytest.approx(lin, rel=1e-6)
+
+
+def _bracket_coefficients(beta):
+    return 2.0 * math.sqrt(2.0) * math.sin(2.0 * beta), math.sin(beta) ** 2
+
+
+class TestPhaseBracket:
+    """B(a0) = c1*[sin(a0 + g) - sin(g)] - c2*[sin(2*a0 + 2*g) - sin(2*g)].
+
+    |dB/da0| <= |c1| + 2*c2 = 2*sqrt(2)*|sin(2*beta)| + 2*sin(beta)^2 <= 4.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.0, math.pi),
+           gamma=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+           log_a0=st.floats(-9.0, -4.0))
+    def test_small_rotor_angles_follow_the_taylor_series(self, beta, gamma,
+                                                         log_a0):
+        # B = a*B'(0) + a^2*B''(0)/2 + R with |R| <= a^3*max|B'''|/6 and
+        # |B'''| <= |c1| + 8*c2.  Both sides round a few times on terms
+        # whose sizes add up to a*(|c1| + 2*c2) (the a^2 terms are 1e-4 of
+        # that here), each by ~eps: 16 eps of that covers them, plus 16
+        # roundings in the subnormal range, where beta ~ 1e-308 puts B.  A
+        # difference of sines rounds a0 + gamma by ~eps*gamma, so it errs
+        # by up to ~1e-7 of B at a0 = 1e-9.
+        a = 10.0 ** log_a0
+        c1, c2 = _bracket_coefficients(beta)
+        slope = c1 * math.cos(gamma) - 2.0 * c2 * math.cos(2.0 * gamma)
+        curvature = -c1 * math.sin(gamma) + 4.0 * c2 * math.sin(2.0 * gamma)
+        taylor = a * slope + a * a * curvature / 2.0
+        tol = (a ** 3 * (abs(c1) + 8.0 * c2) / 6.0
+               + 16.0 * EPS * a * (abs(c1) + 2.0 * c2) + 16.0 * TINY)
+        assert abs(phase_bracket(beta, gamma, a) - taylor) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.0, math.pi),
+           gamma=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+           a0=st.floats(0.0, 2.0 * math.pi * 50))
+    def test_matches_the_difference_of_sines(self, beta, gamma, a0):
+        # The difference of sines rounds its angle a0 + gamma by up to
+        # eps/2*(a0 + gamma), and the doubled angle by twice that, which
+        # moves B by at most (|c1| + 2*c2)*eps/2*(a0 + gamma) <= 2 eps*(a0 +
+        # gamma).  Every other rounding, in either form, is ~1 ulp on terms
+        # whose sizes add up to at most 3*(|c1| + c2) <= 10.2: below 15 eps
+        # per form.  So the forms differ by at most 32 eps*(a0 + gamma + 1).
+        c1, c2 = _bracket_coefficients(beta)
+        a = a0 + gamma
+        by_sines = (c1 * (math.sin(a) - math.sin(gamma))
+                    - c2 * (math.sin(2.0 * a) - math.sin(2.0 * gamma)))
+        assert (abs(phase_bracket(beta, gamma, a0) - by_sines)
+                <= 32.0 * EPS * (a0 + gamma + 1.0))
 
 
 class TestEffectiveField:

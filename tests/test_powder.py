@@ -375,10 +375,16 @@ EPS = np.finfo(float).eps
 class TestRotorEcho:
     """phi, and so eta, returns to 0 at every whole rotor period.
 
-    At t = 2*pi*n/omega_r the computed rotor angle omega_r*t + gamma is off
-    by at most ~2.5 eps * 2*pi*(n + 1), and |dB/da| <= |c1| + 2*|c2| < 5,
-    so |B| stays below 16 eps * 2*pi*(n + 1).  eta = (1 - cos(phi))/2
-    then stays below phi_max^2/4 plus the rounding of cos near 1.
+    B takes its angle error from the rotor angle a0 = omega_r*t alone:
+    gamma enters only through its own sines.  At t = 2*pi*n/omega_r the
+    computed a0 is off from 2*pi*n by at most ~1.7 eps * 2*pi*n (the
+    rounding of 2*pi, of the product with n, of the division by omega_r and
+    of the product with omega_r).  Near a0 = 2*pi*n the sines of a0 and 2*a0
+    are that small and the cos - 1 terms are its square, so B is within
+    rounding of its linear term, at most (|c1| + 2*|c2|) <= 4 times the
+    angle error.  That keeps |B| below 7 eps * 2*pi*n, inside the bound
+    16 eps * 2*pi*(n + 1).  eta = (1 - cos(phi))/2 then stays below
+    phi_max^2/4 plus the rounding of cos near 1.
     """
 
     @settings(max_examples=200, deadline=None)
