@@ -225,8 +225,8 @@ def write_curve_csv(path, columns: dict[str, np.ndarray],
     """Write comment echo lines, a header row of the column names, then one
     row of repr-formatted values per sample."""
     lines = [*echo, ",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(repr(float(v)) for v in row))
+    values = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
+    lines.extend(",".join(map(repr, row)) for row in zip(*values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

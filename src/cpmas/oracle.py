@@ -9,11 +9,25 @@ Hamiltonians, unitaries from Hermitian eigendecomposition), independent of
 every closed-form result in `analytic`.  It is the ground truth the
 analytic curves are validated against.
 
+The full-space propagation runs in the frame rotated by
+R = exp(-i*pi/2*(I_z + S_z)), which is diagonal in the product basis and
+takes I_y -> -I_x and S_y -> -S_x while leaving I_z, S_z and I_z*S_z
+alone, so every substep Hamiltonian there is real symmetric for any locks
+and offsets and its eigendecomposition runs in real arithmetic.  rho(0)
+and the observables are rotated once per propagation; Tr(O @ rho) is the
+same in either frame.
+
 One core serves both the full-space and the block-wise propagation: per
 block of about SUBSTEP_BLOCK substeps, the midpoint Hamiltonians are
 exponentiated in one batched call and the substep unitaries of each grid
-interval multiplied together (batched over intervals); the state is then
-stepped once per grid point, so memory does not grow with the substeps.
+interval multiplied together (batched over intervals) into one
+(grid points, n, n) array.  A doubling prefix scan over that array turns
+the interval unitaries into propagators from t = 0, each propagator is
+replaced by the state it gives, and one einsum reads the observables off
+the states.  The scan and the state update work in place, SUBSTEP_BLOCK
+matrices at a time, so memory is one n x n complex matrix per grid point
+(256 B for n = 4) plus a few blocks, and does not grow with the substeps
+per interval.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -53,7 +67,8 @@ STEPS_PER_FASTEST_PERIOD = 50
 MAX_SUBSTEPS = 10**6
 
 # Substeps held at once (~1 KiB each): whole grid intervals up to this many,
-# and an interval with more in chunks of this size.
+# and an interval with more in chunks of this size.  The prefix scan and the
+# state update also take the grid's propagators this many at a time.
 SUBSTEP_BLOCK = 4096
 
 
@@ -119,9 +134,34 @@ class Trajectory:
             object.__setattr__(self, name, _frozen(arr.copy()))
 
 
+# Product-basis operators of the Hamiltonian's terms, and the same terms in
+# the real frame: R @ op @ R^dagger with R = diag(_FRAME).
+_TERMS = (IY, SY, IZ, SZ, IZSZ)
+# exp(-i*pi/2*(m_I + m_S)) for |aa>, |ab>, |ba>, |bb>
+_FRAME = _frozen(np.array([-1j, 1.0, 1.0, 1j]))
+
+
+def _to_real_frame(op) -> np.ndarray:
+    """R @ op @ R^dagger, for an operator or a stack of them."""
+    return _FRAME[:, None] * np.asarray(op, dtype=complex) * _FRAME.conj()
+
+
+_REAL_TERMS = tuple(_frozen(_to_real_frame(op).real) for op in _TERMS)
+
+
+def _hamiltonian(terms, rf: RfScheme, coupling: CouplingParams,
+                 orient: Orientation, spin: SpinningParams, t) -> np.ndarray:
+    """H(t) from the operators ``terms``: I_y, S_y, I_z, S_z and I_z*S_z."""
+    iy, sy, iz, sz, izsz = terms
+    d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
+    h0 = (rf.omega1_i * iy + rf.omega1_s * sy
+          + rf.offset_i * iz + rf.offset_s * sz)
+    return h0 + (2.0 * d_t)[..., None, None] * izsz
+
+
 def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
                    spin: SpinningParams, t) -> np.ndarray:
-    """Full 4x4 Hamiltonian at time t (Hermitian, rad/s).
+    """Full 4x4 Hamiltonian at time t (Hermitian, rad/s), product basis.
 
     Args:
         t: time in seconds, scalar or 1-d array.
@@ -129,29 +169,30 @@ def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
     Returns:
         A (4, 4) matrix for scalar ``t``, an (n, 4, 4) stack for n times.
     """
-    d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
-    h0 = (rf.omega1_i * IY + rf.omega1_s * SY
-          + rf.offset_i * IZ + rf.offset_s * SZ)
-    return h0 + (2.0 * d_t)[..., None, None] * IZSZ
+    return _hamiltonian(_TERMS, rf, coupling, orient, spin, t)
 
 
 def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Unitary exp(-i*h*dt) of a Hermitian matrix via eigendecomposition.
 
     ``h`` may be one (n, n) matrix or a (..., n, n) stack; the result has
-    the same shape.
+    the same shape.  Real input stays real until the phases: it is checked
+    for symmetry and decomposed by a real ``eigh``, and the unitary
+    (V * exp(-i*lambda*dt)) @ V^T is formed by batched matmul.
 
     Raises:
         ValueError: if ``h`` is not Hermitian within 1e-12 (max elementwise
             asymmetry over the stack).
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0)
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     evals, evecs = np.linalg.eigh(h)
+    evecs = evecs.astype(complex, copy=False)
     phases = np.exp(-1j * evals * dt)
-    return np.einsum("...ij,...j,...kj->...ik", evecs, phases, evecs.conj())
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
 def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
@@ -201,23 +242,38 @@ def _propagate(hamiltonians, rf: RfScheme, spin: SpinningParams,
     dt_sub = grid.dt / substeps
     per_block = max(1, SUBSTEP_BLOCK // substeps)
     chunk = min(substeps, SUBSTEP_BLOCK)
-    rhos = np.empty((grid.n_points, n, n), dtype=complex)
-    rhos[0] = rho0
+    # props[i + 1] is the unitary of interval i, then, after the scan, the
+    # propagator from t = 0 to grid point i + 1
+    props = np.empty((grid.n_points, n, n), dtype=complex)
+    props[0] = np.eye(n)
     for first in range(0, intervals, per_block):
-        offsets = np.arange(first, min(first + per_block, intervals))[:, None]
+        offsets = np.arange(first, min(first + per_block, intervals))
         u = None
         for k0 in range(0, substeps, chunk):
-            j = offsets * substeps + np.arange(k0, min(k0 + chunk, substeps))
+            # j[k, i]: substep k0 + k of interval offsets[i]
+            j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
+                 + offsets * substeps)
             t_mid = (j + 0.5) * dt_sub
             steps = matrix_exponential_step(hamiltonians(t_mid.ravel()),
                                             dt_sub).reshape(*j.shape, n, n)
-            for k in range(j.shape[1]):
-                u = steps[:, k] if u is None else steps[:, k] @ u
-        u_dag = np.swapaxes(u, -1, -2).conj()
-        for i in range(len(u)):
-            rhos[first + i + 1] = u[i] @ rhos[first + i] @ u_dag[i]
+            for step in steps:
+                u = step if u is None else step @ u
+        props[first + 1:first + 1 + len(u)] = u
+    # doubling scan, in place: each pass updates the top block first, so a
+    # block reads only entries the pass has not yet overwritten
+    shift = 1
+    while shift < grid.n_points:
+        for stop in range(grid.n_points, shift, -SUBSTEP_BLOCK):
+            start = max(shift, stop - SUBSTEP_BLOCK)
+            props[start:stop] = (props[start:stop]
+                                 @ props[start - shift:stop - shift])
+        shift *= 2
+    # each propagator P becomes the state P @ rho0 @ P^dagger, in place
+    for start in range(0, grid.n_points, SUBSTEP_BLOCK):
+        p = props[start:start + SUBSTEP_BLOCK]
+        p[...] = p @ rho0 @ np.swapaxes(p, -1, -2).conj()
     obs = np.asarray(observables, dtype=complex)
-    return np.einsum("oij,nji->on", obs, rhos).real
+    return np.einsum("oij,nji->on", obs, props).real
 
 
 def propagate_expectations(rho0: np.ndarray, observables,
@@ -240,8 +296,10 @@ def propagate_expectations(rho0: np.ndarray, observables,
             (the message names the required count), or the propagation
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
-    return _propagate(lambda t: hamiltonian_at(rf, coupling, orient, spin, t),
-                      rf, spin, grid, substeps, rho0, observables)
+    return _propagate(
+        lambda t: _hamiltonian(_REAL_TERMS, rf, coupling, orient, spin, t),
+        rf, spin, grid, substeps, _to_real_frame(rho0),
+        _to_real_frame(observables))
 
 
 def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,

@@ -132,6 +132,23 @@ class TestLoadBuildup:
         assert np.array_equal(back.magnetizations, data.magnetizations)
         assert np.array_equal(back.sigmas, data.sigmas)
 
+    def test_writer_bytes_are_repr_of_float(self, tmp_path):
+        # an integer column, signed zero, non-finite and subnormal-range
+        # values are each written as repr(float(v))
+        out = tmp_path / "golden.csv"
+        fitting.write_curve_csv(out, {
+            "n": np.array([0, 1, -2, 3, 2**53 + 1]),
+            "x": np.array([-0.0, math.nan, math.inf, -math.inf, 1e-300]),
+            "y": [0.1, 1.0 / 3.0, 5e-324, 1e300, -2.5],
+        }, ["# key = value"])
+        assert out.read_bytes() == (
+            b"# key = value\nn,x,y\n"
+            b"0.0,-0.0,0.1\n"
+            b"1.0,nan,0.3333333333333333\n"
+            b"-2.0,inf,5e-324\n"
+            b"3.0,-inf,1e+300\n"
+            b"9007199254740992.0,1e-300,-2.5\n")
+
 
 BUILDUP_HEADERS = st.sampled_from(["time_us,magnetization\n",
                                    "time_us,magnetization,sigma\n"])

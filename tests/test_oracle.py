@@ -8,8 +8,9 @@ import cpmas.oracle as oracle
 from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, dipolar_coupling_at, effective_field)
-from cpmas.oracle import (IY, IZ, IZSZ, SY, Trajectory, dq_constancy_report,
-                          fictitious_operator, hamiltonian_at,
+from cpmas.oracle import (IX, IY, IZ, IZSZ, SX, SY, SZ, Trajectory,
+                          dq_constancy_report, fictitious_operator,
+                          hamiltonian_at,
                           matrix_exponential_step, propagate,
                           propagate_blockwise, propagate_expectations,
                           required_substeps, tilted_spin_operators,
@@ -76,6 +77,29 @@ class TestHamiltonian:
                                        atol=1e-10 * np.max(np.abs(h)))
 
 
+class TestRealFrame:
+    def test_rotation_takes_y_locks_to_minus_x(self):
+        frame = np.exp(-0.5j * math.pi * np.diag(IZ + SZ).real)
+        np.testing.assert_allclose(oracle._FRAME, frame, rtol=0, atol=1e-15)
+        for op, rotated in ((IY, -IX), (SY, -SX), (IZ, IZ), (SZ, SZ),
+                            (IZSZ, IZSZ)):
+            assert np.array_equal(oracle._to_real_frame(op), rotated)
+
+    def test_substep_hamiltonians_are_real_symmetric(self, bench_coupling,
+                                                     slow_mas,
+                                                     bench_orientation):
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=11.0 * KHZ, offset_s=-3.0 * KHZ)
+        times = np.linspace(0.0, 4e-4, 9)
+        args = (rf, bench_coupling, bench_orientation, slow_mas, times)
+        h_real = oracle._hamiltonian(oracle._REAL_TERMS, *args)
+        assert h_real.dtype == np.float64
+        assert np.array_equal(h_real, np.swapaxes(h_real, -1, -2))
+        np.testing.assert_allclose(
+            h_real, oracle._to_real_frame(hamiltonian_at(*args)), rtol=0,
+            atol=1e-15 * np.max(np.abs(h_real)))
+
+
 def _embed(coeffs, space):
     """4x4 operator from its fictitious spin-1/2 expansion in one space."""
     out = np.zeros((4, 4), dtype=complex)
@@ -116,6 +140,10 @@ class TestMatrixExponentialStep:
         hs[3, 2, 0] += 1e-9
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_exponential_step(hs, 1e-6)
+        real = np.array([random_hermitian(rng).real for _ in range(5)])
+        real[3, 2, 0] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix_exponential_step(real, 1e-6)
 
     def test_stack_equals_scalar_calls(self, bench_coupling, slow_mas,
                                        bench_orientation):
@@ -133,6 +161,17 @@ class TestMatrixExponentialStep:
                                        atol=1e-14 * np.max(np.abs(h1)))
             np.testing.assert_allclose(u, matrix_exponential_step(h1, 1e-7),
                                        rtol=0, atol=1e-14)
+        # a real symmetric stack is exponentiated in real arithmetic and
+        # agrees with the same stack taken as complex
+        real = np.array([random_hermitian(np.random.default_rng(k)).real
+                         for k in range(7)]) * 1e5
+        u_real = matrix_exponential_step(real, 1e-6)
+        np.testing.assert_allclose(
+            u_real, matrix_exponential_step(real.astype(complex), 1e-6),
+            rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            u_real @ np.swapaxes(u_real, -1, -2).conj(),
+            np.broadcast_to(np.eye(4), u_real.shape), rtol=0, atol=1e-14)
 
 
 class TestPropagate:
@@ -212,22 +251,39 @@ class TestPropagate:
                                         bench_orientation, slow_mas, grid)
         assert np.max(np.abs(traj.sy - sy_blocks)) < 1e-8
 
-    def test_matches_per_substep_loop(self, bench_coupling, slow_mas,
+    @pytest.mark.parametrize("locks_khz,mas_khz,block,n_points", [
+        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, 41,
+                     id="unequal-offsets"),
+        pytest.param((80.0, 60.0, 0.0, 0.0), 2.0, None, 41,
+                     id="on-resonance-unequal-locks"),
+        pytest.param((80.0, 80.0, 20.0, 15.0), 0.0, None, 41,
+                     id="stationary"),
+        # one interval (3 substeps) per block of 5, and a scan over 38
+        # points in blocks of 5: whole blocks and a partial one
+        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, 5, 38,
+                     id="partial-blocks"),
+    ])
+    def test_matches_per_substep_loop(self, monkeypatch, locks_khz, mas_khz,
+                                      block, n_points, bench_coupling,
                                       bench_orientation):
-        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
-                      offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
-        grid = TimeGrid(dt=0.1e-6, n_points=41)
+        b1i, b1s, off_i, off_s = locks_khz
+        rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
+                      offset_i=off_i * KHZ, offset_s=off_s * KHZ)
+        spin = SpinningParams(omega_r=mas_khz * KHZ)
+        if block is not None:
+            monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
+        grid = TimeGrid(dt=0.1e-6, n_points=n_points)
         substeps = 3
-        assert required_substeps(rf, slow_mas, grid.dt) <= substeps
+        assert required_substeps(rf, spin, grid.dt) <= substeps
         i_e, s_e = tilted_spin_operators(effective_field(rf))
         out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
-                                     bench_orientation, slow_mas, grid,
+                                     bench_orientation, spin, grid,
                                      substeps=substeps)
         dt_sub = grid.dt / substeps
         rho = np.array(i_e, dtype=complex)
         expected = [[np.trace(s_e @ rho).real, np.trace(i_e @ rho).real]]
         for k in range((grid.n_points - 1) * substeps):
-            h = hamiltonian_at(rf, bench_coupling, bench_orientation, slow_mas,
+            h = hamiltonian_at(rf, bench_coupling, bench_orientation, spin,
                                (k + 0.5) * dt_sub)
             u = matrix_exponential_step(h, dt_sub)
             rho = u @ rho @ u.conj().T
@@ -236,6 +292,22 @@ class TestPropagate:
                                  np.trace(i_e @ rho).real])
         np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
                                    atol=1e-12)
+
+    def test_one_point_grid_gives_initial_expectations(self, bench_coupling,
+                                                       slow_mas,
+                                                       bench_orientation):
+        # no interval to propagate: the scan is empty
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
+        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
+                                     bench_orientation, slow_mas,
+                                     TimeGrid(dt=1e-6, n_points=1))
+        expected = [[np.trace(s_e @ i_e).real], [np.trace(i_e @ i_e).real]]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+        traj = propagate(IY, rf, bench_coupling, bench_orientation, slow_mas,
+                         TimeGrid(dt=1e-6, n_points=1))
+        assert (traj.sy[0], traj.iy[0], traj.dq_y[0]) == (0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("block", [1, 5, 24])
     def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
