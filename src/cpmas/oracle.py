@@ -5,29 +5,37 @@ Propagates the full time-dependent Hamiltonian
     H(t) = omega1_i*I_y + omega1_s*S_y + offset_i*I_z + offset_s*S_z + 2*d(t)*I_z*S_z
 
 in the 4-dimensional product space exactly (piecewise-constant midpoint
-Hamiltonians, unitaries from Hermitian eigendecomposition), independent of
-every closed-form result in `analytic`.  It is the ground truth the
-analytic curves are validated against.
+Hamiltonians, exactly-unitary substeps), independent of every closed-form
+result in `analytic`.  It is the ground truth the analytic curves are
+validated against.
 
 The full-space propagation runs in the frame rotated by
 R = exp(-i*pi/2*(I_z + S_z)), which is diagonal in the product basis and
 takes I_y -> -I_x and S_y -> -S_x while leaving I_z, S_z and I_z*S_z
 alone, so every substep Hamiltonian there is real symmetric for any locks
-and offsets and its eigendecomposition runs in real arithmetic.  rho(0)
+and offsets.  Its unitary U = cos(H*dt) - i*sin(H*dt) comes from
+`cos_sin_step`: a Taylor series in (H*dt)**2 with scaling and squaring,
+six real 4x4 matrix products and no eigendecomposition.  rho(0)
 and the observables are rotated once per propagation; Tr(O @ rho) is the
-same in either frame.
+same in either frame.  The block-wise (ZQ/DQ) propagation exponentiates
+its complex 2x2 blocks by `eigh` (`matrix_exponential_step`), so the
+cross-check between the two is independent in its exponential as well as
+in its block structure.
 
-One core serves both the full-space and the block-wise propagation: per
-block of about SUBSTEP_BLOCK substeps, the midpoint Hamiltonians are
-exponentiated in one batched call and the substep unitaries of each grid
-interval multiplied together (batched over intervals) into one
-(grid points, n, n) array.  A doubling prefix scan over that array turns
-the interval unitaries into propagators from t = 0, each propagator is
-replaced by the state it gives, and one einsum reads the observables off
-the states.  The scan and the state update work in place, SUBSTEP_BLOCK
-matrices at a time, so memory is one n x n complex matrix per grid point
-(256 B for n = 4) plus a few blocks, and does not grow with the substeps
-per interval.
+One core serves both and runs in real arithmetic: a complex n x n matrix
+M is carried as its real embedding [[Re M, -Im M], [Im M, Re M]], under
+which products stay products.  Per block of about SUBSTEP_BLOCK
+substeps, the midpoint Hamiltonians are exponentiated in one batched call
+and the substep unitaries of each grid interval multiplied together
+(batched over intervals).  A doubling prefix scan over the interval
+unitaries turns them into propagators from t = 0, each propagator gives
+its state, and Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the
+states.  Only the top half [Re P | -Im P] of each propagator's embedding
+is kept, in arrays of SUBSTEP_BLOCK grid points that the scan updates in
+place and the readout frees as it goes, so memory is n x 2n reals per
+grid point (256 B for n = 4, as a complex 4x4) plus a few blocks, and
+does not grow with the substeps per interval.  A whole propagation takes
+about 2.5 us per substep (a 2-vCPU Xeon, numpy 2.4.6).
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -48,6 +56,7 @@ direction and sigma_z is the coupling direction:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,14 +71,18 @@ HERMITICITY_TOL = 1e-12
 # Minimum sampling of the fastest coherent frequency by the midpoint rule.
 STEPS_PER_FASTEST_PERIOD = 50
 
-# Most substeps in one propagation (one 4x4 eigh each), checked before any
-# work: it bounds the work of a propagation, not its memory.
+# Most substeps in one propagation (one Taylor exponential of a real 4x4
+# each, about 2.5 us a substep with the rest of the work), checked before
+# any work: it bounds the work of a propagation, not its memory.
 MAX_SUBSTEPS = 10**6
 
-# Substeps held at once (~1 KiB each): whole grid intervals up to this many,
-# and an interval with more in chunks of this size.  The prefix scan and the
-# state update also take the grid's propagators this many at a time.
-SUBSTEP_BLOCK = 4096
+# Substeps held at once (~2 KiB of temporaries each): whole grid intervals up
+# to this many, and an interval with more in chunks of this size.  The grid's
+# propagators are also stored, scanned and read out this many at a time.  On
+# the `oracle-compare` benchmark 1024 read a lower median latency than 128
+# to 4096: smaller blocks pay more per-call numpy overhead, larger ones more
+# page faults, and from 2048 up the peak memory rises too.
+SUBSTEP_BLOCK = 1024
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -172,13 +185,23 @@ def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
     return _hamiltonian(_TERMS, rf, coupling, orient, spin, t)
 
 
+def _check_hermitian(h: np.ndarray) -> None:
+    h_t = np.swapaxes(h, -1, -2)
+    asym = np.max(np.abs(h - (h_t.conj() if np.iscomplexobj(h) else h_t)),
+                  initial=0.0)
+    if asym > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+
+
 def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Unitary exp(-i*h*dt) of a Hermitian matrix via eigendecomposition.
 
     ``h`` may be one (n, n) matrix or a (..., n, n) stack; the result has
     the same shape.  Real input stays real until the phases: it is checked
     for symmetry and decomposed by a real ``eigh``, and the unitary
-    (V * exp(-i*lambda*dt)) @ V^T is formed by batched matmul.
+    (V * exp(-i*lambda*dt)) @ V^T is formed by batched matmul.  This is the
+    exponential of the block-wise propagation; the full-space one is
+    `cos_sin_step`.
 
     Raises:
         ValueError: if ``h`` is not Hermitian within 1e-12 (max elementwise
@@ -186,13 +209,87 @@ def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0)
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    _check_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     evecs = evecs.astype(complex, copy=False)
     phases = np.exp(-1j * evals * dt)
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
+
+
+# cos_sin_step sums the Taylor series of cos X and sin X/X as polynomials of
+# degree 6 in Y = X @ X.  For ||X||_inf <= _TAYLOR_NORM the first omitted
+# term, X**14/14!, is below 5e-18.
+_TAYLOR_NORM = 0.35
+# Each doubling doubles the round-off; past 26 of them (2**26 * 1.1e-16 ~
+# 7e-9) cos_sin_step refuses the matrix rather than return it inaccurate.
+_TAYLOR_MAX_NORM = _TAYLOR_NORM * 2.0**26
+
+
+def _taylor_rows(odd: int) -> list[list[float]]:
+    """Series coefficients of cos X (odd = 0) or sin X/X (odd = 1) against
+    the powers (1, Y, Y^2, Y^3): those of Y^0 to Y^3, then those that the
+    product with Y^3 takes to Y^4 to Y^6."""
+    c = [(-1) ** k / math.factorial(2 * k + odd) for k in range(7)]
+    return [c[:4], [0.0, *c[4:]]]
+
+
+_TAYLOR_COEFFS = _frozen(np.array(_taylor_rows(0) + _taylor_rows(1)))
+
+
+def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(h*dt) and sin(h*dt) of a real symmetric h, without eigh.
+
+    exp(-i*h*dt) = c - 1j*s.  ``h`` may be one (n, n) matrix or a
+    (..., n, n) stack; c and s have its shape.  Each matrix X = h*dt is
+    halved s times, the fewest that take ||X||_inf below 0.35, so the
+    truncated Taylor series is exact to round-off; the results are then
+    doubled back s times by cos 2x = (c - s)(c + s) and sin 2x = 2cs.  s
+    is chosen per matrix, so a matrix's result does not depend on the
+    stack it is in.  Six real n x n matrix products per matrix, plus two
+    per doubling.  Round-off doubles with each doubling, to about
+    1e-16*||X||_inf beyond ||X||_inf = 0.35.
+
+    Raises:
+        ValueError: if ``h`` is not symmetric within 1e-12 (max elementwise
+            asymmetry over the stack), or ||h*dt||_inf is not finite or
+            exceeds 0.35 * 2**26 (2.3e7).
+    """
+    h = np.asarray(h, dtype=float)
+    _check_hermitian(h)
+    n = h.shape[-1]
+    x = (h * dt).reshape(-1, n, n)
+    # row sums of |X| by elementwise adds, which are faster than sums along
+    # a short axis and the same in any stack
+    ax = np.abs(x)
+    rows = sum(ax[..., k] for k in range(n))
+    top = rows.max(initial=0.0)
+    if not top <= _TAYLOR_MAX_NORM:
+        raise ValueError(
+            f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
+            "beyond which the Taylor exponential loses accuracy")
+    # halvings per matrix, none for a norm below _TAYLOR_NORM: a stack of
+    # such matrices skips the scaling
+    halvings = np.zeros(len(x), dtype=int)
+    if top >= _TAYLOR_NORM:
+        norm = functools.reduce(np.maximum, np.swapaxes(rows, 0, 1))
+        halvings = np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
+        x = np.ldexp(x, -halvings[:, None, None])
+    # powers[p] = Y**p
+    powers = np.empty((4, *x.shape))
+    powers[0] = np.eye(n)
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[1], powers[2], out=powers[3])
+    cos_lo, cos_hi, sinc_lo, sinc_hi = (
+        _TAYLOR_COEFFS @ powers.reshape(4, -1)).reshape(powers.shape)
+    c = cos_lo + powers[3] @ cos_hi
+    s = x @ (sinc_lo + powers[3] @ sinc_hi)
+    for k in range(int(halvings.max(initial=0))):
+        i = np.nonzero(halvings > k)[0]
+        ci, si = c[i], s[i]
+        c[i] = (ci - si) @ (ci + si)
+        s[i] = (2.0 * ci) @ si
+    return c.reshape(h.shape), s.reshape(h.shape)
 
 
 def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
@@ -217,11 +314,32 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _propagate(hamiltonians, rf: RfScheme, spin: SpinningParams,
+def _embedding(re: np.ndarray, neg_im: np.ndarray) -> np.ndarray:
+    """Real embedding [[Re M, -Im M], [Im M, Re M]] of the complex stack
+    M = re - 1j*neg_im, from its top half [re | neg_im]."""
+    n = re.shape[-1]
+    out = np.empty((*re.shape[:-2], 2 * n, 2 * n))
+    out[..., :n, :n] = re
+    out[..., n:, n:] = re
+    out[..., :n, n:] = neg_im
+    np.negative(neg_im, out=out[..., n:, :n])
+    return out
+
+
+def _rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Rows start to stop of arrays of SUBSTEP_BLOCK rows each, joined."""
+    return np.concatenate([
+        blocks[b][max(start - b * SUBSTEP_BLOCK, 0):stop - b * SUBSTEP_BLOCK]
+        for b in range(start // SUBSTEP_BLOCK,
+                       (stop - 1) // SUBSTEP_BLOCK + 1)])
+
+
+def _propagate(steps, rf: RfScheme, spin: SpinningParams,
                grid: TimeGrid, substeps: int | None, rho0: np.ndarray,
                observables) -> np.ndarray:
-    """Tr(O @ rho) per grid point; ``hamiltonians(t)`` stacks the
-    Hamiltonians at substep midpoint times t (substep j at (j + 1/2)*dt_sub).
+    """Tr(O @ rho) per grid point; ``steps(t, dt)`` gives the substep
+    unitaries U = a - 1j*b as the pair (a, b), for the Hamiltonians at
+    substep midpoint times t (substep j at (j + 1/2)*dt).
 
     ``substeps`` is checked against the step-size rule and ``MAX_SUBSTEPS``
     before any work; None picks the smallest count the rule allows.
@@ -242,38 +360,58 @@ def _propagate(hamiltonians, rf: RfScheme, spin: SpinningParams,
     dt_sub = grid.dt / substeps
     per_block = max(1, SUBSTEP_BLOCK // substeps)
     chunk = min(substeps, SUBSTEP_BLOCK)
-    # props[i + 1] is the unitary of interval i, then, after the scan, the
-    # propagator from t = 0 to grid point i + 1
-    props = np.empty((grid.n_points, n, n), dtype=complex)
-    props[0] = np.eye(n)
-    for first in range(0, intervals, per_block):
-        offsets = np.arange(first, min(first + per_block, intervals))
-        u = None
-        for k0 in range(0, substeps, chunk):
-            # j[k, i]: substep k0 + k of interval offsets[i]
-            j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
-                 + offsets * substeps)
-            t_mid = (j + 0.5) * dt_sub
-            steps = matrix_exponential_step(hamiltonians(t_mid.ravel()),
-                                            dt_sub).reshape(*j.shape, n, n)
-            for step in steps:
-                u = step if u is None else step @ u
-        props[first + 1:first + 1 + len(u)] = u
+    # Top halves of the propagators in arrays of SUBSTEP_BLOCK grid points,
+    # so that the readout can free them as it goes.  Point i + 1 holds the
+    # unitary of interval i, then, after the scan, the propagator from t = 0.
+    props = [np.empty((min(SUBSTEP_BLOCK, grid.n_points - g), n, 2 * n))
+             for g in range(0, grid.n_points, SUBSTEP_BLOCK)]
+    props[0][0] = np.eye(n, 2 * n)
+    for b, rows in enumerate(props):
+        g0 = b * SUBSTEP_BLOCK  # the grid point of rows[0]
+        end = g0 + len(rows) - 1  # intervals below end finish inside rows
+        for first in range(max(g0 - 1, 0), end, per_block):
+            offsets = np.arange(first, min(first + per_block, end))
+            u = None  # left halves [Re U; Im U] of the products so far
+            for k0 in range(0, substeps, chunk):
+                # j[k, i]: substep k0 + k of interval offsets[i]
+                j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
+                     + offsets * substeps)
+                t_mid = (j + 0.5) * dt_sub
+                emb = _embedding(*steps(t_mid.ravel(), dt_sub))
+                for step in emb.reshape(*j.shape, 2 * n, 2 * n):
+                    u = step[..., :n] if u is None else step @ u
+            p = rows[first + 1 - g0:][:len(u)]
+            p[..., :n] = u[:, :n]
+            np.negative(u[:, n:], out=p[..., n:])
     # doubling scan, in place: each pass updates the top block first, so a
     # block reads only entries the pass has not yet overwritten
     shift = 1
     while shift < grid.n_points:
-        for stop in range(grid.n_points, shift, -SUBSTEP_BLOCK):
-            start = max(shift, stop - SUBSTEP_BLOCK)
-            props[start:stop] = (props[start:stop]
-                                 @ props[start - shift:stop - shift])
+        for b in reversed(range(len(props))):
+            g0 = b * SUBSTEP_BLOCK
+            start, stop = max(shift, g0), g0 + len(props[b])
+            if start >= stop:
+                break
+            earlier = _rows(props, start - shift, stop - shift)
+            later = props[b][start - g0:]
+            later[...] = later @ _embedding(earlier[..., :n],
+                                            earlier[..., n:])
         shift *= 2
-    # each propagator P becomes the state P @ rho0 @ P^dagger, in place
-    for start in range(0, grid.n_points, SUBSTEP_BLOCK):
-        p = props[start:start + SUBSTEP_BLOCK]
-        p[...] = p @ rho0 @ np.swapaxes(p, -1, -2).conj()
+    # Each propagator P gives the state P @ rho0 @ P^dagger, and
+    # Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 pairs the top half of emb(rho)
+    # with the left half [Re O; Im O] of emb(O).  Each block's sums run
+    # along one contiguous axis, so they do not depend on the block size.
+    emb_rho0 = _embedding(rho0.real, -rho0.imag)
     obs = np.asarray(observables, dtype=complex)
-    return np.einsum("oij,nji->on", obs, props).real
+    obs = np.concatenate([obs.real, obs.imag], axis=-2)
+    obs = np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
+    out = []
+    for b in range(len(props)):
+        p, props[b] = props[b], None
+        rho = (p @ emb_rho0) @ np.swapaxes(
+            _embedding(p[..., :n], p[..., n:]), -1, -2)
+        out.append((rho.reshape(len(p), 1, -1) * obs).sum(axis=-1))
+    return np.concatenate(out).T
 
 
 def propagate_expectations(rho0: np.ndarray, observables,
@@ -297,7 +435,8 @@ def propagate_expectations(rho0: np.ndarray, observables,
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
     return _propagate(
-        lambda t: _hamiltonian(_REAL_TERMS, rf, coupling, orient, spin, t),
+        lambda t, dt: cos_sin_step(
+            _hamiltonian(_REAL_TERMS, rf, coupling, orient, spin, t), dt),
         rf, spin, grid, substeps, _to_real_frame(rho0),
         _to_real_frame(observables))
 
@@ -311,6 +450,11 @@ def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
     return Trajectory(grid=grid, sy=out[0], iy=out[1], dq_y=out[2])
 
 
+def _eigh_steps(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    u = matrix_exponential_step(h, dt)
+    return u.real, -u.imag
+
+
 def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
                         coupling: CouplingParams, orient: Orientation,
                         spin: SpinningParams, grid: TimeGrid,
@@ -321,7 +465,8 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     ([H_zq, H_dq] = 0), so evolving the two 2x2 blocks independently must
     reproduce the full 4x4 propagation; this provides the structural
     cross-check of that claim.  Each block of the full Hamiltonian stack is
-    exponentiated and propagated on its own.
+    exponentiated by `matrix_exponential_step` (``eigh``) and propagated on
+    its own.
 
     Raises:
         ValueError: for nonzero offsets (which couple the blocks), an
@@ -332,8 +477,8 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
         raise ValueError("block-wise propagation requires zero offsets")
     rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
     return sum(_propagate(
-        lambda t, idx=idx: _block(_in_y_basis(
-            hamiltonian_at(rf, coupling, orient, spin, t)), idx),
+        lambda t, dt, idx=idx: _eigh_steps(_block(_in_y_basis(
+            hamiltonian_at(rf, coupling, orient, spin, t)), idx), dt),
         rf, spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
         for idx in (_ZQ_IDX, _DQ_IDX))
 

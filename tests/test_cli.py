@@ -553,6 +553,19 @@ class TestSizeCaps:
         assert_one_error_line(capsys, message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_coupling_past_the_exponential_limit(self, tmp_path, capsys,
+                                                 command):
+        # d is not in the step-size rule, so a huge coupling reaches the
+        # substep exponential, which refuses it instead of writing nan
+        args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
+        args["--d-khz"] = "1e300"
+        out = tmp_path / "x.csv"
+        argv = [command, *(x for kv in args.items() for x in kv)]
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: ||h*dt||_inf = ")
+        assert not out.exists()
+
     def test_substep_cap_counts_substeps(self, tmp_path, monkeypatch):
         # 100 grid intervals x the 8 substeps the step-size rule asks for
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 800)

@@ -9,7 +9,8 @@ from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, dipolar_coupling_at, effective_field)
 from cpmas.oracle import (IX, IY, IZ, IZSZ, SX, SY, SZ, Trajectory,
-                          dq_constancy_report, fictitious_operator,
+                          cos_sin_step, dq_constancy_report,
+                          fictitious_operator,
                           hamiltonian_at,
                           matrix_exponential_step, propagate,
                           propagate_blockwise, propagate_expectations,
@@ -144,6 +145,8 @@ class TestMatrixExponentialStep:
         real[3, 2, 0] += 1e-9
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_exponential_step(real, 1e-6)
+        with pytest.raises(ValueError, match="Hermitian"):
+            cos_sin_step(real, 1e-6)
 
     def test_stack_equals_scalar_calls(self, bench_coupling, slow_mas,
                                        bench_orientation):
@@ -172,6 +175,73 @@ class TestMatrixExponentialStep:
         np.testing.assert_allclose(
             u_real @ np.swapaxes(u_real, -1, -2).conj(),
             np.broadcast_to(np.eye(4), u_real.shape), rtol=0, atol=1e-14)
+
+
+def random_symmetric_stack(rng, norms, n=4):
+    """Real symmetric n x n matrices with the given infinity norms."""
+    a = rng.normal(size=(len(norms), n, n))
+    a = a + np.swapaxes(a, -1, -2)
+    a /= np.abs(a).sum(-1).max(-1)[:, None, None]
+    return a * np.asarray(norms)[:, None, None]
+
+
+def inf_norms(h):
+    return np.abs(h).sum(-1).max(-1)
+
+
+class TestCosSinStep:
+    # ||h*dt||_inf from 1e-9 to 1e3, ten per decade: below 0.35 the Taylor
+    # series alone runs, above it up to 12 doublings
+    NORMS = np.logspace(-9, 3, 121)
+
+    def test_matches_eigh(self):
+        rng = np.random.default_rng(40)
+        dt = 1e-6
+        h = random_symmetric_stack(rng, self.NORMS) / dt
+        c, s = cos_sin_step(h, dt)
+        assert c.shape == s.shape == h.shape
+        assert c.dtype == s.dtype == np.float64
+        err = np.abs(c - 1j * s - matrix_exponential_step(h, dt))
+        scale = np.maximum(1.0, inf_norms(h * dt))
+        assert np.all(err.max(axis=(-1, -2)) <= 1e-14 * scale)
+
+    def test_embedding_is_orthogonal(self):
+        # each doubling doubles the round-off, so beyond ||X||_inf = 1 the
+        # bound grows with the norm, as the agreement with eigh does
+        rng = np.random.default_rng(41)
+        x = random_symmetric_stack(rng, self.NORMS)
+        c, s = cos_sin_step(x, 1.0)
+        emb = np.block([[c, s], [-s, c]])
+        dev = np.abs(emb @ np.swapaxes(emb, -1, -2) - np.eye(8))
+        assert np.all(dev.max(axis=(-1, -2))
+                      <= 1e-14 * np.maximum(1.0, self.NORMS))
+
+    def test_zero_gives_identity(self):
+        c, s = cos_sin_step(np.zeros((3, 4, 4)), 1e-6)
+        assert np.array_equal(c, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert np.array_equal(s, np.zeros((3, 4, 4)))
+
+    def test_result_does_not_depend_on_neighbours(self):
+        # halvings are chosen per matrix: small matrices next to ones that
+        # need 10+ doublings give the bits they give alone
+        rng = np.random.default_rng(42)
+        norms = [1e-6, 2e3, 0.3, 5e2, 0.36, 1e3, 0.05]
+        x = random_symmetric_stack(rng, norms)
+        c, s = cos_sin_step(x, 1.0)
+        for k in range(len(norms)):
+            ck, sk = cos_sin_step(x[k], 1.0)
+            assert ck.shape == (4, 4)
+            assert np.array_equal(ck, c[k]) and np.array_equal(sk, s[k])
+            ck, sk = cos_sin_step(x[k:k + 2], 1.0)
+            assert np.array_equal(ck[0], c[k]) and np.array_equal(sk[0], s[k])
+
+    @pytest.mark.parametrize("norm", [2.4e7, 1e300, np.nan])
+    def test_rejects_norms_past_the_doubling_limit(self, norm):
+        x = random_symmetric_stack(np.random.default_rng(44), [1.0, 1.0])
+        x[1] *= norm
+        with pytest.raises(ValueError, match="exceeds 2.35e"):
+            cos_sin_step(x, 1.0)
+        cos_sin_step(x[:1] * 2.3e7, 1.0)
 
 
 class TestPropagate:
@@ -241,6 +311,46 @@ class TestPropagate:
         assert abs(np.trace(rho) - trace0) < 1e-8
         assert abs(np.trace(rho @ rho) - purity0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+
+    def test_real_path_unitarity_over_1e5_substeps(self, matched_rf,
+                                                    bench_coupling, slow_mas,
+                                                    bench_orientation):
+        # 1e5 real-frame substeps through cos_sin_step, composed on the
+        # real embedding as the propagation core composes them
+        dt = 0.05e-6
+        times = (np.arange(100000) + 0.5) * dt
+        h = oracle._hamiltonian(oracle._REAL_TERMS, matched_rf,
+                                bench_coupling, bench_orientation, slow_mas,
+                                times)
+        steps = oracle._embedding(*cos_sin_step(h, dt))
+        p = np.eye(8)
+        for step in steps:
+            p = step @ p
+        assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
+        u = p[:4, :4] + 1j * p[4:, :4]
+        rho0 = oracle._to_real_frame(IY)
+        rho = u @ rho0 @ u.conj().T
+        assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-8
+        assert abs(np.trace(rho @ rho) - np.trace(rho0 @ rho0)) <= 1e-8
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+
+    def test_full_space_makes_no_eigh_call(self, monkeypatch, matched_rf,
+                                           bench_coupling, slow_mas,
+                                           bench_orientation):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
+                TimeGrid(dt=1e-6, n_points=41))
+        propagate(*args)
+        assert calls == []
+        propagate_blockwise(*args)
+        assert calls and all(shape[-2:] == (2, 2) for shape in calls)
 
     def test_blockwise_equals_full_space(self, matched_rf, bench_coupling,
                                          slow_mas, bench_orientation):
