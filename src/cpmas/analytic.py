@@ -56,8 +56,8 @@ class RelaxationParams:
     t1rho: float = math.inf
 
     def __post_init__(self):
-        if not self.m0 > 0.0:
-            raise ValueError(f"m0 must be > 0, got {self.m0}")
+        if not (math.isfinite(self.m0) and self.m0 > 0.0):
+            raise ValueError(f"m0 must be finite and > 0, got {self.m0}")
         if not (self.r >= 0.0 and self.r1 >= 0.0):
             raise ValueError("rates r and r1 must be >= 0")
         if not self.t1rho > 0.0:

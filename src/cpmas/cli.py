@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -142,6 +143,13 @@ COMMAND_OPTS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, and takes a
+        # value such as -2.7e-05 for an unknown option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -258,10 +266,17 @@ def _rf_from(resolved) -> RfScheme | None:
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
     try:
-        return RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
-                        offset_i=off_i * KHZ, offset_s=off_s * KHZ)
+        rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
+                      offset_i=off_i * KHZ, offset_s=off_s * KHZ)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        effective_field(rf)
+    except ValueError as exc:
+        raise ConfigError(
+            f"an offset this large against its lock amplitude turns the "
+            f"effective field onto the z axis ({exc})") from exc
+    return rf
 
 
 def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:

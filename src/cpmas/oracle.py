@@ -13,11 +13,15 @@ The full-space propagation runs in the frame rotated by
 R = exp(-i*pi/2*(I_z + S_z)), which is diagonal in the product basis and
 takes I_y -> -I_x and S_y -> -S_x while leaving I_z, S_z and I_z*S_z
 alone, so every substep Hamiltonian there is real symmetric for any locks
-and offsets.  Its unitary U = cos(H*dt) - i*sin(H*dt) comes from
-`cos_sin_step`: a Taylor series in (H*dt)**2 with scaling and squaring,
-six real 4x4 matrix products and no eigendecomposition.  rho(0)
-and the observables are rotated once per propagation; Tr(O @ rho) is the
-same in either frame.  The block-wise (ZQ/DQ) propagation exponentiates
+and offsets.  There H(t) = H0 + 2*d(t)*I_z*S_z with H0 fixed, so the
+substep unitaries all lie on one curve in the scalar d(t): a substep
+table (`_substep_table`) exponentiates the Hamiltonians at a few
+Chebyshev points of the coupling range once per propagation, by
+`cos_sin_step` (a Taylor series in (H*dt)**2 with scaling and squaring,
+no eigendecomposition), and evaluates every substep as a Chebyshev
+series in d(t), exact to round-off.  rho(0) and the observables are
+rotated once per propagation; Tr(O @ rho) is the same in either frame.
+The block-wise (ZQ/DQ) propagation exponentiates
 its complex 2x2 blocks by `eigh` (`matrix_exponential_step`), so the
 cross-check between the two is independent in its exponential as well as
 in its block structure.
@@ -25,8 +29,8 @@ in its block structure.
 One core serves both and runs in real arithmetic: a complex n x n matrix
 M is carried as its real embedding [[Re M, -Im M], [Im M, Re M]], under
 which products stay products.  Per block of about SUBSTEP_BLOCK
-substeps, the midpoint Hamiltonians are exponentiated in one batched call
-and the substep unitaries of each grid interval multiplied together
+substeps, the substep unitaries at the midpoint times are formed in one
+batched call and those of each grid interval multiplied together
 (batched over intervals).  A doubling prefix scan over the interval
 unitaries turns them into propagators from t = 0, each propagator gives
 its state, and Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the
@@ -34,8 +38,8 @@ states.  Only the top half [Re P | -Im P] of each propagator's embedding
 is kept, in arrays of SUBSTEP_BLOCK grid points that the scan updates in
 place and the readout frees as it goes, so memory is n x 2n reals per
 grid point (256 B for n = 4, as a complex 4x4) plus a few blocks, and
-does not grow with the substeps per interval.  A whole propagation takes
-about 2.5 us per substep (a 2-vCPU Xeon, numpy 2.4.6).
+does not grow with the substeps per interval.  A whole full-space
+propagation takes about 0.9 us per substep (a 2-vCPU Xeon, numpy 2.4.6).
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -63,25 +67,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
-                   SpinningParams, TimeGrid, dipolar_coupling_at,
-                   effective_field)
+                   SpinningParams, TimeGrid, _coefficients,
+                   dipolar_coupling_at, effective_field)
 
 HERMITICITY_TOL = 1e-12
 
 # Minimum sampling of the fastest coherent frequency by the midpoint rule.
 STEPS_PER_FASTEST_PERIOD = 50
 
-# Most substeps in one propagation (one Taylor exponential of a real 4x4
-# each, about 2.5 us a substep with the rest of the work), checked before
-# any work: it bounds the work of a propagation, not its memory.
+# Most substeps in one propagation (a Chebyshev series from the substep
+# table and one real 8x8 product each, about 0.9 us a substep with the rest
+# of the work), checked before any work: it bounds the work of a
+# propagation, not its memory.
 MAX_SUBSTEPS = 10**6
 
-# Substeps held at once (~2 KiB of temporaries each): whole grid intervals up
-# to this many, and an interval with more in chunks of this size.  The grid's
-# propagators are also stored, scanned and read out this many at a time.  On
-# the `oracle-compare` benchmark 1024 read a lower median latency than 128
-# to 4096: smaller blocks pay more per-call numpy overhead, larger ones more
-# page faults, and from 2048 up the peak memory rises too.
+# Substeps held at once (~0.6 KiB of temporaries each): whole grid intervals
+# up to this many, and an interval with more in chunks of this size.  The
+# grid's propagators are also stored, scanned and read out this many at a
+# time.  On the `oracle-compare` benchmark, with the substep table, 1024
+# read a lower median latency than 512 and 4096 in 3 of 3 pairs each; 2048
+# read lower in 2 of 3 but at a higher peak memory in all 3, as 4096 did
+# (+2 MiB).
 SUBSTEP_BLOCK = 1024
 
 
@@ -162,14 +168,19 @@ def _to_real_frame(op) -> np.ndarray:
 _REAL_TERMS = tuple(_frozen(_to_real_frame(op).real) for op in _TERMS)
 
 
+def _lock_hamiltonian(terms, rf: RfScheme) -> np.ndarray:
+    """The time-independent part of H (locks and offsets) from ``terms``."""
+    iy, sy, iz, sz, _ = terms
+    return (rf.omega1_i * iy + rf.omega1_s * sy
+            + rf.offset_i * iz + rf.offset_s * sz)
+
+
 def _hamiltonian(terms, rf: RfScheme, coupling: CouplingParams,
                  orient: Orientation, spin: SpinningParams, t) -> np.ndarray:
     """H(t) from the operators ``terms``: I_y, S_y, I_z, S_z and I_z*S_z."""
-    iy, sy, iz, sz, izsz = terms
     d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
-    h0 = (rf.omega1_i * iy + rf.omega1_s * sy
-          + rf.offset_i * iz + rf.offset_s * sz)
-    return h0 + (2.0 * d_t)[..., None, None] * izsz
+    return (_lock_hamiltonian(terms, rf)
+            + (2.0 * d_t)[..., None, None] * terms[4])
 
 
 def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
@@ -236,6 +247,29 @@ def _taylor_rows(odd: int) -> list[list[float]]:
 _TAYLOR_COEFFS = _frozen(np.array(_taylor_rows(0) + _taylor_rows(1)))
 
 
+def _halvings(x: np.ndarray) -> np.ndarray:
+    """The fewest halvings that take each ||X||_inf of the (m, n, n) stack
+    ``x`` below _TAYLOR_NORM.
+
+    Raises:
+        ValueError: if a norm is not finite or exceeds _TAYLOR_MAX_NORM.
+    """
+    # row sums of |X| by elementwise adds, which are faster than sums along
+    # a short axis and the same in any stack
+    ax = np.abs(x)
+    rows = sum(ax[..., k] for k in range(x.shape[-1]))
+    top = rows.max(initial=0.0)
+    if not top <= _TAYLOR_MAX_NORM:
+        raise ValueError(
+            f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
+            "beyond which the Taylor exponential loses accuracy")
+    # a stack whose norms are all below _TAYLOR_NORM skips the scaling
+    if top < _TAYLOR_NORM:
+        return np.zeros(len(x), dtype=int)
+    norm = functools.reduce(np.maximum, np.swapaxes(rows, 0, 1))
+    return np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
+
+
 def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """cos(h*dt) and sin(h*dt) of a real symmetric h, without eigh.
 
@@ -258,21 +292,8 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     _check_hermitian(h)
     n = h.shape[-1]
     x = (h * dt).reshape(-1, n, n)
-    # row sums of |X| by elementwise adds, which are faster than sums along
-    # a short axis and the same in any stack
-    ax = np.abs(x)
-    rows = sum(ax[..., k] for k in range(n))
-    top = rows.max(initial=0.0)
-    if not top <= _TAYLOR_MAX_NORM:
-        raise ValueError(
-            f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
-            "beyond which the Taylor exponential loses accuracy")
-    # halvings per matrix, none for a norm below _TAYLOR_NORM: a stack of
-    # such matrices skips the scaling
-    halvings = np.zeros(len(x), dtype=int)
-    if top >= _TAYLOR_NORM:
-        norm = functools.reduce(np.maximum, np.swapaxes(rows, 0, 1))
-        halvings = np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
+    halvings = _halvings(x)
+    if halvings.any():
         x = np.ldexp(x, -halvings[:, None, None])
     # powers[p] = Y**p
     powers = np.empty((4, *x.shape))
@@ -326,6 +347,83 @@ def _embedding(re: np.ndarray, neg_im: np.ndarray) -> np.ndarray:
     return out
 
 
+# The substep table interpolates to within this bound (in the 2-norm) before
+# round-off.
+_TABLE_ERROR = 2.0**-56
+
+
+def _table_degree(a: float) -> int:
+    """Smallest Chebyshev degree n with a**(n+1)/(2**n*(n+1)!) <= 2**-56.
+
+    That is the interpolation error bound at the n+1 Chebyshev points for a
+    function of x in [-1, 1] whose k-th derivative is bounded by a**k.
+    """
+    n = 0
+    while a ** (n + 1) / (2.0**n * math.factorial(n + 1)) > _TABLE_ERROR:
+        n += 1
+    return n
+
+
+def _substep_table(rf: RfScheme, coupling: CouplingParams,
+                   orient: Orientation, spin: SpinningParams, dt: float):
+    """``steps(t)``: the embedded real-frame substep unitaries
+    exp(-i*H(t)*dt) for substep midpoint times t, from a table in d(t).
+
+    In the real frame H(t) = H0 + c*Z with H0 the locks and offsets,
+    Z = I_z*S_z and c = 2*d(t), so every substep unitary is a point on the
+    curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |c| <= w =
+    2|d|*(|c1|/2 + c2), so with c = w*x for x in [-1, 1] the k-th
+    derivative in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4; the
+    table exponentiates the n + 1 Chebyshev-point Hamiltonians that
+    `_table_degree` asks for in one `cos_sin_step` call (which checks
+    their symmetry, and so that of every substep, as Z is diagonal) and
+    evaluates each substep as [T_0(x), ..., T_n(x)] @ coefficients, one
+    real product giving the 8x8 embedding.  When the bounding Hamiltonians
+    H0 +- w*Z have ||H*dt||_inf >= 0.35 the table is built for dt/2**s,
+    with s the halvings `cos_sin_step` would take, and each step is
+    squared s times; past its doubling limit they are refused the same way.
+    """
+    h0 = _lock_hamiltonian(_REAL_TERMS, rf)
+    z = _REAL_TERMS[4]
+    c1, c2 = _coefficients(orient.beta)
+    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2)
+    squarings = int(_halvings(np.stack([h0 - w * z, h0 + w * z]) * dt).max())
+    sub_dt = math.ldexp(dt, -squarings)
+    n = _table_degree(0.25 * w * sub_dt)
+    theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
+    nodes = _embedding(*cos_sin_step(
+        h0 + (w * np.cos(theta))[:, None, None] * z, sub_dt)).reshape(n + 1, -1)
+    # coefficient j = (2/(n+1)) * sum over nodes k of U(x_k)*T_j(x_k), with
+    # T_j(x_k) = cos(j*theta_k), and the mean of the U(x_k) for j = 0.  The
+    # T_j with j >= 1 sum to 0 over the nodes, so those coefficients are
+    # summed from the deviations from the mean, without cancellation.
+    mean = nodes.mean(axis=0)
+    coeffs = (2.0 / (n + 1)) * (np.cos(np.outer(np.arange(n + 1), theta))
+                                @ (nodes - mean))
+    coeffs[0] = mean
+    scale = 2.0 / w if w > 0.0 else 0.0
+    dim = 2 * len(h0)
+
+    def steps(t: np.ndarray) -> np.ndarray:
+        x = dipolar_coupling_at(coupling, orient, spin, t) * scale
+        # a one-row product would go to gemv, whose bits differ from those
+        # of a gemm row: evaluate at least two rows
+        x = np.resize(x, max(len(x), 2))
+        cheb = np.empty((n + 1, len(x)))  # T_j(x) in row j
+        cheb[0] = 1.0
+        if n:
+            cheb[1] = x
+        x2 = 2.0 * x
+        for j in range(2, n + 1):
+            cheb[j] = x2 * cheb[j - 1] - cheb[j - 2]
+        out = (cheb.T @ coeffs)[:len(t)].reshape(len(t), dim, dim)
+        for _ in range(squarings):
+            out = out @ out
+        return out
+
+    return steps
+
+
 def _rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
     """Rows start to stop of arrays of SUBSTEP_BLOCK rows each, joined."""
     return np.concatenate([
@@ -334,12 +432,13 @@ def _rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
                        (stop - 1) // SUBSTEP_BLOCK + 1)])
 
 
-def _propagate(steps, rf: RfScheme, spin: SpinningParams,
+def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
                grid: TimeGrid, substeps: int | None, rho0: np.ndarray,
                observables) -> np.ndarray:
-    """Tr(O @ rho) per grid point; ``steps(t, dt)`` gives the substep
-    unitaries U = a - 1j*b as the pair (a, b), for the Hamiltonians at
-    substep midpoint times t (substep j at (j + 1/2)*dt).
+    """Tr(O @ rho) per grid point; ``make_steps(dt)`` returns ``steps(t)``,
+    which gives the real embeddings of the substep unitaries of length dt
+    for the Hamiltonians at substep midpoint times t (substep j at
+    (j + 1/2)*dt).
 
     ``substeps`` is checked against the step-size rule and ``MAX_SUBSTEPS``
     before any work; None picks the smallest count the rule allows.
@@ -358,6 +457,7 @@ def _propagate(steps, rf: RfScheme, spin: SpinningParams,
             f"{substeps}) exceed the limit of {MAX_SUBSTEPS} per propagation")
     n = rho0.shape[-1]
     dt_sub = grid.dt / substeps
+    steps = make_steps(dt_sub)
     per_block = max(1, SUBSTEP_BLOCK // substeps)
     chunk = min(substeps, SUBSTEP_BLOCK)
     # Top halves of the propagators in arrays of SUBSTEP_BLOCK grid points,
@@ -377,7 +477,7 @@ def _propagate(steps, rf: RfScheme, spin: SpinningParams,
                 j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
                      + offsets * substeps)
                 t_mid = (j + 0.5) * dt_sub
-                emb = _embedding(*steps(t_mid.ravel(), dt_sub))
+                emb = steps(t_mid.ravel())
                 for step in emb.reshape(*j.shape, 2 * n, 2 * n):
                     u = step[..., :n] if u is None else step @ u
             p = rows[first + 1 - g0:][:len(u)]
@@ -435,8 +535,7 @@ def propagate_expectations(rho0: np.ndarray, observables,
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
     return _propagate(
-        lambda t, dt: cos_sin_step(
-            _hamiltonian(_REAL_TERMS, rf, coupling, orient, spin, t), dt),
+        functools.partial(_substep_table, rf, coupling, orient, spin),
         rf, spin, grid, substeps, _to_real_frame(rho0),
         _to_real_frame(observables))
 
@@ -450,9 +549,15 @@ def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
     return Trajectory(grid=grid, sy=out[0], iy=out[1], dq_y=out[2])
 
 
-def _eigh_steps(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    u = matrix_exponential_step(h, dt)
-    return u.real, -u.imag
+def _eigh_steps(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
+                spin: SpinningParams, idx, dt: float):
+    """``steps(t)`` for the (idx, idx) y-basis block, exponentiated by eigh."""
+    def steps(t: np.ndarray) -> np.ndarray:
+        u = matrix_exponential_step(_block(_in_y_basis(
+            hamiltonian_at(rf, coupling, orient, spin, t)), idx), dt)
+        return _embedding(u.real, -u.imag)
+
+    return steps
 
 
 def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
@@ -477,8 +582,7 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
         raise ValueError("block-wise propagation requires zero offsets")
     rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
     return sum(_propagate(
-        lambda t, dt, idx=idx: _eigh_steps(_block(_in_y_basis(
-            hamiltonian_at(rf, coupling, orient, spin, t)), idx), dt),
+        functools.partial(_eigh_steps, rf, coupling, orient, spin, idx),
         rf, spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
         for idx in (_ZQ_IDX, _DQ_IDX))
 

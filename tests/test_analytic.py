@@ -218,6 +218,12 @@ class TestRelaxationParams:
             RelaxationParams(t1rho=0.0)
         RelaxationParams(t1rho=math.inf)
 
+    @pytest.mark.parametrize("m0", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_m0(self, m0):
+        # an infinite amplitude times the bracket's 0 at t = 0 writes nan
+        with pytest.raises(ValueError, match="m0 must be finite and > 0"):
+            RelaxationParams(m0=m0)
+
 
 class TestCpCurveValidation:
     def test_length_mismatch(self):

@@ -453,6 +453,39 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         assert run([]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["simulate", "powder", "oracle",
+                                         "compare"])
+    @pytest.mark.parametrize("flag", ["--offset-i-khz=1e10",
+                                      "--offset-i-khz=-1e10"])
+    def test_offset_that_tilts_the_lock_onto_z(self, tmp_path, capsys,
+                                               command, flag):
+        # against an 80 kHz lock the tilt angle rounds to 0 (or pi)
+        base = POWDER_ARGS if command == "powder" else BENCH_SIM
+        out = tmp_path / "x.csv"
+        assert run([command, *base, "--b1i-khz", "80", "--b1s-khz", "80",
+                    flag, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: an offset this large against "
+                              "its lock amplitude turns the effective field")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-2.7e-05", "-1E-3", "-.5e+1", "-4."])
+    def test_negative_value_in_any_float_form(self, tmp_path, value):
+        out = tmp_path / "x.csv"
+        assert run(["oracle", *BENCH_SIM[:-4], "--tmax-us", "10", "--dt-us",
+                    "1", "--b1i-khz", "80", "--b1s-khz", "80",
+                    "--offset-i-khz", value, "--offset-s-khz", value,
+                    "--out", str(out)]) == EXIT_OK
+        assert f"# offset-i-khz = {float(value)!r}" in out.read_text()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_m0_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "p.csv"
+        assert run(["powder", *POWDER_ARGS, "--m0", value, "--r-inv-us",
+                    "100", "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: bad relaxation parameters: "
+                              f"m0 must be finite and > 0, got {value}")
+        assert not out.exists()
+
 
 class TestGoldenLines:
     """Lines that no platform's floating point can change, pinned byte for

@@ -244,6 +244,124 @@ class TestCosSinStep:
         cos_sin_step(x[:1] * 2.3e7, 1.0)
 
 
+def taylor_steps(rf, coupling, orient, spin, times, dt):
+    """Embedded real-frame substep unitaries, one cos_sin_step each."""
+    h = oracle._hamiltonian(oracle._REAL_TERMS, rf, coupling, orient, spin,
+                            times)
+    return oracle._embedding(*cos_sin_step(h, dt)), inf_norms(h * dt)
+
+
+class TestSubstepTable:
+    MATCHED = (80.0, 80.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("locks_khz,d_khz,mas_khz,dt,squares", [
+        pytest.param(MATCHED, 2.5, 2.0, 1e-7, False, id="matched"),
+        pytest.param(MATCHED, 0.0, 2.0, 1e-7, False, id="no-coupling"),
+        pytest.param(MATCHED, -4.0, 7.0, 1e-7, False, id="negative-d"),
+        pytest.param(MATCHED, 2.5, 0.0, 1e-7, False, id="stationary"),
+        pytest.param((80.0, 60.0, 20.0, -15.0), 2.5, 2.0, 1e-7, False,
+                     id="off-resonance"),
+        # a = w*dt/4 ~ 1.9: the table is built for dt/8 and squared 3 times
+        pytest.param((80.0, 60.0, 20.0, -15.0), 3000.0, 2.0, 1e-7, True,
+                     id="squaring"),
+    ])
+    def test_matches_cos_sin_step(self, monkeypatch, locks_khz, d_khz,
+                                  mas_khz, dt, squares, bench_orientation):
+        b1i, b1s, off_i, off_s = locks_khz
+        rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
+                      offset_i=off_i * KHZ, offset_s=off_s * KHZ)
+        coupling = CouplingParams(d=d_khz * KHZ)
+        spin = SpinningParams(omega_r=mas_khz * KHZ)
+        h0, z = oracle._lock_hamiltonian(oracle._REAL_TERMS, rf), IZSZ.real
+        # |2*d(t)| <= w for every t
+        beta = bench_orientation.beta
+        w = 2.0 * abs(coupling.d) * (math.sqrt(2.0) * abs(math.sin(2 * beta))
+                                     + math.sin(beta) ** 2)
+        node_dts = []
+        taylor = oracle.cos_sin_step
+
+        def recording(h, step):
+            node_dts.append(step)
+            return taylor(h, step)
+
+        monkeypatch.setattr(oracle, "cos_sin_step", recording)
+        steps = oracle._substep_table(rf, coupling, bench_orientation, spin,
+                                      dt)
+        assert node_dts == [dt / 8 if squares else dt]
+        # substep midpoints over one rotor period at 2 kHz
+        times = (np.arange(5000) + 0.5) * dt
+        expected, norms = taylor_steps(rf, coupling, bench_orientation, spin,
+                                       times, dt)
+        got = steps(times)
+        assert got.shape == (5000, 8, 8)
+        err = np.abs(got - expected).max(axis=(-1, -2))
+        if squares:
+            # every step is squared as often as the largest Hamiltonian the
+            # table covers, H0 +- w*Z, needs, and each squaring doubles the
+            # round-off: the bound follows that norm
+            norms = np.maximum(norms, inf_norms(np.stack(
+                [h0 - w * z, h0 + w * z]) * dt).max())
+        assert np.all(err <= 1e-14 * np.maximum(1.0, norms))
+        # a single substep gets the bits it gets in any stack
+        for k in (0, 1234, 4999):
+            assert np.array_equal(steps(times[k:k + 1])[0], got[k])
+            assert np.array_equal(steps(times[k:k + 2])[0], got[k])
+
+    @pytest.mark.parametrize("a", [0.0, 1e-6, 1e-3, 7.5e-3, 0.1, 0.35, 1.0])
+    def test_degree_is_the_smallest_within_the_bound(self, a):
+        def bound(n):
+            return a ** (n + 1) / (2.0**n * math.factorial(n + 1))
+
+        n = oracle._table_degree(a)
+        assert bound(n) <= 2.0**-56
+        assert n == 0 or bound(n - 1) > 2.0**-56
+        if a <= 0.01:
+            assert n <= 5
+
+    def test_one_table_per_propagation(self, monkeypatch, matched_rf,
+                                       bench_coupling, slow_mas,
+                                       bench_orientation):
+        counts = []
+        taylor = oracle.cos_sin_step
+
+        def counting(h, dt):
+            counts.append(len(h))
+            return taylor(h, dt)
+
+        monkeypatch.setattr(oracle, "cos_sin_step", counting)
+        grid = TimeGrid(dt=1e-6, n_points=1001)  # 1000 intervals x 8
+        propagate(IY, matched_rf, bench_coupling, bench_orientation,
+                  slow_mas, grid)
+        assert len(counts) == 1
+        assert 1 <= counts[0] <= 6
+
+    def test_unitarity_over_1e5_substeps(self, matched_rf, bench_coupling,
+                                         slow_mas, bench_orientation):
+        # criterion 9's bounds on 1e5 table substeps, composed on the real
+        # embedding as the propagation core composes them
+        dt = 0.05e-6
+        steps = oracle._substep_table(matched_rf, bench_coupling,
+                                      bench_orientation, slow_mas, dt)(
+            (np.arange(100000) + 0.5) * dt)
+        p = np.eye(8)
+        for step in steps:
+            p = step @ p
+        assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
+        u = p[:4, :4] + 1j * p[4:, :4]
+        rho0 = oracle._to_real_frame(IY)
+        rho = u @ rho0 @ u.conj().T
+        assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-8
+        assert abs(np.trace(rho @ rho) - np.trace(rho0 @ rho0)) <= 1e-8
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+
+    def test_refuses_coupling_past_the_doubling_limit(self, matched_rf,
+                                                      slow_mas,
+                                                      bench_orientation):
+        with pytest.raises(ValueError, match="exceeds 2.35e"):
+            oracle._substep_table(matched_rf, CouplingParams(d=1e303),
+                                  bench_orientation, slow_mas, 1e-7)
+
+
 class TestPropagate:
     def test_no_coupling_is_static(self, matched_rf, slow_mas):
         grid = TimeGrid(dt=1e-6, n_points=101)
@@ -419,7 +537,7 @@ class TestPropagate:
                          TimeGrid(dt=1e-6, n_points=1))
         assert (traj.sy[0], traj.iy[0], traj.dq_y[0]) == (0.0, 1.0, 0.5)
 
-    @pytest.mark.parametrize("block", [1, 5, 24])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
     def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
                                                   matched_rf, bench_coupling,
                                                   slow_mas, bench_orientation):
@@ -433,6 +551,19 @@ class TestPropagate:
         for name in ("sy", "iy", "dq_y"):
             assert np.array_equal(getattr(small, name), getattr(full, name))
         assert np.array_equal(propagate_blockwise(*args), blocks)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
+    def test_substep_blocks_do_not_change_results_off_resonance(
+            self, monkeypatch, block, bench_coupling, slow_mas,
+            bench_orientation):
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
+        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        args = (i_e, (s_e, i_e, oracle.DQ_Y), rf, bench_coupling,
+                bench_orientation, slow_mas, TimeGrid(dt=1e-6, n_points=41))
+        full = propagate_expectations(*args)
+        monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
+        assert np.array_equal(propagate_expectations(*args), full)
 
     def test_blockwise_step_rule_violation_names_required_substeps(
             self, matched_rf, bench_coupling, slow_mas, bench_orientation):
