@@ -224,10 +224,17 @@ def write_curve_csv(path, columns: dict[str, np.ndarray],
                     echo: list[str]) -> None:
     """Write comment echo lines, a header row of the column names, then one
     row of repr-formatted values per sample."""
-    lines = [*echo, ",".join(columns)]
     values = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
-    lines.extend(",".join(map(repr, row)) for row in zip(*values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = min(map(len, values), default=0)
+    step = 2 * len(values)
+    # each value followed by its separator: "," within a row, "\n" at its end
+    cells = [","] * (step * rows)
+    if rows:
+        for c, col in enumerate(values):
+            cells[2 * c::step] = map(repr, col[:rows])
+        cells[step - 1::step] = ["\n"] * rows
+    head = "\n".join([*echo, ",".join(columns)]) + "\n"
+    Path(path).write_text(head + "".join(cells), encoding="utf-8")
 
 
 def read_curve_csv(path) -> dict[str, np.ndarray]:

@@ -31,15 +31,17 @@ M is carried as its real embedding [[Re M, -Im M], [Im M, Re M]], under
 which products stay products.  Per block of about SUBSTEP_BLOCK
 substeps, the substep unitaries at the midpoint times are formed in one
 batched call and those of each grid interval multiplied together
-(batched over intervals).  A doubling prefix scan over the interval
-unitaries turns them into propagators from t = 0, each propagator gives
-its state, and Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the
-states.  Only the top half [Re P | -Im P] of each propagator's embedding
-is kept, in arrays of SUBSTEP_BLOCK grid points that the scan updates in
-place and the readout frees as it goes, so memory is n x 2n reals per
-grid point (256 B for n = 4, as a complex 4x4) plus a few blocks, and
-does not grow with the substeps per interval.  A whole full-space
-propagation takes about 0.9 us per substep (a 2-vCPU Xeon, numpy 2.4.6).
+(batched over intervals).  A two-level prefix scan (`_scan`) over the
+interval unitaries turns them into propagators from t = 0 in about two
+products per grid point, each propagator gives its state, and
+Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the states.  Only the
+top half [Re P | -Im P] of each propagator's embedding is kept, in one
+array that the scan updates in place, so memory is n x 2n reals per grid
+point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
+block, and does not grow with the substeps per interval.  A whole
+full-space propagation takes about 0.4 us per substep on inputs of 200-1000
+grid points (a 2-vCPU Xeon, numpy 2.4.6): forming and composing the
+substeps ~57% of it, the readout ~19%, the scan ~14%, the table ~10%.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -76,18 +78,17 @@ HERMITICITY_TOL = 1e-12
 STEPS_PER_FASTEST_PERIOD = 50
 
 # Most substeps in one propagation (a Chebyshev series from the substep
-# table and one real 8x8 product each, about 0.9 us a substep with the rest
+# table and one real 8x8 product each, about 0.4 us a substep with the rest
 # of the work), checked before any work: it bounds the work of a
-# propagation, not its memory.
+# propagation, not its memory, which grows with the grid points.
 MAX_SUBSTEPS = 10**6
 
 # Substeps held at once (~0.6 KiB of temporaries each): whole grid intervals
 # up to this many, and an interval with more in chunks of this size.  The
-# grid's propagators are also stored, scanned and read out this many at a
-# time.  On the `oracle-compare` benchmark, with the substep table, 1024
-# read a lower median latency than 512 and 4096 in 3 of 3 pairs each; 2048
-# read lower in 2 of 3 but at a higher peak memory in all 3, as 4096 did
-# (+2 MiB).
+# scan and the readout also take about this many grid points at a time.
+# On the `oracle-compare` benchmark, with the two-level scan, 1024 read a
+# lower median latency than 512 and 2048 in 3 of 3 pairs each (by 10-13%
+# and 5-10%).
 SUBSTEP_BLOCK = 1024
 
 
@@ -347,6 +348,17 @@ def _embedding(re: np.ndarray, neg_im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _embedding_of_top(top: np.ndarray) -> np.ndarray:
+    """`_embedding` of a stack of top halves [Re M | -Im M], in three
+    copies rather than four."""
+    n = top.shape[-2]
+    out = np.empty((*top.shape[:-2], 2 * n, 2 * n))
+    out[..., :n, :] = top
+    np.negative(top[..., n:], out=out[..., n:, :n])
+    out[..., n:, n:] = top[..., :n]
+    return out
+
+
 # The substep table interpolates to within this bound (in the 2-norm) before
 # round-off.
 _TABLE_ERROR = 2.0**-56
@@ -424,12 +436,43 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     return steps
 
 
-def _rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Rows start to stop of arrays of SUBSTEP_BLOCK rows each, joined."""
-    return np.concatenate([
-        blocks[b][max(start - b * SUBSTEP_BLOCK, 0):stop - b * SUBSTEP_BLOCK]
-        for b in range(start // SUBSTEP_BLOCK,
-                       (stop - 1) // SUBSTEP_BLOCK + 1)])
+# Grid points per group of the propagator scan (`_scan`).  Fixed, so that
+# each propagator's bits depend only on its index and the inputs.  Scanning
+# 200-1000 points, groups of 4-8 took the least time (within 5% of each
+# other), 12 about 8% more than 8 and 24 about 40% more (a 2-vCPU Xeon,
+# numpy 2.4.6).
+SCAN_GROUP = 8
+
+
+def _scan(p: np.ndarray) -> None:
+    """In place, p[i] <- p[i] @ p[i - 1] @ ... @ p[0], on the top halves
+    [Re | -Im] of embedded complex matrices.
+
+    A two-level scan: prefixes within groups of SCAN_GROUP points, the same
+    scan over the last points of the whole groups, which makes them
+    complete, then one product per remaining point with the last point of
+    the group before it.  About 2 products per point, each over a stack of
+    at most about SUBSTEP_BLOCK points.
+    """
+    size, g = len(p), SCAN_GROUP
+    step = g * max(1, SUBSTEP_BLOCK // g)  # points per stack, whole groups
+    for c in range(0, size, step):
+        chunk = p[c:c + step]
+        for k in range(1, min(g, len(chunk))):
+            later = chunk[k::g]
+            earlier = chunk[k - 1::g][:len(later)]
+            later[...] = later @ _embedding_of_top(earlier)
+    if size > g:
+        _scan(p[g - 1::g])
+    for c in range(g, size, step):
+        chunk = p[c:c + step]
+        carry = _embedding_of_top(p[c - 1:c - 1 + len(chunk):g])
+        whole = len(chunk) // g
+        groups = chunk[:whole * g].reshape(whole, g, *p.shape[1:])[:, :-1]
+        groups[...] = groups @ carry[:whole, None]
+        if whole < len(carry):
+            tail = chunk[whole * g:]
+            tail[...] = tail @ carry[whole]
 
 
 def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
@@ -460,43 +503,25 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
     steps = make_steps(dt_sub)
     per_block = max(1, SUBSTEP_BLOCK // substeps)
     chunk = min(substeps, SUBSTEP_BLOCK)
-    # Top halves of the propagators in arrays of SUBSTEP_BLOCK grid points,
-    # so that the readout can free them as it goes.  Point i + 1 holds the
-    # unitary of interval i, then, after the scan, the propagator from t = 0.
-    props = [np.empty((min(SUBSTEP_BLOCK, grid.n_points - g), n, 2 * n))
-             for g in range(0, grid.n_points, SUBSTEP_BLOCK)]
-    props[0][0] = np.eye(n, 2 * n)
-    for b, rows in enumerate(props):
-        g0 = b * SUBSTEP_BLOCK  # the grid point of rows[0]
-        end = g0 + len(rows) - 1  # intervals below end finish inside rows
-        for first in range(max(g0 - 1, 0), end, per_block):
-            offsets = np.arange(first, min(first + per_block, end))
-            u = None  # left halves [Re U; Im U] of the products so far
-            for k0 in range(0, substeps, chunk):
-                # j[k, i]: substep k0 + k of interval offsets[i]
-                j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
-                     + offsets * substeps)
-                t_mid = (j + 0.5) * dt_sub
-                emb = steps(t_mid.ravel())
-                for step in emb.reshape(*j.shape, 2 * n, 2 * n):
-                    u = step[..., :n] if u is None else step @ u
-            p = rows[first + 1 - g0:][:len(u)]
-            p[..., :n] = u[:, :n]
-            np.negative(u[:, n:], out=p[..., n:])
-    # doubling scan, in place: each pass updates the top block first, so a
-    # block reads only entries the pass has not yet overwritten
-    shift = 1
-    while shift < grid.n_points:
-        for b in reversed(range(len(props))):
-            g0 = b * SUBSTEP_BLOCK
-            start, stop = max(shift, g0), g0 + len(props[b])
-            if start >= stop:
-                break
-            earlier = _rows(props, start - shift, stop - shift)
-            later = props[b][start - g0:]
-            later[...] = later @ _embedding(earlier[..., :n],
-                                            earlier[..., n:])
-        shift *= 2
+    # Top halves of the propagators.  Point i + 1 holds the unitary of
+    # interval i, then, after the scan, the propagator from t = 0.
+    props = np.empty((grid.n_points, n, 2 * n))
+    props[0] = np.eye(n, 2 * n)
+    for first in range(0, intervals, per_block):
+        offsets = np.arange(first, min(first + per_block, intervals))
+        u = None  # left halves [Re U; Im U] of the products so far
+        for k0 in range(0, substeps, chunk):
+            # j[k, i]: substep k0 + k of interval offsets[i]
+            j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
+                 + offsets * substeps)
+            t_mid = (j + 0.5) * dt_sub
+            emb = steps(t_mid.ravel())
+            for step in emb.reshape(*j.shape, 2 * n, 2 * n):
+                u = step[..., :n] if u is None else step @ u
+        p = props[first + 1:first + 1 + len(u)]
+        p[..., :n] = u[:, :n]
+        np.negative(u[:, n:], out=p[..., n:])
+    _scan(props)
     # Each propagator P gives the state P @ rho0 @ P^dagger, and
     # Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 pairs the top half of emb(rho)
     # with the left half [Re O; Im O] of emb(O).  Each block's sums run
@@ -505,13 +530,12 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
     obs = np.asarray(observables, dtype=complex)
     obs = np.concatenate([obs.real, obs.imag], axis=-2)
     obs = np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
-    out = []
-    for b in range(len(props)):
-        p, props[b] = props[b], None
-        rho = (p @ emb_rho0) @ np.swapaxes(
-            _embedding(p[..., :n], p[..., n:]), -1, -2)
-        out.append((rho.reshape(len(p), 1, -1) * obs).sum(axis=-1))
-    return np.concatenate(out).T
+    out = np.empty((grid.n_points, len(obs)))
+    for b in range(0, grid.n_points, SUBSTEP_BLOCK):
+        p = props[b:b + SUBSTEP_BLOCK]
+        rho = (p @ emb_rho0) @ np.swapaxes(_embedding_of_top(p), -1, -2)
+        out[b:b + len(p)] = (rho.reshape(len(p), 1, -1) * obs).sum(axis=-1)
+    return out.T
 
 
 def propagate_expectations(rho0: np.ndarray, observables,

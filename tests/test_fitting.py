@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,46 @@ class TestLoadBuildup:
             b"-2.0,inf,5e-324\n"
             b"3.0,-inf,1e+300\n"
             b"9007199254740992.0,1e-300,-2.5\n")
+
+
+# any float64 bit pattern, plus the values whose repr is easiest to get wrong
+CSV_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     2.2250738585072014e-308, 1e-300, 1e300, 0.1]))
+CSV_INTS = st.one_of(st.integers(-2**63, 2**63 - 1),
+                     st.sampled_from([2**53 + 1, -(2**53 + 1), 0]))
+
+
+@st.composite
+def csv_columns(draw):
+    """1-4 equal-length columns, each a list or an array of floats or
+    integers."""
+    rows = draw(st.integers(1, 40))
+    columns = {}
+    for c in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(draw(st.sampled_from([CSV_FLOATS, CSV_INTS])),
+                               min_size=rows, max_size=rows))
+        columns[f"c{c}"] = (np.array(values) if draw(st.booleans())
+                            else values)
+    return columns
+
+
+class TestWriteCurveCsvProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=csv_columns(),
+           echo=st.lists(st.text("abc =-.0123456789", max_size=12).map(
+               "# ".__add__), max_size=3))
+    def test_bytes_are_rows_of_repr(self, columns, echo):
+        expected = "\n".join([*echo, ",".join(columns)]) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n"
+            for row in zip(*([float(v) for v in col]
+                             for col in columns.values())))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "curve.csv"
+            fitting.write_curve_csv(out, columns, echo)
+            assert out.read_bytes() == expected.encode("utf-8")
 
 
 BUILDUP_HEADERS = st.sampled_from(["time_us,magnetization\n",

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,6 +491,16 @@ class TestPropagate:
         # points in blocks of 5: whole blocks and a partial one
         pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, 5, 38,
                      id="partial-blocks"),
+        # grid lengths at the edges of the scan's groups, and one whose
+        # group totals are scanned again, with a ragged last group at both
+        # levels
+        *(pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, n_points, id=name)
+          for name, n_points in [
+              ("one-point", 1), ("two-points", 2),
+              ("group-less-one", oracle.SCAN_GROUP - 1),
+              ("one-group", oracle.SCAN_GROUP),
+              ("group-plus-one", oracle.SCAN_GROUP + 1),
+              ("ragged-groups", 3 * oracle.SCAN_GROUP**2 + 5)]),
     ])
     def test_matches_per_substep_loop(self, monkeypatch, locks_khz, mas_khz,
                                       block, n_points, bench_coupling,
@@ -564,6 +575,49 @@ class TestPropagate:
         full = propagate_expectations(*args)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
         assert np.array_equal(propagate_expectations(*args), full)
+
+    @pytest.mark.parametrize("block", [1, 5, 24, 1024])
+    @pytest.mark.parametrize("offsets_khz", [(0.0, 0.0), (20.0, 15.0)],
+                             ids=["on-resonance", "off-resonance"])
+    def test_leading_points_match_shorter_grid(self, monkeypatch, block,
+                                               offsets_khz, bench_coupling,
+                                               slow_mas, bench_orientation):
+        # a propagator's bits depend only on its index and the inputs, so
+        # the first k points of a long grid equal a grid of k points
+        g = oracle.SCAN_GROUP
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=offsets_khz[0] * KHZ,
+                      offset_s=offsets_khz[1] * KHZ)
+        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
+
+        def run(n_points):
+            return propagate_expectations(
+                i_e, (s_e, i_e, oracle.DQ_Y), rf, bench_coupling,
+                bench_orientation, slow_mas, TimeGrid(dt=1e-6,
+                                                      n_points=n_points))
+
+        n_long = 2 * g * g + 3
+        full = run(n_long)
+        for k in (1, 2, g - 1, g, g + 1, g * g, g * g + 1, n_long - 1):
+            assert np.array_equal(run(k), full[:, :k])
+
+    def test_memory_per_grid_point(self, matched_rf, bench_coupling,
+                                   slow_mas, bench_orientation):
+        # the propagators' top halves take 256 B a grid point; nothing else
+        # held at the peak may grow with the grid by more than 44 B a point
+        peaks = []
+        for n_points in (20001, 80001):
+            grid = TimeGrid(dt=0.1e-6, n_points=n_points)
+            assert required_substeps(matched_rf, slow_mas, grid.dt) == 1
+            tracemalloc.start()
+            try:
+                propagate(IY, matched_rf, bench_coupling, bench_orientation,
+                          slow_mas, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 60000 <= 300
 
     def test_blockwise_step_rule_violation_names_required_substeps(
             self, matched_rf, bench_coupling, slow_mas, bench_orientation):
