@@ -247,9 +247,12 @@ def _grid_from(resolved) -> tuple[TimeGrid, np.ndarray]:
 
 
 def _orientation_from(resolved) -> Orientation:
+    gamma = resolved["gamma_deg"] * DEG % (2.0 * math.pi)
+    # a tiny negative angle wraps to a remainder that rounds up to 2*pi
+    if gamma == 2.0 * math.pi:
+        gamma = 0.0
     try:
-        return Orientation(beta=resolved["beta_deg"] * DEG,
-                           gamma=resolved["gamma_deg"] * DEG % (2.0 * math.pi))
+        return Orientation(beta=resolved["beta_deg"] * DEG, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -417,8 +420,13 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
                     f"free parameter '{name}' needs a finite nonzero initial "
                     f"guess (set the matching flag)")
             lo, hi = sorted((value / 1000.0, value * 1000.0))
-            parameters[name] = fitting.FitParameter(value=value, free=True,
-                                                    lower=lo, upper=hi)
+            try:
+                parameters[name] = fitting.FitParameter(
+                    value=value, free=True, lower=lo, upper=hi)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"free parameter '{name}' guess {value!r}: {exc} (the "
+                    f"fit searches guess/1000 to guess*1000)") from exc
         else:
             parameters[name] = fitting.FitParameter(value=value, free=False)
     rf = _rf_from(resolved)

@@ -17,10 +17,10 @@ once per distinct d and reused by every residual and Jacobian evaluation.
 The phase is d times a bracket that does not depend on d, so with d free
 the bracket is built once per fit (`powder.phase_table`) and a trial d
 costs a multiply and one cos pass over it, plus one sin pass for the
-slope.  With d free the fit also runs from a second start, the other
-parameters first settled at the initial d, and keeps the lower end point.
-Accepted steps never increase the weighted residual sum, and the returned
-result always satisfies rss <= rss(initial guess).
+slope.  With d free alongside other parameters, those others are first
+settled at the initial d, and one fit over the whole free set starts from
+there.  Accepted steps never increase the weighted residual sum, and the
+returned result always satisfies rss <= rss(initial guess).
 
 `write_curve_csv` is the only writer of the CSV row format: every CLI
 command's output and `save_buildup` go through it.
@@ -309,17 +309,13 @@ class FitParameter:
 class FitSpec:
     """What to fit: per-parameter settings plus the fixed experiment geometry.
 
-    ``parameters`` must contain exactly the keys in PARAMETER_NAMES.  With
-    ``use_inverse_rates`` the optimizer works on 1/r and 1/r1 (their
-    characteristic times) instead of the rates themselves; results are
-    reported as rates either way.
+    ``parameters`` must contain exactly the keys in PARAMETER_NAMES.
     """
 
     parameters: dict[str, FitParameter]
     orientations: OrientationSet
     spin: SpinningParams
     rf: RfScheme
-    use_inverse_rates: bool = False
 
     def __post_init__(self):
         if set(self.parameters) != set(PARAMETER_NAMES):
@@ -329,9 +325,6 @@ class FitSpec:
             p = self.parameters[name]
             if p.free and p.lower < 0.0:
                 raise ValueError(f"{name} lower bound must be >= 0")
-            if self.use_inverse_rates and p.free and p.lower <= 0.0:
-                raise ValueError(f"{name} lower bound must be > 0 when "
-                                 "fitting inverse rates")
         for name in ("t1rho", "m0"):
             p = self.parameters[name]
             if p.free and p.lower <= 0.0:
@@ -349,9 +342,10 @@ class FitResult:
     ``values`` holds all five parameters (fitted or fixed); ``stderr`` has
     an entry per free parameter, derived from the Jacobian at the optimum.
     A non-converged fit (iteration cap hit) is returned flagged, with the
-    best point found.  ``stop_reason`` is one of ``rss_tol``, ``step_tol``,
-    ``max_iterations`` or ``no_free_parameters``; ``model`` holds the model
-    magnetization at the data times for ``values``.
+    best point found.  ``iterations`` counts every iteration of the fit,
+    the warm stage's included.  ``stop_reason`` is one of ``rss_tol``,
+    ``step_tol``, ``max_iterations`` or ``no_free_parameters``; ``model``
+    holds the model magnetization at the data times for ``values``.
     """
 
     values: dict[str, float]
@@ -374,17 +368,6 @@ def model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
         orientations=spec.orientations,
     )
     return params
-
-
-def _reparametrize(name: str, value: float, spec: FitSpec) -> float:
-    """Map a parameter between its value and the optimizer coordinate.
-
-    With inverse rates the coordinate of r and r1 is 1/value, else the
-    value itself; either way the map is its own inverse.
-    """
-    if spec.use_inverse_rates and name in ("r", "r1"):
-        return 1.0 / value
-    return value
 
 
 class _BuildUpModel:
@@ -428,7 +411,7 @@ class _BuildUpModel:
 
     def jacobian(self, v: dict[str, float], model: np.ndarray,
                  names: tuple[str, ...]) -> np.ndarray:
-        """Analytic d(residuals)/d(coordinates of names) at v.
+        """Analytic d(residuals)/d(names) at v.
 
         ``model`` is the model magnetization at v.
         """
@@ -447,8 +430,6 @@ class _BuildUpModel:
         jac = np.empty((len(t), len(names)))
         for j, name in enumerate(names):
             jac[:, j] = columns[name]()
-            if name in ("r", "r1") and self.spec.use_inverse_rates:
-                jac[:, j] *= -(v[name] * v[name])
         if self.weights is not None:
             jac *= self.weights[:, None]
         return jac
@@ -461,7 +442,6 @@ class _Stage:
     values: dict[str, float]
     model: np.ndarray
     rss: float
-    rss_start: float
     jac: np.ndarray
     iterations: int
     stop_reason: str
@@ -476,23 +456,17 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
     def values_at(x: np.ndarray) -> dict[str, float]:
         values = dict(start)
         for name, xi in zip(names, x):
-            values[name] = _reparametrize(name, float(xi), spec)
+            values[name] = float(xi)
         return values
 
-    x = np.array([_reparametrize(n, start[n], spec) for n in names])
-    lo = np.empty(len(names))
-    hi = np.empty(len(names))
-    for j, name in enumerate(names):
-        b = sorted((_reparametrize(name, spec.parameters[name].lower, spec),
-                    _reparametrize(name, spec.parameters[name].upper, spec)))
-        lo[j], hi[j] = b
+    x = np.array([start[n] for n in names])
+    lo = np.array([spec.parameters[n].lower for n in names])
+    hi = np.array([spec.parameters[n].upper for n in names])
 
     values = values_at(x)
     model, res = fm.evaluate(values)
     rss = float(res @ res)
-    rss_start = rss
     jac = fm.jacobian(values, model, names)
-    _check_jacobian(jac, names)
 
     mu = DAMPING_INITIAL
     iterations = 0
@@ -533,8 +507,8 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
 
     if jac is None:
         jac = fm.jacobian(values, model, names)
-    return _Stage(values=values, model=model, rss=rss, rss_start=rss_start,
-                  jac=jac, iterations=iterations, stop_reason=stop_reason)
+    return _Stage(values=values, model=model, rss=rss, jac=jac,
+                  iterations=iterations, stop_reason=stop_reason)
 
 
 def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
@@ -545,20 +519,20 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     below 1e-10, the step norm drops below 1e-12, or after 500 iterations
     (then flagged non-converged).
 
-    With d free alongside other parameters the fit runs from two starts,
-    the initial guess and the guess with the other parameters first fitted
-    at the initial d (at most WARM_START_ITERATIONS iterations), and keeps
-    the lower end point: far-off rate guesses can drag d across a barrier
-    of the residual profile into a neighbouring, higher minimum.  eta and
-    the phase bracket behind it are shared between the starts; the bracket
-    is built once per fit however many trial d the starts try.
-    ``iterations`` counts both starts.
+    With d free alongside other parameters, the other parameters are first
+    fitted at the initial d (at most WARM_START_ITERATIONS iterations), and
+    the fit over the whole free set starts from that point: far-off rate
+    guesses could otherwise drag d across a barrier of the residual profile
+    into a neighbouring, higher minimum.  eta and the phase bracket behind
+    it are shared between the two stages; the bracket is built once per
+    fit however many trial d they try.  ``iterations`` counts both stages.
 
     Raises:
         DataError: if the data under-determine the requested free set.
         FitError: if the Jacobian at the initial guess is rank deficient
-            (the message suggests which parameter to fix), or if the
-            residual sum ended above its value at the initial guess.
+            (the message suggests which parameter to fix), if the normal
+            equations turn singular in either stage, or if the residual
+            sum ended above its value at the initial guess.
     """
     free = spec.free_names
     n_pts = len(data)
@@ -571,35 +545,28 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
 
     fm = _BuildUpModel(data, spec)
     values = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
+    model, res = fm.evaluate(values)
+    rss_initial = float(res @ res)
     if not free:
-        model, res = fm.evaluate(values)
-        return FitResult(values=values, rss=float(res @ res), stderr={},
+        return FitResult(values=values, rss=rss_initial, stderr={},
                          converged=True, iterations=0,
                          stop_reason="no_free_parameters", model=model)
 
-    first = _levenberg_marquardt(fm, free, values, MAX_ITERATIONS)
-    best, iterations = first, first.iterations
+    # the warm stage fits a subset of these columns, whose normalized
+    # singular-value ratio is never worse, so this one check covers it too
+    _check_jacobian(fm.jacobian(values, model, free), free)
+    iterations = 0
     if "d" in free and len(free) > 1:
-        # second start: the other parameters settled at the initial d first
-        try:
-            warm = _levenberg_marquardt(
-                fm, tuple(n for n in free if n != "d"), values,
-                WARM_START_ITERATIONS)
-            second = _levenberg_marquardt(fm, free, warm.values,
-                                          MAX_ITERATIONS)
-        except FitError:
-            pass  # degenerate along the way: the first start stands
-        else:
-            iterations += warm.iterations + second.iterations
-            if second.rss < best.rss:
-                best = second
-    _check_descent(best.rss, first.rss_start)
+        warm = _levenberg_marquardt(fm, tuple(n for n in free if n != "d"),
+                                    values, WARM_START_ITERATIONS)
+        values, iterations = warm.values, warm.iterations
+    best = _levenberg_marquardt(fm, free, values, MAX_ITERATIONS)
+    _check_descent(best.rss, rss_initial)
     return FitResult(values=best.values, rss=best.rss,
-                     stderr=_standard_errors(best.jac, best.rss, free,
-                                             best.values, spec),
+                     stderr=_standard_errors(best.jac, best.rss, free),
                      converged=best.stop_reason != "max_iterations",
-                     iterations=iterations, stop_reason=best.stop_reason,
-                     model=best.model)
+                     iterations=iterations + best.iterations,
+                     stop_reason=best.stop_reason, model=best.model)
 
 
 def _check_descent(rss: float, rss_initial: float) -> None:
@@ -629,7 +596,7 @@ def _check_jacobian(jac: np.ndarray, free) -> None:
                        f"fixing parameter '{free[culprit]}'")
 
 
-def _standard_errors(jac, rss, free, values, spec) -> dict[str, float]:
+def _standard_errors(jac, rss, free) -> dict[str, float]:
     dof = jac.shape[0] - len(free)
     if dof <= 0:
         return {name: math.nan for name in free}
@@ -640,11 +607,7 @@ def _standard_errors(jac, rss, free, values, spec) -> dict[str, float]:
     err = {}
     for j, name in enumerate(free):
         var = cov[j, j]
-        se = math.sqrt(var) if var >= 0.0 else math.nan
-        if spec.use_inverse_rates and name in ("r", "r1"):
-            # coordinate 1/r: se(r) = se(1/r) * r^2
-            se = se * values[name] * values[name]
-        err[name] = se
+        err[name] = math.sqrt(var) if var >= 0.0 else math.nan
     return err
 
 

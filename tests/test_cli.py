@@ -423,6 +423,18 @@ class TestFitCommand:
         assert code == EXIT_CONFIG
         assert "initial guess" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--free", "m0", "--m0", "1e308"], "m0"),
+        (["--free", "r", "--r-inv-us", "1e-300"], "r")])
+    def test_guess_whose_bounds_overflow(self, tmp_path, capsys, flags, name):
+        # the search box guess/1000 to guess*1000 overflows to inf
+        out = tmp_path / "o.csv"
+        code = run(["fit", "--data", str(REPO_DATASET), "--d-khz", "20",
+                    "--mas-khz", "5", *flags, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert_one_error_line(capsys, f"error: free parameter '{name}' ")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -616,3 +628,18 @@ def test_non_finite_distance_is_config_error(tmp_path, capsys, value):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"error: distance must be finite and > 0, got {value}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+@pytest.mark.parametrize("value", ["-1e-20", "-1e-14"])
+def test_tiny_negative_gamma_is_gamma_zero(tmp_path, command, value):
+    # the remainder of a tiny negative angle modulo 2*pi rounds up to 2*pi
+    def data_rows(gamma):
+        out = tmp_path / f"{gamma}.csv"
+        assert run([command, *BENCH_CMP[:6], "--gamma-deg", gamma,
+                    "--tmax-us", "100", "--dt-us", "1", *BENCH_CMP[-4:],
+                    "--out", str(out)]) == EXIT_OK
+        return [line for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+
+    assert data_rows(value) == data_rows("0")
