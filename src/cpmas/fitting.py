@@ -441,6 +441,7 @@ class _Stage:
 
     values: dict[str, float]
     model: np.ndarray
+    res: np.ndarray
     rss: float
     jac: np.ndarray
     iterations: int
@@ -448,9 +449,14 @@ class _Stage:
 
 
 def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
-                         start: dict[str, float],
+                         start: dict[str, float], model: np.ndarray,
+                         res: np.ndarray, jac: np.ndarray | None,
                          max_iterations: int) -> _Stage:
-    """Minimize the residual sum over ``names``; other values stay at start."""
+    """Minimize the residual sum over ``names``; other values stay at start.
+
+    ``model`` and ``res`` are `_BuildUpModel.evaluate` at start, and ``jac``
+    its Jacobian over ``names`` there, or None to have it built.
+    """
     spec = fm.spec
 
     def values_at(x: np.ndarray) -> dict[str, float]:
@@ -464,9 +470,7 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
     hi = np.array([spec.parameters[n].upper for n in names])
 
     values = values_at(x)
-    model, res = fm.evaluate(values)
     rss = float(res @ res)
-    jac = fm.jacobian(values, model, names)
 
     mu = DAMPING_INITIAL
     iterations = 0
@@ -507,7 +511,7 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
 
     if jac is None:
         jac = fm.jacobian(values, model, names)
-    return _Stage(values=values, model=model, rss=rss, jac=jac,
+    return _Stage(values=values, model=model, res=res, rss=rss, jac=jac,
                   iterations=iterations, stop_reason=stop_reason)
 
 
@@ -554,13 +558,17 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
 
     # the warm stage fits a subset of these columns, whose normalized
     # singular-value ratio is never worse, so this one check covers it too
-    _check_jacobian(fm.jacobian(values, model, free), free)
+    jac = fm.jacobian(values, model, free)
+    _check_jacobian(jac, free)
     iterations = 0
     if "d" in free and len(free) > 1:
-        warm = _levenberg_marquardt(fm, tuple(n for n in free if n != "d"),
-                                    values, WARM_START_ITERATIONS)
-        values, iterations = warm.values, warm.iterations
-    best = _levenberg_marquardt(fm, free, values, MAX_ITERATIONS)
+        # free follows PARAMETER_NAMES, so d is its first name and column
+        warm = _levenberg_marquardt(fm, free[1:], values, model, res,
+                                    jac[:, 1:], WARM_START_ITERATIONS)
+        values, model, res = warm.values, warm.model, warm.res
+        iterations, jac = warm.iterations, None
+    best = _levenberg_marquardt(fm, free, values, model, res, jac,
+                                MAX_ITERATIONS)
     _check_descent(best.rss, rss_initial)
     return FitResult(values=best.values, rss=best.rss,
                      stderr=_standard_errors(best.jac, best.rss, free),

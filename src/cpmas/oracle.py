@@ -17,14 +17,15 @@ and offsets.  There H(t) = H0 + 2*d(t)*I_z*S_z with H0 fixed, so the
 substep unitaries all lie on one curve in the scalar d(t): a substep
 table (`_substep_table`) exponentiates the Hamiltonians at a few
 Chebyshev points of the coupling range once per propagation, by
-`cos_sin_step` (a Taylor series in (H*dt)**2 with scaling and squaring,
-no eigendecomposition), and evaluates every substep as a Chebyshev
-series in d(t), exact to round-off.  rho(0) and the observables are
-rotated once per propagation; Tr(O @ rho) is the same in either frame.
-The block-wise (ZQ/DQ) propagation exponentiates
-its complex 2x2 blocks by `eigh` (`matrix_exponential_step`), so the
-cross-check between the two is independent in its exponential as well as
-in its block structure.
+`cos_sin_step` (a truncated Taylor series in (H*dt)**2, no
+eigendecomposition), and evaluates every substep as a Chebyshev series
+in d(t), exact to round-off; when H*dt is too large for the series, the
+table is built for a shorter step and each substep squared back up.
+rho(0) and the observables are rotated once per propagation;
+Tr(O @ rho) is the same in either frame.  The block-wise (ZQ/DQ)
+propagation exponentiates its complex 2x2 blocks by `eigh`
+(`matrix_exponential_step`), so the cross-check between the two is
+independent in its exponential as well as in its block structure.
 
 One core serves both and runs in real arithmetic: a complex n x n matrix
 M is carried as its real embedding [[Re M, -Im M], [Im M, Re M]], under
@@ -176,14 +177,6 @@ def _lock_hamiltonian(terms, rf: RfScheme) -> np.ndarray:
             + rf.offset_i * iz + rf.offset_s * sz)
 
 
-def _hamiltonian(terms, rf: RfScheme, coupling: CouplingParams,
-                 orient: Orientation, spin: SpinningParams, t) -> np.ndarray:
-    """H(t) from the operators ``terms``: I_y, S_y, I_z, S_z and I_z*S_z."""
-    d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
-    return (_lock_hamiltonian(terms, rf)
-            + (2.0 * d_t)[..., None, None] * terms[4])
-
-
 def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
                    spin: SpinningParams, t) -> np.ndarray:
     """Full 4x4 Hamiltonian at time t (Hermitian, rad/s), product basis.
@@ -194,13 +187,12 @@ def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
     Returns:
         A (4, 4) matrix for scalar ``t``, an (n, 4, 4) stack for n times.
     """
-    return _hamiltonian(_TERMS, rf, coupling, orient, spin, t)
+    d_t = np.asarray(dipolar_coupling_at(coupling, orient, spin, t))
+    return _lock_hamiltonian(_TERMS, rf) + (2.0 * d_t)[..., None, None] * IZSZ
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    h_t = np.swapaxes(h, -1, -2)
-    asym = np.max(np.abs(h - (h_t.conj() if np.iscomplexobj(h) else h_t)),
-                  initial=0.0)
+    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0)
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
 
@@ -209,31 +201,27 @@ def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Unitary exp(-i*h*dt) of a Hermitian matrix via eigendecomposition.
 
     ``h`` may be one (n, n) matrix or a (..., n, n) stack; the result has
-    the same shape.  Real input stays real until the phases: it is checked
-    for symmetry and decomposed by a real ``eigh``, and the unitary
-    (V * exp(-i*lambda*dt)) @ V^T is formed by batched matmul.  This is the
-    exponential of the block-wise propagation; the full-space one is
-    `cos_sin_step`.
+    the same shape and is complex.  The unitary (V * exp(-i*lambda*dt)) @
+    V^dagger is formed by batched matmul.  This is the exponential of the
+    block-wise propagation; the full-space one is `cos_sin_step`.
 
     Raises:
         ValueError: if ``h`` is not Hermitian within 1e-12 (max elementwise
             asymmetry over the stack).
     """
-    h = np.asarray(h)
-    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
+    h = np.asarray(h, dtype=complex)
     _check_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
-    evecs = evecs.astype(complex, copy=False)
     phases = np.exp(-1j * evals * dt)
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
 # cos_sin_step sums the Taylor series of cos X and sin X/X as polynomials of
-# degree 6 in Y = X @ X.  For ||X||_inf <= _TAYLOR_NORM the first omitted
+# degree 6 in Y = X @ X.  For ||X||_inf < _TAYLOR_NORM the first omitted
 # term, X**14/14!, is below 5e-18.
 _TAYLOR_NORM = 0.35
-# Each doubling doubles the round-off; past 26 of them (2**26 * 1.1e-16 ~
-# 7e-9) cos_sin_step refuses the matrix rather than return it inaccurate.
+# Each squaring of the substep table doubles the round-off; past 26 of them
+# (2**26 * 1.1e-16 ~ 7e-9) the table refuses the step as inaccurate.
 _TAYLOR_MAX_NORM = _TAYLOR_NORM * 2.0**26
 
 
@@ -248,54 +236,45 @@ def _taylor_rows(odd: int) -> list[list[float]]:
 _TAYLOR_COEFFS = _frozen(np.array(_taylor_rows(0) + _taylor_rows(1)))
 
 
-def _halvings(x: np.ndarray) -> np.ndarray:
-    """The fewest halvings that take each ||X||_inf of the (m, n, n) stack
-    ``x`` below _TAYLOR_NORM.
+def _max_norm(x: np.ndarray) -> float:
+    """The largest ||X||_inf over the (..., n, n) stack ``x``.
 
     Raises:
-        ValueError: if a norm is not finite or exceeds _TAYLOR_MAX_NORM.
+        ValueError: if it is not finite or exceeds _TAYLOR_MAX_NORM.
     """
     # row sums of |X| by elementwise adds, which are faster than sums along
     # a short axis and the same in any stack
     ax = np.abs(x)
-    rows = sum(ax[..., k] for k in range(x.shape[-1]))
-    top = rows.max(initial=0.0)
+    top = sum(ax[..., k] for k in range(x.shape[-1])).max(initial=0.0)
     if not top <= _TAYLOR_MAX_NORM:
         raise ValueError(
             f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
             "beyond which the Taylor exponential loses accuracy")
-    # a stack whose norms are all below _TAYLOR_NORM skips the scaling
-    if top < _TAYLOR_NORM:
-        return np.zeros(len(x), dtype=int)
-    norm = functools.reduce(np.maximum, np.swapaxes(rows, 0, 1))
-    return np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
+    return float(top)
 
 
 def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """cos(h*dt) and sin(h*dt) of a real symmetric h, without eigh.
 
     exp(-i*h*dt) = c - 1j*s.  ``h`` may be one (n, n) matrix or a
-    (..., n, n) stack; c and s have its shape.  Each matrix X = h*dt is
-    halved s times, the fewest that take ||X||_inf below 0.35, so the
-    truncated Taylor series is exact to round-off; the results are then
-    doubled back s times by cos 2x = (c - s)(c + s) and sin 2x = 2cs.  s
-    is chosen per matrix, so a matrix's result does not depend on the
-    stack it is in.  Six real n x n matrix products per matrix, plus two
-    per doubling.  Round-off doubles with each doubling, to about
-    1e-16*||X||_inf beyond ||X||_inf = 0.35.
+    (..., n, n) stack; c and s have its shape.  Every X = h*dt must have
+    ||X||_inf < 0.35, where the truncated Taylor series is exact to
+    round-off; a matrix's result does not depend on the stack it is in.
+    Six real n x n matrix products per matrix.
 
     Raises:
         ValueError: if ``h`` is not symmetric within 1e-12 (max elementwise
-            asymmetry over the stack), or ||h*dt||_inf is not finite or
-            exceeds 0.35 * 2**26 (2.3e7).
+            asymmetry over the stack), or some ||h*dt||_inf is not below
+            0.35.
     """
     h = np.asarray(h, dtype=float)
     _check_hermitian(h)
     n = h.shape[-1]
     x = (h * dt).reshape(-1, n, n)
-    halvings = _halvings(x)
-    if halvings.any():
-        x = np.ldexp(x, -halvings[:, None, None])
+    top = _max_norm(x)
+    if not top < _TAYLOR_NORM:
+        raise ValueError(f"||h*dt||_inf = {top:.3g} is not below "
+                         f"{_TAYLOR_NORM}, the Taylor series' bound")
     # powers[p] = Y**p
     powers = np.empty((4, *x.shape))
     powers[0] = np.eye(n)
@@ -306,11 +285,6 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
         _TAYLOR_COEFFS @ powers.reshape(4, -1)).reshape(powers.shape)
     c = cos_lo + powers[3] @ cos_hi
     s = x @ (sinc_lo + powers[3] @ sinc_hi)
-    for k in range(int(halvings.max(initial=0))):
-        i = np.nonzero(halvings > k)[0]
-        ci, si = c[i], s[i]
-        c[i] = (ci - si) @ (ci + si)
-        s[i] = (2.0 * ci) @ si
     return c.reshape(h.shape), s.reshape(h.shape)
 
 
@@ -336,21 +310,9 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _embedding(re: np.ndarray, neg_im: np.ndarray) -> np.ndarray:
-    """Real embedding [[Re M, -Im M], [Im M, Re M]] of the complex stack
-    M = re - 1j*neg_im, from its top half [re | neg_im]."""
-    n = re.shape[-1]
-    out = np.empty((*re.shape[:-2], 2 * n, 2 * n))
-    out[..., :n, :n] = re
-    out[..., n:, n:] = re
-    out[..., :n, n:] = neg_im
-    np.negative(neg_im, out=out[..., n:, :n])
-    return out
-
-
 def _embedding_of_top(top: np.ndarray) -> np.ndarray:
-    """`_embedding` of a stack of top halves [Re M | -Im M], in three
-    copies rather than four."""
+    """Real embedding [[Re M, -Im M], [Im M, Re M]] of a complex stack M,
+    from its top halves [Re M | -Im M]."""
     n = top.shape[-2]
     out = np.empty((*top.shape[:-2], 2 * n, 2 * n))
     out[..., :n, :] = top
@@ -391,20 +353,23 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     their symmetry, and so that of every substep, as Z is diagonal) and
     evaluates each substep as [T_0(x), ..., T_n(x)] @ coefficients, one
     real product giving the 8x8 embedding.  When the bounding Hamiltonians
-    H0 +- w*Z have ||H*dt||_inf >= 0.35 the table is built for dt/2**s,
-    with s the halvings `cos_sin_step` would take, and each step is
-    squared s times; past its doubling limit they are refused the same way.
+    H0 +- w*Z have ||H*dt||_inf >= 0.35 the table is built for dt/2**s, s
+    the fewest halvings that take that norm below 0.35, and each step is
+    squared s times, the oracle's only scaling and squaring; past
+    0.35 * 2**26 they are refused.  In floating point no node's norm
+    exceeds theirs, as Z is diagonal and |w*cos(theta)| <= w.
     """
     h0 = _lock_hamiltonian(_REAL_TERMS, rf)
     z = _REAL_TERMS[4]
     c1, c2 = _coefficients(orient.beta)
     w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2)
-    squarings = int(_halvings(np.stack([h0 - w * z, h0 + w * z]) * dt).max())
+    top = _max_norm(np.stack([h0 - w * z, h0 + w * z]) * dt)
+    squarings = max(0, math.frexp(top / _TAYLOR_NORM)[1])
     sub_dt = math.ldexp(dt, -squarings)
     n = _table_degree(0.25 * w * sub_dt)
     theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
-    nodes = _embedding(*cos_sin_step(
-        h0 + (w * np.cos(theta))[:, None, None] * z, sub_dt)).reshape(n + 1, -1)
+    c, s = cos_sin_step(h0 + (w * np.cos(theta))[:, None, None] * z, sub_dt)
+    nodes = _embedding_of_top(np.concatenate([c, s], -1)).reshape(n + 1, -1)
     # coefficient j = (2/(n+1)) * sum over nodes k of U(x_k)*T_j(x_k), with
     # T_j(x_k) = cos(j*theta_k), and the mean of the U(x_k) for j = 0.  The
     # T_j with j >= 1 sum to 0 over the nodes, so those coefficients are
@@ -526,7 +491,7 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
     # Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 pairs the top half of emb(rho)
     # with the left half [Re O; Im O] of emb(O).  Each block's sums run
     # along one contiguous axis, so they do not depend on the block size.
-    emb_rho0 = _embedding(rho0.real, -rho0.imag)
+    emb_rho0 = _embedding_of_top(np.concatenate([rho0.real, -rho0.imag], -1))
     obs = np.asarray(observables, dtype=complex)
     obs = np.concatenate([obs.real, obs.imag], axis=-2)
     obs = np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
@@ -579,7 +544,7 @@ def _eigh_steps(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
     def steps(t: np.ndarray) -> np.ndarray:
         u = matrix_exponential_step(_block(_in_y_basis(
             hamiltonian_at(rf, coupling, orient, spin, t)), idx), dt)
-        return _embedding(u.real, -u.imag)
+        return _embedding_of_top(np.concatenate([u.real, -u.imag], -1))
 
     return steps
 

@@ -459,8 +459,9 @@ class TestFitBuildup:
         runs = []
         original = fitting._levenberg_marquardt
 
-        def recording(fm, names, start, max_iterations):
-            stage = original(fm, names, start, max_iterations)
+        def recording(fm, names, start, model, res, jac, max_iterations):
+            stage = original(fm, names, start, model, res, jac,
+                             max_iterations)
             runs.append((names, start, max_iterations, stage))
             return stage
 
@@ -482,6 +483,24 @@ class TestFitBuildup:
         assert result.iterations == sum(run[3].iterations for run in runs)
         assert result.values == runs[-1][3].values
         assert result.rss == runs[-1][3].rss
+
+    @pytest.mark.parametrize("free", [("d", "r", "r1", "t1rho"),
+                                      ("r", "r1", "t1rho"), ("d",)])
+    def test_jacobian_is_built_once_at_the_guess(self, monkeypatch, free):
+        # the rank check's Jacobian at the guess starts the first LM run
+        at = []
+        original = fitting._BuildUpModel.jacobian
+
+        def recording(fm, v, model, names):
+            at.append(dict(v))
+            return original(fm, v, model, names)
+
+        monkeypatch.setattr(fitting._BuildUpModel, "jacobian", recording)
+        data, oset = self.make_data(noise=0.01, n=61)
+        spec = benchmark_spec(oset, free=free, guess_factor=1.05)
+        fit_buildup(data, spec)
+        guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+        assert at.count(guess) == 1
 
     def test_model_is_the_model_curve_at_the_optimum(self):
         data, oset = self.make_data(noise=0.01, n=61)

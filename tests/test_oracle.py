@@ -79,6 +79,14 @@ class TestHamiltonian:
                                        atol=1e-10 * np.max(np.abs(h)))
 
 
+def real_frame_hamiltonians(rf, coupling, orient, spin, times):
+    """H(t) in the real frame, built as the substep table builds it:
+    the locks and offsets H0 plus 2*d(t)*Z."""
+    d_t = dipolar_coupling_at(coupling, orient, spin, times)
+    return (oracle._lock_hamiltonian(oracle._REAL_TERMS, rf)
+            + (2.0 * d_t)[:, None, None] * oracle._REAL_TERMS[4])
+
+
 class TestRealFrame:
     def test_rotation_takes_y_locks_to_minus_x(self):
         frame = np.exp(-0.5j * math.pi * np.diag(IZ + SZ).real)
@@ -94,7 +102,7 @@ class TestRealFrame:
                       offset_i=11.0 * KHZ, offset_s=-3.0 * KHZ)
         times = np.linspace(0.0, 4e-4, 9)
         args = (rf, bench_coupling, bench_orientation, slow_mas, times)
-        h_real = oracle._hamiltonian(oracle._REAL_TERMS, *args)
+        h_real = real_frame_hamiltonians(*args)
         assert h_real.dtype == np.float64
         assert np.array_equal(h_real, np.swapaxes(h_real, -1, -2))
         np.testing.assert_allclose(
@@ -165,17 +173,6 @@ class TestMatrixExponentialStep:
                                        atol=1e-14 * np.max(np.abs(h1)))
             np.testing.assert_allclose(u, matrix_exponential_step(h1, 1e-7),
                                        rtol=0, atol=1e-14)
-        # a real symmetric stack is exponentiated in real arithmetic and
-        # agrees with the same stack taken as complex
-        real = np.array([random_hermitian(np.random.default_rng(k)).real
-                         for k in range(7)]) * 1e5
-        u_real = matrix_exponential_step(real, 1e-6)
-        np.testing.assert_allclose(
-            u_real, matrix_exponential_step(real.astype(complex), 1e-6),
-            rtol=0, atol=1e-14)
-        np.testing.assert_allclose(
-            u_real @ np.swapaxes(u_real, -1, -2).conj(),
-            np.broadcast_to(np.eye(4), u_real.shape), rtol=0, atol=1e-14)
 
 
 def random_symmetric_stack(rng, norms, n=4):
@@ -191,9 +188,9 @@ def inf_norms(h):
 
 
 class TestCosSinStep:
-    # ||h*dt||_inf from 1e-9 to 1e3, ten per decade: below 0.35 the Taylor
-    # series alone runs, above it up to 12 doublings
-    NORMS = np.logspace(-9, 3, 121)
+    # ||h*dt||_inf from 1e-9 to 0.349, about ten per decade: the whole range
+    # of the Taylor series
+    NORMS = np.geomspace(1e-9, 0.349, 91)
 
     def test_matches_eigh(self):
         rng = np.random.default_rng(40)
@@ -203,19 +200,15 @@ class TestCosSinStep:
         assert c.shape == s.shape == h.shape
         assert c.dtype == s.dtype == np.float64
         err = np.abs(c - 1j * s - matrix_exponential_step(h, dt))
-        scale = np.maximum(1.0, inf_norms(h * dt))
-        assert np.all(err.max(axis=(-1, -2)) <= 1e-14 * scale)
+        assert np.all(err <= 1e-14)
 
     def test_embedding_is_orthogonal(self):
-        # each doubling doubles the round-off, so beyond ||X||_inf = 1 the
-        # bound grows with the norm, as the agreement with eigh does
         rng = np.random.default_rng(41)
         x = random_symmetric_stack(rng, self.NORMS)
         c, s = cos_sin_step(x, 1.0)
         emb = np.block([[c, s], [-s, c]])
         dev = np.abs(emb @ np.swapaxes(emb, -1, -2) - np.eye(8))
-        assert np.all(dev.max(axis=(-1, -2))
-                      <= 1e-14 * np.maximum(1.0, self.NORMS))
+        assert np.all(dev <= 1e-14)
 
     def test_zero_gives_identity(self):
         c, s = cos_sin_step(np.zeros((3, 4, 4)), 1e-6)
@@ -223,10 +216,9 @@ class TestCosSinStep:
         assert np.array_equal(s, np.zeros((3, 4, 4)))
 
     def test_result_does_not_depend_on_neighbours(self):
-        # halvings are chosen per matrix: small matrices next to ones that
-        # need 10+ doublings give the bits they give alone
+        # a matrix gives the bits it gives alone next to any others
         rng = np.random.default_rng(42)
-        norms = [1e-6, 2e3, 0.3, 5e2, 0.36, 1e3, 0.05]
+        norms = [1e-6, 0.2, 0.3, 1e-3, 0.349, 0.1, 0.05]
         x = random_symmetric_stack(rng, norms)
         c, s = cos_sin_step(x, 1.0)
         for k in range(len(norms)):
@@ -236,20 +228,76 @@ class TestCosSinStep:
             ck, sk = cos_sin_step(x[k:k + 2], 1.0)
             assert np.array_equal(ck[0], c[k]) and np.array_equal(sk[0], s[k])
 
+    @pytest.mark.parametrize("norm", [0.35, 1.0, np.nan])
+    def test_rejects_norms_not_below_the_taylor_bound(self, norm):
+        x = random_symmetric_stack(np.random.default_rng(44), [0.3, 0.3])
+        # ||x[1]||_inf is norm exactly: the scalings by powers of 2 are exact
+        x[1] = norm * np.array([[0.5, -0.5, 0.0, 0.0], [-0.5, 0.25, 0.0, 0.0],
+                                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5]])
+        with pytest.raises(ValueError, match=re.escape("||h*dt||_inf = ")):
+            cos_sin_step(x, 1.0)
+        cos_sin_step(x[:1], 1.0)
+
     @pytest.mark.parametrize("norm", [2.4e7, 1e300, np.nan])
     def test_rejects_norms_past_the_doubling_limit(self, norm):
+        # past the substep table's doubling limit the refusal names that
+        # limit, as the table's own does; below it, the Taylor bound
         x = random_symmetric_stack(np.random.default_rng(44), [1.0, 1.0])
         x[1] *= norm
         with pytest.raises(ValueError, match="exceeds 2.35e"):
             cos_sin_step(x, 1.0)
-        cos_sin_step(x[:1] * 2.3e7, 1.0)
+        with pytest.raises(ValueError, match="is not below 0.35"):
+            cos_sin_step(x[:1] * 2.3e7, 1.0)
 
 
-def taylor_steps(rf, coupling, orient, spin, times, dt):
-    """Embedded real-frame substep unitaries, one cos_sin_step each."""
-    h = oracle._hamiltonian(oracle._REAL_TERMS, rf, coupling, orient, spin,
-                            times)
-    return oracle._embedding(*cos_sin_step(h, dt)), inf_norms(h * dt)
+def reference_steps(rf, coupling, orient, spin, times, dt):
+    """Embedded real-frame substep unitaries, one eigh each, and their
+    ||H*dt||_inf."""
+    h = real_frame_hamiltonians(rf, coupling, orient, spin, times)
+    u = matrix_exponential_step(h, dt)
+    return np.block([[u.real, -u.imag], [u.imag, u.real]]), inf_norms(h * dt)
+
+
+def bounding_norm(rf, coupling, orient, dt):
+    """||(H0 +- w*Z)*dt||_inf, the larger of the two, with |2*d(t)| <= w:
+    the norm from which the substep table takes its squaring count."""
+    h0, z = oracle._lock_hamiltonian(oracle._REAL_TERMS, rf), IZSZ.real
+    c1, c2 = oracle._coefficients(orient.beta)
+    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2)
+    return inf_norms(np.stack([h0 - w * z, h0 + w * z]) * dt).max()
+
+
+def couplings_around_norm(rf, orient, dt, target, count=3):
+    """The ``count`` largest couplings d > 0 whose `bounding_norm` is below
+    ``target``, and the ``count`` smallest whose norm is not, by bisection
+    on the bits of d (positive doubles order as their bits do)."""
+    def norm(bits):
+        d = float(np.int64(bits).view(np.float64))
+        return bounding_norm(rf, CouplingParams(d=d), orient, dt)
+
+    lo, hi = 0, int(np.float64(1e307).view(np.int64))
+    assert norm(hi) >= target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if norm(mid) < target else (lo, mid)
+    return ([float(np.int64(b).view(np.float64))
+             for b in range(lo - count + 1, lo + 1)],
+            [float(np.int64(b).view(np.float64))
+             for b in range(hi, hi + count)])
+
+
+@pytest.fixture
+def node_dts(monkeypatch):
+    """The step dt of every `cos_sin_step` call, in call order."""
+    dts = []
+    taylor = oracle.cos_sin_step
+
+    def recording(h, dt):
+        dts.append(dt)
+        return taylor(h, dt)
+
+    monkeypatch.setattr(oracle, "cos_sin_step", recording)
+    return dts
 
 
 class TestSubstepTable:
@@ -266,33 +314,20 @@ class TestSubstepTable:
         pytest.param((80.0, 60.0, 20.0, -15.0), 3000.0, 2.0, 1e-7, True,
                      id="squaring"),
     ])
-    def test_matches_cos_sin_step(self, monkeypatch, locks_khz, d_khz,
+    def test_matches_cos_sin_step(self, node_dts, locks_khz, d_khz,
                                   mas_khz, dt, squares, bench_orientation):
         b1i, b1s, off_i, off_s = locks_khz
         rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
                       offset_i=off_i * KHZ, offset_s=off_s * KHZ)
         coupling = CouplingParams(d=d_khz * KHZ)
         spin = SpinningParams(omega_r=mas_khz * KHZ)
-        h0, z = oracle._lock_hamiltonian(oracle._REAL_TERMS, rf), IZSZ.real
-        # |2*d(t)| <= w for every t
-        beta = bench_orientation.beta
-        w = 2.0 * abs(coupling.d) * (math.sqrt(2.0) * abs(math.sin(2 * beta))
-                                     + math.sin(beta) ** 2)
-        node_dts = []
-        taylor = oracle.cos_sin_step
-
-        def recording(h, step):
-            node_dts.append(step)
-            return taylor(h, step)
-
-        monkeypatch.setattr(oracle, "cos_sin_step", recording)
         steps = oracle._substep_table(rf, coupling, bench_orientation, spin,
                                       dt)
         assert node_dts == [dt / 8 if squares else dt]
         # substep midpoints over one rotor period at 2 kHz
         times = (np.arange(5000) + 0.5) * dt
-        expected, norms = taylor_steps(rf, coupling, bench_orientation, spin,
-                                       times, dt)
+        expected, norms = reference_steps(rf, coupling, bench_orientation,
+                                          spin, times, dt)
         got = steps(times)
         assert got.shape == (5000, 8, 8)
         err = np.abs(got - expected).max(axis=(-1, -2))
@@ -300,13 +335,41 @@ class TestSubstepTable:
             # every step is squared as often as the largest Hamiltonian the
             # table covers, H0 +- w*Z, needs, and each squaring doubles the
             # round-off: the bound follows that norm
-            norms = np.maximum(norms, inf_norms(np.stack(
-                [h0 - w * z, h0 + w * z]) * dt).max())
+            norms = np.maximum(norms, bounding_norm(rf, coupling,
+                                                    bench_orientation, dt))
         assert np.all(err <= 1e-14 * np.maximum(1.0, norms))
         # a single substep gets the bits it gets in any stack
         for k in (0, 1234, 4999):
             assert np.array_equal(steps(times[k:k + 1])[0], got[k])
             assert np.array_equal(steps(times[k:k + 2])[0], got[k])
+
+    OFF_RESONANCE = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                             offset_i=20.0 * KHZ, offset_s=-15.0 * KHZ)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_squaring_count_changes_exactly_at_the_taylor_bound(
+            self, node_dts, k, slow_mas, bench_orientation):
+        # couplings whose bounding norm ||(H0 +- w*Z)*dt||_inf lies a few
+        # ulp below, at and above 0.35 * 2**k: below, the table takes k
+        # squarings, at and above k + 1, and either way cos_sin_step takes
+        # every node
+        rf, dt, target = self.OFF_RESONANCE, 1e-7, 0.35 * 2.0**k
+        below, above = couplings_around_norm(rf, bench_orientation, dt, target)
+        times = (np.arange(64) + 0.5) * (2.0 * math.pi / slow_mas.omega_r / 64)
+        for d in [*below, *above]:
+            coupling = CouplingParams(d=d)
+            norm = bounding_norm(rf, coupling, bench_orientation, dt)
+            assert abs(norm - target) <= 4 * np.spacing(target)
+            node_dts.clear()
+            steps = oracle._substep_table(rf, coupling, bench_orientation,
+                                          slow_mas, dt)
+            assert node_dts == [dt / 2**(k if norm < target else k + 1)]
+            expected, norms = reference_steps(rf, coupling, bench_orientation,
+                                              slow_mas, times, dt)
+            err = np.abs(steps(times) - expected).max(axis=(-1, -2))
+            assert np.all(err <= 1e-14 * np.maximum(1.0, norm))
+        assert any(bounding_norm(rf, CouplingParams(d=d), bench_orientation,
+                                 dt) == target for d in above)
 
     @pytest.mark.parametrize("a", [0.0, 1e-6, 1e-3, 7.5e-3, 0.1, 0.35, 1.0])
     def test_degree_is_the_smallest_within_the_bound(self, a):
@@ -358,9 +421,21 @@ class TestSubstepTable:
     def test_refuses_coupling_past_the_doubling_limit(self, matched_rf,
                                                       slow_mas,
                                                       bench_orientation):
+        # the limit is a bounding norm of 0.35 * 2**26 ~ 2.35e7
+        dt = 1e-6
+        for norm in (2.4e7, 1e300):
+            _, (d, *_) = couplings_around_norm(matched_rf, bench_orientation,
+                                               dt, norm)
+            with pytest.raises(ValueError, match="exceeds 2.35e"):
+                oracle._substep_table(matched_rf, CouplingParams(d=d),
+                                      bench_orientation, slow_mas, dt)
         with pytest.raises(ValueError, match="exceeds 2.35e"):
             oracle._substep_table(matched_rf, CouplingParams(d=1e303),
                                   bench_orientation, slow_mas, 1e-7)
+        (*_, d), _ = couplings_around_norm(matched_rf, bench_orientation, dt,
+                                           2.3e7)
+        oracle._substep_table(matched_rf, CouplingParams(d=d),
+                              bench_orientation, slow_mas, dt)
 
 
 class TestPropagate:
@@ -430,28 +505,6 @@ class TestPropagate:
         assert abs(np.trace(rho) - trace0) < 1e-8
         assert abs(np.trace(rho @ rho) - purity0) < 1e-8
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
-
-    def test_real_path_unitarity_over_1e5_substeps(self, matched_rf,
-                                                    bench_coupling, slow_mas,
-                                                    bench_orientation):
-        # 1e5 real-frame substeps through cos_sin_step, composed on the
-        # real embedding as the propagation core composes them
-        dt = 0.05e-6
-        times = (np.arange(100000) + 0.5) * dt
-        h = oracle._hamiltonian(oracle._REAL_TERMS, matched_rf,
-                                bench_coupling, bench_orientation, slow_mas,
-                                times)
-        steps = oracle._embedding(*cos_sin_step(h, dt))
-        p = np.eye(8)
-        for step in steps:
-            p = step @ p
-        assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
-        u = p[:4, :4] + 1j * p[4:, :4]
-        rho0 = oracle._to_real_frame(IY)
-        rho = u @ rho0 @ u.conj().T
-        assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-8
-        assert abs(np.trace(rho @ rho) - np.trace(rho0 @ rho0)) <= 1e-8
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
 
     def test_full_space_makes_no_eigh_call(self, monkeypatch, matched_rf,
                                            bench_coupling, slow_mas,
