@@ -358,13 +358,15 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
 
 def run_oracle(resolved) -> tuple[dict, list[str], int]:
     """Propagation with state and observables along the effective-field
-    axes; on resonance these reduce to I_y and S_y exactly."""
+    axes (`oracle.tilted_spin_operators`).  On resonance these are I_y and
+    S_y exactly, so the columns are those of `oracle.propagate` from I_y
+    bit for bit."""
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
     rf = _rf_from(resolved)
     coupling = _coupling_from(resolved)
     spin = _spin_from(resolved)
-    i_e, s_e = oracle.tilted_spin_operators(effective_field(rf))
+    i_e, s_e = oracle.tilted_spin_operators(rf)
     try:
         sy, iy, dq_y = oracle.propagate_expectations(
             i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,

@@ -443,7 +443,7 @@ class _Stage:
     model: np.ndarray
     res: np.ndarray
     rss: float
-    jac: np.ndarray
+    jac: np.ndarray | None
     iterations: int
     stop_reason: str
 
@@ -455,7 +455,9 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
     """Minimize the residual sum over ``names``; other values stay at start.
 
     ``model`` and ``res`` are `_BuildUpModel.evaluate` at start, and ``jac``
-    its Jacobian over ``names`` there, or None to have it built.
+    its Jacobian over ``names`` there, or None to have it built.  The
+    stage's ``jac`` is the Jacobian at its end point, or None when the run
+    moved there and stopped before building it.
     """
     spec = fm.spec
 
@@ -509,8 +511,6 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
         else:
             mu *= DAMPING_FACTOR
 
-    if jac is None:
-        jac = fm.jacobian(values, model, names)
     return _Stage(values=values, model=model, res=res, rss=rss, jac=jac,
                   iterations=iterations, stop_reason=stop_reason)
 
@@ -570,8 +570,11 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     best = _levenberg_marquardt(fm, free, values, model, res, jac,
                                 MAX_ITERATIONS)
     _check_descent(best.rss, rss_initial)
+    jac = best.jac
+    if jac is None:
+        jac = fm.jacobian(best.values, best.model, free)
     return FitResult(values=best.values, rss=best.rss,
-                     stderr=_standard_errors(best.jac, best.rss, free),
+                     stderr=_standard_errors(jac, best.rss, free),
                      converged=best.stop_reason != "max_iterations",
                      iterations=iterations + best.iterations,
                      stop_reason=best.stop_reason, model=best.model)
@@ -597,7 +600,7 @@ def _check_jacobian(jac: np.ndarray, free) -> None:
         raise FitError(f"degenerate Jacobian: parameter '{free[weak]}' has no "
                        f"effect on the model; consider fixing it")
     normalized = jac / col_norms
-    _, s, vt = np.linalg.svd(normalized)
+    _, s, vt = np.linalg.svd(normalized, full_matrices=False)
     if s[-1] < rank_tol * s[0]:
         culprit = int(np.argmax(np.abs(vt[-1])))
         raise FitError(f"degenerate Jacobian (rank deficient); consider "

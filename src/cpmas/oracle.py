@@ -17,11 +17,11 @@ and offsets.  There H(t) = H0 + 2*d(t)*I_z*S_z with H0 fixed, so the
 substep unitaries all lie on one curve in the scalar d(t): a substep
 table (`_substep_table`) exponentiates the Hamiltonians at a few
 Chebyshev points of the coupling range once per propagation, by
-`cos_sin_step` (a truncated Taylor series in (H*dt)**2, no
-eigendecomposition), and evaluates every substep as a Chebyshev series
-in d(t), exact to round-off; when H*dt is too large for the series, the
-table is built for a shorter step and each substep squared back up.
-rho(0) and the observables are rotated once per propagation;
+`cos_sin_step` (a degree-6 Taylor series in (H*dt)**2 summed by Horner's
+rule, no eigendecomposition), and evaluates every substep as a Chebyshev
+series in d(t), exact to round-off; when H*dt is too large for the
+series, the table is built for a shorter step and each substep squared
+back up.  rho(0) and the observables are rotated once per propagation;
 Tr(O @ rho) is the same in either frame.  The block-wise (ZQ/DQ)
 propagation exponentiates its complex 2x2 blocks by `eigh`
 (`matrix_exponential_step`), so the cross-check between the two is
@@ -69,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
-                   SpinningParams, TimeGrid, _coefficients,
-                   dipolar_coupling_at, effective_field)
+from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                   TimeGrid, _coefficients, dipolar_coupling_at,
+                   effective_field)
 
 HERMITICITY_TOL = 1e-12
 
@@ -216,24 +216,13 @@ def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
-# cos_sin_step sums the Taylor series of cos X and sin X/X as polynomials of
-# degree 6 in Y = X @ X.  For ||X||_inf < _TAYLOR_NORM the first omitted
-# term, X**14/14!, is below 5e-18.
+# cos_sin_step sums the Taylor series of cos X and sin X/X to degree 6 in
+# Y = X @ X.  For ||X||_inf < _TAYLOR_NORM the first omitted term,
+# X**14/14!, is below 5e-18.
 _TAYLOR_NORM = 0.35
 # Each squaring of the substep table doubles the round-off; past 26 of them
 # (2**26 * 1.1e-16 ~ 7e-9) the table refuses the step as inaccurate.
 _TAYLOR_MAX_NORM = _TAYLOR_NORM * 2.0**26
-
-
-def _taylor_rows(odd: int) -> list[list[float]]:
-    """Series coefficients of cos X (odd = 0) or sin X/X (odd = 1) against
-    the powers (1, Y, Y^2, Y^3): those of Y^0 to Y^3, then those that the
-    product with Y^3 takes to Y^4 to Y^6."""
-    c = [(-1) ** k / math.factorial(2 * k + odd) for k in range(7)]
-    return [c[:4], [0.0, *c[4:]]]
-
-
-_TAYLOR_COEFFS = _frozen(np.array(_taylor_rows(0) + _taylor_rows(1)))
 
 
 def _max_norm(x: np.ndarray) -> float:
@@ -242,10 +231,7 @@ def _max_norm(x: np.ndarray) -> float:
     Raises:
         ValueError: if it is not finite or exceeds _TAYLOR_MAX_NORM.
     """
-    # row sums of |X| by elementwise adds, which are faster than sums along
-    # a short axis and the same in any stack
-    ax = np.abs(x)
-    top = sum(ax[..., k] for k in range(x.shape[-1])).max(initial=0.0)
+    top = np.abs(x).sum(axis=-1).max(initial=0.0)
     if not top <= _TAYLOR_MAX_NORM:
         raise ValueError(
             f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
@@ -257,10 +243,11 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """cos(h*dt) and sin(h*dt) of a real symmetric h, without eigh.
 
     exp(-i*h*dt) = c - 1j*s.  ``h`` may be one (n, n) matrix or a
-    (..., n, n) stack; c and s have its shape.  Every X = h*dt must have
-    ||X||_inf < 0.35, where the truncated Taylor series is exact to
-    round-off; a matrix's result does not depend on the stack it is in.
-    Six real n x n matrix products per matrix.
+    (..., n, n) stack; c and s have its shape.  With X = h*dt, c and
+    X^-1 s are the Taylor series of cos X and sin X/X to degree 6 in
+    X @ X, summed by Horner's rule (14 real n x n products per matrix).
+    Every X must have ||X||_inf < 0.35, where the truncated series is
+    exact to round-off; a matrix's result does not depend on the stack.
 
     Raises:
         ValueError: if ``h`` is not symmetric within 1e-12 (max elementwise
@@ -269,23 +256,17 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """
     h = np.asarray(h, dtype=float)
     _check_hermitian(h)
-    n = h.shape[-1]
-    x = (h * dt).reshape(-1, n, n)
+    x = h * dt
     top = _max_norm(x)
     if not top < _TAYLOR_NORM:
         raise ValueError(f"||h*dt||_inf = {top:.3g} is not below "
                          f"{_TAYLOR_NORM}, the Taylor series' bound")
-    # powers[p] = Y**p
-    powers = np.empty((4, *x.shape))
-    powers[0] = np.eye(n)
-    np.matmul(x, x, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[1], powers[2], out=powers[3])
-    cos_lo, cos_hi, sinc_lo, sinc_hi = (
-        _TAYLOR_COEFFS @ powers.reshape(4, -1)).reshape(powers.shape)
-    c = cos_lo + powers[3] @ cos_hi
-    s = x @ (sinc_lo + powers[3] @ sinc_hi)
-    return c.reshape(h.shape), s.reshape(h.shape)
+    y = x @ x
+    c = s = eye = np.eye(h.shape[-1])
+    for k in range(6, 0, -1):
+        c = eye - y @ c / ((2 * k - 1) * 2 * k)
+        s = eye - y @ s / (2 * k * (2 * k + 1))
+    return c, x @ s
 
 
 def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
@@ -658,14 +639,16 @@ def dq_constancy_report(traj: Trajectory) -> float:
     return float(np.max(np.abs(traj.dq_y - traj.dq_y[0])))
 
 
-def tilted_spin_operators(eff: EffectiveField) -> tuple[np.ndarray, np.ndarray]:
+def tilted_spin_operators(rf: RfScheme) -> tuple[np.ndarray, np.ndarray]:
     """I and S spin operators along their tilted effective-field axes.
 
     Off resonance the lock axis tilts toward +z; polarization starts along
     the I effective field and builds up along the S effective field, so
     these are the natural initial state and observable for off-resonance
-    propagation.
+    propagation.  On resonance they are I_y and S_y exactly.
     """
-    i_e = math.sin(eff.theta_i) * IY + math.cos(eff.theta_i) * IZ
-    s_e = math.sin(eff.theta_s) * SY + math.cos(eff.theta_s) * SZ
+    w_i = math.hypot(rf.offset_i, rf.omega1_i)
+    w_s = math.hypot(rf.offset_s, rf.omega1_s)
+    i_e = (rf.omega1_i / w_i) * IY + (rf.offset_i / w_i) * IZ
+    s_e = (rf.omega1_s / w_s) * SY + (rf.offset_s / w_s) * SZ
     return i_e, s_e

@@ -275,7 +275,7 @@ def test_criterion_8_off_resonance_transfer_rate_scaling():
         return float(np.interp(0.5, [sy[k - 1], sy[k]], [t[k - 1], t[k]]))
 
     t_on = half_transfer_time(CRYSTAL_RF, IY, SY, 3 * t_half)
-    i_e, s_e = tilted_spin_operators(eff)
+    i_e, s_e = tilted_spin_operators(rf_off)
     t_off = half_transfer_time(rf_off, i_e, s_e, 3 * t_half / scale)
     ratio = t_on / t_off
     rel_err = abs(ratio - scale) / scale

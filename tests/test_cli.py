@@ -335,6 +335,26 @@ class TestOracleCommand:
         assert cols["iy"][0] == pytest.approx(1.0, abs=1e-12)
         assert cols["dq_y"][0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_on_resonance_run_starts_from_i_y(self, tmp_path, monkeypatch):
+        # on resonance the lock axes are I_y and S_y exactly, so the columns
+        # are those of `propagate` from I_y bit for bit
+        calls = []
+        original = oracle.propagate_expectations
+
+        def recording(rho0, observables, *args):
+            calls.append(args)
+            return original(rho0, observables, *args)
+
+        monkeypatch.setattr(oracle, "propagate_expectations", recording)
+        out = tmp_path / "orc.csv"
+        args = ["oracle", *BENCH_SIM[:-4], "--tmax-us", "400", "--dt-us", "1",
+                "--b1i-khz", "80", "--b1s-khz", "80", "--out", str(out)]
+        assert run(args) == EXIT_OK
+        cols = read_curve_csv(out)
+        traj = oracle.propagate(oracle.IY, *calls[0])
+        for name in ("sy", "iy", "dq_y"):
+            assert np.array_equal(cols[name], getattr(traj, name))
+
 
 class TestFitCommand:
     def test_shipped_dataset_round_trip(self, tmp_path, capsys):

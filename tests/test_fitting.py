@@ -502,6 +502,30 @@ class TestFitBuildup:
         guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
         assert at.count(guess) == 1
 
+    def test_jacobian_is_built_once_at_the_warm_end_point(self, monkeypatch):
+        # the final run's first iteration builds it; the warm stage does not
+        at, stages = [], []
+        jacobian = fitting._BuildUpModel.jacobian
+        levenberg_marquardt = fitting._levenberg_marquardt
+
+        def recording_jacobian(fm, v, model, names):
+            at.append(dict(v))
+            return jacobian(fm, v, model, names)
+
+        def recording_run(*args):
+            stages.append(levenberg_marquardt(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(fitting._BuildUpModel, "jacobian",
+                            recording_jacobian)
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording_run)
+        data, oset = self.make_data(noise=0.01, n=61)
+        spec = benchmark_spec(oset, free=("d", "r", "r1", "t1rho"),
+                              guess_factor=1.05)
+        fit_buildup(data, spec)
+        assert len(stages) == 2
+        assert at.count(stages[0].values) == 1
+
     def test_model_is_the_model_curve_at_the_optimum(self):
         data, oset = self.make_data(noise=0.01, n=61)
         for spec in (benchmark_spec(oset),

@@ -526,12 +526,26 @@ class TestPropagate:
 
     def test_blockwise_equals_full_space(self, matched_rf, bench_coupling,
                                          slow_mas, bench_orientation):
-        grid = TimeGrid(dt=1e-6, n_points=1001)
-        traj = propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                         slow_mas, grid)
-        sy_blocks = propagate_blockwise(IY, matched_rf, bench_coupling,
-                                        bench_orientation, slow_mas, grid)
-        assert np.max(np.abs(traj.sy - sy_blocks)) < 1e-8
+        # the benchmark crystal, then seeded on-resonance inputs of the
+        # `oracle-compare` benchmark's shape: 40-120 kHz locks, 1-10 kHz
+        # spinning, d/2pi 1-5 kHz, 200-1000 points 0.5-2 us apart
+        cases = [(matched_rf, bench_coupling, bench_orientation, slow_mas,
+                  TimeGrid(dt=1e-6, n_points=1001))]
+        for seed in range(6):
+            rng = np.random.default_rng([15, seed])
+            b1 = rng.uniform(40.0, 120.0) * KHZ
+            cases.append((
+                RfScheme(omega1_i=b1, omega1_s=b1),
+                CouplingParams(d=rng.uniform(1.0, 5.0) * KHZ),
+                Orientation(beta=math.acos(rng.uniform(-1.0, 1.0)),
+                            gamma=rng.uniform(0.0, 2.0 * math.pi)),
+                SpinningParams(omega_r=rng.uniform(1.0, 10.0) * KHZ),
+                TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
+                         n_points=int(rng.integers(200, 1001)))))
+        for k, args in enumerate(cases):
+            sy_full = propagate(IY, *args).sy
+            sy_blocks = propagate_blockwise(IY, *args)
+            assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, k
 
     @pytest.mark.parametrize("locks_khz,mas_khz,block,n_points", [
         pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, 41,
@@ -567,7 +581,7 @@ class TestPropagate:
         grid = TimeGrid(dt=0.1e-6, n_points=n_points)
         substeps = 3
         assert required_substeps(rf, spin, grid.dt) <= substeps
-        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        i_e, s_e = tilted_spin_operators(rf)
         out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
                                      bench_orientation, spin, grid,
                                      substeps=substeps)
@@ -591,7 +605,7 @@ class TestPropagate:
         # no interval to propagate: the scan is empty
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                       offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
-        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        i_e, s_e = tilted_spin_operators(rf)
         out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
                                      bench_orientation, slow_mas,
                                      TimeGrid(dt=1e-6, n_points=1))
@@ -622,7 +636,7 @@ class TestPropagate:
             bench_orientation):
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                       offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
-        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        i_e, s_e = tilted_spin_operators(rf)
         args = (i_e, (s_e, i_e, oracle.DQ_Y), rf, bench_coupling,
                 bench_orientation, slow_mas, TimeGrid(dt=1e-6, n_points=41))
         full = propagate_expectations(*args)
@@ -641,7 +655,7 @@ class TestPropagate:
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                       offset_i=offsets_khz[0] * KHZ,
                       offset_s=offsets_khz[1] * KHZ)
-        i_e, s_e = tilted_spin_operators(effective_field(rf))
+        i_e, s_e = tilted_spin_operators(rf)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
 
         def run(n_points):
@@ -834,7 +848,7 @@ class TestOffResonanceScaling:
         def first_half_transfer_time(rf, tilted, t_max):
             grid = TimeGrid(dt=t_max / 1500, n_points=1501)
             if tilted:
-                i_e, s_e = tilted_spin_operators(effective_field(rf))
+                i_e, s_e = tilted_spin_operators(rf)
             else:
                 i_e, s_e = IY, SY
             sy = propagate_expectations(i_e, (s_e,), rf, bench_coupling,
