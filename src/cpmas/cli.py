@@ -18,7 +18,8 @@ parse time.  A plain-text key-value config file can supply any flag
 
 Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
 --report path, a time grid over 10**7 points, a grid:NxM set over 10**6
-orientations, or a compare --threshold not finite and >= 0), 2 comparison
+orientations, a compare --threshold not finite and >= 0, or locks off the
+Hartmann-Hahn match for simulate, powder, compare or fit), 2 comparison
 threshold exceeded, 3 data error, 4 fit non-convergence or fit failure.
 """
 
@@ -101,6 +102,9 @@ _RELAX_OPTS = [
     Opt("t1rho-ms", float, "rotating-frame relaxation time, milliseconds"),
     Opt("m0", float, "equilibrium amplitude", default=1.0),
 ]
+_SUBSTEPS_OPT = Opt("substeps", int,
+                    "steps per grid interval of the command's rule (the "
+                    "fourth-order CF4 rule of cpmas.oracle)")
 _COMMON_OPTS = [
     Opt("out", str, "output CSV path", required=True),
     Opt("config", str, "key-value config file; flags override it"),
@@ -116,11 +120,10 @@ COMMAND_OPTS = {
                *_RELAX_OPTS, *_COMMON_OPTS],
     "oracle": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
                *_RF_OPTS_REQUIRED,
-               Opt("substeps", int, "propagation substeps per grid interval"),
-               *_COMMON_OPTS],
+               _SUBSTEPS_OPT, *_COMMON_OPTS],
     "compare": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
                 *_RF_OPTS_REQUIRED,
-                Opt("substeps", int, "propagation substeps per grid interval"),
+                _SUBSTEPS_OPT,
                 Opt("threshold", float, "max allowed |analytic - oracle|",
                     default=0.02),
                 *_COMMON_OPTS],
@@ -282,6 +285,28 @@ def _rf_from(resolved) -> RfScheme | None:
     return rf
 
 
+# The closed forms hold at the Hartmann-Hahn match: `simulate`, `powder`,
+# `compare` and `fit` refuse effective lock fields that differ by more than
+# this share of their sum.  Equal amplitudes with equal offsets match
+# exactly.
+MATCH_TOL = 1e-9
+
+
+def _matched_rf_from(resolved) -> RfScheme | None:
+    """`_rf_from` for the closed-form commands, refused off the match."""
+    rf = _rf_from(resolved)
+    if rf is not None:
+        eff = effective_field(rf)
+        delta = eff.omega1_ie - eff.omega1_se
+        if abs(delta) > MATCH_TOL * (eff.omega1_ie + eff.omega1_se):
+            raise ConfigError(
+                f"the effective lock fields are off the Hartmann-Hahn match "
+                f"by w1I,e - w1S,e = {delta / KHZ:.6g} kHz, more than "
+                f"{MATCH_TOL:g} of their sum; the closed form holds only at "
+                f"the match (`oracle` propagates any locks)")
+    return rf
+
+
 def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
     """The coupling, tilt-scaled for the effective fields of ``rf`` if given."""
     try:
@@ -338,7 +363,7 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
 def run_simulate(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
-    coupling = _coupling_from(resolved, _rf_from(resolved))
+    coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
     return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK
@@ -346,7 +371,7 @@ def run_simulate(resolved) -> tuple[dict, list[str], int]:
 
 def run_powder(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
-    coupling = _coupling_from(resolved, _rf_from(resolved))
+    coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
@@ -357,10 +382,11 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
 
 
 def run_oracle(resolved) -> tuple[dict, list[str], int]:
-    """Propagation with state and observables along the effective-field
-    axes (`oracle.tilted_spin_operators`).  On resonance these are I_y and
-    S_y exactly, so the columns are those of `oracle.propagate` from I_y
-    bit for bit."""
+    """Propagation by the fourth-order rule `oracle.CF4`, with state and
+    observables along the effective-field axes
+    (`oracle.tilted_spin_operators`).  On resonance these are I_y and S_y
+    exactly, so the columns are those of `oracle.propagate` from I_y under
+    that rule bit for bit."""
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
     rf = _rf_from(resolved)
@@ -370,7 +396,7 @@ def run_oracle(resolved) -> tuple[dict, list[str], int]:
     try:
         sy, iy, dq_y = oracle.propagate_expectations(
             i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
-            resolved["substeps"])
+            resolved["substeps"], rule=oracle.CF4)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return {"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK
@@ -431,7 +457,7 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
                     f"fit searches guess/1000 to guess*1000)") from exc
         else:
             parameters[name] = fitting.FitParameter(value=value, free=False)
-    rf = _rf_from(resolved)
+    rf = _matched_rf_from(resolved)
     if rf is None:
         # Fields only rescale d through the tilt angles; on resonance any
         # matched pair is equivalent, so supply a nominal matched lock.

@@ -4,45 +4,60 @@ Propagates the full time-dependent Hamiltonian
 
     H(t) = omega1_i*I_y + omega1_s*S_y + offset_i*I_z + offset_s*S_z + 2*d(t)*I_z*S_z
 
-in the 4-dimensional product space exactly (piecewise-constant midpoint
-Hamiltonians, exactly-unitary substeps), independent of every closed-form
-result in `analytic`.  It is the ground truth the analytic curves are
-validated against.
+in the 4-dimensional product space by products of exactly unitary
+exponentials, independent of every closed-form result in `analytic`.  It
+is the ground truth the analytic curves are validated against.
+
+How a substep is taken is data, a `StepRule`: the times in the substep at
+which the coupling c(t) = 2*d(t) is sampled, a weight matrix that combines
+those samples into one coupling c_f per exponential factor, the factors'
+length as a share of the substep, and the substeps per period of the
+fastest coherent frequency.  With H0 the locks and offsets and
+Z = I_z*S_z, each factor is exp(-i*(H0 + c_f*Z)*dt).  `MIDPOINT`, the
+default of the functions here, is one factor at the midpoint (second
+order, 50 substeps per period).  `CF4`, which the `oracle` and `compare`
+commands use, is the fourth-order commutator-free Magnus rule: two
+half-length factors whose couplings combine c at the two Gauss points
+(6.25 substeps per period, within `CF4_TOLERANCE` of a converged run).
+Neither rule assumes that the Hamiltonian commutes with itself at
+different times, the property the closed form rests on.
 
 The full-space propagation runs in the frame rotated by
 R = exp(-i*pi/2*(I_z + S_z)), which is diagonal in the product basis and
 takes I_y -> -I_x and S_y -> -S_x while leaving I_z, S_z and I_z*S_z
-alone, so every substep Hamiltonian there is real symmetric for any locks
-and offsets.  There H(t) = H0 + 2*d(t)*I_z*S_z with H0 fixed, so the
-substep unitaries all lie on one curve in the scalar d(t): a substep
-table (`_substep_table`) exponentiates the Hamiltonians at a few
-Chebyshev points of the coupling range once per propagation, by
-`cos_sin_step` (a degree-6 Taylor series in (H*dt)**2 summed by Horner's
-rule, no eigendecomposition), and evaluates every substep as a Chebyshev
-series in d(t), exact to round-off; when H*dt is too large for the
-series, the table is built for a shorter step and each substep squared
-back up.  rho(0) and the observables are rotated once per propagation;
-Tr(O @ rho) is the same in either frame.  The block-wise (ZQ/DQ)
-propagation exponentiates its complex 2x2 blocks by `eigh`
+alone, so every factor's Hamiltonian H0 + c*Z there is real symmetric for
+any locks and offsets.  The factors' unitaries all lie on one curve in
+the scalar c: a substep table (`_substep_table`) exponentiates the
+Hamiltonians at a few Chebyshev points of the range of c once per
+propagation, by `cos_sin_step` (a degree-6 Taylor series in (H*dt)**2
+summed by Horner's rule, no eigendecomposition), and evaluates every
+factor as a Chebyshev series in c, exact to round-off; when H*dt is too
+large for the series, the table is built for a shorter step and each
+factor squared back up.  rho(0) and the observables are rotated once per
+propagation; Tr(O @ rho) is the same in either frame.  The block-wise
+(ZQ/DQ) propagation exponentiates its complex 2x2 blocks by `eigh`
 (`matrix_exponential_step`), so the cross-check between the two is
 independent in its exponential as well as in its block structure.
 
-One core serves both and runs in real arithmetic: a complex n x n matrix
-M is carried as its real embedding [[Re M, -Im M], [Im M, Re M]], under
-which products stay products.  Per block of about SUBSTEP_BLOCK
-substeps, the substep unitaries at the midpoint times are formed in one
-batched call and those of each grid interval multiplied together
-(batched over intervals).  A two-level prefix scan (`_scan`) over the
-interval unitaries turns them into propagators from t = 0 in about two
-products per grid point, each propagator gives its state, and
+One core (`_propagate`) serves both paths and every rule, and runs in real
+arithmetic: a complex n x n matrix M is carried as its real embedding
+[[Re M, -Im M], [Im M, Re M]], under which products stay products.  Per
+block of about SUBSTEP_BLOCK factors, the couplings of the factors are
+combined from d(t) at the rule's nodes, their unitaries formed in one
+batched call, and those of each grid interval multiplied together in
+order (batched over intervals).  A two-level prefix scan (`_scan`) over
+the interval unitaries turns them into propagators from t = 0 in about
+two products per grid point, each propagator gives its state, and
 Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the states.  Only the
 top half [Re P | -Im P] of each propagator's embedding is kept, in one
 array that the scan updates in place, so memory is n x 2n reals per grid
 point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
-block, and does not grow with the substeps per interval.  A whole
-full-space propagation takes about 0.4 us per substep on inputs of 200-1000
-grid points (a 2-vCPU Xeon, numpy 2.4.6): forming and composing the
-substeps ~57% of it, the readout ~19%, the scan ~14%, the table ~10%.
+block, and does not grow with the substeps per interval.  On 30
+`oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU Xeon,
+numpy 2.4.6) a CF4 propagation takes about 1.6 ms: the scan ~32% of it,
+the readout ~28%, the table ~15%, forming the factors ~12% and composing
+them ~13%.  The midpoint rule takes about 3.2 ms on the same inputs, half
+of it forming and composing its substeps.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -75,21 +90,20 @@ from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
 
 HERMITICITY_TOL = 1e-12
 
-# Minimum sampling of the fastest coherent frequency by the midpoint rule.
-STEPS_PER_FASTEST_PERIOD = 50
-
-# Most substeps in one propagation (a Chebyshev series from the substep
-# table and one real 8x8 product each, about 0.4 us a substep with the rest
-# of the work), checked before any work: it bounds the work of a
-# propagation, not its memory, which grows with the grid points.
+# Most substeps in one propagation (one factor for `MIDPOINT`, two for
+# `CF4`, each a Chebyshev series from the substep table and one real 8x8
+# product), checked before any work: it bounds the work of a propagation,
+# not its memory, which grows with the grid points.
 MAX_SUBSTEPS = 10**6
 
-# Substeps held at once (~0.6 KiB of temporaries each): whole grid intervals
-# up to this many, and an interval with more in chunks of this size.  The
-# scan and the readout also take about this many grid points at a time.
-# On the `oracle-compare` benchmark, with the two-level scan, 1024 read a
-# lower median latency than 512 and 2048 in 3 of 3 pairs each (by 10-13%
-# and 5-10%).
+# Factors held at once (~0.6 KiB of temporaries each): whole grid intervals
+# up to this many, and an interval with more in chunks of whole substeps.
+# The scan and the readout also take about this many grid points at a time.
+# On the `oracle-compare` benchmark under CF4 (seeds 1621-1629, 3 pairs
+# against 1024 each), 512 read a higher median latency in 3 of 3 pairs
+# (by 8-13%) and 2048 in 2 of 3 (-4% to +4%); one block per operation
+# (10**6) read 4-8% lower in 3 of 3, but at a higher peak, 44.0-44.1
+# against 42.2-42.5 MiB.
 SUBSTEP_BLOCK = 1024
 
 
@@ -269,12 +283,68 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return c, x @ s
 
 
-def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
-    """Minimum substeps per grid interval for the documented stability rule.
+@dataclass(frozen=True)
+class StepRule:
+    """A rule for stepping H(t) = H0 + c(t)*Z over one substep of length h.
+
+    The substep from t0 is the product of one exponential
+    exp(-i*length*h*(H0 + c_f*Z)) per row f of ``weights``, the factor
+    applied first in the first row, with c_f = sum over k of
+    weights[f][k] * c(t0 + nodes[k]*h).  ``steps_per_period`` is the
+    least number of substeps per period of the fastest coherent frequency
+    (`required_substeps`).
+    """
+
+    nodes: tuple[float, ...]
+    weights: tuple[tuple[float, ...], ...]
+    length: float
+    steps_per_period: float
+
+    @property
+    def reach(self) -> float:
+        """The largest |c_f| over max |c(t)|: a row sum of |weights|."""
+        return max(sum(abs(w) for w in row) for row in self.weights)
+
+
+# The exponential midpoint rule, second order.
+MIDPOINT = StepRule(nodes=(0.5,), weights=((1.0,),), length=1.0,
+                    steps_per_period=50)
+
+_R3 = math.sqrt(3.0) / 6.0
+# The fourth-order commutator-free Magnus rule CF4 (Blanes & Moan, Appl.
+# Numer. Math. 56, 1519, 2006): exp(-i*h*(a1*H(t1) + a2*H(t2))) with
+# (a1, a2) = (a+, a-), then (a-, a+), at the Gauss points t1, t2 =
+# t0 + (1/2 -+ sqrt(3)/6)*h, a+- = 1/4 +- sqrt(3)/6.  As a1 + a2 = 1/2,
+# each factor is exp(-i*(h/2)*(H0 + 2*(a1*c(t1) + a2*c(t2))*Z)).
+# steps_per_period is fitted to this table of the largest error in the
+# oracle's three expectation values against CF4 at 8x the midpoint rule's
+# substeps (itself within 6.4e-11 of CF4 at 4x), over 160 seeded
+# `oracle-compare`-shaped inputs: 40-120 kHz matched locks, half of them
+# off resonance by up to half the lock, 1-10 kHz spinning, d/2pi 1-5 kHz,
+# 200-1000 points 0.5-2 us apart.  The midpoint rule at 50 errs by up to
+# 4.2e-6 there, and the last row is the largest ratio of CF4's error to
+# the midpoint rule's on one input:
+#     steps_per_period     3.125    4.6875   6.25     12.5
+#     max error            5.3e-7   5.3e-7   4.0e-8   6.2e-9
+#     median error         4.0e-9   2.0e-9   7.6e-10  1.1e-10
+#     max ratio            0.32     0.16     0.031    0.0078
+CF4 = StepRule(nodes=(0.5 - _R3, 0.5 + _R3),
+               weights=((0.5 + 2.0 * _R3, 0.5 - 2.0 * _R3),
+                        (0.5 - 2.0 * _R3, 0.5 + 2.0 * _R3)),
+               length=0.5, steps_per_period=6.25)
+# The error that CF4 at its steps_per_period is held to, against the same
+# rule at 8x the substeps, on inputs like those of the table.
+CF4_TOLERANCE = 1e-7
+
+
+def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float,
+                      rule: StepRule = MIDPOINT) -> int:
+    """Minimum substeps of ``rule`` per grid interval.
 
     The substep must resolve the fastest coherent frequency - the sum of
     the effective spin-lock fields or twice the rotor frequency, whichever
-    is larger - with at least ``STEPS_PER_FASTEST_PERIOD`` steps per period.
+    is larger - with at least ``rule.steps_per_period`` substeps per
+    period: 50 for `MIDPOINT`, 6.25 for `CF4`.
 
     Raises:
         ValueError: if that is more than ``MAX_SUBSTEPS`` (an overflowing
@@ -282,7 +352,7 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
     """
     eff = effective_field(rf)
     omega_fast = max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r)
-    max_step = 2.0 * math.pi / (STEPS_PER_FASTEST_PERIOD * omega_fast)
+    max_step = 2.0 * math.pi / (rule.steps_per_period * omega_fast)
     steps = dt / max_step - 1e-9 if max_step > 0.0 else math.inf
     if steps > MAX_SUBSTEPS:
         raise ValueError(
@@ -320,19 +390,20 @@ def _table_degree(a: float) -> int:
 
 
 def _substep_table(rf: RfScheme, coupling: CouplingParams,
-                   orient: Orientation, spin: SpinningParams, dt: float):
-    """``steps(t)``: the embedded real-frame substep unitaries
-    exp(-i*H(t)*dt) for substep midpoint times t, from a table in d(t).
+                   orient: Orientation, rule: StepRule, dt: float):
+    """``steps(c)``: the embedded real-frame unitaries exp(-i*(H0 + c*Z)*dt)
+    for the couplings c of ``rule``'s factors, from a table in c.
 
-    In the real frame H(t) = H0 + c*Z with H0 the locks and offsets,
-    Z = I_z*S_z and c = 2*d(t), so every substep unitary is a point on the
-    curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |c| <= w =
-    2|d|*(|c1|/2 + c2), so with c = w*x for x in [-1, 1] the k-th
+    In the real frame H(t) = H0 + c(t)*Z with H0 the locks and offsets,
+    Z = I_z*S_z and c(t) = 2*d(t), so every factor of a substep is a point
+    on the curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |2*d(t)| <=
+    2|d|*(|c1|/2 + c2), so the rule's couplings keep |c| <= w, that bound
+    times ``rule.reach``.  With c = w*x for x in [-1, 1] the k-th
     derivative in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4; the
     table exponentiates the n + 1 Chebyshev-point Hamiltonians that
     `_table_degree` asks for in one `cos_sin_step` call (which checks
-    their symmetry, and so that of every substep, as Z is diagonal) and
-    evaluates each substep as [T_0(x), ..., T_n(x)] @ coefficients, one
+    their symmetry, and so that of every factor, as Z is diagonal) and
+    evaluates each factor as [T_0(x), ..., T_n(x)] @ coefficients, one
     real product giving the 8x8 embedding.  When the bounding Hamiltonians
     H0 +- w*Z have ||H*dt||_inf >= 0.35 the table is built for dt/2**s, s
     the fewest halvings that take that norm below 0.35, and each step is
@@ -343,7 +414,7 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     h0 = _lock_hamiltonian(_REAL_TERMS, rf)
     z = _REAL_TERMS[4]
     c1, c2 = _coefficients(orient.beta)
-    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2)
+    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2) * rule.reach
     top = _max_norm(np.stack([h0 - w * z, h0 + w * z]) * dt)
     squarings = max(0, math.frexp(top / _TAYLOR_NORM)[1])
     sub_dt = math.ldexp(dt, -squarings)
@@ -359,14 +430,13 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     coeffs = (2.0 / (n + 1)) * (np.cos(np.outer(np.arange(n + 1), theta))
                                 @ (nodes - mean))
     coeffs[0] = mean
-    scale = 2.0 / w if w > 0.0 else 0.0
+    scale = 1.0 / w if w > 0.0 else 0.0
     dim = 2 * len(h0)
 
-    def steps(t: np.ndarray) -> np.ndarray:
-        x = dipolar_coupling_at(coupling, orient, spin, t) * scale
+    def steps(c: np.ndarray) -> np.ndarray:
         # a one-row product would go to gemv, whose bits differ from those
         # of a gemm row: evaluate at least two rows
-        x = np.resize(x, max(len(x), 2))
+        x = np.resize(c * scale, max(len(c), 2))
         cheb = np.empty((n + 1, len(x)))  # T_j(x) in row j
         cheb[0] = 1.0
         if n:
@@ -374,7 +444,7 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
         x2 = 2.0 * x
         for j in range(2, n + 1):
             cheb[j] = x2 * cheb[j - 1] - cheb[j - 2]
-        out = (cheb.T @ coeffs)[:len(t)].reshape(len(t), dim, dim)
+        out = (cheb.T @ coeffs)[:len(c)].reshape(len(c), dim, dim)
         for _ in range(squarings):
             out = out @ out
         return out
@@ -421,18 +491,19 @@ def _scan(p: np.ndarray) -> None:
             tail[...] = tail @ carry[whole]
 
 
-def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
-               grid: TimeGrid, substeps: int | None, rho0: np.ndarray,
-               observables) -> np.ndarray:
-    """Tr(O @ rho) per grid point; ``make_steps(dt)`` returns ``steps(t)``,
-    which gives the real embeddings of the substep unitaries of length dt
-    for the Hamiltonians at substep midpoint times t (substep j at
-    (j + 1/2)*dt).
+def _propagate(make_steps, rule: StepRule, rf: RfScheme,
+               coupling: CouplingParams, orient: Orientation,
+               spin: SpinningParams, grid: TimeGrid, substeps: int | None,
+               rho0: np.ndarray, observables) -> np.ndarray:
+    """Tr(O @ rho) per grid point, stepping by ``rule``; ``make_steps(dt)``
+    returns ``steps(c)``, which gives the real embeddings of the unitaries
+    exp(-i*(H0 + c*Z)*dt) for couplings c, dt the rule's factor length.
 
-    ``substeps`` is checked against the step-size rule and ``MAX_SUBSTEPS``
-    before any work; None picks the smallest count the rule allows.
+    ``substeps`` is checked against the rule's step-size rule and
+    ``MAX_SUBSTEPS`` before any work; None picks the smallest count the
+    rule allows.
     """
-    needed = required_substeps(rf, spin, grid.dt)
+    needed = required_substeps(rf, spin, grid.dt, rule)
     intervals = grid.n_points - 1
     if substeps is None:
         substeps = needed
@@ -446,9 +517,12 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
             f"{substeps}) exceed the limit of {MAX_SUBSTEPS} per propagation")
     n = rho0.shape[-1]
     dt_sub = grid.dt / substeps
-    steps = make_steps(dt_sub)
-    per_block = max(1, SUBSTEP_BLOCK // substeps)
-    chunk = min(substeps, SUBSTEP_BLOCK)
+    steps = make_steps(rule.length * dt_sub)
+    nodes = np.array(rule.nodes)[:, None]
+    weights = np.array(rule.weights)[:, :, None]
+    factors = len(weights)
+    per_block = max(1, SUBSTEP_BLOCK // (substeps * factors))
+    chunk = max(1, min(substeps, SUBSTEP_BLOCK // factors))
     # Top halves of the propagators.  Point i + 1 holds the unitary of
     # interval i, then, after the scan, the propagator from t = 0.
     props = np.empty((grid.n_points, n, 2 * n))
@@ -457,12 +531,15 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
         offsets = np.arange(first, min(first + per_block, intervals))
         u = None  # left halves [Re U; Im U] of the products so far
         for k0 in range(0, substeps, chunk):
-            # j[k, i]: substep k0 + k of interval offsets[i]
-            j = (np.arange(k0, min(k0 + chunk, substeps))[:, None]
+            # j[k, 0, i]: substep k0 + k of interval offsets[i]; c[k, f, i]
+            # its factor f's coupling
+            j = (np.arange(k0, min(k0 + chunk, substeps))[:, None, None]
                  + offsets * substeps)
-            t_mid = (j + 0.5) * dt_sub
-            emb = steps(t_mid.ravel())
-            for step in emb.reshape(*j.shape, 2 * n, 2 * n):
+            c = 2.0 * dipolar_coupling_at(coupling, orient, spin,
+                                          (j + nodes) * dt_sub)
+            c = (weights * c[:, None]).sum(axis=2)
+            emb = steps(c.ravel())
+            for step in emb.reshape(-1, len(offsets), 2 * n, 2 * n):
                 u = step[..., :n] if u is None else step @ u
         p = props[first + 1:first + 1 + len(u)]
         p[..., :n] = u[:, :n]
@@ -487,14 +564,16 @@ def _propagate(make_steps, rf: RfScheme, spin: SpinningParams,
 def propagate_expectations(rho0: np.ndarray, observables,
                            rf: RfScheme, coupling: CouplingParams,
                            orient: Orientation, spin: SpinningParams,
-                           grid: TimeGrid, substeps: int | None = None
-                           ) -> np.ndarray:
+                           grid: TimeGrid, substeps: int | None = None,
+                           rule: StepRule = MIDPOINT) -> np.ndarray:
     """Propagate rho0 over the grid and record Tr(O @ rho) for each observable.
 
-    Each grid interval is subdivided into ``substeps`` piecewise-constant
-    steps with the Hamiltonian sampled at the substep midpoint
-    (second-order accurate, exactly unitary).  ``substeps=None`` picks the
-    smallest count satisfying `required_substeps`.
+    Each grid interval is subdivided into ``substeps`` substeps of
+    ``rule``, each a product of exactly unitary exponentials: one with
+    the Hamiltonian at the substep midpoint for `MIDPOINT` (second order),
+    two with Hamiltonians combined from two Gauss points for `CF4` (fourth
+    order).  ``substeps=None`` picks the smallest count satisfying
+    `required_substeps` for the rule.
 
     Returns:
         Real array of shape (len(observables), grid.n_points).
@@ -505,26 +584,29 @@ def propagate_expectations(rho0: np.ndarray, observables,
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
     return _propagate(
-        functools.partial(_substep_table, rf, coupling, orient, spin),
-        rf, spin, grid, substeps, _to_real_frame(rho0),
+        functools.partial(_substep_table, rf, coupling, orient, rule), rule,
+        rf, coupling, orient, spin, grid, substeps, _to_real_frame(rho0),
         _to_real_frame(observables))
 
 
 def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
               orient: Orientation, spin: SpinningParams, grid: TimeGrid,
-              substeps: int | None = None) -> Trajectory:
+              substeps: int | None = None,
+              rule: StepRule = MIDPOINT) -> Trajectory:
     """Full-space propagation recording <S_y>, <I_y> and the DQ lock component."""
     out = propagate_expectations(rho0, (SY, IY, DQ_Y), rf, coupling, orient,
-                                 spin, grid, substeps)
+                                 spin, grid, substeps, rule)
     return Trajectory(grid=grid, sy=out[0], iy=out[1], dq_y=out[2])
 
 
-def _eigh_steps(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
-                spin: SpinningParams, idx, dt: float):
-    """``steps(t)`` for the (idx, idx) y-basis block, exponentiated by eigh."""
-    def steps(t: np.ndarray) -> np.ndarray:
+def _eigh_steps(rf: RfScheme, idx, dt: float):
+    """``steps(c)`` for the (idx, idx) y-basis block of H0 + c*I_z*S_z,
+    exponentiated by eigh."""
+    h0 = _lock_hamiltonian(_TERMS, rf)
+
+    def steps(c: np.ndarray) -> np.ndarray:
         u = matrix_exponential_step(_block(_in_y_basis(
-            hamiltonian_at(rf, coupling, orient, spin, t)), idx), dt)
+            h0 + c[:, None, None] * IZSZ), idx), dt)
         return _embedding_of_top(np.concatenate([u.real, -u.imag], -1))
 
     return steps
@@ -533,7 +615,8 @@ def _eigh_steps(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
 def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
                         coupling: CouplingParams, orient: Orientation,
                         spin: SpinningParams, grid: TimeGrid,
-                        substeps: int | None = None) -> np.ndarray:
+                        substeps: int | None = None,
+                        rule: StepRule = MIDPOINT) -> np.ndarray:
     """<S_y> from separate ZQ/DQ 2x2 block propagation (on-resonance only).
 
     On resonance the Hamiltonian is block diagonal in the y-quantized basis
@@ -541,7 +624,7 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     reproduce the full 4x4 propagation; this provides the structural
     cross-check of that claim.  Each block of the full Hamiltonian stack is
     exponentiated by `matrix_exponential_step` (``eigh``) and propagated on
-    its own.
+    its own, under the same ``rule`` as `propagate`.
 
     Raises:
         ValueError: for nonzero offsets (which couple the blocks), an
@@ -552,8 +635,8 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
         raise ValueError("block-wise propagation requires zero offsets")
     rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
     return sum(_propagate(
-        functools.partial(_eigh_steps, rf, coupling, orient, spin, idx),
-        rf, spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
+        functools.partial(_eigh_steps, rf, idx), rule, rf, coupling, orient,
+        spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
         for idx in (_ZQ_IDX, _DQ_IDX))
 
 

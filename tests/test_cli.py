@@ -287,9 +287,12 @@ class TestCompare:
         assert max_dev < 1e-9
 
     def test_violating_step_rule_is_config_error(self, tmp_path, capsys):
+        # at 80 kHz locks the CF4 rule needs 1 substep per 1 us interval,
+        # and 2 per 2 us interval
         out = tmp_path / "cmp.csv"
-        code = run(["compare", *BENCH_CMP, "--substeps", "1", "--out",
-                    str(out)])
+        code = run(["compare", *BENCH_SIM[:-4], "--tmax-us", "1000",
+                    "--dt-us", "2", *BENCH_CMP[-4:], "--substeps", "1",
+                    "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "substeps" in capsys.readouterr().err
 
@@ -341,9 +344,9 @@ class TestOracleCommand:
         calls = []
         original = oracle.propagate_expectations
 
-        def recording(rho0, observables, *args):
-            calls.append(args)
-            return original(rho0, observables, *args)
+        def recording(rho0, observables, *args, **kwargs):
+            calls.append((args, kwargs))
+            return original(rho0, observables, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "propagate_expectations", recording)
         out = tmp_path / "orc.csv"
@@ -351,9 +354,60 @@ class TestOracleCommand:
                 "--b1i-khz", "80", "--b1s-khz", "80", "--out", str(out)]
         assert run(args) == EXIT_OK
         cols = read_curve_csv(out)
-        traj = oracle.propagate(oracle.IY, *calls[0])
+        args, kwargs = calls[0]
+        assert kwargs == {"rule": oracle.CF4}
+        traj = oracle.propagate(oracle.IY, *args, rule=oracle.CF4)
         for name in ("sy", "iy", "dq_y"):
             assert np.array_equal(cols[name], getattr(traj, name))
+
+
+class TestMatchGuard:
+    """The closed forms answer only at the Hartmann-Hahn match."""
+
+    BASE = {"simulate": BENCH_SIM, "powder": POWDER_ARGS,
+            "compare": BENCH_SIM, "fit": FIT_ARGS}
+
+    def run_in(self, tmp_path, monkeypatch, command, locks):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        return run([command, *self.BASE[command], *locks, "--out", "x.csv"])
+
+    @pytest.mark.parametrize("command", ["simulate", "powder", "compare",
+                                         "fit"])
+    @pytest.mark.parametrize("locks,delta", [
+        (["--b1i-khz", "80", "--b1s-khz", "60"], "20"),
+        (["--b1i-khz", "60", "--b1s-khz", "80"], "-20"),
+        # equal amplitudes, one offset: hypot(20, 80) - 80 kHz apart
+        (["--b1i-khz", "80", "--b1s-khz", "80", "--offset-s-khz", "20"],
+         "-2.46211"),
+    ])
+    def test_off_match_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                       command, locks, delta):
+        assert self.run_in(tmp_path, monkeypatch, command,
+                           locks) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, f"error: the effective lock fields are off the "
+            f"Hartmann-Hahn match by w1I,e - w1S,e = {delta} kHz, more than "
+            f"1e-09 of their sum")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "powder", "compare",
+                                         "fit"])
+    @pytest.mark.parametrize("b1s,code", [
+        # |delta| = 0.95e-9 and 1.05e-9 of the sum, on either side of 80 kHz
+        ("80.000000152", EXIT_OK), ("79.999999848", EXIT_OK),
+        ("80.000000168", EXIT_CONFIG), ("79.999999832", EXIT_CONFIG)])
+    def test_tolerance_edge(self, tmp_path, monkeypatch, command, b1s, code):
+        assert cli.MATCH_TOL == 1e-9
+        assert self.run_in(tmp_path, monkeypatch, command,
+                           ["--b1i-khz", "80", "--b1s-khz", b1s]) == code
+
+    def test_oracle_runs_off_the_match(self, tmp_path):
+        out = tmp_path / "orc.csv"
+        assert run(["oracle", *BENCH_SIM[:-4], "--tmax-us", "100", "--dt-us",
+                    "1", "--b1i-khz", "80", "--b1s-khz", "60", "--out",
+                    str(out)]) == EXIT_OK
+        assert len(read_curve_csv(out)["sy"]) == 101
 
 
 class TestFitCommand:
@@ -606,7 +660,7 @@ class TestSizeCaps:
 
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     @pytest.mark.parametrize("flags,message", [
-        (["--b1i-khz", "1e9", "--b1s-khz", "1e9"],
+        (["--b1i-khz", "8e9", "--b1s-khz", "8e9"],
          "error: the step-size rule needs 1e+08 substeps per grid interval"),
         (["--substeps", "100000000000000000000"],
          "error: 100000000000000000000000 substeps (1000 grid intervals x "),
@@ -632,10 +686,10 @@ class TestSizeCaps:
         assert not out.exists()
 
     def test_substep_cap_counts_substeps(self, tmp_path, monkeypatch):
-        # 100 grid intervals x the 8 substeps the step-size rule asks for
+        # 100 grid intervals x the 8 substeps the CF4 rule asks for at 8 us
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 800)
-        argv = ["oracle", *BENCH_SIM[:-4], "--tmax-us", "100", "--dt-us",
-                "1", *BENCH_CMP[-4:], "--out", str(tmp_path / "x.csv")]
+        argv = ["oracle", *BENCH_SIM[:-4], "--tmax-us", "800", "--dt-us",
+                "8", *BENCH_CMP[-4:], "--out", str(tmp_path / "x.csv")]
         assert run(argv) == EXIT_OK
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 799)
         assert run(argv) == EXIT_CONFIG

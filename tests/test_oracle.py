@@ -300,6 +300,28 @@ def node_dts(monkeypatch):
     return dts
 
 
+def assert_table_unitarity(rule, rf, coupling, spin, orient):
+    """Criterion 9's bounds on 1e5 table substeps of ``rule``, 0.05 us
+    each, composed on the real embedding as the propagation core composes
+    them."""
+    dt = 0.05e-6
+    c = 2.0 * dipolar_coupling_at(
+        coupling, orient, spin, (np.arange(100000)[:, None] + rule.nodes) * dt)
+    steps = oracle._substep_table(rf, coupling, orient, rule,
+                                  rule.length * dt)(
+        (c @ np.transpose(rule.weights)).ravel())
+    p = np.eye(8)
+    for step in steps:
+        p = step @ p
+    assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
+    u = p[:4, :4] + 1j * p[4:, :4]
+    rho0 = oracle._to_real_frame(IY)
+    rho = u @ rho0 @ u.conj().T
+    assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-8
+    assert abs(np.trace(rho @ rho) - np.trace(rho0 @ rho0)) <= 1e-8
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+
+
 class TestSubstepTable:
     MATCHED = (80.0, 80.0, 0.0, 0.0)
 
@@ -321,14 +343,15 @@ class TestSubstepTable:
                       offset_i=off_i * KHZ, offset_s=off_s * KHZ)
         coupling = CouplingParams(d=d_khz * KHZ)
         spin = SpinningParams(omega_r=mas_khz * KHZ)
-        steps = oracle._substep_table(rf, coupling, bench_orientation, spin,
-                                      dt)
+        steps = oracle._substep_table(rf, coupling, bench_orientation,
+                                      oracle.MIDPOINT, dt)
         assert node_dts == [dt / 8 if squares else dt]
         # substep midpoints over one rotor period at 2 kHz
         times = (np.arange(5000) + 0.5) * dt
         expected, norms = reference_steps(rf, coupling, bench_orientation,
                                           spin, times, dt)
-        got = steps(times)
+        c = 2.0 * dipolar_coupling_at(coupling, bench_orientation, spin, times)
+        got = steps(c)
         assert got.shape == (5000, 8, 8)
         err = np.abs(got - expected).max(axis=(-1, -2))
         if squares:
@@ -340,8 +363,8 @@ class TestSubstepTable:
         assert np.all(err <= 1e-14 * np.maximum(1.0, norms))
         # a single substep gets the bits it gets in any stack
         for k in (0, 1234, 4999):
-            assert np.array_equal(steps(times[k:k + 1])[0], got[k])
-            assert np.array_equal(steps(times[k:k + 2])[0], got[k])
+            assert np.array_equal(steps(c[k:k + 1])[0], got[k])
+            assert np.array_equal(steps(c[k:k + 2])[0], got[k])
 
     OFF_RESONANCE = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                              offset_i=20.0 * KHZ, offset_s=-15.0 * KHZ)
@@ -362,11 +385,13 @@ class TestSubstepTable:
             assert abs(norm - target) <= 4 * np.spacing(target)
             node_dts.clear()
             steps = oracle._substep_table(rf, coupling, bench_orientation,
-                                          slow_mas, dt)
+                                          oracle.MIDPOINT, dt)
             assert node_dts == [dt / 2**(k if norm < target else k + 1)]
             expected, norms = reference_steps(rf, coupling, bench_orientation,
                                               slow_mas, times, dt)
-            err = np.abs(steps(times) - expected).max(axis=(-1, -2))
+            c = 2.0 * dipolar_coupling_at(coupling, bench_orientation,
+                                          slow_mas, times)
+            err = np.abs(steps(c) - expected).max(axis=(-1, -2))
             assert np.all(err <= 1e-14 * np.maximum(1.0, norm))
         assert any(bounding_norm(rf, CouplingParams(d=d), bench_orientation,
                                  dt) == target for d in above)
@@ -403,20 +428,8 @@ class TestSubstepTable:
                                          slow_mas, bench_orientation):
         # criterion 9's bounds on 1e5 table substeps, composed on the real
         # embedding as the propagation core composes them
-        dt = 0.05e-6
-        steps = oracle._substep_table(matched_rf, bench_coupling,
-                                      bench_orientation, slow_mas, dt)(
-            (np.arange(100000) + 0.5) * dt)
-        p = np.eye(8)
-        for step in steps:
-            p = step @ p
-        assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
-        u = p[:4, :4] + 1j * p[4:, :4]
-        rho0 = oracle._to_real_frame(IY)
-        rho = u @ rho0 @ u.conj().T
-        assert abs(np.trace(rho) - np.trace(rho0)) <= 1e-8
-        assert abs(np.trace(rho @ rho) - np.trace(rho0 @ rho0)) <= 1e-8
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+        assert_table_unitarity(oracle.MIDPOINT, matched_rf, bench_coupling,
+                               slow_mas, bench_orientation)
 
     def test_refuses_coupling_past_the_doubling_limit(self, matched_rf,
                                                       slow_mas,
@@ -428,14 +441,14 @@ class TestSubstepTable:
                                                dt, norm)
             with pytest.raises(ValueError, match="exceeds 2.35e"):
                 oracle._substep_table(matched_rf, CouplingParams(d=d),
-                                      bench_orientation, slow_mas, dt)
+                                      bench_orientation, oracle.MIDPOINT, dt)
         with pytest.raises(ValueError, match="exceeds 2.35e"):
             oracle._substep_table(matched_rf, CouplingParams(d=1e303),
-                                  bench_orientation, slow_mas, 1e-7)
+                                  bench_orientation, oracle.MIDPOINT, 1e-7)
         (*_, d), _ = couplings_around_norm(matched_rf, bench_orientation, dt,
                                            2.3e7)
         oracle._substep_table(matched_rf, CouplingParams(d=d),
-                              bench_orientation, slow_mas, dt)
+                              bench_orientation, oracle.MIDPOINT, dt)
 
 
 class TestPropagate:
@@ -736,6 +749,148 @@ class TestPropagate:
         with pytest.raises(ValueError, match="offsets"):
             propagate_blockwise(IY, rf, bench_coupling, bench_orientation,
                                 slow_mas, grid)
+
+
+def oracle_compare_inputs(count, seed):
+    """Seeded inputs of the `oracle-compare` benchmark's shape, every other
+    one off resonance: matched 40-120 kHz locks with equal offsets of up to
+    half the lock, 1-10 kHz spinning, d/2pi 1-5 kHz, 200-1000 points
+    0.5-2 us apart."""
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        b1 = rng.uniform(40.0, 120.0) * KHZ
+        offset = rng.uniform(-0.5, 0.5) * b1 if k % 2 else 0.0
+        yield (RfScheme(omega1_i=b1, omega1_s=b1, offset_i=offset,
+                        offset_s=offset),
+               CouplingParams(d=rng.uniform(1.0, 5.0) * KHZ),
+               Orientation(beta=math.acos(rng.uniform(-1.0, 1.0)),
+                           gamma=rng.uniform(0.0, 2.0 * math.pi)),
+               SpinningParams(omega_r=rng.uniform(1.0, 10.0) * KHZ),
+               TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
+                        n_points=int(rng.integers(200, 1001))))
+
+
+def lock_expectations(rf, *args, substeps=None, rule=oracle.MIDPOINT):
+    """<S_e>, <I_e> and the DQ lock component from I_e, as `cpmas oracle`
+    records them."""
+    i_e, s_e = tilted_spin_operators(rf)
+    return propagate_expectations(i_e, (s_e, i_e, oracle.DQ_Y), rf, *args,
+                                  substeps=substeps, rule=rule)
+
+
+class TestCf4:
+    """The fourth-order commutator-free rule `oracle.CF4`."""
+
+    def test_matches_per_factor_loop(self, bench_coupling,
+                                     bench_orientation):
+        # each substep is exp(-i*h*(a-*H(t1) + a+*H(t2))) after
+        # exp(-i*h*(a+*H(t1) + a-*H(t2))), each by eigh of the full
+        # product-basis Hamiltonians
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=20.0 * KHZ)
+        spin = SpinningParams(omega_r=2.0 * KHZ)
+        grid = TimeGrid(dt=2e-6, n_points=13)
+        substeps = 3
+        i_e, s_e = tilted_spin_operators(rf)
+        out = lock_expectations(rf, bench_coupling, bench_orientation, spin,
+                                grid, substeps=substeps, rule=oracle.CF4)
+        h = grid.dt / substeps
+        r3 = math.sqrt(3.0) / 6.0
+        a_plus, a_minus = 0.25 + r3, 0.25 - r3
+        rho = np.array(i_e, dtype=complex)
+        expected = [[np.trace(o @ rho).real for o in (s_e, i_e, oracle.DQ_Y)]]
+        for k in range((grid.n_points - 1) * substeps):
+            h1, h2 = hamiltonian_at(rf, bench_coupling, bench_orientation,
+                                    spin, (k + 0.5 + np.array([-r3, r3])) * h)
+            for a1, a2 in ((a_plus, a_minus), (a_minus, a_plus)):
+                u = matrix_exponential_step(a1 * h1 + a2 * h2, h)
+                rho = u @ rho @ u.conj().T
+            if (k + 1) % substeps == 0:
+                expected.append([np.trace(o @ rho).real
+                                 for o in (s_e, i_e, oracle.DQ_Y)])
+        np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
+                                   atol=1e-12)
+
+    def test_fourth_order(self, bench_coupling, bench_orientation):
+        # far above round-off: 120 kHz locks off resonance by half the lock,
+        # 10 kHz spinning, 2 us between points.  The rule's count and its
+        # doublings, against 32x the rule's count
+        rf = RfScheme(omega1_i=120.0 * KHZ, omega1_s=120.0 * KHZ,
+                      offset_i=60.0 * KHZ, offset_s=60.0 * KHZ)
+        spin = SpinningParams(omega_r=10.0 * KHZ)
+        grid = TimeGrid(dt=2e-6, n_points=51)
+        needed = required_substeps(rf, spin, grid.dt, oracle.CF4)
+        assert needed == 4
+
+        def sy(substeps):
+            return lock_expectations(rf, bench_coupling, bench_orientation,
+                                     spin, grid, substeps=substeps,
+                                     rule=oracle.CF4)[0]
+
+        reference = sy(32 * needed)
+        errors = [np.max(np.abs(sy(k * needed) - reference))
+                  for k in (1, 2, 4)]
+        assert errors[2] > 1e-12
+        assert errors[0] / errors[1] >= 12.0
+        assert errors[1] / errors[2] >= 12.0
+
+    def test_within_tolerance_and_below_midpoint(self):
+        # on inputs like those its steps_per_period was fitted to, CF4 at
+        # its rule is within CF4_TOLERANCE of itself at 8x the substeps, and
+        # closer to that than the midpoint rule at its rule
+        for k, args in enumerate(oracle_compare_inputs(12, 16)):
+            rf, _, _, spin, grid = args
+            needed = required_substeps(rf, spin, grid.dt, oracle.CF4)
+            reference = lock_expectations(*args, substeps=8 * needed,
+                                          rule=oracle.CF4)
+            cf4 = np.max(np.abs(lock_expectations(*args, rule=oracle.CF4)
+                                - reference))
+            midpoint = np.max(np.abs(lock_expectations(*args) - reference))
+            assert cf4 <= oracle.CF4_TOLERANCE, k
+            assert cf4 < midpoint, k
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
+    def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
+                                                  bench_coupling, slow_mas,
+                                                  bench_orientation):
+        # 2 substeps of 2 factors per interval: block 1 and 2 take one
+        # substep's factors at a time, block 3 one, block 5 two
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
+        args = (rf, bench_coupling, bench_orientation, slow_mas,
+                TimeGrid(dt=2e-6, n_points=41))
+        assert required_substeps(rf, slow_mas, 2e-6, oracle.CF4) == 2
+        full = lock_expectations(*args, rule=oracle.CF4)
+        monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
+        assert np.array_equal(lock_expectations(*args, rule=oracle.CF4),
+                              full)
+
+    def test_unitarity_over_1e5_substeps(self, matched_rf, bench_coupling,
+                                         slow_mas, bench_orientation):
+        # 2e5 table factors
+        assert_table_unitarity(oracle.CF4, matched_rf, bench_coupling,
+                               slow_mas, bench_orientation)
+
+    def test_blockwise_equals_full_space(self, matched_rf, bench_coupling,
+                                         slow_mas, bench_orientation):
+        # the inputs of TestPropagate.test_blockwise_equals_full_space
+        cases = [(matched_rf, bench_coupling, bench_orientation, slow_mas,
+                  TimeGrid(dt=1e-6, n_points=1001))]
+        for seed in range(6):
+            rng = np.random.default_rng([15, seed])
+            b1 = rng.uniform(40.0, 120.0) * KHZ
+            cases.append((
+                RfScheme(omega1_i=b1, omega1_s=b1),
+                CouplingParams(d=rng.uniform(1.0, 5.0) * KHZ),
+                Orientation(beta=math.acos(rng.uniform(-1.0, 1.0)),
+                            gamma=rng.uniform(0.0, 2.0 * math.pi)),
+                SpinningParams(omega_r=rng.uniform(1.0, 10.0) * KHZ),
+                TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
+                         n_points=int(rng.integers(200, 1001)))))
+        for k, args in enumerate(cases):
+            sy_full = propagate(IY, *args, rule=oracle.CF4).sy
+            sy_blocks = propagate_blockwise(IY, *args, rule=oracle.CF4)
+            assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, k
 
 
 class TestZqDqDecompose:
