@@ -17,9 +17,11 @@ parse time.  A plain-text key-value config file can supply any flag
 (--config); explicit flags override file values.
 
 Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
---report path, a time grid over 10**7 points, a grid:NxM set over 10**6
-orientations, a compare --threshold not finite and >= 0, or locks off the
-Hartmann-Hahn match for simulate, powder, compare or fit), 2 comparison
+--report path, a time grid over 10**7 points or with a step that rounds
+to 0 s, a grid:NxM set over 10**6 orientations, a dipolar phase that
+overflows for simulate, powder or compare, a compare --threshold not
+finite and >= 0, or locks off the Hartmann-Hahn match for simulate,
+powder, compare or fit), 2 comparison
 threshold exceeded, 3 data error, 4 fit non-convergence or fit failure.
 """
 
@@ -246,7 +248,30 @@ def _grid_from(resolved) -> tuple[TimeGrid, np.ndarray]:
         raise ConfigError(f"grid must contain 2 to {MAX_GRID_POINTS} points "
                           f"(tmax-us={tmax}, dt-us={dt})")
     n = int(math.floor(steps)) + 1
+    if not dt * US > 0.0:
+        raise ConfigError(f"dt-us={dt} is below the smallest positive step "
+                          "in seconds (it rounds to 0 s)")
     return TimeGrid(dt=dt * US, n_points=n), np.arange(n) * dt
+
+
+def _check_phase(coupling: CouplingParams, spin: SpinningParams,
+                 grid: TimeGrid) -> None:
+    """Refuse a grid on which the dipolar phase or the rotor angle overflows.
+
+    |B| <= 2*|c1| + 2*c2 < 8 (`core.phase_bracket`) and the stationary rate
+    |d(0)/d| < 3, so |phi| stays below 8*|d|/(2*omega_r) when spinning and
+    below 3*|d|*t when stationary; the bracket also takes sines of
+    2*omega_r*t.  Past double precision these would turn into nan.
+    """
+    if spin.omega_r > 0.0:
+        bounds = (8.0 * abs(coupling.d) / (2.0 * spin.omega_r),
+                  2.0 * (spin.omega_r * grid.duration))
+    else:
+        bounds = (3.0 * abs(coupling.d) * grid.duration,)
+    if not all(math.isfinite(b) for b in bounds):
+        raise ConfigError("the dipolar phase or the rotor angle overflows "
+                          "double precision on this grid (|d| too large "
+                          "against the spinning rate or the duration)")
 
 
 def _orientation_from(resolved) -> Orientation:
@@ -365,6 +390,7 @@ def run_simulate(resolved) -> tuple[dict, list[str], int]:
     orient = _orientation_from(resolved)
     coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
+    _check_phase(coupling, spin, grid)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
     return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK
 
@@ -373,6 +399,7 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
     coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
+    _check_phase(coupling, spin, grid)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
     curve = powder.powder_average(coupling, spin, grid, oset)

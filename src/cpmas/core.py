@@ -8,9 +8,11 @@ formulas live once, array-native in the angles, in `coupling_shape` and
 `phase_bracket`.  Neither depends on d: the powder kernel reads them per
 block of orientations, and a fit builds them once for all the d it tries
 (`powder.phase_table`).  d(t) has two harmonics of omega_r*t + gamma, so
-`phase_bracket` splits by angle addition into sines of the rotor angle,
-taken once per time, and coefficients in gamma, taken once per
-orientation; no transcendental is evaluated per orientation-point.
+`phase_bracket` splits by angle addition into four functions of the rotor
+angle (`rotor_terms`), which a powder average takes once for all its
+orientations, and four coefficients in gamma (`bracket_coefficients`),
+taken once per orientation; no transcendental is evaluated per
+orientation-point.
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d.
@@ -158,6 +160,30 @@ def coupling_shape(beta, gamma, rotor_angle):
     return 0.5 * c1 * np.cos(a) - c2 * np.cos(2.0 * a)
 
 
+def rotor_terms(rotor_angle):
+    """The functions of a0 = ``rotor_angle`` in `phase_bracket`.
+
+    (sin(a0), cos(a0) - 1, sin(2*a0), cos(2*a0) - 1), with
+    cos(a0) - 1 = -2*sin(a0/2)^2 and cos(2*a0) - 1 = -2*sin(a0)^2; each has
+    the shape of ``rotor_angle``.
+    """
+    sin_a0 = np.sin(rotor_angle)
+    sin_half = np.sin(0.5 * rotor_angle)
+    return (sin_a0, -2.0 * sin_half * sin_half, np.sin(2.0 * rotor_angle),
+            -2.0 * sin_a0 * sin_a0)
+
+
+def bracket_coefficients(beta, gamma):
+    """The orientation's coefficients of `rotor_terms` in `phase_bracket`.
+
+    (c1*cos(gamma), c1*sin(gamma), -c2*cos(2*gamma), -c2*sin(2*gamma)),
+    each of the broadcast shape of the angles.
+    """
+    c1, c2 = _coefficients(beta)
+    return (c1 * np.cos(gamma), c1 * np.sin(gamma),
+            -c2 * np.cos(2.0 * gamma), -c2 * np.sin(2.0 * gamma))
+
+
 def phase_bracket(beta, gamma, rotor_angle):
     """B = c1*[sin(a) - sin(gamma)] - c2*[sin(2a) - sin(2*gamma)].
 
@@ -170,21 +196,15 @@ def phase_bracket(beta, gamma, rotor_angle):
     with cos(a0) - 1 = -2*sin(a0/2)^2 and cos(2*a0) - 1 = -2*sin(a0)^2.
     No difference of nearly equal sines is formed, so B keeps its relative
     accuracy as a0 -> 0, and the only angle rounding left is that of a0.
-    The sines of a0 are taken once per time and the trigonometry of gamma
-    once per orientation; each point of the broadcast shape then costs four
-    multiplies and three adds.
+    The four functions of a0 (`rotor_terms`) depend only on the time and
+    the four coefficients (`bracket_coefficients`) only on the
+    orientation, so a caller can take each once; B is then the sum of the
+    four products, added in this order, four multiplies and three adds
+    per point of the broadcast shape.
     """
-    c1, c2 = _coefficients(beta)
-    sin_a0 = np.sin(rotor_angle)
-    sin_half = np.sin(0.5 * rotor_angle)
-    cos_a0_m1 = -2.0 * sin_half * sin_half
-    cos_2a0_m1 = -2.0 * sin_a0 * sin_a0
-    sin_2a0 = np.sin(2.0 * rotor_angle)
-    bracket = (c1 * np.cos(gamma)) * sin_a0
-    bracket += (c1 * np.sin(gamma)) * cos_a0_m1
-    bracket -= (c2 * np.cos(2.0 * gamma)) * sin_2a0
-    bracket -= (c2 * np.sin(2.0 * gamma)) * cos_2a0_m1
-    return bracket
+    k0, k1, k2, k3 = bracket_coefficients(beta, gamma)
+    r0, r1, r2, r3 = rotor_terms(rotor_angle)
+    return k0 * r0 + k1 * r1 + k2 * r2 + k3 * r3
 
 
 def dipolar_coupling_at(coupling: CouplingParams, orient: Orientation,

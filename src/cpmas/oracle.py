@@ -47,17 +47,20 @@ combined from d(t) at the rule's nodes, their unitaries formed in one
 batched call, and those of each grid interval multiplied together in
 order (batched over intervals).  A two-level prefix scan (`_scan`) over
 the interval unitaries turns them into propagators from t = 0 in about
-two products per grid point, each propagator gives its state, and
-Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is read off the states.  Only the
+two products per grid point, and Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 is
+read off the states: the top half of emb(rho) comes from the propagator's
+top half by two products, without forming emb(P), and each point's traces
+are one product of it with the observables.  Only the
 top half [Re P | -Im P] of each propagator's embedding is kept, in one
 array that the scan updates in place, so memory is n x 2n reals per grid
 point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
 block, and does not grow with the substeps per interval.  On 30
 `oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU Xeon,
-numpy 2.4.6) a CF4 propagation takes about 1.6 ms: the scan ~32% of it,
-the readout ~28%, the table ~15%, forming the factors ~12% and composing
-them ~13%.  The midpoint rule takes about 3.2 ms on the same inputs, half
-of it forming and composing its substeps.
+numpy 2.4.6, stage timers around one process's calls) a CF4 propagation
+takes about 1.7-2.4 ms: forming and composing the factors ~40% of it,
+the scan ~23%, the readout ~18% (0.3-0.5 ms) and the table ~13%.  The
+midpoint rule takes about 3.2-3.6 ms on the same inputs, ~60% of it
+forming and composing its substeps.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -547,17 +550,29 @@ def _propagate(make_steps, rule: StepRule, rf: RfScheme,
     _scan(props)
     # Each propagator P gives the state P @ rho0 @ P^dagger, and
     # Tr(O @ rho) = Tr(emb(O) @ emb(rho))/2 pairs the top half of emb(rho)
-    # with the left half [Re O; Im O] of emb(O).  Each block's sums run
-    # along one contiguous axis, so they do not depend on the block size.
-    emb_rho0 = _embedding_of_top(np.concatenate([rho0.real, -rho0.imag], -1))
+    # with the left half [Re O; Im O] of emb(O).  With T = [Re P | -Im P]
+    # the top half of emb(P), its bottom half is T @ J, J = [[0, 1], [-1, 0]]
+    # in n x n blocks, so the top half of emb(rho) = emb(P) @ emb(rho0) @
+    # emb(P)^T is [T @ E0 @ T^T | T @ E0 @ J^T @ T^T], E0 = emb(rho0): one
+    # product with [E0 | E0 @ J^T] and one with T^T give both halves, with
+    # row i of each half interleaved.  Each point's readout is then one
+    # row of 2n*n against the observables, taken point by point (a stacked
+    # product), so no sum depends on the block size.
+    e0 = _embedding_of_top(np.concatenate([rho0.real, -rho0.imag], -1))
+    e0 = np.concatenate([e0, np.concatenate([e0[:, n:], -e0[:, :n]], -1)],
+                        -1)
     obs = np.asarray(observables, dtype=complex)
+    count = len(obs)
     obs = np.concatenate([obs.real, obs.imag], axis=-2)
-    obs = np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
-    out = np.empty((grid.n_points, len(obs)))
+    # obs[k, h*n + j, i] -> row (2*i + h)*n + j, column k
+    obs = obs.reshape(count, 2, n, n).transpose(3, 1, 2, 0)
+    obs = obs.reshape(2 * n * n, count)
+    out = np.empty((grid.n_points, count))
     for b in range(0, grid.n_points, SUBSTEP_BLOCK):
         p = props[b:b + SUBSTEP_BLOCK]
-        rho = (p @ emb_rho0) @ np.swapaxes(_embedding_of_top(p), -1, -2)
-        out[b:b + len(p)] = (rho.reshape(len(p), 1, -1) * obs).sum(axis=-1)
+        halves = (p @ e0).reshape(len(p), 2 * n, 2 * n)
+        rho = halves @ np.swapaxes(p, -1, -2)
+        out[b:b + len(p)] = (rho.reshape(len(p), 1, -1) @ obs)[:, 0]
     return out.T
 
 

@@ -10,15 +10,19 @@ orientations and is the default for fitting.
 Every average runs one array kernel.  An `OrientationSet` is three arrays,
 beta, gamma and weights, stored once in canonical (beta, gamma, weight)
 order.  The phase is linear in d: phi = d*B/(2*omega_r), with the bracket
-B of `core.phase_bracket` (or d times the stationary rate times t).  B
-costs four multiplies and three adds per orientation-point, so a point's
-one transcendental is the cos of eta (and a sin for the slope).  The
-kernel reads the d-independent unit, B or the rate, of each block of
-ORIENT_BLOCK orientations x all times, multiplies it by d, and adds the
-weighted blocks in that fixed order, so the result is bit-identical however
-the orientations were ordered.  A one-shot average computes each block's
-unit when the loop reaches it, so no temporary grows with the set size.  A
-fit, which averages the same set at many d, builds the units once as a
+B of `core.phase_bracket` (or d times the stationary rate times t).  B is
+four rotor-angle terms (`core.rotor_terms`), taken once per average, times
+four coefficients per orientation (`core.bracket_coefficients`), taken
+once per set; it costs four multiplies and three adds per
+orientation-point, so a point's one transcendental is the cos of eta (and
+a sin for the slope).  The kernel reads the d-independent unit, B or the
+rate, of each block of ORIENT_BLOCK orientations x all times, multiplies
+it by d, and adds the weighted blocks in that fixed order, so the result
+is bit-identical however the orientations were ordered.  A one-shot
+average computes each block's unit when the loop reaches it, into a buffer
+that the next block reuses, as are those of phi and sin(phi); beyond the
+set's own size (the coefficients) no temporary grows with it.  A fit,
+which averages the same set at many d, builds the units once as a
 `phase_table` (cached up to PHASE_TABLE_BUDGET bytes, streamed above it)
 and passes that instead; the result is the same bit for bit.  On request
 the same pass also returns d(eta)/dd for the fit's Jacobian.
@@ -33,7 +37,7 @@ import numpy as np
 
 from .analytic import CpCurve, CurveKind
 from .core import (CouplingParams, SpinningParams, TimeGrid,
-                   coupling_shape, phase_bracket)
+                   bracket_coefficients, coupling_shape, rotor_terms)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -154,7 +158,8 @@ class PhaseTable:
     ORIENT_BLOCK orientations at a time and in kernel order, B (block x
     times) or the rate (block,), with the block's weights.  A cached table
     holds every block; a streamed one (``cached`` None) computes each block
-    when asked, so it holds one block at a time.
+    when asked, into the buffer of the block before, so it holds one block
+    at a time and a block is valid until the next is asked for.
     """
 
     oset: OrientationSet
@@ -168,16 +173,39 @@ class PhaseTable:
         return _phase_units(self.oset, self.omega_r, self.times)
 
 
-def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray):
-    rotor_angle = omega_r * t
+def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
+                 fresh: bool = False):
+    """(unit, weights) per block of ORIENT_BLOCK orientations, in order.
+
+    The rotor-angle terms and the coefficients of the whole set (or the
+    stationary rates) are taken once, up front.  Unless ``fresh``, every
+    spinning block's B is written into one buffer that the next block
+    overwrites.
+    """
+    if omega_r == 0.0:
+        rates = coupling_shape(oset.beta, oset.gamma, 0.0)
+        for start in range(0, len(oset), ORIENT_BLOCK):
+            blk = slice(start, start + ORIENT_BLOCK)
+            yield rates[blk], oset.weights[blk, None]
+        return
+    terms = rotor_terms(omega_r * t)
+    coeffs = np.array(bracket_coefficients(oset.beta, oset.gamma))
+    unit_buf = np.empty((ORIENT_BLOCK, t.size))
+    scratch = np.empty_like(unit_buf)
     for start in range(0, len(oset), ORIENT_BLOCK):
         blk = slice(start, start + ORIENT_BLOCK)
-        if omega_r != 0.0:
-            unit = phase_bracket(oset.beta[blk, None], oset.gamma[blk, None],
-                                 rotor_angle)
-        else:
-            unit = coupling_shape(oset.beta[blk], oset.gamma[blk], 0.0)
-        yield unit, oset.weights[blk, None]
+        w = oset.weights[blk, None]
+        unit = np.empty((len(w), t.size)) if fresh else unit_buf[:len(w)]
+        _block_bracket(coeffs[:, blk, None], terms, unit, scratch[:len(w)])
+        yield unit, w
+
+
+def _block_bracket(coeffs, terms, out, scratch):
+    """B of one block into ``out``: `core.phase_bracket`'s four products,
+    added in its order, formed in ``scratch``."""
+    np.multiply(coeffs[0], terms[0], out=out)
+    for k, r in zip(coeffs[1:], terms[1:]):
+        out += np.multiply(k, r, out=scratch)
 
 
 def phase_table(spin: SpinningParams, times,
@@ -193,7 +221,7 @@ def phase_table(spin: SpinningParams, times,
     per_orientation = t.size if spin.omega_r != 0.0 else 1
     if len(oset) * per_orientation * t.itemsize > PHASE_TABLE_BUDGET:
         return PhaseTable(oset, spin.omega_r, t)
-    cached = tuple(_phase_units(oset, spin.omega_r, t))
+    cached = tuple(_phase_units(oset, spin.omega_r, t, fresh=True))
     for unit, _ in cached:
         unit.flags.writeable = False
     return PhaseTable(oset, spin.omega_r, t, cached)
@@ -215,20 +243,24 @@ def _efficiency_kernel(d: float, table: PhaseTable, with_slope: bool):
     spinning = omega_r != 0.0
     # dphi/dd = per_d * (bracket, or rate * t when stationary)
     per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
+    phi_buf = np.empty((ORIENT_BLOCK, t.size))
+    sin_buf = np.empty_like(phi_buf) if with_slope else None
     for unit, w in table.units():
+        phi = phi_buf[:len(w)]
         if spinning:
-            phi = (d / (2.0 * omega_r)) * unit
+            np.multiply(d / (2.0 * omega_r), unit, out=phi)
         else:
-            phi = np.multiply.outer(d * unit, t)
+            np.multiply.outer(d * unit, t, out=phi)
         if with_slope:
-            ds = np.sin(phi)
+            ds = np.sin(phi, out=sin_buf[:len(w)])
             ds *= unit if spinning else np.multiply.outer(unit, t)
             ds *= (0.5 * per_d) * w
             slope += ds.sum(axis=0)
         block = np.cos(phi, out=phi)
         np.subtract(1.0, block, out=block)
-        block *= 0.5
-        block *= w
+        # (1 - cos)*(w/2) rounds as ((1 - cos)/2)*w: halving is exact
+        # for 1 - cos and for any weight above 2**-1021
+        block *= 0.5 * w
         eta += block.sum(axis=0)
     return (eta, slope) if with_slope else eta
 

@@ -536,6 +536,42 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command",
+                             ["simulate", "powder", "oracle", "compare"])
+    def test_step_that_rounds_to_zero_seconds(self, tmp_path, capsys,
+                                              command):
+        base = POWDER_ARGS if command == "powder" else BENCH_CMP
+        args = dict(zip(base[::2], base[1::2]))
+        args["--tmax-us"] = args["--dt-us"] = "1e-320"
+        out = tmp_path / "x.csv"
+        argv = [command, *(x for kv in args.items() for x in kv)]
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: dt-us=1e-320 is below the "
+                              "smallest positive step in seconds")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "powder", "compare"])
+    @pytest.mark.parametrize("flags", [
+        {"--d-khz": "1e300", "--mas-khz": "1e-300"},
+        {"--d-khz": "1e290", "--mas-khz": "0", "--tmax-us": "1e30",
+         "--dt-us": "1e29"},
+        {"--mas-khz": "1e300", "--tmax-us": "1e30", "--dt-us": "1e29"},
+    ], ids=["spinning", "stationary", "rotor-angle"])
+    def test_overflowing_phase_is_config_error(self, tmp_path, capsys,
+                                               command, flags):
+        # without the guard these write nan rows (with RuntimeWarnings,
+        # which this suite turns into errors) and exit 0
+        base = POWDER_ARGS if command == "powder" else BENCH_CMP
+        args = {**dict(zip(base[::2], base[1::2])), **flags}
+        if command == "powder":
+            args["--orient-set"] = "zcw:1"
+        out = tmp_path / "x.csv"
+        argv = [command, *(x for kv in args.items() for x in kv)]
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: the dipolar phase or the rotor "
+                              "angle overflows double precision")
+        assert not out.exists()
+
     def test_no_command(self, capsys):
         assert run([]) == EXIT_CONFIG
 

@@ -379,15 +379,16 @@ class TestFitBuildup:
         assert len(set(calls)) == len(calls)
 
     def test_phase_bracket_built_once_per_fit(self, monkeypatch):
+        # one block's bracket B is one `_block_bracket` call
         calls = []
-        original = powder.phase_bracket
+        original = powder._block_bracket
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
         data, oset = self.make_data(noise=0.01, n=61)
-        monkeypatch.setattr(powder, "phase_bracket", counting)
+        monkeypatch.setattr(powder, "_block_bracket", counting)
         blocks = math.ceil(len(oset) / powder.ORIENT_BLOCK)
         assert blocks > 1
         fit_buildup(data, benchmark_spec(oset))

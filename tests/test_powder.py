@@ -357,6 +357,48 @@ class TestPhaseTable:
         table = phase_table(SpinningParams(omega_r=0.0), KERNEL_TIMES, oset)
         assert sum(unit.size for unit, _ in table.cached) == len(oset)
 
+    def test_rotor_terms_once_per_average_and_per_table_build(
+            self, monkeypatch):
+        oset = zcw_orientation_set(5)
+        assert len(oset) > 2 * ORIENT_BLOCK
+        calls = []
+        original = powder.rotor_terms
+
+        def counting(rotor_angle):
+            calls.append(1)
+            return original(rotor_angle)
+
+        monkeypatch.setattr(powder, "rotor_terms", counting)
+        averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES, oset,
+                            with_slope=True)
+        assert len(calls) == 1
+        table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
+        assert len(calls) == 2
+        for d in (1.0, 2.0):
+            averaged_efficiency(CouplingParams(d=d), POWDER_MAS,
+                                KERNEL_TIMES, table)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_units_are_the_bracket_of_each_block_bit_for_bit(
+            self, monkeypatch, budget):
+        oset = zcw_orientation_set(5)
+        if budget is not None:
+            monkeypatch.setattr(powder, "PHASE_TABLE_BUDGET", budget)
+        table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
+        assert (table.cached is None) == (budget is not None)
+        blocks = 0
+        for start, (unit, w) in zip(range(0, len(oset), ORIENT_BLOCK),
+                                    table.units()):
+            blk = slice(start, start + ORIENT_BLOCK)
+            expected = phase_bracket(oset.beta[blk, None],
+                                     oset.gamma[blk, None],
+                                     POWDER_MAS.omega_r * KERNEL_TIMES)
+            assert unit.tobytes() == expected.tobytes()
+            assert np.array_equal(w, oset.weights[blk, None])
+            blocks += 1
+        assert blocks == math.ceil(len(oset) / ORIENT_BLOCK)
+
     def test_table_for_other_spin_or_times_rejected(self):
         oset = zcw_orientation_set(1)
         table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
