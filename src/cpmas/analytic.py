@@ -120,7 +120,8 @@ def damped_magnetization(times, eta, relax: RelaxationParams) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     bracket = (1.0 - 0.5 * np.exp(-relax.r * t)
                - 0.5 * np.exp(-relax.r1 * t) * (1.0 - 2.0 * eta))
-    return relax.m0 * bracket * np.exp(-t / relax.t1rho)
+    with np.errstate(over="ignore"):   # t/t1rho = inf decays to exactly 0
+        return relax.m0 * bracket * np.exp(-t / relax.t1rho)
 
 
 def magnetization(eta_curve: CpCurve, relax: RelaxationParams) -> CpCurve:

@@ -254,9 +254,8 @@ def _grid_from(resolved) -> tuple[TimeGrid, np.ndarray]:
     return TimeGrid(dt=dt * US, n_points=n), np.arange(n) * dt
 
 
-def _check_phase(coupling: CouplingParams, spin: SpinningParams,
-                 grid: TimeGrid) -> None:
-    """Refuse a grid on which the dipolar phase or the rotor angle overflows.
+def _check_phase(d: float, spin: SpinningParams, t_max: float) -> None:
+    """Refuse a coupling ``d`` whose phase or rotor angle overflows by t_max.
 
     |B| <= 2*|c1| + 2*c2 < 8 (`core.phase_bracket`) and the stationary rate
     |d(0)/d| < 3, so |phi| stays below 8*|d|/(2*omega_r) when spinning and
@@ -264,10 +263,10 @@ def _check_phase(coupling: CouplingParams, spin: SpinningParams,
     2*omega_r*t.  Past double precision these would turn into nan.
     """
     if spin.omega_r > 0.0:
-        bounds = (8.0 * abs(coupling.d) / (2.0 * spin.omega_r),
-                  2.0 * (spin.omega_r * grid.duration))
+        bounds = (8.0 * abs(d) / (2.0 * spin.omega_r),
+                  2.0 * (spin.omega_r * t_max))
     else:
-        bounds = (3.0 * abs(coupling.d) * grid.duration,)
+        bounds = (3.0 * abs(d) * t_max,)
     if not all(math.isfinite(b) for b in bounds):
         raise ConfigError("the dipolar phase or the rotor angle overflows "
                           "double precision on this grid (|d| too large "
@@ -390,7 +389,7 @@ def run_simulate(resolved) -> tuple[dict, list[str], int]:
     orient = _orientation_from(resolved)
     coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
-    _check_phase(coupling, spin, grid)
+    _check_phase(coupling.d, spin, grid.duration)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
     return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK
 
@@ -399,7 +398,7 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
     coupling = _coupling_from(resolved, _matched_rf_from(resolved))
     spin = _spin_from(resolved)
-    _check_phase(coupling, spin, grid)
+    _check_phase(coupling.d, spin, grid.duration)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
     curve = powder.powder_average(coupling, spin, grid, oset)
@@ -527,6 +526,9 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
 def run_fit(resolved) -> tuple[dict, list[str], int]:
     data = fitting.load_buildup(resolved["data"])
     spec = _fit_spec_from(resolved)
+    d = spec.parameters["d"]   # the largest |d| the search may try
+    _check_phase(max(abs(d.lower), abs(d.upper)) if d.free else d.value,
+                 spec.spin, data.times[-1])
     result = fitting.fit_buildup(data, spec)
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,

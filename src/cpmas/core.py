@@ -11,8 +11,8 @@ block of orientations, and a fit builds them once for all the d it tries
 `phase_bracket` splits by angle addition into four functions of the rotor
 angle (`rotor_terms`), which a powder average takes once for all its
 orientations, and four coefficients in gamma (`bracket_coefficients`),
-taken once per orientation; no transcendental is evaluated per
-orientation-point.
+taken once per orientation, and summed for every B by `bracket_sum`; no
+transcendental is evaluated per orientation-point.
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d.
@@ -198,13 +198,22 @@ def phase_bracket(beta, gamma, rotor_angle):
     accuracy as a0 -> 0, and the only angle rounding left is that of a0.
     The four functions of a0 (`rotor_terms`) depend only on the time and
     the four coefficients (`bracket_coefficients`) only on the
-    orientation, so a caller can take each once; B is then the sum of the
-    four products, added in this order, four multiplies and three adds
-    per point of the broadcast shape.
+    orientation, so a caller can take each once and form B with
+    `bracket_sum`.
     """
-    k0, k1, k2, k3 = bracket_coefficients(beta, gamma)
-    r0, r1, r2, r3 = rotor_terms(rotor_angle)
-    return k0 * r0 + k1 * r1 + k2 * r2 + k3 * r3
+    return bracket_sum(bracket_coefficients(beta, gamma),
+                       rotor_terms(rotor_angle))
+
+
+def bracket_sum(coefficients, terms, out=None, scratch=None):
+    """B = k0*r0 + k1*r1 + k2*r2 + k3*r3 of `bracket_coefficients` k and
+    `rotor_terms` r, added in this order, into ``out`` (products after the
+    first into ``scratch``) when given: every B in the package rounds alike.
+    """
+    out = np.multiply(coefficients[0], terms[0], out=out)
+    for k, r in zip(coefficients[1:], terms[1:]):
+        out += np.multiply(k, r, out=scratch)
+    return out
 
 
 def dipolar_coupling_at(coupling: CouplingParams, orient: Orientation,

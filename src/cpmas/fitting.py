@@ -377,8 +377,8 @@ class _BuildUpModel:
     for the life of the fit (one entry per trial d, at most one per
     iteration); with d free each evaluation also keeps d(eta)/dd for the
     Jacobian.  With d free the phase bracket, which does not depend on d,
-    is built once as a `powder.phase_table` and every trial d reads it; a
-    fixed d is averaged once, straight from the orientation set.
+    is built once as a `powder.phase_table` (over its budget, the set
+    itself) and every trial d reads it; a fixed d is averaged once.
     """
 
     def __init__(self, data: BuildUpData, spec: FitSpec):

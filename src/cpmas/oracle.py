@@ -131,7 +131,6 @@ IZSZ = _frozen(IZ @ SZ)
 # Double-quantum spin-lock component (I_y + S_y)/2; near-constant of motion
 # under a strong matched lock.
 DQ_Y = _frozen(0.5 * (IY + SY))
-ZQ_Y = _frozen(0.5 * (IY - SY))
 
 # Columns are the y-quantized product kets |+y+y>, |+y-y>, |-y+y>, |-y-y>.
 _V1 = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / math.sqrt(2.0)

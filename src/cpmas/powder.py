@@ -13,19 +13,18 @@ order.  The phase is linear in d: phi = d*B/(2*omega_r), with the bracket
 B of `core.phase_bracket` (or d times the stationary rate times t).  B is
 four rotor-angle terms (`core.rotor_terms`), taken once per average, times
 four coefficients per orientation (`core.bracket_coefficients`), taken
-once per set; it costs four multiplies and three adds per
-orientation-point, so a point's one transcendental is the cos of eta (and
-a sin for the slope).  The kernel reads the d-independent unit, B or the
-rate, of each block of ORIENT_BLOCK orientations x all times, multiplies
-it by d, and adds the weighted blocks in that fixed order, so the result
-is bit-identical however the orientations were ordered.  A one-shot
-average computes each block's unit when the loop reaches it, into a buffer
-that the next block reuses, as are those of phi and sin(phi); beyond the
-set's own size (the coefficients) no temporary grows with it.  A fit,
-which averages the same set at many d, builds the units once as a
-`phase_table` (cached up to PHASE_TABLE_BUDGET bytes, streamed above it)
-and passes that instead; the result is the same bit for bit.  On request
-the same pass also returns d(eta)/dd for the fit's Jacobian.
+once per set, and summed by `core.bracket_sum` as in `phase_bracket`:
+four multiplies and three adds per orientation-point, so a point's one
+transcendental is the cos of eta (and a sin for the slope).  The kernel
+reads the d-independent unit, B or the rate, of each block of
+ORIENT_BLOCK orientations x all times, multiplies it by d, and adds the
+weighted blocks in that fixed order, so the result is bit-identical
+however the orientations were ordered.  A set is averaged straight from
+the set, block by block, each block's unit written into a buffer that the
+next block reuses, as are those of phi and sin(phi).  A fit, which
+averages the same set at many d, builds the read-only blocks once as a
+`phase_table` and passes that instead; the result is the same bit for
+bit.  On request the same pass also returns d(eta)/dd for the Jacobian.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ import numpy as np
 
 from .analytic import CpCurve, CurveKind
 from .core import (CouplingParams, SpinningParams, TimeGrid,
-                   bracket_coefficients, coupling_shape, rotor_terms)
+                   bracket_coefficients, bracket_sum, coupling_shape,
+                   rotor_terms)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -49,7 +49,7 @@ ORIENT_BLOCK = 64
 # its table for its whole run, so the cap is what caching may add to a
 # fit's memory: 16 MiB stays below half of the ~40 MiB a fit process holds
 # anyway and still covers every ZCW level up to 11 (2584 orientations) at
-# 801 points.  A larger table is streamed a block at a time instead.
+# 801 points.  A larger set is averaged straight from the set instead.
 PHASE_TABLE_BUDGET = 16 * 2**20
 
 # Supported ZCW set sizes (level -> orientation count); the
@@ -154,23 +154,14 @@ class PhaseTable:
 
     phi is linear in d: phi = d*B/(2*omega_r) with the bracket B of
     `core.phase_bracket` when spinning, and phi = (d*rate)*t with the
-    stationary rate d(0)/d when omega_r = 0.  `units` yields, one block of
-    ORIENT_BLOCK orientations at a time and in kernel order, B (block x
-    times) or the rate (block,), with the block's weights.  A cached table
-    holds every block; a streamed one (``cached`` None) computes each block
-    when asked, into the buffer of the block before, so it holds one block
-    at a time and a block is valid until the next is asked for.
+    stationary rate d(0)/d when omega_r = 0.  ``blocks`` holds, one block
+    of ORIENT_BLOCK orientations at a time and in kernel order, B (block x
+    times) or the rate (block,), read-only, with the block's weights.
     """
 
-    oset: OrientationSet
     omega_r: float
     times: np.ndarray
-    cached: tuple | None = None
-
-    def units(self):
-        if self.cached is not None:
-            return self.cached
-        return _phase_units(self.oset, self.omega_r, self.times)
+    blocks: tuple
 
 
 def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
@@ -196,48 +187,40 @@ def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
         blk = slice(start, start + ORIENT_BLOCK)
         w = oset.weights[blk, None]
         unit = np.empty((len(w), t.size)) if fresh else unit_buf[:len(w)]
-        _block_bracket(coeffs[:, blk, None], terms, unit, scratch[:len(w)])
+        bracket_sum(coeffs[:, blk, None], terms, unit, scratch[:len(w)])
         yield unit, w
 
 
-def _block_bracket(coeffs, terms, out, scratch):
-    """B of one block into ``out``: `core.phase_bracket`'s four products,
-    added in its order, formed in ``scratch``."""
-    np.multiply(coeffs[0], terms[0], out=out)
-    for k, r in zip(coeffs[1:], terms[1:]):
-        out += np.multiply(k, r, out=scratch)
-
-
 def phase_table(spin: SpinningParams, times,
-                oset: OrientationSet) -> PhaseTable:
+                oset: OrientationSet) -> PhaseTable | OrientationSet:
     """Phase units for repeated averages over one set, spin and time array.
 
-    The table is cached when its units fit in PHASE_TABLE_BUDGET bytes and
-    streamed otherwise; `averaged_efficiency` gives bit-identical results
-    from either, and from the set itself.
+    Returns the table when its units fit in PHASE_TABLE_BUDGET bytes, and
+    ``oset`` itself otherwise; `averaged_efficiency` gives bit-identical
+    results from either.
     """
     t = np.array(times, dtype=float).ravel()
     t.flags.writeable = False
     per_orientation = t.size if spin.omega_r != 0.0 else 1
     if len(oset) * per_orientation * t.itemsize > PHASE_TABLE_BUDGET:
-        return PhaseTable(oset, spin.omega_r, t)
-    cached = tuple(_phase_units(oset, spin.omega_r, t, fresh=True))
-    for unit, _ in cached:
+        return oset
+    blocks = tuple(_phase_units(oset, spin.omega_r, t, fresh=True))
+    for unit, _ in blocks:
         unit.flags.writeable = False
-    return PhaseTable(oset, spin.omega_r, t, cached)
+    return PhaseTable(spin.omega_r, t, blocks)
 
 
-def _efficiency_kernel(d: float, table: PhaseTable, with_slope: bool):
-    """Weighted sum over the set of eta(t) and, if asked, of d(eta)/dd.
+def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray, units,
+                       with_slope: bool):
+    """Weighted sum over ``units`` of eta(t) and, if asked, of d(eta)/dd.
 
-    phi is d times the table's unit (core's bracket, or stationary rate)
-    and eta comes from the operations of `analytic.transfer_efficiency`,
-    so a one-orientation set reproduces the single-orientation curve bit
-    for bit.  The slope is (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d
-    taken from the unit, never by dividing by d, so d = 0 is safe.  The
-    units are only read, so a cached table serves every d.
+    ``units`` are a table's blocks or `_phase_units` of a set; phi is d
+    times a block's unit and eta comes from the operations of
+    `analytic.transfer_efficiency`, so a one-orientation set reproduces
+    the single-orientation curve bit for bit.  The slope is
+    (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d taken from the unit, never
+    by dividing by d, so d = 0 is safe.
     """
-    t, omega_r = table.times, table.omega_r
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
@@ -245,7 +228,7 @@ def _efficiency_kernel(d: float, table: PhaseTable, with_slope: bool):
     per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
     phi_buf = np.empty((ORIENT_BLOCK, t.size))
     sin_buf = np.empty_like(phi_buf) if with_slope else None
-    for unit, w in table.units():
+    for unit, w in units:
         phi = phi_buf[:len(w)]
         if spinning:
             np.multiply(d / (2.0 * omega_r), unit, out=phi)
@@ -273,7 +256,7 @@ def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
     Pointwise form of `powder_average`, free of its uniform-grid
     requirement; on a uniform grid the two agree bit for bit.  ``oset`` is
     an orientation set, whose phase units are built block by block for
-    this call, or a `phase_table` for ``spin`` and ``times``, whose units
+    this call, or a `phase_table` for ``spin`` and ``times``, whose blocks
     are reused; the result is bit-identical either way.  With
     ``with_slope`` returns ``(eta, deta_dd)``, the derivative with respect
     to the coupling constant from the same kernel pass; eta is
@@ -284,15 +267,17 @@ def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
             or other times.
     """
     t = np.asarray(times, dtype=float)
+    flat = t.ravel()
     if isinstance(oset, PhaseTable):
-        table = oset
-        if (table.omega_r != spin.omega_r
-                or not np.array_equal(table.times, t.ravel())):
+        if (oset.omega_r != spin.omega_r
+                or not np.array_equal(oset.times, flat)):
             raise ValueError("phase table was built for another rotor "
                              "frequency or other times")
+        units = oset.blocks
     else:
-        table = PhaseTable(oset, spin.omega_r, t.ravel())
-    out = _efficiency_kernel(coupling.d, table, with_slope)
+        units = _phase_units(oset, spin.omega_r, flat)
+    out = _efficiency_kernel(coupling.d, spin.omega_r, flat, units,
+                             with_slope)
     if with_slope:
         return out[0].reshape(t.shape), out[1].reshape(t.shape)
     return out.reshape(t.shape)

@@ -319,6 +319,16 @@ class TestPowderCommand:
         assert set(cols) == {"t_us", "m"}
         assert cols["m"][0] == 0.0
 
+    def test_t1rho_whose_decay_overflows(self, tmp_path, capsys):
+        # t/T1rho overflows to inf and exp(-inf) is the exact 0; this suite
+        # turns the overflow warning into an error
+        out = tmp_path / "pow.csv"
+        assert run(["powder", *POWDER_ARGS, *RELAX_ARGS[:-1], "1e-320",
+                    "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        cols = read_curve_csv(out)
+        assert np.array_equal(cols["m"], np.zeros(len(cols["t_us"])))
+
     def test_bad_orientation_set(self, tmp_path, capsys):
         code = run(["powder", "--d-khz", "1", "--mas-khz", "5", "--tmax-us",
                     "100", "--dt-us", "10", "--orient-set", "shell:9",
@@ -507,6 +517,25 @@ class TestFitCommand:
                     "--mas-khz", "5", *flags, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert_one_error_line(capsys, f"error: free parameter '{name}' ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--d-khz", "1e300"],
+        # the guess is finite, the search bound guess*1000 is not
+        ["--d-khz", "1e6", "--free", "d,r,r1,t1rho"]],
+        ids=["fixed-d", "free-d"])
+    def test_overflowing_phase_is_config_error(self, tmp_path, capsys,
+                                               flags):
+        # without the guard a fixed d ends in the kernel's nan (with
+        # RuntimeWarnings) and exit 4, and a free d searches a box whose
+        # far end overflows
+        out = tmp_path / "o.csv"
+        code = run(["fit", "--data", str(REPO_DATASET), "--mas-khz",
+                    "1e-300", "--r-inv-us", "300", "--r1-inv-us", "100",
+                    "--t1rho-ms", "2", *flags, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: the dipolar phase or the rotor "
+                              "angle overflows double precision")
         assert not out.exists()
 
 

@@ -379,16 +379,16 @@ class TestFitBuildup:
         assert len(set(calls)) == len(calls)
 
     def test_phase_bracket_built_once_per_fit(self, monkeypatch):
-        # one block's bracket B is one `_block_bracket` call
+        # one block's bracket B is one `bracket_sum` call
         calls = []
-        original = powder._block_bracket
+        original = powder.bracket_sum
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
         data, oset = self.make_data(noise=0.01, n=61)
-        monkeypatch.setattr(powder, "_block_bracket", counting)
+        monkeypatch.setattr(powder, "bracket_sum", counting)
         blocks = math.ceil(len(oset) / powder.ORIENT_BLOCK)
         assert blocks > 1
         fit_buildup(data, benchmark_spec(oset))
@@ -409,18 +409,19 @@ class TestFitBuildup:
         assert len(calls) == blocks
 
     def test_streamed_table_gives_the_same_fit(self, monkeypatch):
-        # a budget of 0 bytes streams every block as a one-shot average does
+        # over a budget of 0 bytes the fit averages straight from the set,
+        # block by block, as a one-shot average does
         data, oset = self.make_data(noise=0.01, n=61)
         for spin in (SpinningParams(omega_r=5.0 * KHZ),
                      SpinningParams(omega_r=0.0)):
             spec = dataclasses.replace(benchmark_spec(
                 oset, free=("d", "r", "r1", "t1rho"), guess_factor=1.05),
                 spin=spin)
-            assert fitting._BuildUpModel(data, spec).source.cached is not None
+            assert fitting._BuildUpModel(data, spec).source is not oset
             cached = fit_buildup(data, spec)
             with monkeypatch.context() as patch:
                 patch.setattr(powder, "PHASE_TABLE_BUDGET", 0)
-                assert fitting._BuildUpModel(data, spec).source.cached is None
+                assert fitting._BuildUpModel(data, spec).source is oset
                 streamed = fit_buildup(data, spec)
             # values, rss, stderr, iterations and stop reason; model apart
             assert streamed == cached

@@ -324,7 +324,7 @@ class TestKernelProperties:
         coupling = CouplingParams(d=d)
         spin = SpinningParams(omega_r=omega_r)
         table = phase_table(spin, KERNEL_TIMES, oset)
-        assert table.cached is not None
+        assert table is not oset
         one_shot = averaged_efficiency(coupling, spin, KERNEL_TIMES, oset,
                                        with_slope=True)
         cached = averaged_efficiency(coupling, spin, KERNEL_TIMES, table,
@@ -340,22 +340,24 @@ class TestPhaseTable:
     def test_budget_decides_between_cached_and_streamed(self, monkeypatch):
         oset = zcw_orientation_set(2)
         table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
-        assert len(table.cached) == math.ceil(len(oset) / ORIENT_BLOCK)
-        assert all(not unit.flags.writeable for unit, _ in table.cached)
+        assert len(table.blocks) == math.ceil(len(oset) / ORIENT_BLOCK)
+        assert all(not unit.flags.writeable for unit, _ in table.blocks)
         monkeypatch.setattr(powder, "PHASE_TABLE_BUDGET",
                             len(oset) * KERNEL_TIMES.size * 8 - 1)
         streamed = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
-        assert streamed.cached is None
-        assert np.array_equal(
-            averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES,
-                                streamed),
-            averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES,
-                                table))
+        assert streamed is oset
+        for with_slope in (False, True):
+            from_set, from_table = (
+                averaged_efficiency(POWDER_COUPLING, POWDER_MAS,
+                                    KERNEL_TIMES, source,
+                                    with_slope=with_slope)
+                for source in (streamed, table))
+            assert np.array_equal(from_set, from_table)
 
     def test_stationary_table_holds_one_rate_per_orientation(self):
         oset = zcw_orientation_set(2)
         table = phase_table(SpinningParams(omega_r=0.0), KERNEL_TIMES, oset)
-        assert sum(unit.size for unit, _ in table.cached) == len(oset)
+        assert sum(unit.size for unit, _ in table.blocks) == len(oset)
 
     def test_rotor_terms_once_per_average_and_per_table_build(
             self, monkeypatch):
@@ -386,10 +388,13 @@ class TestPhaseTable:
         if budget is not None:
             monkeypatch.setattr(powder, "PHASE_TABLE_BUDGET", budget)
         table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
-        assert (table.cached is None) == (budget is not None)
+        assert (table is oset) == (budget is not None)
+        # over the budget a set is averaged from its one-shot units
+        units = (table.blocks if budget is None else
+                 powder._phase_units(oset, POWDER_MAS.omega_r, KERNEL_TIMES))
         blocks = 0
         for start, (unit, w) in zip(range(0, len(oset), ORIENT_BLOCK),
-                                    table.units()):
+                                    units):
             blk = slice(start, start + ORIENT_BLOCK)
             expected = phase_bracket(oset.beta[blk, None],
                                      oset.gamma[blk, None],
