@@ -58,8 +58,9 @@ class RelaxationParams:
     def __post_init__(self):
         if not (math.isfinite(self.m0) and self.m0 > 0.0):
             raise ValueError(f"m0 must be finite and > 0, got {self.m0}")
-        if not (self.r >= 0.0 and self.r1 >= 0.0):
-            raise ValueError("rates r and r1 must be >= 0")
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.r1 < math.inf):
+            raise ValueError(f"rates r and r1 must be finite and >= 0, got "
+                             f"r={self.r}, r1={self.r1}")
         if not self.t1rho > 0.0:
             raise ValueError(f"t1rho must be > 0 (inf allowed), got {self.t1rho}")
 

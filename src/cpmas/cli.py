@@ -105,8 +105,8 @@ _RELAX_OPTS = [
     Opt("m0", float, "equilibrium amplitude", default=1.0),
 ]
 _SUBSTEPS_OPT = Opt("substeps", int,
-                    "steps per grid interval of the command's rule (the "
-                    "fourth-order CF4 rule of cpmas.oracle)")
+                    "steps per grid interval of the fourth-order CF4 rule "
+                    "of cpmas.oracle")
 _COMMON_OPTS = [
     Opt("out", str, "output CSV path", required=True),
     Opt("config", str, "key-value config file; flags override it"),
@@ -408,11 +408,11 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
 
 
 def run_oracle(resolved) -> tuple[dict, list[str], int]:
-    """Propagation by the fourth-order rule `oracle.CF4`, with state and
+    """Propagation by `oracle.propagate_expectations`, with state and
     observables along the effective-field axes
     (`oracle.tilted_spin_operators`).  On resonance these are I_y and S_y
-    exactly, so the columns are those of `oracle.propagate` from I_y under
-    that rule bit for bit."""
+    exactly, so the columns are those of `oracle.propagate` from I_y bit
+    for bit."""
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
     rf = _rf_from(resolved)
@@ -422,7 +422,7 @@ def run_oracle(resolved) -> tuple[dict, list[str], int]:
     try:
         sy, iy, dq_y = oracle.propagate_expectations(
             i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
-            resolved["substeps"], rule=oracle.CF4)
+            resolved["substeps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return {"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK

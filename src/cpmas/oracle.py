@@ -8,18 +8,14 @@ in the 4-dimensional product space by products of exactly unitary
 exponentials, independent of every closed-form result in `analytic`.  It
 is the ground truth the analytic curves are validated against.
 
-How a substep is taken is data, a `StepRule`: the times in the substep at
-which the coupling c(t) = 2*d(t) is sampled, a weight matrix that combines
-those samples into one coupling c_f per exponential factor, the factors'
-length as a share of the substep, and the substeps per period of the
-fastest coherent frequency.  With H0 the locks and offsets and
-Z = I_z*S_z, each factor is exp(-i*(H0 + c_f*Z)*dt).  `MIDPOINT`, the
-default of the functions here, is one factor at the midpoint (second
-order, 50 substeps per period).  `CF4`, which the `oracle` and `compare`
-commands use, is the fourth-order commutator-free Magnus rule: two
-half-length factors whose couplings combine c at the two Gauss points
-(6.25 substeps per period, within `CF4_TOLERANCE` of a converged run).
-Neither rule assumes that the Hamiltonian commutes with itself at
+Each substep is one step of CF4, the fourth-order commutator-free Magnus
+rule: two half-length exponential factors, whose couplings c_f combine
+the coupling c(t) = 2*d(t) at the substep's two Gauss points by the rows
+of a weight matrix.  With H0 the locks and offsets and Z = I_z*S_z, each
+factor is exp(-i*(H0 + c_f*Z)*dt).  The substeps per grid interval
+follow from 6.25 substeps per period of the fastest coherent frequency,
+which keeps the result within `CF4_TOLERANCE` of a converged run.  The
+rule does not assume that the Hamiltonian commutes with itself at
 different times, the property the closed form rests on.
 
 The full-space propagation runs in the frame rotated by
@@ -39,11 +35,11 @@ propagation; Tr(O @ rho) is the same in either frame.  The block-wise
 (`matrix_exponential_step`), so the cross-check between the two is
 independent in its exponential as well as in its block structure.
 
-One core (`_propagate`) serves both paths and every rule, and runs in real
-arithmetic: a complex n x n matrix M is carried as its real embedding
+One core (`_propagate`) serves both paths and runs in real arithmetic:
+a complex n x n matrix M is carried as its real embedding
 [[Re M, -Im M], [Im M, Re M]], under which products stay products.  Per
 block of about SUBSTEP_BLOCK factors, the couplings of the factors are
-combined from d(t) at the rule's nodes, their unitaries formed in one
+combined from d(t) at the Gauss points, their unitaries formed in one
 batched call, and those of each grid interval multiplied together in
 order (batched over intervals).  A two-level prefix scan (`_scan`) over
 the interval unitaries turns them into propagators from t = 0 in about
@@ -56,11 +52,9 @@ array that the scan updates in place, so memory is n x 2n reals per grid
 point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
 block, and does not grow with the substeps per interval.  On 30
 `oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU Xeon,
-numpy 2.4.6, stage timers around one process's calls) a CF4 propagation
+numpy 2.4.6, stage timers around one process's calls) a propagation
 takes about 1.7-2.4 ms: forming and composing the factors ~40% of it,
-the scan ~23%, the readout ~18% (0.3-0.5 ms) and the table ~13%.  The
-midpoint rule takes about 3.2-3.6 ms on the same inputs, ~60% of it
-forming and composing its substeps.
+the scan ~23%, the readout ~18% (0.3-0.5 ms) and the table ~13%.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -93,17 +87,17 @@ from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
 
 HERMITICITY_TOL = 1e-12
 
-# Most substeps in one propagation (one factor for `MIDPOINT`, two for
-# `CF4`, each a Chebyshev series from the substep table and one real 8x8
-# product), checked before any work: it bounds the work of a propagation,
-# not its memory, which grows with the grid points.
+# Most substeps in one propagation (two factors each, each a Chebyshev
+# series from the substep table and one real 8x8 product), checked before
+# any work: it bounds the work of a propagation, not its memory, which
+# grows with the grid points.
 MAX_SUBSTEPS = 10**6
 
 # Factors held at once (~0.6 KiB of temporaries each): whole grid intervals
 # up to this many, and an interval with more in chunks of whole substeps.
 # The scan and the readout also take about this many grid points at a time.
-# On the `oracle-compare` benchmark under CF4 (seeds 1621-1629, 3 pairs
-# against 1024 each), 512 read a higher median latency in 3 of 3 pairs
+# On the `oracle-compare` benchmark (seeds 1621-1629, 3 pairs against
+# 1024 each), 512 read a higher median latency in 3 of 3 pairs
 # (by 8-13%) and 2048 in 2 of 3 (-4% to +4%); one block per operation
 # (10**6) read 4-8% lower in 3 of 3, but at a higher peak, 44.0-44.1
 # against 42.2-42.5 MiB.
@@ -285,40 +279,16 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return c, x @ s
 
 
-@dataclass(frozen=True)
-class StepRule:
-    """A rule for stepping H(t) = H0 + c(t)*Z over one substep of length h.
-
-    The substep from t0 is the product of one exponential
-    exp(-i*length*h*(H0 + c_f*Z)) per row f of ``weights``, the factor
-    applied first in the first row, with c_f = sum over k of
-    weights[f][k] * c(t0 + nodes[k]*h).  ``steps_per_period`` is the
-    least number of substeps per period of the fastest coherent frequency
-    (`required_substeps`).
-    """
-
-    nodes: tuple[float, ...]
-    weights: tuple[tuple[float, ...], ...]
-    length: float
-    steps_per_period: float
-
-    @property
-    def reach(self) -> float:
-        """The largest |c_f| over max |c(t)|: a row sum of |weights|."""
-        return max(sum(abs(w) for w in row) for row in self.weights)
-
-
-# The exponential midpoint rule, second order.
-MIDPOINT = StepRule(nodes=(0.5,), weights=((1.0,),), length=1.0,
-                    steps_per_period=50)
-
 _R3 = math.sqrt(3.0) / 6.0
 # The fourth-order commutator-free Magnus rule CF4 (Blanes & Moan, Appl.
 # Numer. Math. 56, 1519, 2006): exp(-i*h*(a1*H(t1) + a2*H(t2))) with
 # (a1, a2) = (a+, a-), then (a-, a+), at the Gauss points t1, t2 =
 # t0 + (1/2 -+ sqrt(3)/6)*h, a+- = 1/4 +- sqrt(3)/6.  As a1 + a2 = 1/2,
-# each factor is exp(-i*(h/2)*(H0 + 2*(a1*c(t1) + a2*c(t2))*Z)).
-# steps_per_period is fitted to this table of the largest error in the
+# each factor is exp(-i*(h/2)*(H0 + 2*(a1*c(t1) + a2*c(t2))*Z)): the
+# substep from t0 applies one factor per row f of CF4_WEIGHTS, the first
+# row first, of length CF4_LENGTH*h and coupling c_f = sum over k of
+# CF4_WEIGHTS[f][k] * c(t0 + CF4_NODES[k]*h).
+# CF4_STEPS_PER_PERIOD is fitted to this table of the largest error in the
 # oracle's three expectation values against CF4 at 8x the midpoint rule's
 # substeps (itself within 6.4e-11 of CF4 at 4x), over 160 seeded
 # `oracle-compare`-shaped inputs: 40-120 kHz matched locks, half of them
@@ -330,23 +300,25 @@ _R3 = math.sqrt(3.0) / 6.0
 #     max error            5.3e-7   5.3e-7   4.0e-8   6.2e-9
 #     median error         4.0e-9   2.0e-9   7.6e-10  1.1e-10
 #     max ratio            0.32     0.16     0.031    0.0078
-CF4 = StepRule(nodes=(0.5 - _R3, 0.5 + _R3),
-               weights=((0.5 + 2.0 * _R3, 0.5 - 2.0 * _R3),
-                        (0.5 - 2.0 * _R3, 0.5 + 2.0 * _R3)),
-               length=0.5, steps_per_period=6.25)
-# The error that CF4 at its steps_per_period is held to, against the same
+CF4_NODES = (0.5 - _R3, 0.5 + _R3)
+CF4_WEIGHTS = ((0.5 + 2.0 * _R3, 0.5 - 2.0 * _R3),
+               (0.5 - 2.0 * _R3, 0.5 + 2.0 * _R3))
+CF4_LENGTH = 0.5
+CF4_STEPS_PER_PERIOD = 6.25
+# The largest |c_f| over max |c(t)|: a row sum of |CF4_WEIGHTS|.
+_CF4_REACH = max(sum(abs(w) for w in row) for row in CF4_WEIGHTS)
+# The error that CF4 at CF4_STEPS_PER_PERIOD is held to, against the same
 # rule at 8x the substeps, on inputs like those of the table.
 CF4_TOLERANCE = 1e-7
 
 
-def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float,
-                      rule: StepRule = MIDPOINT) -> int:
-    """Minimum substeps of ``rule`` per grid interval.
+def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
+    """Minimum substeps per grid interval.
 
     The substep must resolve the fastest coherent frequency - the sum of
     the effective spin-lock fields or twice the rotor frequency, whichever
-    is larger - with at least ``rule.steps_per_period`` substeps per
-    period: 50 for `MIDPOINT`, 6.25 for `CF4`.
+    is larger - with at least ``CF4_STEPS_PER_PERIOD`` (6.25) substeps per
+    period.
 
     Raises:
         ValueError: if that is more than ``MAX_SUBSTEPS`` (an overflowing
@@ -354,7 +326,7 @@ def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float,
     """
     eff = effective_field(rf)
     omega_fast = max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r)
-    max_step = 2.0 * math.pi / (rule.steps_per_period * omega_fast)
+    max_step = 2.0 * math.pi / (CF4_STEPS_PER_PERIOD * omega_fast)
     steps = dt / max_step - 1e-9 if max_step > 0.0 else math.inf
     if steps > MAX_SUBSTEPS:
         raise ValueError(
@@ -392,31 +364,31 @@ def _table_degree(a: float) -> int:
 
 
 def _substep_table(rf: RfScheme, coupling: CouplingParams,
-                   orient: Orientation, rule: StepRule, dt: float):
+                   orient: Orientation, dt: float):
     """``steps(c)``: the embedded real-frame unitaries exp(-i*(H0 + c*Z)*dt)
-    for the couplings c of ``rule``'s factors, from a table in c.
+    for the couplings c of CF4's factors, from a table in c.
 
     In the real frame H(t) = H0 + c(t)*Z with H0 the locks and offsets,
-    Z = I_z*S_z and c(t) = 2*d(t), so every factor of a substep is a point
-    on the curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |2*d(t)| <=
-    2|d|*(|c1|/2 + c2), so the rule's couplings keep |c| <= w, that bound
-    times ``rule.reach``.  With c = w*x for x in [-1, 1] the k-th
-    derivative in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4; the
-    table exponentiates the n + 1 Chebyshev-point Hamiltonians that
-    `_table_degree` asks for in one `cos_sin_step` call (which checks
-    their symmetry, and so that of every factor, as Z is diagonal) and
-    evaluates each factor as [T_0(x), ..., T_n(x)] @ coefficients, one
-    real product giving the 8x8 embedding.  When the bounding Hamiltonians
-    H0 +- w*Z have ||H*dt||_inf >= 0.35 the table is built for dt/2**s, s
-    the fewest halvings that take that norm below 0.35, and each step is
-    squared s times, the oracle's only scaling and squaring; past
-    0.35 * 2**26 they are refused.  In floating point no node's norm
-    exceeds theirs, as Z is diagonal and |w*cos(theta)| <= w.
+    Z = I_z*S_z and c(t) = 2*d(t), so every factor of a substep is a point on
+    the curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |2*d(t)| <=
+    2|d|*(|c1|/2 + c2), so CF4's couplings keep |c| <= w, that bound times
+    the largest row sum of |CF4_WEIGHTS|.  With c = w*x for x in [-1, 1]
+    the k-th derivative in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4;
+    the table exponentiates the n + 1 Chebyshev-point Hamiltonians that
+    `_table_degree` asks for in one `cos_sin_step` call (which checks their
+    symmetry, and so that of every factor, as Z is diagonal) and evaluates
+    each factor as [T_0(x), ..., T_n(x)] @ coefficients, one real product
+    giving the 8x8 embedding.  When the bounding Hamiltonians H0 +- w*Z
+    have ||H*dt||_inf >= 0.35 the table is built for dt/2**s, s the fewest
+    halvings that take that norm below 0.35, and each step is squared s
+    times, the oracle's only scaling and squaring; past 0.35 * 2**26 they
+    are refused.  In floating point no node's norm exceeds theirs, as Z is
+    diagonal and |w*cos(theta)| <= w.
     """
     h0 = _lock_hamiltonian(_REAL_TERMS, rf)
     z = _REAL_TERMS[4]
     c1, c2 = _coefficients(orient.beta)
-    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2) * rule.reach
+    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2) * _CF4_REACH
     top = _max_norm(np.stack([h0 - w * z, h0 + w * z]) * dt)
     squarings = max(0, math.frexp(top / _TAYLOR_NORM)[1])
     sub_dt = math.ldexp(dt, -squarings)
@@ -493,19 +465,19 @@ def _scan(p: np.ndarray) -> None:
             tail[...] = tail @ carry[whole]
 
 
-def _propagate(make_steps, rule: StepRule, rf: RfScheme,
-               coupling: CouplingParams, orient: Orientation,
-               spin: SpinningParams, grid: TimeGrid, substeps: int | None,
-               rho0: np.ndarray, observables) -> np.ndarray:
-    """Tr(O @ rho) per grid point, stepping by ``rule``; ``make_steps(dt)``
+def _propagate(make_steps, rf: RfScheme, coupling: CouplingParams,
+               orient: Orientation, spin: SpinningParams, grid: TimeGrid,
+               substeps: int | None, rho0: np.ndarray,
+               observables) -> np.ndarray:
+    """Tr(O @ rho) per grid point, stepping by CF4; ``make_steps(dt)``
     returns ``steps(c)``, which gives the real embeddings of the unitaries
-    exp(-i*(H0 + c*Z)*dt) for couplings c, dt the rule's factor length.
+    exp(-i*(H0 + c*Z)*dt) for couplings c, dt CF4's factor length.
 
-    ``substeps`` is checked against the rule's step-size rule and
+    ``substeps`` is checked against the step-size rule and
     ``MAX_SUBSTEPS`` before any work; None picks the smallest count the
-    rule allows.
+    step-size rule allows.
     """
-    needed = required_substeps(rf, spin, grid.dt, rule)
+    needed = required_substeps(rf, spin, grid.dt)
     intervals = grid.n_points - 1
     if substeps is None:
         substeps = needed
@@ -519,9 +491,9 @@ def _propagate(make_steps, rule: StepRule, rf: RfScheme,
             f"{substeps}) exceed the limit of {MAX_SUBSTEPS} per propagation")
     n = rho0.shape[-1]
     dt_sub = grid.dt / substeps
-    steps = make_steps(rule.length * dt_sub)
-    nodes = np.array(rule.nodes)[:, None]
-    weights = np.array(rule.weights)[:, :, None]
+    steps = make_steps(CF4_LENGTH * dt_sub)
+    nodes = np.array(CF4_NODES)[:, None]
+    weights = np.array(CF4_WEIGHTS)[:, :, None]
     factors = len(weights)
     per_block = max(1, SUBSTEP_BLOCK // (substeps * factors))
     chunk = max(1, min(substeps, SUBSTEP_BLOCK // factors))
@@ -578,16 +550,14 @@ def _propagate(make_steps, rule: StepRule, rf: RfScheme,
 def propagate_expectations(rho0: np.ndarray, observables,
                            rf: RfScheme, coupling: CouplingParams,
                            orient: Orientation, spin: SpinningParams,
-                           grid: TimeGrid, substeps: int | None = None,
-                           rule: StepRule = MIDPOINT) -> np.ndarray:
+                           grid: TimeGrid,
+                           substeps: int | None = None) -> np.ndarray:
     """Propagate rho0 over the grid and record Tr(O @ rho) for each observable.
 
-    Each grid interval is subdivided into ``substeps`` substeps of
-    ``rule``, each a product of exactly unitary exponentials: one with
-    the Hamiltonian at the substep midpoint for `MIDPOINT` (second order),
-    two with Hamiltonians combined from two Gauss points for `CF4` (fourth
-    order).  ``substeps=None`` picks the smallest count satisfying
-    `required_substeps` for the rule.
+    Each grid interval is subdivided into ``substeps`` substeps of CF4,
+    each a product of two exactly unitary exponentials with Hamiltonians
+    combined from two Gauss points (fourth order).  ``substeps=None``
+    picks the smallest count satisfying `required_substeps`.
 
     Returns:
         Real array of shape (len(observables), grid.n_points).
@@ -598,18 +568,17 @@ def propagate_expectations(rho0: np.ndarray, observables,
             would take more than ``MAX_SUBSTEPS`` substeps in all.
     """
     return _propagate(
-        functools.partial(_substep_table, rf, coupling, orient, rule), rule,
-        rf, coupling, orient, spin, grid, substeps, _to_real_frame(rho0),
+        functools.partial(_substep_table, rf, coupling, orient), rf,
+        coupling, orient, spin, grid, substeps, _to_real_frame(rho0),
         _to_real_frame(observables))
 
 
 def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
               orient: Orientation, spin: SpinningParams, grid: TimeGrid,
-              substeps: int | None = None,
-              rule: StepRule = MIDPOINT) -> Trajectory:
+              substeps: int | None = None) -> Trajectory:
     """Full-space propagation recording <S_y>, <I_y> and the DQ lock component."""
     out = propagate_expectations(rho0, (SY, IY, DQ_Y), rf, coupling, orient,
-                                 spin, grid, substeps, rule)
+                                 spin, grid, substeps)
     return Trajectory(grid=grid, sy=out[0], iy=out[1], dq_y=out[2])
 
 
@@ -629,8 +598,7 @@ def _eigh_steps(rf: RfScheme, idx, dt: float):
 def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
                         coupling: CouplingParams, orient: Orientation,
                         spin: SpinningParams, grid: TimeGrid,
-                        substeps: int | None = None,
-                        rule: StepRule = MIDPOINT) -> np.ndarray:
+                        substeps: int | None = None) -> np.ndarray:
     """<S_y> from separate ZQ/DQ 2x2 block propagation (on-resonance only).
 
     On resonance the Hamiltonian is block diagonal in the y-quantized basis
@@ -638,7 +606,7 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     reproduce the full 4x4 propagation; this provides the structural
     cross-check of that claim.  Each block of the full Hamiltonian stack is
     exponentiated by `matrix_exponential_step` (``eigh``) and propagated on
-    its own, under the same ``rule`` as `propagate`.
+    its own, by the same CF4 steps as `propagate`.
 
     Raises:
         ValueError: for nonzero offsets (which couple the blocks), an
@@ -649,8 +617,8 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
         raise ValueError("block-wise propagation requires zero offsets")
     rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
     return sum(_propagate(
-        functools.partial(_eigh_steps, rf, idx), rule, rf, coupling, orient,
-        spin, grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
+        functools.partial(_eigh_steps, rf, idx), rf, coupling, orient, spin,
+        grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
         for idx in (_ZQ_IDX, _DQ_IDX))
 
 

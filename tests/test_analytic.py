@@ -214,6 +214,10 @@ class TestRelaxationParams:
             RelaxationParams(r=math.nan)
         with pytest.raises(ValueError):
             RelaxationParams(r1=math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            RelaxationParams(r=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            RelaxationParams(r1=math.inf)
         with pytest.raises(ValueError):
             RelaxationParams(t1rho=0.0)
         RelaxationParams(t1rho=math.inf)

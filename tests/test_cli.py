@@ -365,8 +365,8 @@ class TestOracleCommand:
         assert run(args) == EXIT_OK
         cols = read_curve_csv(out)
         args, kwargs = calls[0]
-        assert kwargs == {"rule": oracle.CF4}
-        traj = oracle.propagate(oracle.IY, *args, rule=oracle.CF4)
+        assert kwargs == {}
+        traj = oracle.propagate(oracle.IY, *args)
         for name in ("sy", "iy", "dq_y"):
             assert np.array_equal(cols[name], getattr(traj, name))
 
@@ -635,6 +635,25 @@ class TestUsageErrors:
                     "100", "--out", str(out)]) == EXIT_CONFIG
         assert_one_error_line(capsys, "error: bad relaxation parameters: "
                               f"m0 must be finite and > 0, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--r-inv-us", "--r1-inv-us"])
+    @pytest.mark.parametrize("command", ["powder", "fit"])
+    def test_subnormal_time_constant_is_config_error(self, tmp_path, capsys,
+                                                     command, flag):
+        # 1/(1e-310 us) overflows to an infinite rate, which powder would
+        # write as nan and a fit with that rate fixed would end in a
+        # non-finite Jacobian
+        times = {"--r-inv-us": "300", "--r1-inv-us": "100", flag: "1e-310"}
+        base = {"powder": POWDER_ARGS,
+                "fit": ["--data", str(REPO_DATASET), "--d-khz", "20",
+                        "--mas-khz", "5", "--t1rho-ms", "2", "--free",
+                        "t1rho,m0"]}[command]
+        out = tmp_path / "o.csv"
+        assert run([command, *base, *(x for kv in times.items() for x in kv),
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: bad relaxation parameters: "
+                              "rates r and r1 must be finite and >= 0")
         assert not out.exists()
 
 

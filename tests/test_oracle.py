@@ -259,11 +259,12 @@ def reference_steps(rf, coupling, orient, spin, times, dt):
 
 
 def bounding_norm(rf, coupling, orient, dt):
-    """||(H0 +- w*Z)*dt||_inf, the larger of the two, with |2*d(t)| <= w:
-    the norm from which the substep table takes its squaring count."""
+    """||(H0 +- w*Z)*dt||_inf, the larger of the two, with |c_f| <= w for
+    CF4's factor couplings: the norm from which the substep table takes its
+    squaring count."""
     h0, z = oracle._lock_hamiltonian(oracle._REAL_TERMS, rf), IZSZ.real
     c1, c2 = oracle._coefficients(orient.beta)
-    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2)
+    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2) * oracle._CF4_REACH
     return inf_norms(np.stack([h0 - w * z, h0 + w * z]) * dt).max()
 
 
@@ -300,16 +301,16 @@ def node_dts(monkeypatch):
     return dts
 
 
-def assert_table_unitarity(rule, rf, coupling, spin, orient):
-    """Criterion 9's bounds on 1e5 table substeps of ``rule``, 0.05 us
-    each, composed on the real embedding as the propagation core composes
-    them."""
+def assert_table_unitarity(rf, coupling, spin, orient):
+    """Criterion 9's bounds on 1e5 table substeps, 0.05 us each, composed
+    on the real embedding as the propagation core composes them."""
     dt = 0.05e-6
     c = 2.0 * dipolar_coupling_at(
-        coupling, orient, spin, (np.arange(100000)[:, None] + rule.nodes) * dt)
-    steps = oracle._substep_table(rf, coupling, orient, rule,
-                                  rule.length * dt)(
-        (c @ np.transpose(rule.weights)).ravel())
+        coupling, orient, spin,
+        (np.arange(100000)[:, None] + oracle.CF4_NODES) * dt)
+    steps = oracle._substep_table(rf, coupling, orient,
+                                  oracle.CF4_LENGTH * dt)(
+        (c @ np.transpose(oracle.CF4_WEIGHTS)).ravel())
     p = np.eye(8)
     for step in steps:
         p = step @ p
@@ -332,7 +333,7 @@ class TestSubstepTable:
         pytest.param(MATCHED, 2.5, 0.0, 1e-7, False, id="stationary"),
         pytest.param((80.0, 60.0, 20.0, -15.0), 2.5, 2.0, 1e-7, False,
                      id="off-resonance"),
-        # a = w*dt/4 ~ 1.9: the table is built for dt/8 and squared 3 times
+        # a = w*dt/4 ~ 2.1: the table is built for dt/8 and squared 3 times
         pytest.param((80.0, 60.0, 20.0, -15.0), 3000.0, 2.0, 1e-7, True,
                      id="squaring"),
     ])
@@ -343,8 +344,7 @@ class TestSubstepTable:
                       offset_i=off_i * KHZ, offset_s=off_s * KHZ)
         coupling = CouplingParams(d=d_khz * KHZ)
         spin = SpinningParams(omega_r=mas_khz * KHZ)
-        steps = oracle._substep_table(rf, coupling, bench_orientation,
-                                      oracle.MIDPOINT, dt)
+        steps = oracle._substep_table(rf, coupling, bench_orientation, dt)
         assert node_dts == [dt / 8 if squares else dt]
         # substep midpoints over one rotor period at 2 kHz
         times = (np.arange(5000) + 0.5) * dt
@@ -375,8 +375,9 @@ class TestSubstepTable:
         # couplings whose bounding norm ||(H0 +- w*Z)*dt||_inf lies a few
         # ulp below, at and above 0.35 * 2**k: below, the table takes k
         # squarings, at and above k + 1, and either way cos_sin_step takes
-        # every node
-        rf, dt, target = self.OFF_RESONANCE, 1e-7, 0.35 * 2.0**k
+        # every node.  At dt = 5e-8 some coupling's norm equals each target
+        # exactly (at 1e-7 none does for k = 0)
+        rf, dt, target = self.OFF_RESONANCE, 5e-8, 0.35 * 2.0**k
         below, above = couplings_around_norm(rf, bench_orientation, dt, target)
         times = (np.arange(64) + 0.5) * (2.0 * math.pi / slow_mas.omega_r / 64)
         for d in [*below, *above]:
@@ -384,8 +385,7 @@ class TestSubstepTable:
             norm = bounding_norm(rf, coupling, bench_orientation, dt)
             assert abs(norm - target) <= 4 * np.spacing(target)
             node_dts.clear()
-            steps = oracle._substep_table(rf, coupling, bench_orientation,
-                                          oracle.MIDPOINT, dt)
+            steps = oracle._substep_table(rf, coupling, bench_orientation, dt)
             assert node_dts == [dt / 2**(k if norm < target else k + 1)]
             expected, norms = reference_steps(rf, coupling, bench_orientation,
                                               slow_mas, times, dt)
@@ -418,18 +418,19 @@ class TestSubstepTable:
             return taylor(h, dt)
 
         monkeypatch.setattr(oracle, "cos_sin_step", counting)
-        grid = TimeGrid(dt=1e-6, n_points=1001)  # 1000 intervals x 8
+        grid = TimeGrid(dt=1e-6, n_points=1001)  # 1000 intervals x 1
         propagate(IY, matched_rf, bench_coupling, bench_orientation,
                   slow_mas, grid)
         assert len(counts) == 1
-        assert 1 <= counts[0] <= 6
+        # each substep is two 0.5 us factors, whose couplings reach 2/sqrt(3)
+        # of max |2*d(t)|: a = w*dt/4 ~ 9.0e-3 takes degree 6, 7 nodes
+        assert counts[0] == 7
 
     def test_unitarity_over_1e5_substeps(self, matched_rf, bench_coupling,
                                          slow_mas, bench_orientation):
-        # criterion 9's bounds on 1e5 table substeps, composed on the real
-        # embedding as the propagation core composes them
-        assert_table_unitarity(oracle.MIDPOINT, matched_rf, bench_coupling,
-                               slow_mas, bench_orientation)
+        # 2e5 table factors
+        assert_table_unitarity(matched_rf, bench_coupling, slow_mas,
+                               bench_orientation)
 
     def test_refuses_coupling_past_the_doubling_limit(self, matched_rf,
                                                       slow_mas,
@@ -441,14 +442,14 @@ class TestSubstepTable:
                                                dt, norm)
             with pytest.raises(ValueError, match="exceeds 2.35e"):
                 oracle._substep_table(matched_rf, CouplingParams(d=d),
-                                      bench_orientation, oracle.MIDPOINT, dt)
+                                      bench_orientation, dt)
         with pytest.raises(ValueError, match="exceeds 2.35e"):
             oracle._substep_table(matched_rf, CouplingParams(d=1e303),
-                                  bench_orientation, oracle.MIDPOINT, 1e-7)
+                                  bench_orientation, 1e-7)
         (*_, d), _ = couplings_around_norm(matched_rf, bench_orientation, dt,
                                            2.3e7)
         oracle._substep_table(matched_rf, CouplingParams(d=d),
-                              bench_orientation, oracle.MIDPOINT, dt)
+                              bench_orientation, dt)
 
 
 class TestPropagate:
@@ -482,26 +483,12 @@ class TestPropagate:
                                                          bench_coupling,
                                                          slow_mas,
                                                          bench_orientation):
-        grid = TimeGrid(dt=1e-6, n_points=11)
+        grid = TimeGrid(dt=8e-6, n_points=11)
         needed = required_substeps(matched_rf, slow_mas, grid.dt)
         assert needed == 8
         with pytest.raises(ValueError, match=f"at least {needed} substeps"):
             propagate(IY, matched_rf, bench_coupling, bench_orientation,
                       slow_mas, grid, substeps=needed - 1)
-
-    def test_substep_halving_is_second_order(self, matched_rf, bench_coupling,
-                                             slow_mas, bench_orientation):
-        grid = TimeGrid(dt=0.125e-6, n_points=401)
-        assert required_substeps(matched_rf, slow_mas, grid.dt) == 1
-
-        def sy(substeps):
-            return propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                             slow_mas, grid, substeps=substeps).sy
-
-        reference = sy(32)
-        errors = [np.max(np.abs(sy(k) - reference)) for k in (1, 2, 4)]
-        assert errors[0] / errors[1] >= 3.5
-        assert errors[1] / errors[2] >= 3.5
 
     def test_unitarity_preserved(self, matched_rf, bench_coupling, slow_mas,
                                  bench_orientation):
@@ -560,55 +547,66 @@ class TestPropagate:
             sy_blocks = propagate_blockwise(IY, *args)
             assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, k
 
-    @pytest.mark.parametrize("locks_khz,mas_khz,block,n_points", [
-        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, 41,
+    @pytest.mark.parametrize("locks_khz,mas_khz,block,dt,n_points", [
+        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, 0.1e-6, 41,
                      id="unequal-offsets"),
-        pytest.param((80.0, 60.0, 0.0, 0.0), 2.0, None, 41,
+        pytest.param((80.0, 60.0, 0.0, 0.0), 2.0, None, 0.1e-6, 41,
                      id="on-resonance-unequal-locks"),
-        pytest.param((80.0, 80.0, 20.0, 15.0), 0.0, None, 41,
+        pytest.param((80.0, 80.0, 20.0, 15.0), 0.0, None, 0.1e-6, 41,
                      id="stationary"),
-        # one interval (3 substeps) per block of 5, and a scan over 38
-        # points in blocks of 5: whole blocks and a partial one
-        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, 5, 38,
+        # 3 substeps of 2 factors per interval, in chunks of 2 and 1
+        # substeps for a block of 5, and a scan over 38 points in blocks of
+        # 5: whole blocks and a partial one
+        pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, 5, 0.1e-6, 38,
                      id="partial-blocks"),
         # grid lengths at the edges of the scan's groups, and one whose
         # group totals are scanned again, with a ragged last group at both
         # levels
-        *(pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, n_points, id=name)
+        *(pytest.param((80.0, 80.0, 20.0, 15.0), 2.0, None, 0.1e-6, n_points,
+                       id=name)
           for name, n_points in [
               ("one-point", 1), ("two-points", 2),
               ("group-less-one", oracle.SCAN_GROUP - 1),
               ("one-group", oracle.SCAN_GROUP),
               ("group-plus-one", oracle.SCAN_GROUP + 1),
               ("ragged-groups", 3 * oracle.SCAN_GROUP**2 + 5)]),
+        # equal offsets and substeps 2/3 us long: the Gauss points of a
+        # substep sample d(t) far apart
+        pytest.param((80.0, 80.0, 20.0, 20.0), 2.0, None, 2e-6, 13,
+                     id="equal-offsets-long-substeps"),
     ])
     def test_matches_per_substep_loop(self, monkeypatch, locks_khz, mas_khz,
-                                      block, n_points, bench_coupling,
+                                      block, dt, n_points, bench_coupling,
                                       bench_orientation):
+        # each substep is exp(-i*h*(a-*H(t1) + a+*H(t2))) after
+        # exp(-i*h*(a+*H(t1) + a-*H(t2))), each by eigh of the full
+        # product-basis Hamiltonians
         b1i, b1s, off_i, off_s = locks_khz
         rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
                       offset_i=off_i * KHZ, offset_s=off_s * KHZ)
         spin = SpinningParams(omega_r=mas_khz * KHZ)
         if block is not None:
             monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
-        grid = TimeGrid(dt=0.1e-6, n_points=n_points)
+        grid = TimeGrid(dt=dt, n_points=n_points)
         substeps = 3
         assert required_substeps(rf, spin, grid.dt) <= substeps
+        out = lock_expectations(rf, bench_coupling, bench_orientation, spin,
+                                grid, substeps=substeps)
         i_e, s_e = tilted_spin_operators(rf)
-        out = propagate_expectations(i_e, (s_e, i_e), rf, bench_coupling,
-                                     bench_orientation, spin, grid,
-                                     substeps=substeps)
-        dt_sub = grid.dt / substeps
+        observables = (s_e, i_e, oracle.DQ_Y)
+        h = grid.dt / substeps
+        r3 = math.sqrt(3.0) / 6.0
+        a_plus, a_minus = 0.25 + r3, 0.25 - r3
         rho = np.array(i_e, dtype=complex)
-        expected = [[np.trace(s_e @ rho).real, np.trace(i_e @ rho).real]]
+        expected = [[np.trace(o @ rho).real for o in observables]]
         for k in range((grid.n_points - 1) * substeps):
-            h = hamiltonian_at(rf, bench_coupling, bench_orientation, spin,
-                               (k + 0.5) * dt_sub)
-            u = matrix_exponential_step(h, dt_sub)
-            rho = u @ rho @ u.conj().T
+            h1, h2 = hamiltonian_at(rf, bench_coupling, bench_orientation,
+                                    spin, (k + 0.5 + np.array([-r3, r3])) * h)
+            for a1, a2 in ((a_plus, a_minus), (a_minus, a_plus)):
+                u = matrix_exponential_step(a1 * h1 + a2 * h2, h)
+                rho = u @ rho @ u.conj().T
             if (k + 1) % substeps == 0:
-                expected.append([np.trace(s_e @ rho).real,
-                                 np.trace(i_e @ rho).real])
+                expected.append([np.trace(o @ rho).real for o in observables])
         np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
                                    atol=1e-12)
 
@@ -632,10 +630,11 @@ class TestPropagate:
     def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
                                                   matched_rf, bench_coupling,
                                                   slow_mas, bench_orientation):
-        # 8 substeps per interval: block 5 splits intervals into chunks,
-        # block 24 takes three whole intervals at a time
+        # 4 substeps of 2 factors per interval: block 5 splits intervals
+        # into chunks, block 24 takes three whole intervals at a time
         args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
-                TimeGrid(dt=1e-6, n_points=41))
+                TimeGrid(dt=4e-6, n_points=41))
+        assert required_substeps(matched_rf, slow_mas, 4e-6) == 4
         full, blocks = propagate(*args), propagate_blockwise(*args)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
         small = propagate(*args)
@@ -647,14 +646,16 @@ class TestPropagate:
     def test_substep_blocks_do_not_change_results_off_resonance(
             self, monkeypatch, block, bench_coupling, slow_mas,
             bench_orientation):
+        # 2 substeps of 2 factors per interval: block 1 and 2 take one
+        # substep's factors at a time, block 3 one, block 5 two
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                       offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
-        i_e, s_e = tilted_spin_operators(rf)
-        args = (i_e, (s_e, i_e, oracle.DQ_Y), rf, bench_coupling,
-                bench_orientation, slow_mas, TimeGrid(dt=1e-6, n_points=41))
-        full = propagate_expectations(*args)
+        args = (rf, bench_coupling, bench_orientation, slow_mas,
+                TimeGrid(dt=2e-6, n_points=41))
+        assert required_substeps(rf, slow_mas, 2e-6) == 2
+        full = lock_expectations(*args)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
-        assert np.array_equal(propagate_expectations(*args), full)
+        assert np.array_equal(lock_expectations(*args), full)
 
     @pytest.mark.parametrize("block", [1, 5, 24, 1024])
     @pytest.mark.parametrize("offsets_khz", [(0.0, 0.0), (20.0, 15.0)],
@@ -701,7 +702,7 @@ class TestPropagate:
 
     def test_blockwise_step_rule_violation_names_required_substeps(
             self, matched_rf, bench_coupling, slow_mas, bench_orientation):
-        grid = TimeGrid(dt=1e-6, n_points=11)
+        grid = TimeGrid(dt=8e-6, n_points=11)
         needed = required_substeps(matched_rf, slow_mas, grid.dt)
         with pytest.raises(ValueError, match=f"at least {needed} substeps"):
             propagate_blockwise(IY, matched_rf, bench_coupling,
@@ -711,7 +712,7 @@ class TestPropagate:
     def test_total_substeps_capped(self, monkeypatch, matched_rf,
                                    bench_coupling, slow_mas,
                                    bench_orientation):
-        grid = TimeGrid(dt=1e-6, n_points=11)  # 10 intervals x 8 substeps
+        grid = TimeGrid(dt=8e-6, n_points=11)  # 10 intervals x 8 substeps
         args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
                 grid)
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 80)
@@ -732,7 +733,7 @@ class TestPropagate:
                                                   bench_orientation):
         # 2e304 kHz is finite, but the sum of the two lock fields overflows
         rf = RfScheme(omega1_i=b1_khz * KHZ, omega1_s=b1_khz * KHZ)
-        grid = TimeGrid(dt=1e-6, n_points=1001)
+        grid = TimeGrid(dt=8e-6, n_points=1001)
         message = re.escape(f"needs {needed} substeps per grid interval, "
                             f"more than the limit of {oracle.MAX_SUBSTEPS}")
         with pytest.raises(ValueError, match=message):
@@ -770,46 +771,16 @@ def oracle_compare_inputs(count, seed):
                         n_points=int(rng.integers(200, 1001))))
 
 
-def lock_expectations(rf, *args, substeps=None, rule=oracle.MIDPOINT):
+def lock_expectations(rf, *args, substeps=None):
     """<S_e>, <I_e> and the DQ lock component from I_e, as `cpmas oracle`
     records them."""
     i_e, s_e = tilted_spin_operators(rf)
     return propagate_expectations(i_e, (s_e, i_e, oracle.DQ_Y), rf, *args,
-                                  substeps=substeps, rule=rule)
+                                  substeps=substeps)
 
 
 class TestCf4:
-    """The fourth-order commutator-free rule `oracle.CF4`."""
-
-    def test_matches_per_factor_loop(self, bench_coupling,
-                                     bench_orientation):
-        # each substep is exp(-i*h*(a-*H(t1) + a+*H(t2))) after
-        # exp(-i*h*(a+*H(t1) + a-*H(t2))), each by eigh of the full
-        # product-basis Hamiltonians
-        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
-                      offset_i=20.0 * KHZ, offset_s=20.0 * KHZ)
-        spin = SpinningParams(omega_r=2.0 * KHZ)
-        grid = TimeGrid(dt=2e-6, n_points=13)
-        substeps = 3
-        i_e, s_e = tilted_spin_operators(rf)
-        out = lock_expectations(rf, bench_coupling, bench_orientation, spin,
-                                grid, substeps=substeps, rule=oracle.CF4)
-        h = grid.dt / substeps
-        r3 = math.sqrt(3.0) / 6.0
-        a_plus, a_minus = 0.25 + r3, 0.25 - r3
-        rho = np.array(i_e, dtype=complex)
-        expected = [[np.trace(o @ rho).real for o in (s_e, i_e, oracle.DQ_Y)]]
-        for k in range((grid.n_points - 1) * substeps):
-            h1, h2 = hamiltonian_at(rf, bench_coupling, bench_orientation,
-                                    spin, (k + 0.5 + np.array([-r3, r3])) * h)
-            for a1, a2 in ((a_plus, a_minus), (a_minus, a_plus)):
-                u = matrix_exponential_step(a1 * h1 + a2 * h2, h)
-                rho = u @ rho @ u.conj().T
-            if (k + 1) % substeps == 0:
-                expected.append([np.trace(o @ rho).real
-                                 for o in (s_e, i_e, oracle.DQ_Y)])
-        np.testing.assert_allclose(out, np.array(expected).T, rtol=0,
-                                   atol=1e-12)
+    """The fourth-order commutator-free Magnus rule the oracle steps by."""
 
     def test_fourth_order(self, bench_coupling, bench_orientation):
         # far above round-off: 120 kHz locks off resonance by half the lock,
@@ -819,13 +790,12 @@ class TestCf4:
                       offset_i=60.0 * KHZ, offset_s=60.0 * KHZ)
         spin = SpinningParams(omega_r=10.0 * KHZ)
         grid = TimeGrid(dt=2e-6, n_points=51)
-        needed = required_substeps(rf, spin, grid.dt, oracle.CF4)
+        needed = required_substeps(rf, spin, grid.dt)
         assert needed == 4
 
         def sy(substeps):
             return lock_expectations(rf, bench_coupling, bench_orientation,
-                                     spin, grid, substeps=substeps,
-                                     rule=oracle.CF4)[0]
+                                     spin, grid, substeps=substeps)[0]
 
         reference = sy(32 * needed)
         errors = [np.max(np.abs(sy(k * needed) - reference))
@@ -835,62 +805,58 @@ class TestCf4:
         assert errors[1] / errors[2] >= 12.0
 
     def test_within_tolerance_and_below_midpoint(self):
-        # on inputs like those its steps_per_period was fitted to, CF4 at
-        # its rule is within CF4_TOLERANCE of itself at 8x the substeps, and
-        # closer to that than the midpoint rule at its rule
+        # on inputs like those its substeps per period were fitted to, CF4
+        # at its step-size rule is within CF4_TOLERANCE of itself at 8x the
+        # substeps
         for k, args in enumerate(oracle_compare_inputs(12, 16)):
             rf, _, _, spin, grid = args
-            needed = required_substeps(rf, spin, grid.dt, oracle.CF4)
-            reference = lock_expectations(*args, substeps=8 * needed,
-                                          rule=oracle.CF4)
-            cf4 = np.max(np.abs(lock_expectations(*args, rule=oracle.CF4)
-                                - reference))
-            midpoint = np.max(np.abs(lock_expectations(*args) - reference))
+            needed = required_substeps(rf, spin, grid.dt)
+            reference = lock_expectations(*args, substeps=8 * needed)
+            cf4 = np.max(np.abs(lock_expectations(*args) - reference))
             assert cf4 <= oracle.CF4_TOLERANCE, k
-            assert cf4 < midpoint, k
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
     def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
                                                   bench_coupling, slow_mas,
                                                   bench_orientation):
-        # 2 substeps of 2 factors per interval: block 1 and 2 take one
-        # substep's factors at a time, block 3 one, block 5 two
+        # an explicit 3 substeps of 2 factors per interval, one above the
+        # rule's count: blocks 1, 2 and 3 split a 6-factor interval
+        # unevenly, blocks 5 and 24 take parts of several intervals
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
                       offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
         args = (rf, bench_coupling, bench_orientation, slow_mas,
                 TimeGrid(dt=2e-6, n_points=41))
-        assert required_substeps(rf, slow_mas, 2e-6, oracle.CF4) == 2
-        full = lock_expectations(*args, rule=oracle.CF4)
+        assert required_substeps(rf, slow_mas, 2e-6) == 2
+        full = lock_expectations(*args, substeps=3)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
-        assert np.array_equal(lock_expectations(*args, rule=oracle.CF4),
-                              full)
+        assert np.array_equal(lock_expectations(*args, substeps=3), full)
 
-    def test_unitarity_over_1e5_substeps(self, matched_rf, bench_coupling,
-                                         slow_mas, bench_orientation):
-        # 2e5 table factors
-        assert_table_unitarity(oracle.CF4, matched_rf, bench_coupling,
-                               slow_mas, bench_orientation)
+    def test_unitarity_over_1e5_substeps(self, bench_coupling, slow_mas,
+                                         bench_orientation):
+        # 2e5 table factors, off resonance with unequal locks and offsets
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                      offset_i=20.0 * KHZ, offset_s=-15.0 * KHZ)
+        assert_table_unitarity(rf, bench_coupling, slow_mas,
+                               bench_orientation)
 
-    def test_blockwise_equals_full_space(self, matched_rf, bench_coupling,
-                                         slow_mas, bench_orientation):
-        # the inputs of TestPropagate.test_blockwise_equals_full_space
-        cases = [(matched_rf, bench_coupling, bench_orientation, slow_mas,
-                  TimeGrid(dt=1e-6, n_points=1001))]
+    def test_blockwise_equals_full_space(self):
+        # seeded on-resonance inputs with unequal locks, each at one
+        # substep more than the rule's count
         for seed in range(6):
-            rng = np.random.default_rng([15, seed])
-            b1 = rng.uniform(40.0, 120.0) * KHZ
-            cases.append((
-                RfScheme(omega1_i=b1, omega1_s=b1),
-                CouplingParams(d=rng.uniform(1.0, 5.0) * KHZ),
-                Orientation(beta=math.acos(rng.uniform(-1.0, 1.0)),
-                            gamma=rng.uniform(0.0, 2.0 * math.pi)),
-                SpinningParams(omega_r=rng.uniform(1.0, 10.0) * KHZ),
-                TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
-                         n_points=int(rng.integers(200, 1001)))))
-        for k, args in enumerate(cases):
-            sy_full = propagate(IY, *args, rule=oracle.CF4).sy
-            sy_blocks = propagate_blockwise(IY, *args, rule=oracle.CF4)
-            assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, k
+            rng = np.random.default_rng([16, seed])
+            rf = RfScheme(omega1_i=rng.uniform(40.0, 120.0) * KHZ,
+                          omega1_s=rng.uniform(40.0, 120.0) * KHZ)
+            spin = SpinningParams(omega_r=rng.uniform(1.0, 10.0) * KHZ)
+            grid = TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
+                            n_points=int(rng.integers(200, 601)))
+            args = (rf, CouplingParams(d=rng.uniform(1.0, 5.0) * KHZ),
+                    Orientation(beta=math.acos(rng.uniform(-1.0, 1.0)),
+                                gamma=rng.uniform(0.0, 2.0 * math.pi)),
+                    spin, grid)
+            substeps = required_substeps(rf, spin, grid.dt) + 1
+            sy_full = propagate(IY, *args, substeps=substeps).sy
+            sy_blocks = propagate_blockwise(IY, *args, substeps=substeps)
+            assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, seed
 
 
 class TestZqDqDecompose:
