@@ -10,7 +10,7 @@ from .analytic import (CpCurve, CurveKind, RelaxationParams, efficiency_curve,
                        magnetization, static_magnetization, transfer_efficiency)
 from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
                    SpinningParams, TimeGrid, dipolar_coupling_at,
-                   dipolar_phase, effective_field, scaled_coupling)
+                   dipolar_phase, effective_field, tilt_scale)
 from .fitting import (BuildUpData, FitParameter, FitResult, FitSpec,
                       ModelParams, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,

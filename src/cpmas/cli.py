@@ -40,7 +40,7 @@ import numpy as np
 
 from . import analytic, fitting, oracle, powder
 from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
-                   TimeGrid, effective_field, scaled_coupling)
+                   TimeGrid, effective_field, tilt_scale)
 from .fitting import write_curve_csv
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -309,38 +309,17 @@ def _rf_from(resolved) -> RfScheme | None:
     return rf
 
 
-# The closed forms hold at the Hartmann-Hahn match: `simulate`, `powder`,
-# `compare` and `fit` refuse effective lock fields that differ by more than
-# this share of their sum.  Equal amplitudes with equal offsets match
-# exactly.
-MATCH_TOL = 1e-9
-
-
-def _matched_rf_from(resolved) -> RfScheme | None:
-    """`_rf_from` for the closed-form commands, refused off the match."""
-    rf = _rf_from(resolved)
-    if rf is not None:
-        eff = effective_field(rf)
-        delta = eff.omega1_ie - eff.omega1_se
-        if abs(delta) > MATCH_TOL * (eff.omega1_ie + eff.omega1_se):
-            raise ConfigError(
-                f"the effective lock fields are off the Hartmann-Hahn match "
-                f"by w1I,e - w1S,e = {delta / KHZ:.6g} kHz, more than "
-                f"{MATCH_TOL:g} of their sum; the closed form holds only at "
-                f"the match (`oracle` propagates any locks)")
-    return rf
-
-
 def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
-    """The coupling, tilt-scaled for the effective fields of ``rf`` if given."""
+    """The coupling, scaled by `core.tilt_scale` of locks ``rf`` if given."""
     try:
-        coupling = CouplingParams(d=resolved["d_khz"] * KHZ)
+        scale = 1.0 if rf is None else tilt_scale(rf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        return CouplingParams(d=scale * (resolved["d_khz"] * KHZ))
     except ValueError as exc:
         raise ConfigError(
             f"d-khz must be finite, got {resolved['d_khz']}") from exc
-    if rf is not None:
-        coupling = scaled_coupling(coupling, effective_field(rf))
-    return coupling
 
 
 def _spin_from(resolved) -> SpinningParams:
@@ -387,7 +366,7 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
 def run_simulate(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
-    coupling = _coupling_from(resolved, _matched_rf_from(resolved))
+    coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     _check_phase(coupling.d, spin, grid.duration)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
@@ -396,7 +375,7 @@ def run_simulate(resolved) -> tuple[dict, list[str], int]:
 
 def run_powder(resolved) -> tuple[dict, list[str], int]:
     grid, t_us = _grid_from(resolved)
-    coupling = _coupling_from(resolved, _matched_rf_from(resolved))
+    coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     _check_phase(coupling.d, spin, grid.duration)
     oset = _orientation_set(resolved["orient_set"])
@@ -483,11 +462,10 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
                     f"fit searches guess/1000 to guess*1000)") from exc
         else:
             parameters[name] = fitting.FitParameter(value=value, free=False)
-    rf = _matched_rf_from(resolved)
-    if rf is None:
-        # Fields only rescale d through the tilt angles; on resonance any
-        # matched pair is equivalent, so supply a nominal matched lock.
-        rf = RfScheme(omega1_i=KHZ * 80.0, omega1_s=KHZ * 80.0)
+    # Fields only rescale d through the tilt angles; on resonance any
+    # matched pair is equivalent, so without locks take a nominal one.
+    rf = _rf_from(resolved) or RfScheme(omega1_i=KHZ * 80.0,
+                                        omega1_s=KHZ * 80.0)
     try:
         return fitting.FitSpec(parameters=parameters,
                                orientations=_orientation_set(resolved["orient_set"]),

@@ -15,7 +15,8 @@ taken once per orientation, and summed for every B by `bracket_sum`; no
 transcendental is evaluated per orientation-point.
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
-angles) also lives here because it only rescales d.
+angles) also lives here because it only rescales d, by `tilt_scale`,
+which alone decides where the closed forms hold: the Hartmann-Hahn match.
 
 Unit convention: all angular frequencies are stored in rad/s, times in
 seconds, angles in radians.  User-facing layers (the CLI) convert from
@@ -263,12 +264,26 @@ def effective_field(rf: RfScheme) -> EffectiveField:
     )
 
 
-def scaled_coupling(coupling: CouplingParams, eff: EffectiveField) -> CouplingParams:
-    """Coupling rescaled by sin(theta_i)*sin(theta_s) for tilted spin locks.
+# The closed forms hold at the Hartmann-Hahn match: `tilt_scale` refuses
+# effective lock fields that differ by more than this share of their sum.
+# Equal amplitudes with equal offsets match exactly.
+MATCH_TOL = 1e-9
+
+
+def tilt_scale(rf: RfScheme) -> float:
+    """sin(theta_i)*sin(theta_s), the factor on d for tilted spin locks.
 
     Only the transfer-driving perpendicular part of the tilted-frame dipolar
     interaction is kept; the parallel part is a small perturbation and is
-    dropped.  On resonance the scale factor is exactly 1.
+    dropped.  On resonance the factor is exactly 1.  Raises ValueError,
+    naming w1I,e - w1S,e in kHz, off the match by more than MATCH_TOL.
     """
-    scale = math.sin(eff.theta_i) * math.sin(eff.theta_s)
-    return CouplingParams(d=scale * coupling.d)
+    eff = effective_field(rf)
+    delta = eff.omega1_ie - eff.omega1_se
+    if abs(delta) > MATCH_TOL * (eff.omega1_ie + eff.omega1_se):
+        raise ValueError(
+            f"the effective lock fields are off the Hartmann-Hahn match by "
+            f"w1I,e - w1S,e = {delta / (2.0 * math.pi * 1e3):.6g} kHz, more "
+            f"than {MATCH_TOL:g} of their sum; the closed form holds only at "
+            f"the match (`oracle` propagates any locks)")
+    return math.sin(eff.theta_i) * math.sin(eff.theta_s)

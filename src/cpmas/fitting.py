@@ -36,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import RelaxationParams, damped_magnetization
-from .core import (CouplingParams, RfScheme, SpinningParams, effective_field,
-                   scaled_coupling)
+from .core import CouplingParams, RfScheme, SpinningParams, tilt_scale
 from .powder import OrientationSet, averaged_efficiency, phase_table
 
 PARAMETER_NAMES = ("d", "r", "r1", "t1rho", "m0")
@@ -131,7 +130,9 @@ def load_buildup(source) -> BuildUpData:
 
     Format: header ``time_us,magnetization`` with an optional third
     ``sigma`` column; lines starting with ``#`` are ignored; times are
-    microseconds (converted to seconds here at the boundary).
+    microseconds (converted to seconds here at the boundary).  Every
+    source is read whole and parsed alike: UTF-8 with universal newlines,
+    and a leading byte-order mark (as spreadsheet editors write) skipped.
 
     Raises:
         DataError: on input that cannot be read or is not UTF-8, a
@@ -142,18 +143,16 @@ def load_buildup(source) -> BuildUpData:
     is_bytes = isinstance(source, (bytes, bytearray))
     name = str(source) if is_path else "<bytes>" if is_bytes else "<stream>"
     try:
-        if is_path:
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    return _parse_buildup_lines(fh, name)
-            except OSError as exc:
-                raise DataError(f"cannot read {source}: {exc}") from exc
-        data = source if is_bytes else source.read()
+        data = (Path(source).read_bytes() if is_path
+                else source if is_bytes else source.read())
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{name}: not UTF-8 text ({exc})") from exc
-    return _parse_buildup_lines(io.StringIO(data), name)
+    return _parse_buildup_lines(
+        io.StringIO(data.removeprefix("\ufeff"), newline=None), name)
 
 
 def _parse_buildup_lines(lines, name: str) -> BuildUpData:
@@ -271,11 +270,11 @@ class ModelParams:
 def model_curve(params: ModelParams, times) -> np.ndarray:
     """Predicted magnetization at the requested times.
 
-    Powder-averaged transfer efficiency (coupling rescaled for any
-    off-resonance tilt of the locks) pushed through the relaxation
-    envelope.
+    Powder-averaged transfer efficiency (coupling scaled by
+    `core.tilt_scale`, which refuses locks off the Hartmann-Hahn match)
+    pushed through the relaxation envelope.
     """
-    d_eff = scaled_coupling(params.coupling, effective_field(params.rf))
+    d_eff = CouplingParams(d=tilt_scale(params.rf) * params.coupling.d)
     eta = averaged_efficiency(d_eff, params.spin, times, params.orientations)
     return damped_magnetization(times, eta, params.relax)
 
@@ -309,7 +308,8 @@ class FitParameter:
 class FitSpec:
     """What to fit: per-parameter settings plus the fixed experiment geometry.
 
-    ``parameters`` must contain exactly the keys in PARAMETER_NAMES.
+    ``parameters`` must contain exactly the keys in PARAMETER_NAMES, and
+    ``rf`` must pass `core.tilt_scale`: the model holds only at the match.
     """
 
     parameters: dict[str, FitParameter]
@@ -329,6 +329,7 @@ class FitSpec:
             p = self.parameters[name]
             if p.free and p.lower <= 0.0:
                 raise ValueError(f"{name} lower bound must be > 0")
+        tilt_scale(self.rf)
 
     @property
     def free_names(self) -> tuple[str, ...]:
@@ -383,10 +384,9 @@ class _BuildUpModel:
 
     def __init__(self, data: BuildUpData, spec: FitSpec):
         self.data, self.spec = data, spec
-        self.weights = (1.0 / data.sigmas) if data.sigmas is not None else None
-        self.eff = effective_field(spec.rf)
-        # d enters only as scale*d, scale = sin(theta_i)*sin(theta_s)
-        self.tilt = scaled_coupling(CouplingParams(d=1.0), self.eff).d
+        with np.errstate(over="ignore"):   # `fit_buildup` refuses inf
+            self.weights = None if data.sigmas is None else 1.0 / data.sigmas
+        self.tilt = tilt_scale(spec.rf)   # d enters only as tilt*d
         self.with_slope = "d" in spec.free_names
         self.source = (phase_table(spec.spin, data.times, spec.orientations)
                        if self.with_slope else spec.orientations)
@@ -394,7 +394,7 @@ class _BuildUpModel:
 
     def efficiency(self, d: float) -> tuple[np.ndarray, np.ndarray | None]:
         if d not in self._eta:
-            d_eff = scaled_coupling(CouplingParams(d=d), self.eff)
+            d_eff = CouplingParams(d=self.tilt * d)
             out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
                                       self.source, with_slope=self.with_slope)
             self._eta[d] = out if self.with_slope else (out, None)
@@ -532,7 +532,8 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     fit however many trial d they try.  ``iterations`` counts both stages.
 
     Raises:
-        DataError: if the data under-determine the requested free set.
+        DataError: if the data under-determine the requested free set, or
+            the weighted residual sum overflows at the initial guess.
         FitError: if the Jacobian at the initial guess is rank deficient
             (the message suggests which parameter to fix), if the normal
             equations turn singular in either stage, or if the residual
@@ -549,8 +550,12 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
 
     fm = _BuildUpModel(data, spec)
     values = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
-    model, res = fm.evaluate(values)
-    rss_initial = float(res @ res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model, res = fm.evaluate(values)
+        rss_initial = float(res @ res)
+    if fm.weights is not None and not math.isfinite(rss_initial):
+        raise DataError(f"sigma too small: the weighted residual sum at the "
+                        f"initial guess is {rss_initial!r}")
     if not free:
         return FitResult(values=values, rss=rss_initial, stderr={},
                          converged=True, iterations=0,

@@ -712,8 +712,8 @@ def tilted_spin_operators(rf: RfScheme) -> tuple[np.ndarray, np.ndarray]:
     these are the natural initial state and observable for off-resonance
     propagation.  On resonance they are I_y and S_y exactly.
     """
-    w_i = math.hypot(rf.offset_i, rf.omega1_i)
-    w_s = math.hypot(rf.offset_s, rf.omega1_s)
+    eff = effective_field(rf)
+    w_i, w_s = eff.omega1_ie, eff.omega1_se
     i_e = (rf.omega1_i / w_i) * IY + (rf.offset_i / w_i) * IZ
     s_e = (rf.omega1_s / w_s) * SY + (rf.offset_s / w_s) * SZ
     return i_e, s_e

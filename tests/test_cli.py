@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cpmas.cli as cli
+import cpmas.core as core
 import cpmas.oracle as oracle
 from cpmas.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK,
                        EXIT_THRESHOLD, main)
@@ -240,6 +241,18 @@ class TestConfigFile:
         assert_one_error_line(capsys,
                               f"error: config file {cfg} is not UTF-8 text")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffd-khz = 2.5\nmas-khz = 2\nbeta-deg = 60\n"
+                       "gamma-deg = 36\ntmax-us = 100\ndt-us = 1\n",
+                       encoding="utf-8")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(a)]) == EXIT_OK
+        assert run(["simulate", *BENCH_SIM[:-4], "--tmax-us", "100",
+                    "--dt-us", "1", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_units_echoed_for_round_trip(self, tmp_path):
         out = tmp_path / "sim.csv"
         run(["simulate", *BENCH_SIM, "--out", str(out)])
@@ -408,7 +421,7 @@ class TestMatchGuard:
         ("80.000000152", EXIT_OK), ("79.999999848", EXIT_OK),
         ("80.000000168", EXIT_CONFIG), ("79.999999832", EXIT_CONFIG)])
     def test_tolerance_edge(self, tmp_path, monkeypatch, command, b1s, code):
-        assert cli.MATCH_TOL == 1e-9
+        assert core.MATCH_TOL == 1e-9
         assert self.run_in(tmp_path, monkeypatch, command,
                            ["--b1i-khz", "80", "--b1s-khz", b1s]) == code
 
@@ -477,6 +490,40 @@ class TestFitCommand:
                     str(tmp_path / "o.csv")])
         assert code == EXIT_DATA
         assert_one_error_line(capsys, f"data error: {data}: not UTF-8 text")
+
+    def test_byte_order_mark_in_data_file(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            Path("buildup.csv").write_bytes(mark + REPO_DATASET.read_bytes())
+            assert run(["fit", *FIT_ARGS, "--out", "o.csv"]) == EXIT_OK
+            outputs.append((Path("o.csv").read_bytes(),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("sigma, code, rss", [
+        ("1e-300", EXIT_DATA, "inf"), ("1e-160", EXIT_DATA, "inf"),
+        ("1e-155", EXIT_DATA, "inf"),
+        ("1e-320", EXIT_DATA, "nan"),   # 1/sigma overflows
+        ("1e-150", EXIT_OK, None)])
+    def test_tiny_sigma_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                      recwarn, sigma, code, rss):
+        # without the check these end in RuntimeWarnings and a traceback,
+        # a wrong "degenerate Jacobian" diagnosis, or "non-finite Jacobian"
+        monkeypatch.chdir(tmp_path)
+        header, *rows = REPO_DATASET.read_text().splitlines()
+        Path("buildup.csv").write_text(f"{header},sigma\n" + "".join(
+            f"{row},{sigma}\n" for row in rows))
+        assert run(["fit", "--data", "buildup.csv", "--distance-angstrom",
+                    "1.09", "--mas-khz", "5", "--r-inv-us", "436",
+                    "--r1-inv-us", "207", "--t1rho-ms", "2.8", "--m0", "1.5",
+                    "--out", "o.csv"]) == code
+        if rss is not None:
+            assert_one_error_line(
+                capsys, "data error: sigma too small: the weighted residual "
+                f"sum at the initial guess is {rss}")
+        assert not recwarn.list
 
     def test_under_determined_fit(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"

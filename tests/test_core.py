@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpmas.core import (CouplingParams, EffectiveField, Orientation, RfScheme,
-                        SpinningParams, TimeGrid, coupling_shape,
-                        dipolar_coupling_at, dipolar_phase, effective_field,
-                        phase_bracket, scaled_coupling)
+from cpmas.core import (MATCH_TOL, CouplingParams, EffectiveField,
+                        Orientation, RfScheme, SpinningParams, TimeGrid,
+                        coupling_shape, dipolar_coupling_at, dipolar_phase,
+                        effective_field, phase_bracket, tilt_scale)
 
 KHZ = 2.0 * math.pi * 1e3
 EPS = np.finfo(float).eps
@@ -214,23 +214,36 @@ class TestEffectiveField:
             assert 0.0 < eff.theta_s < math.pi
 
 
-class TestScaledCoupling:
-    def test_on_resonance_unchanged(self, bench_coupling):
-        eff = EffectiveField(omega1_ie=1.0, omega1_se=1.0,
-                             theta_i=math.pi / 2, theta_s=math.pi / 2)
-        assert scaled_coupling(bench_coupling, eff).d == bench_coupling.d
+class TestTiltScale:
+    A = 40.0 * KHZ
 
-    def test_single_channel_tilt(self, bench_coupling):
-        eff = EffectiveField(omega1_ie=1.0, omega1_se=1.0,
-                             theta_i=math.pi / 2, theta_s=math.pi / 4)
-        assert scaled_coupling(bench_coupling, eff).d == pytest.approx(
-            bench_coupling.d / math.sqrt(2), rel=1e-14)
+    def test_on_resonance_unchanged(self):
+        assert tilt_scale(RfScheme(omega1_i=80.0 * KHZ,
+                                   omega1_s=80.0 * KHZ)) == 1.0
 
-    def test_both_channels_tilted(self, bench_coupling):
-        eff = EffectiveField(omega1_ie=1.0, omega1_se=1.0,
-                             theta_i=math.pi / 4, theta_s=math.pi / 4)
-        assert scaled_coupling(bench_coupling, eff).d == pytest.approx(
-            bench_coupling.d / 2.0, rel=1e-14)
+    def test_single_channel_tilt(self):
+        # I on resonance at sqrt(2)*a; S at a with offset a: theta_s = pi/4
+        rf = RfScheme(omega1_i=math.sqrt(2) * self.A, omega1_s=self.A,
+                      offset_s=self.A)
+        assert tilt_scale(rf) == pytest.approx(1.0 / math.sqrt(2), rel=1e-14)
+
+    def test_both_channels_tilted(self):
+        rf = RfScheme(omega1_i=self.A, omega1_s=self.A, offset_i=self.A,
+                      offset_s=self.A)
+        assert tilt_scale(rf) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("b1s_khz,refused", [
+        # |delta| = 0.95e-9 and 1.05e-9 of the sum, on either side of 80 kHz
+        (80.000000152, False), (79.999999848, False),
+        (80.000000168, True), (79.999999832, True)])
+    def test_tolerance_edge(self, b1s_khz, refused):
+        assert MATCH_TOL == 1e-9
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=b1s_khz * KHZ)
+        if refused:
+            with pytest.raises(ValueError, match="off the Hartmann-Hahn match"):
+                tilt_scale(rf)
+        else:
+            assert tilt_scale(rf) == 1.0
 
 
 class TestTypeValidation:

@@ -22,6 +22,9 @@ from cpmas.fitting import (BuildUpData, DataError, FitError, FitParameter,
 from cpmas.powder import grid_orientation_set, zcw_orientation_set
 
 KHZ = 2.0 * math.pi * 1e3
+OFF_MATCH_RF = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ)
+OFF_MATCH_MESSAGE = ("the effective lock fields are off the Hartmann-Hahn "
+                     "match by w1I,e - w1S,e = 20 kHz")
 
 # Powder build-up benchmark (1H-13C at 1.09 Angstrom, 5 kHz spinning,
 # matched 80 kHz locks, 1/R = 290.8 us, 1/R1 = 137.9 us, T1rho = 1.867 ms).
@@ -115,6 +118,31 @@ class TestLoadBuildup:
         for source in sources:
             with pytest.raises(DataError, match="not UTF-8 text"):
                 load_buildup(source)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        raw = b"time_us,magnetization,sigma\n0,0,0.1\n25,0.5,0.2\n"
+        plain = load_buildup(raw)
+        bom = b"\xef\xbb\xbf" + raw
+        path = tmp_path / "bom.csv"
+        path.write_bytes(bom)
+        sources = [path, str(path), bom, bytearray(bom), io.BytesIO(bom),
+                   io.StringIO(bom.decode("utf-8")),
+                   io.TextIOWrapper(io.BytesIO(bom), encoding="utf-8")]
+        for source in sources:
+            data = load_buildup(source)
+            for f in dataclasses.fields(BuildUpData):
+                assert np.array_equal(getattr(data, f.name),
+                                      getattr(plain, f.name))
+
+    def test_every_source_kind_reads_any_line_ending(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        for sep in ("\n", "\r\n", "\r"):
+            raw = sep.join(["time_us,magnetization", "0,0", "25,0.5"]).encode()
+            path.write_bytes(raw)
+            for source in (path, raw, io.BytesIO(raw),
+                           io.StringIO(raw.decode(), newline="")):
+                data = load_buildup(source)
+                assert np.array_equal(data.magnetizations, [0.0, 0.5])
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(40)
@@ -266,6 +294,19 @@ class TestModelCurve:
                             * math.exp(-t / TRUE_T1RHO))
         np.testing.assert_allclose(model_curve(params, times), expected,
                                    rtol=0, atol=1e-13)
+
+    def test_off_match_is_refused(self):
+        params = dataclasses.replace(benchmark_params(zcw_orientation_set(2)),
+                                     rf=OFF_MATCH_RF)
+        with pytest.raises(ValueError, match=OFF_MATCH_MESSAGE):
+            model_curve(params, np.array([0.0, 1e-4]))
+
+    def test_within_match_tolerance_is_the_matched_curve(self):
+        params = benchmark_params(zcw_orientation_set(4))
+        near = dataclasses.replace(params, rf=RfScheme(
+            omega1_i=80.0 * KHZ, omega1_s=80.000000152 * KHZ))
+        t = np.arange(41) * 25e-6
+        assert np.array_equal(model_curve(near, t), model_curve(params, t))
 
     def test_rises_then_decays_on_benchmark(self):
         params = benchmark_params(zcw_orientation_set(8))
@@ -632,6 +673,16 @@ class TestFitSpecValidation:
             FitSpec(parameters={"d": FitParameter(value=1.0)},
                     orientations=oset, spin=SpinningParams(omega_r=0.0),
                     rf=RfScheme(omega1_i=1.0, omega1_s=1.0))
+
+    def test_off_match_is_refused(self):
+        spec = benchmark_spec(zcw_orientation_set(1))
+        with pytest.raises(ValueError, match=OFF_MATCH_MESSAGE):
+            dataclasses.replace(spec, rf=OFF_MATCH_RF)
+
+    def test_within_match_tolerance_is_accepted(self):
+        spec = benchmark_spec(zcw_orientation_set(1))
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=79.999999848 * KHZ)
+        assert dataclasses.replace(spec, rf=rf).rf == rf
 
     def test_free_parameter_needs_finite_ordered_bounds(self):
         with pytest.raises(ValueError, match="finite bounds"):
