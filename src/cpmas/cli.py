@@ -20,9 +20,10 @@ Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
 --report path, a time grid over 10**7 points or with a step that rounds
 to 0 s, a grid:NxM set over 10**6 orientations, a dipolar phase that
 overflows for simulate, powder or compare, a compare --threshold not
-finite and >= 0, or locks off the Hartmann-Hahn match for simulate,
-powder, compare or fit), 2 comparison
-threshold exceeded, 3 data error, 4 fit non-convergence or fit failure.
+finite and >= 0, locks off the Hartmann-Hahn match for simulate,
+powder, compare or fit, or an unweighted fit whose residual sum at the
+initial guess is not finite), 2 comparison threshold exceeded, 3 data
+error, 4 fit non-convergence or fit failure.
 """
 
 from __future__ import annotations
@@ -507,7 +508,10 @@ def run_fit(resolved) -> tuple[dict, list[str], int]:
     d = spec.parameters["d"]   # the largest |d| the search may try
     _check_phase(max(abs(d.lower), abs(d.upper)) if d.free else d.value,
                  spec.spin, data.times[-1])
-    result = fitting.fit_buildup(data, spec)
+    try:
+        result = fitting.fit_buildup(data, spec)
+    except fitting.GuessError as exc:
+        raise ConfigError(str(exc)) from exc
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,
                "residual": result.model - data.magnetizations}

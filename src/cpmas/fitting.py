@@ -16,11 +16,12 @@ when d is free, its slope d(eta)/dd from the same kernel pass) is computed
 once per distinct d and reused by every residual and Jacobian evaluation.
 The phase is d times a bracket that does not depend on d, so with d free
 the bracket is built once per fit (`powder.phase_table`) and a trial d
-costs a multiply and one cos pass over it, plus one sin pass for the
-slope.  With d free alongside other parameters, those others are first
-settled at the initial d, and one fit over the whole free set starts from
-there.  Accepted steps never increase the weighted residual sum, and the
-returned result always satisfies rss <= rss(initial guess).
+costs a multiply and one tan pass over it, from which eta and the slope
+both follow by a few multiply-adds and divides.  With d free alongside
+other parameters, those others are first settled at the initial d, and
+one fit over the whole free set starts from there.  Accepted steps never
+increase the weighted residual sum, and the returned result always
+satisfies rss <= rss(initial guess).
 
 `write_curve_csv` is the only writer of the CSV row format: every CLI
 command's output and `save_buildup` go through it.
@@ -67,6 +68,10 @@ GYROMAGNETIC_RATIOS = {
 
 class DataError(ValueError):
     """Malformed or inconsistent build-up data (message carries the line number)."""
+
+
+class GuessError(ValueError):
+    """The initial guess is unusable: its residual sum is not finite."""
 
 
 class FitError(RuntimeError):
@@ -534,6 +539,8 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     Raises:
         DataError: if the data under-determine the requested free set, or
             the weighted residual sum overflows at the initial guess.
+        GuessError: if the unweighted residual sum at the initial guess
+            is not finite.
         FitError: if the Jacobian at the initial guess is rank deficient
             (the message suggests which parameter to fix), if the normal
             equations turn singular in either stage, or if the residual
@@ -553,9 +560,12 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         model, res = fm.evaluate(values)
         rss_initial = float(res @ res)
-    if fm.weights is not None and not math.isfinite(rss_initial):
-        raise DataError(f"sigma too small: the weighted residual sum at the "
-                        f"initial guess is {rss_initial!r}")
+    if not math.isfinite(rss_initial):
+        if fm.weights is not None:
+            raise DataError(f"sigma too small: the weighted residual sum at "
+                            f"the initial guess is {rss_initial!r}")
+        raise GuessError(f"the residual sum at the initial guess is "
+                         f"{rss_initial!r}; start from a guess nearer the data")
     if not free:
         return FitResult(values=values, rss=rss_initial, stderr={},
                          converged=True, iterations=0,

@@ -14,17 +14,20 @@ B of `core.phase_bracket` (or d times the stationary rate times t).  B is
 four rotor-angle terms (`core.rotor_terms`), taken once per average, times
 four coefficients per orientation (`core.bracket_coefficients`), taken
 once per set, and summed by `core.bracket_sum` as in `phase_bracket`:
-four multiplies and three adds per orientation-point, so a point's one
-transcendental is the cos of eta (and a sin for the slope).  The kernel
-reads the d-independent unit, B or the rate, of each block of
-ORIENT_BLOCK orientations x all times, multiplies it by d, and adds the
-weighted blocks in that fixed order, so the result is bit-identical
-however the orientations were ordered.  A set is averaged straight from
-the set, block by block, each block's unit written into a buffer that the
-next block reuses, as are those of phi and sin(phi).  A fit, which
-averages the same set at many d, builds the read-only blocks once as a
-`phase_table` and passes that instead; the result is the same bit for
-bit.  On request the same pass also returns d(eta)/dd for the Jacobian.
+four multiplies and three adds per orientation-point.  A point's one
+transcendental is tau = tan(phi/2), a vectorised call where numpy's cos
+and sin are scalar libm calls; eta = u/(1 + u) and the slope's
+(1/2)*sin(phi) = tau/(1 + u), with u = tau**2, follow by a multiply, an
+add and a divide each.  The kernel reads the d-independent unit, B or
+the rate, of each block of ORIENT_BLOCK orientations x all times,
+multiplies it by d/2, and adds the weighted blocks in that fixed order,
+so the result is bit-identical however the orientations were ordered.
+A set is averaged straight from the set, block by block, each block's
+unit written into a buffer that the next block reuses, as are those of
+tau, u and 1 + u.  A fit, which averages the same set at many d, builds
+the read-only blocks once as a `phase_table` and passes that instead;
+the result is the same bit for bit.  On request the same pass also
+returns d(eta)/dd for the Jacobian.
 """
 
 from __future__ import annotations
@@ -214,37 +217,43 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray, units,
                        with_slope: bool):
     """Weighted sum over ``units`` of eta(t) and, if asked, of d(eta)/dd.
 
-    ``units`` are a table's blocks or `_phase_units` of a set; phi is d
-    times a block's unit and eta comes from the operations of
-    `analytic.transfer_efficiency`, so a one-orientation set reproduces
-    the single-orientation curve bit for bit.  The slope is
-    (1/2)*sin(phi)*dphi/dd with dphi/dd = phi/d taken from the unit, never
-    by dividing by d, so d = 0 is safe.
+    ``units`` are a table's blocks or `_phase_units` of a set.  phi/2 is
+    d/2 times a block's unit, and eta comes from the operations of
+    `analytic.transfer_efficiency`: tau = tan(phi/2), u = tau**2 and
+    eta = u/(1 + u), so a one-orientation set reproduces the
+    single-orientation curve bit for bit.  The slope is
+    (1/2)*sin(phi)*dphi/dd, with (1/2)*sin(phi) = tau/(1 + u) from the
+    same tan and dphi/dd = phi/d taken from the unit, never by dividing by
+    d, so d = 0 is safe.
     """
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
     # dphi/dd = per_d * (bracket, or rate * t when stationary)
     per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
-    phi_buf = np.empty((ORIENT_BLOCK, t.size))
-    sin_buf = np.empty_like(phi_buf) if with_slope else None
+    # halving is exact, so half_d * unit rounds as half of d * unit
+    half_d = 0.5 * (d / (2.0 * omega_r)) if spinning else 0.5 * d
+    tau_buf = np.empty((ORIENT_BLOCK, t.size))
+    u_buf = np.empty_like(tau_buf)
+    den_buf = np.empty_like(tau_buf) if with_slope else None
     for unit, w in units:
-        phi = phi_buf[:len(w)]
+        tau = tau_buf[:len(w)]
         if spinning:
-            np.multiply(d / (2.0 * omega_r), unit, out=phi)
+            np.multiply(half_d, unit, out=tau)
         else:
-            np.multiply.outer(d * unit, t, out=phi)
-        if with_slope:
-            ds = np.sin(phi, out=sin_buf[:len(w)])
-            ds *= unit if spinning else np.multiply.outer(unit, t)
-            ds *= (0.5 * per_d) * w
-            slope += ds.sum(axis=0)
-        block = np.cos(phi, out=phi)
-        np.subtract(1.0, block, out=block)
-        # (1 - cos)*(w/2) rounds as ((1 - cos)/2)*w: halving is exact
-        # for 1 - cos and for any weight above 2**-1021
-        block *= 0.5 * w
+            np.multiply.outer(half_d * unit, t, out=tau)
+        np.tan(tau, out=tau)
+        u = np.multiply(tau, tau, out=u_buf[:len(w)])
+        # without the slope, tau is spent once u is formed
+        den = np.add(1.0, u, out=den_buf[:len(w)] if with_slope else tau)
+        block = np.divide(u, den, out=u)
+        block *= w
         eta += block.sum(axis=0)
+        if with_slope:
+            ds = np.divide(tau, den, out=tau)
+            ds *= unit if spinning else np.multiply.outer(unit, t)
+            ds *= per_d * w
+            slope += ds.sum(axis=0)
     return (eta, slope) if with_slope else eta
 
 

@@ -525,6 +525,21 @@ class TestFitCommand:
                 f"sum at the initial guess is {rss}")
         assert not recwarn.list
 
+    def test_guess_whose_residual_sum_overflows(self, tmp_path, monkeypatch,
+                                                capsys, recwarn):
+        # without the check: a RuntimeWarning from the Jacobian's norm, then
+        # exit 4 blaming m0 as "degenerate Jacobian"
+        monkeypatch.chdir(tmp_path)
+        Path("data").mkdir()
+        shutil.copy(REPO_DATASET, "data")
+        assert run(["fit", "--data", "data/synthetic_buildup.csv",
+                    "--distance-angstrom", "1.09", "--mas-khz", "5",
+                    "--r-inv-us", "436", "--r1-inv-us", "207", "--t1rho-ms",
+                    "2.8", "--m0", "1e200", "--out", "m.csv"]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: the residual sum at the initial "
+                              "guess is inf")
+        assert not recwarn.list
+
     def test_under_determined_fit(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("time_us,magnetization\n0,0\n100,0.5\n")

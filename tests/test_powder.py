@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import cpmas.powder as powder
 from cpmas.analytic import (EFFICIENCY_RANGE_TOL, CurveKind, efficiency_curve,
                             transfer_efficiency)
 from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                        phase_bracket)
+                        coupling_shape, dipolar_phase, phase_bracket)
 from cpmas.fitting import coupling_from_distance
 from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
                           averaged_efficiency, grid_orientation_set,
@@ -336,6 +337,69 @@ class TestKernelProperties:
             averaged_efficiency(coupling, spin, KERNEL_TIMES, table))
 
 
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+# stationary and t = 1 s: phi = d*rate with rate = d(0)/d within 3 eps of -1
+HALF_ANGLE_ORIENT = Orientation(beta=math.pi / 2, gamma=0.0)
+HALF_ANGLE_SET = OrientationSet(beta=[HALF_ANGLE_ORIENT.beta],
+                                gamma=[HALF_ANGLE_ORIENT.gamma], weights=[1.0])
+STATIONARY = SpinningParams(omega_r=0.0)
+ONE_SECOND = np.array([1.0])
+
+
+class TestHalfAngleForm:
+    """eta and the slope's (1/2)*sin(phi) come from tau = tan(phi/2):
+    (1 - cos(phi))/2 = u/(1 + u) and (1/2)*sin(phi) = tau/(1 + u) with
+    u = tau^2.  Both are checked against long-double evaluations of the
+    cosine and sine forms at the phase the package computed.
+    """
+
+    @staticmethod
+    def _check_against_long_double(target):
+        coupling = CouplingParams(d=target)
+        phi = dipolar_phase(coupling, HALF_ANGLE_ORIENT, STATIONARY, ONE_SECOND)
+        eta = transfer_efficiency(coupling, HALF_ANGLE_ORIENT, STATIONARY,
+                                  ONE_SECOND)
+        _, slope = averaged_efficiency(coupling, STATIONARY, ONE_SECOND,
+                                       HALF_ANGLE_SET, with_slope=True)
+        wide = np.longdouble(phi[0])
+        rate = np.longdouble(coupling_shape(HALF_ANGLE_ORIENT.beta,
+                                            HALF_ANGLE_ORIENT.gamma, 0.0))
+        assert abs(eta[0] - (1 - np.cos(wide)) / 2) <= 1e-15
+        # the kernel's slope is (1/2)*sin(phi)*dphi/dd, with dphi/dd = rate
+        assert abs(slope[0] - np.sin(wide) / 2 * rate) <= 1e-15
+
+    @pytest.mark.skipif(not WIDE_LONGDOUBLE,
+                        reason="np.longdouble is no wider than float here")
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.floats(-1e4, 1e4))
+    def test_within_1e15_of_long_double(self, target):
+        self._check_against_long_double(target)
+
+    @pytest.mark.skipif(not WIDE_LONGDOUBLE,
+                        reason="np.longdouble is no wider than float here")
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(-1600, 1600), offset=st.floats(-1e-6, 1e-6))
+    def test_within_1e15_of_long_double_near_odd_multiples_of_pi(self, k,
+                                                                  offset):
+        # tan(phi/2) is largest here, and 1 - cos(phi) nearest 2
+        self._check_against_long_double((2 * k + 1) * math.pi + offset)
+
+    @pytest.mark.parametrize("target", [1e15, 1e100, 1e300])
+    def test_finite_in_unit_interval_without_warning_at_huge_phase(
+            self, target):
+        coupling = CouplingParams(d=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = transfer_efficiency(coupling, HALF_ANGLE_ORIENT, STATIONARY,
+                                      ONE_SECOND)
+            averaged, slope = averaged_efficiency(
+                coupling, STATIONARY, ONE_SECOND, HALF_ANGLE_SET,
+                with_slope=True)
+        assert np.all(np.isfinite(eta)) and 0.0 <= eta[0] <= 1.0
+        assert np.array_equal(averaged, eta)
+        assert np.isfinite(slope[0]) and abs(slope[0]) <= 0.5
+
+
 class TestPhaseTable:
     def test_budget_decides_between_cached_and_streamed(self, monkeypatch):
         oset = zcw_orientation_set(2)
@@ -430,8 +494,8 @@ class TestRotorEcho:
     are that small and the cos - 1 terms are its square, so B is within
     rounding of its linear term, at most (|c1| + 2*|c2|) <= 4 times the
     angle error.  That keeps |B| below 7 eps * 2*pi*n, inside the bound
-    16 eps * 2*pi*(n + 1).  eta = (1 - cos(phi))/2 then stays below
-    phi_max^2/4 plus the rounding of cos near 1.
+    16 eps * 2*pi*(n + 1).  eta = u/(1 + u) with u = tan(phi/2)^2 then
+    stays within a few roundings of phi_max^2/4.
     """
 
     @settings(max_examples=200, deadline=None)
