@@ -122,14 +122,15 @@ def damped_magnetization(times, eta, relax: RelaxationParams) -> np.ndarray:
     """Relaxation-damped magnetization evaluated pointwise.
 
     M = m0 * {1 - exp(-r*t)/2 - exp(-r1*t)*(1 - 2*eta)/2} * exp(-t/t1rho).
-    Shared kernel for curve-level `magnetization` and the fitting model.
+    Shared kernel for curve-level `magnetization` and the fitting model;
+    m0 multiplies last, so M is m0 times the m0 = 1 curve bit for bit.
     """
     t = np.asarray(times, dtype=float)
     eta = np.asarray(eta, dtype=float)
     bracket = (1.0 - 0.5 * np.exp(-relax.r * t)
                - 0.5 * np.exp(-relax.r1 * t) * (1.0 - 2.0 * eta))
     with np.errstate(over="ignore"):   # t/t1rho = inf decays to exactly 0
-        return relax.m0 * bracket * np.exp(-t / relax.t1rho)
+        return relax.m0 * (bracket * np.exp(-t / relax.t1rho))
 
 
 def magnetization(eta_curve: CpCurve, relax: RelaxationParams) -> CpCurve:

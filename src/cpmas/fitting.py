@@ -8,7 +8,7 @@ absorbed into r and r1, so d is a single effective pair coupling that
 converts to an internuclear distance through the point-dipole inverse-cube
 law.
 
-Fitting uses a damped least-squares (Levenberg-Marquardt) loop with an
+Fitting uses one damped least-squares (Levenberg-Marquardt) run with an
 analytic Jacobian, damping scaled x10 on a rejected step and /10 on an
 accepted one, and box bounds enforced by projection.  The model depends on
 the coupling only through the powder-averaged efficiency eta, so eta (and,
@@ -17,11 +17,12 @@ once per distinct d and reused by every residual and Jacobian evaluation.
 The phase is d times a bracket that does not depend on d, so with d free
 the bracket is built once per fit (`powder.phase_table`) and a trial d
 costs a multiply and one tan pass over it, from which eta and the slope
-both follow by a few multiply-adds and divides.  With d free alongside
-other parameters, those others are first settled at the initial d, and
-one fit over the whole free set starts from there.  Accepted steps never
-increase the weighted residual sum, and the returned result always
-satisfies rss <= rss(initial guess).
+both follow by a few multiply-adds and divides.  The model is linear in
+m0, so a free m0 leaves the search by variable projection (Golub &
+Pereyra 1973): every evaluation sets it to its weighted least-squares
+value, clipped to its bounds.  Accepted steps never increase the weighted
+residual sum, and the returned result always satisfies
+rss <= rss(initial guess).
 
 `write_curve_csv` is the only writer of the CSV row format: every CLI
 command's output and `save_buildup` go through it.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ RSS_RELATIVE_TOL = 1e-10
 STEP_NORM_TOL = 1e-12
 DAMPING_INITIAL = 1e-3
 DAMPING_FACTOR = 10.0
-WARM_START_ITERATIONS = 20
 
 # Point-dipole conversion constants (SI).
 HBAR = 1.0545718e-34          # J*s
@@ -348,8 +348,8 @@ class FitResult:
     ``values`` holds all five parameters (fitted or fixed); ``stderr`` has
     an entry per free parameter, derived from the Jacobian at the optimum.
     A non-converged fit (iteration cap hit) is returned flagged, with the
-    best point found.  ``iterations`` counts every iteration of the fit,
-    the warm stage's included.  ``stop_reason`` is one of ``rss_tol``,
+    best point found.  ``iterations`` counts the iterations of the fit's
+    one Levenberg-Marquardt run.  ``stop_reason`` is one of ``rss_tol``,
     ``step_tol``, ``max_iterations`` or ``no_free_parameters``; ``model``
     holds the model magnetization at the data times for ``values``.
     """
@@ -389,8 +389,13 @@ class _BuildUpModel:
 
     def __init__(self, data: BuildUpData, spec: FitSpec):
         self.data, self.spec = data, spec
+        sigmas = np.ones(len(data)) if data.sigmas is None else data.sigmas
         with np.errstate(over="ignore"):   # `fit_buildup` refuses inf
-            self.weights = None if data.sigmas is None else 1.0 / data.sigmas
+            self.weights = 1.0 / sigmas
+        # weights of the amplitude's sums, scaled to at most 1 so that those
+        # sums stay finite however small sigma is
+        self.amplitude_weights = (sigmas.min() / sigmas) ** 2
+        self.m0 = spec.parameters["m0"]   # a fixed m0 has nan bounds
         self.tilt = tilt_scale(spec.rf)   # d enters only as tilt*d
         self.with_slope = "d" in spec.free_names
         self.source = (phase_table(spec.spin, data.times, spec.orientations)
@@ -405,18 +410,31 @@ class _BuildUpModel:
             self._eta[d] = out if self.with_slope else (out, None)
         return self._eta[d]
 
-    def evaluate(self, v: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-        """Model magnetization and weighted residuals at parameter values v."""
+    def shape(self, v: dict[str, float]) -> np.ndarray:
+        """Model magnetization at v with m0 = 1, which m0 scales exactly."""
         eta, _ = self.efficiency(v["d"])
-        relax = RelaxationParams(m0=v["m0"], r=v["r"], r1=v["r1"],
+        relax = RelaxationParams(m0=1.0, r=v["r"], r1=v["r1"],
                                  t1rho=v["t1rho"])
-        model = damped_magnetization(self.data.times, eta, relax)
-        res = model - self.data.magnetizations
-        return model, (res * self.weights if self.weights is not None else res)
+        return damped_magnetization(self.data.times, eta, relax)
+
+    def evaluate(self, v: dict[str, float], shape: np.ndarray
+                 ) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+        """Values, model magnetization and weighted residuals at v and its
+        ``shape``; a free m0 becomes <shape, M>_w / <shape, shape>_w,
+        clipped to its bounds (the lower one where the shape vanishes).
+        """
+        if self.m0.free:
+            lo, hi = self.m0.lower, self.m0.upper
+            g = shape * self.amplitude_weights
+            norm = float(g @ shape)
+            m0 = float(g @ self.data.magnetizations) / norm if norm else lo
+            v = {**v, "m0": min(hi, max(lo, m0))}
+        model = v["m0"] * shape
+        return v, model, (model - self.data.magnetizations) * self.weights
 
     def jacobian(self, v: dict[str, float], model: np.ndarray,
                  names: tuple[str, ...]) -> np.ndarray:
-        """Analytic d(residuals)/d(names) at v.
+        """Analytic d(residuals)/d(names) at v with every other value fixed.
 
         ``model`` is the model magnetization at v.
         """
@@ -435,57 +453,47 @@ class _BuildUpModel:
         jac = np.empty((len(t), len(names)))
         for j, name in enumerate(names):
             jac[:, j] = columns[name]()
-        if self.weights is not None:
-            jac *= self.weights[:, None]
-        return jac
+        return jac * self.weights[:, None]
 
-
-@dataclass(frozen=True)
-class _Stage:
-    """Outcome of one Levenberg-Marquardt run over a subset of parameters."""
-
-    values: dict[str, float]
-    model: np.ndarray
-    res: np.ndarray
-    rss: float
-    jac: np.ndarray | None
-    iterations: int
-    stop_reason: str
+    def project(self, v: dict[str, float], model: np.ndarray,
+                res: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        """`jacobian` J over the other parameters, with a free m0 following
+        them while inside its bounds: J - m ((r + m)^T J) / (m^T m), m the
+        weighted model and r the weighted residuals, `evaluate` at v.
+        """
+        if not self.m0.lower < v["m0"] < self.m0.upper:
+            return jac
+        fitted = model * self.weights
+        return jac - fitted[:, None] * ((res + fitted) @ jac
+                                        / (fitted @ fitted))
 
 
 def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
                          start: dict[str, float], model: np.ndarray,
-                         res: np.ndarray, jac: np.ndarray | None,
-                         max_iterations: int) -> _Stage:
-    """Minimize the residual sum over ``names``; other values stay at start.
+                         res: np.ndarray, jac: np.ndarray) -> FitResult:
+    """Minimize the residual sum over ``names``; other values stay at start
+    but a free m0, which `_BuildUpModel.evaluate` sets.
 
     ``model`` and ``res`` are `_BuildUpModel.evaluate` at start, and ``jac``
-    its Jacobian over ``names`` there, or None to have it built.  The
-    stage's ``jac`` is the Jacobian at its end point, or None when the run
-    moved there and stopped before building it.
+    its `_BuildUpModel.project` Jacobian there.  The result carries no
+    standard errors.
     """
     spec = fm.spec
-
-    def values_at(x: np.ndarray) -> dict[str, float]:
-        values = dict(start)
-        for name, xi in zip(names, x):
-            values[name] = float(xi)
-        return values
-
     x = np.array([start[n] for n in names])
     lo = np.array([spec.parameters[n].lower for n in names])
     hi = np.array([spec.parameters[n].upper for n in names])
 
-    values = values_at(x)
+    values = start
     rss = float(res @ res)
 
     mu = DAMPING_INITIAL
     iterations = 0
     stop_reason = "max_iterations"
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         if jac is None:
-            jac = fm.jacobian(values, model, names)
+            jac = fm.project(values, model, res,
+                             fm.jacobian(values, model, names))
         a = jac.T @ jac
         g = jac.T @ res
         diag = np.diag(a).copy()
@@ -501,8 +509,9 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
         if step_norm < STEP_NORM_TOL:
             stop_reason = "step_tol"
             break
-        values_trial = values_at(x_trial)
-        model_trial, res_trial = fm.evaluate(values_trial)
+        values_trial = {**start, **dict(zip(names, x_trial.tolist()))}
+        values_trial, model_trial, res_trial = fm.evaluate(
+            values_trial, fm.shape(values_trial))
         rss_trial = float(res_trial @ res_trial)
         if rss_trial <= rss:
             rel_change = (rss - rss_trial) / max(rss, np.finfo(float).tiny)
@@ -516,8 +525,9 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
         else:
             mu *= DAMPING_FACTOR
 
-    return _Stage(values=values, model=model, res=res, rss=rss, jac=jac,
-                  iterations=iterations, stop_reason=stop_reason)
+    return FitResult(values=values, rss=rss, iterations=iterations,
+                     converged=stop_reason != "max_iterations",
+                     stop_reason=stop_reason, model=model)
 
 
 def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
@@ -528,23 +538,20 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     below 1e-10, the step norm drops below 1e-12, or after 500 iterations
     (then flagged non-converged).
 
-    With d free alongside other parameters, the other parameters are first
-    fitted at the initial d (at most WARM_START_ITERATIONS iterations), and
-    the fit over the whole free set starts from that point: far-off rate
-    guesses could otherwise drag d across a barrier of the residual profile
-    into a neighbouring, higher minimum.  eta and the phase bracket behind
-    it are shared between the two stages; the bracket is built once per
-    fit however many trial d they try.  ``iterations`` counts both stages.
+    One run searches the free parameters but a free m0, which is projected
+    out, from the guess; the rank check there and the standard errors use
+    the Jacobian over the whole free set.
 
     Raises:
         DataError: if the data under-determine the requested free set, or
-            the weighted residual sum overflows at the initial guess.
+            the residual sum at the initial guess is finite and its
+            weighted sum overflows.
         GuessError: if the unweighted residual sum at the initial guess
             is not finite.
-        FitError: if the Jacobian at the initial guess is rank deficient
-            (the message suggests which parameter to fix), if the normal
-            equations turn singular in either stage, or if the residual
-            sum ended above its value at the initial guess.
+        FitError: if the Jacobian at the start is rank deficient (the
+            message suggests which parameter to fix), if the normal
+            equations turn singular, or if the residual sum ended above
+            its value at the initial guess.
     """
     free = spec.free_names
     n_pts = len(data)
@@ -556,43 +563,35 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
                         f"{len(free)} free parameters, got {n_pts}")
 
     fm = _BuildUpModel(data, spec)
-    values = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
+    guess = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
     with np.errstate(over="ignore", invalid="ignore"):
-        model, res = fm.evaluate(values)
+        shape = fm.shape(guess)
+        model = guess["m0"] * shape
+        res = model - data.magnetizations
         rss_initial = float(res @ res)
-    if not math.isfinite(rss_initial):
-        if fm.weights is not None:
+        if not math.isfinite(rss_initial):
+            raise GuessError(f"the residual sum at the initial guess is "
+                             f"{rss_initial!r}; start from a guess nearer "
+                             f"the data")
+        res = res * fm.weights   # all 1 without a sigma column
+        rss_initial = float(res @ res)
+        if not math.isfinite(rss_initial):
             raise DataError(f"sigma too small: the weighted residual sum at "
                             f"the initial guess is {rss_initial!r}")
-        raise GuessError(f"the residual sum at the initial guess is "
-                         f"{rss_initial!r}; start from a guess nearer the data")
     if not free:
-        return FitResult(values=values, rss=rss_initial, stderr={},
-                         converged=True, iterations=0,
-                         stop_reason="no_free_parameters", model=model)
+        return FitResult(values=guess, rss=rss_initial, model=model)
 
-    # the warm stage fits a subset of these columns, whose normalized
-    # singular-value ratio is never worse, so this one check covers it too
+    values, model, res = fm.evaluate(guess, shape)
     jac = fm.jacobian(values, model, free)
     _check_jacobian(jac, free)
-    iterations = 0
-    if "d" in free and len(free) > 1:
-        # free follows PARAMETER_NAMES, so d is its first name and column
-        warm = _levenberg_marquardt(fm, free[1:], values, model, res,
-                                    jac[:, 1:], WARM_START_ITERATIONS)
-        values, model, res = warm.values, warm.model, warm.res
-        iterations, jac = warm.iterations, None
-    best = _levenberg_marquardt(fm, free, values, model, res, jac,
-                                MAX_ITERATIONS)
+    # free follows PARAMETER_NAMES, so a free m0 is its last name and column
+    names = free[:-1] if fm.m0.free else free
+    best = _levenberg_marquardt(
+        fm, names, values, model, res,
+        fm.project(values, model, res, jac[:, :len(names)]))
     _check_descent(best.rss, rss_initial)
-    jac = best.jac
-    if jac is None:
-        jac = fm.jacobian(best.values, best.model, free)
-    return FitResult(values=best.values, rss=best.rss,
-                     stderr=_standard_errors(jac, best.rss, free),
-                     converged=best.stop_reason != "max_iterations",
-                     iterations=iterations + best.iterations,
-                     stop_reason=best.stop_reason, model=best.model)
+    jac = fm.jacobian(best.values, best.model, free)
+    return replace(best, stderr=_standard_errors(jac, best.rss, free))
 
 
 def _check_descent(rss: float, rss_initial: float) -> None:

@@ -540,6 +540,21 @@ class TestFitCommand:
                               "guess is inf")
         assert not recwarn.list
 
+    def test_weighted_guess_whose_residual_sum_overflows(
+            self, tmp_path, monkeypatch, capsys, recwarn):
+        # sigma is sound, the guess overflows: once exit 3, "sigma too small"
+        monkeypatch.chdir(tmp_path)
+        header, *rows = REPO_DATASET.read_text().splitlines()
+        Path("buildup.csv").write_text(f"{header},sigma\n" + "".join(
+            f"{row},0.01\n" for row in rows))
+        assert run(["fit", "--data", "buildup.csv", "--distance-angstrom",
+                    "1.09", "--mas-khz", "5", "--r-inv-us", "436",
+                    "--r1-inv-us", "207", "--t1rho-ms", "2.8", "--m0", "1e200",
+                    "--out", "m.csv"]) == EXIT_CONFIG
+        assert_one_error_line(capsys, "error: the residual sum at the initial "
+                              "guess is inf")
+        assert not recwarn.list
+
     def test_under_determined_fit(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("time_us,magnetization\n0,0\n100,0.5\n")

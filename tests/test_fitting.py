@@ -368,35 +368,69 @@ class TestFitBuildup:
         assert result.iterations == 2
 
     def test_analytic_jacobian_matches_central_differences(self):
-        # all five parameters free, non-uniform sigma weights
+        # non-uniform sigma weights; a fixed m0 is one more column, a free
+        # m0 is projected: inside its bounds, and clipped at an upper bound
+        # of about half the least-squares amplitude
         data, oset = self.make_data(noise=0.01)
         rng = np.random.default_rng(42)
         data = BuildUpData(times=data.times,
                            magnetizations=data.magnetizations,
                            sigmas=rng.uniform(0.005, 0.02, len(data)))
-        spec = benchmark_spec(oset, free=fitting.PARAMETER_NAMES,
+        spec = benchmark_spec(oset, free=("d", "r", "r1", "t1rho"),
                               guess_factor=1.1)
+        for m0, inside in [
+                (FitParameter(value=1.1), None),
+                (FitParameter(value=1.1, free=True, lower=1e-3, upper=1e3),
+                 True),
+                (FitParameter(value=0.5, free=True, lower=0.25, upper=0.5),
+                 False)]:
+            self.check_jacobian(data, dataclasses.replace(
+                spec, parameters={**spec.parameters, "m0": m0}), inside)
+
+    @staticmethod
+    def check_jacobian(data, spec, inside):
         fm = fitting._BuildUpModel(data, spec)
-        names = spec.free_names
+        names = fitting.PARAMETER_NAMES   # m0, the last, when fixed
+        if inside is not None:
+            names = names[:-1]
         start = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
 
-        def residuals(x):
+        def evaluate(x):
             values = dict(start)
             values.update({n: float(xi) for n, xi in zip(names, x)})
-            return fm.evaluate(values)[1]
+            return fm.evaluate(values, fm.shape(values))
 
         x0 = np.array([start[n] for n in names])
-        analytic = fm.jacobian(start, fm.evaluate(start)[0], names)
+        values, model, res = evaluate(x0)
+        m0 = spec.parameters["m0"]
+        if inside is not None:
+            assert (m0.lower < values["m0"] < m0.upper) == inside
+        analytic = fm.project(values, model, res,
+                              fm.jacobian(values, model, names))
         central = np.empty_like(analytic)
         for j in range(len(x0)):
             h = 1e-5 * abs(x0[j])
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h
             xm[j] -= h
-            central[:, j] = (residuals(xp) - residuals(xm)) / (2 * h)
+            central[:, j] = (evaluate(xp)[2] - evaluate(xm)[2]) / (2 * h)
         rel = (np.linalg.norm(analytic - central, axis=0)
                / np.linalg.norm(central, axis=0))
-        assert np.all(rel < 1e-6), dict(zip(spec.free_names, rel))
+        assert np.all(rel < 1e-6), dict(zip(names, rel))
+
+    def test_free_m0_alone_is_the_weighted_amplitude(self):
+        data, oset = self.make_data(noise=0.01)
+        sigmas = np.random.default_rng(43).uniform(0.005, 0.02, len(data))
+        data = BuildUpData(times=data.times,
+                           magnetizations=data.magnetizations, sigmas=sigmas)
+        spec = benchmark_spec(oset, free=("m0",), guess_factor=1.5)
+        result = fit_buildup(data, spec)
+        unit = {n: p.value for n, p in spec.parameters.items()} | {"m0": 1.0}
+        g = model_curve(model_from_values(unit, spec), data.times)
+        w = 1.0 / sigmas**2
+        expected = (w * g) @ data.magnetizations / ((w * g) @ g)
+        assert result.converged
+        assert result.values["m0"] == pytest.approx(expected, rel=1e-14)
 
     def test_one_powder_average_per_distinct_coupling(self, monkeypatch):
         calls = []
@@ -494,80 +528,115 @@ class TestFitBuildup:
         assert result.converged
         assert result.values["d"] == pytest.approx(truth["d"], rel=0.1)
 
+    # `fit-distance` operations of the benchmark (bench/workloads.py): the
+    # build-up CSV, the guesses as the operation's CLI flags, the truth
+    @pytest.mark.parametrize("csv, mas_khz, flags, truth", [
+        # once a wrong minimum, rss 0.033273 above the truth's 0.033245,
+        # reported as converged
+        ("fit_distance_seed2120_op1351.csv", 9.678488703604554,
+         (7.273610912425994, 401.2659673648238, 169.7413172539553,
+          2.0805964014464853, 2.0431381314252843),
+         (50052.91415600423, 2500.886320421008, 6283.64874553451,
+          0.0019983911529603835, 1.4739964651240884)),
+        # once stopped at the iteration cap
+        ("fit_distance_seed7001_op88.csv", 9.95546878441623,
+         (28.563725933111222, 390.72211721029856, 207.93460814917492,
+          2.304372957060947, 1.843204159174397),
+         (179039.47824413172, 2765.770227128166, 5821.015797777765,
+          0.0020508471311154893, 1.468749597394478))],
+        ids=["seed2120-op1351", "seed7001-op88"])
+    def test_benchmark_fit_reaches_the_minimum_at_the_truth(
+            self, csv, mas_khz, flags, truth):
+        data = load_buildup(Path(__file__).parent / "data" / csv)
+        d_khz, r_inv_us, r1_inv_us, t1rho_ms, m0 = flags
+        guess = {"d": d_khz * KHZ, "r": 1.0 / (r_inv_us * 1e-6),
+                 "r1": 1.0 / (r1_inv_us * 1e-6), "t1rho": t1rho_ms * 1e-3,
+                 "m0": m0}
+        spec = FitSpec(parameters={
+            n: FitParameter(value=v, free=True, lower=v / 1000, upper=v * 1000)
+            for n, v in guess.items()}, orientations=zcw_orientation_set(8),
+            spin=SpinningParams(omega_r=mas_khz * KHZ),
+            rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
+        res = model_curve(model_from_values(
+            dict(zip(fitting.PARAMETER_NAMES, truth)), spec),
+            data.times) - data.magnetizations
+        result = fit_buildup(data, spec)
+        assert result.converged
+        assert result.rss <= float(res @ res)
+
     @pytest.mark.parametrize("free", [("d", "r", "r1", "t1rho"),
                                       ("r", "r1", "t1rho"), ("d",)])
     def test_one_levenberg_marquardt_run_per_stage(self, monkeypatch, free):
-        # d free with others: a warm run without d at the guess, then one
-        # run over the whole free set from its end point; else one run
+        # one stage: a single run over the free set but m0, which follows
+        # by projection, from the guess; the result is the run's
         runs = []
-        original = fitting._levenberg_marquardt
+        run = fitting._levenberg_marquardt
 
-        def recording(fm, names, start, model, res, jac, max_iterations):
-            stage = original(fm, names, start, model, res, jac,
-                             max_iterations)
-            runs.append((names, start, max_iterations, stage))
-            return stage
+        def recording_run(fm, names, start, model, res, jac):
+            out = run(fm, names, start, model, res, jac)
+            runs.append((fm, names, start, out))
+            return out
 
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording_run)
         data, oset = self.make_data(noise=0.01, n=61)
         spec = benchmark_spec(oset, free=free, guess_factor=1.05)
         result = fit_buildup(data, spec)
+        assert len(runs) == 1
+        fm, names, start, out = runs[0]
+        assert names == free
         guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        if len(free) > 1 and "d" in free:
-            warm = tuple(n for n in free if n != "d")
-            assert [run[0] for run in runs] == [warm, free]
-            assert [run[2] for run in runs] == [fitting.WARM_START_ITERATIONS,
-                                                fitting.MAX_ITERATIONS]
-            assert runs[1][1] == runs[0][3].values
-        else:
-            assert [run[0] for run in runs] == [free]
-            assert runs[0][2] == fitting.MAX_ITERATIONS
-        assert runs[0][1] == guess
-        assert result.iterations == sum(run[3].iterations for run in runs)
-        assert result.values == runs[-1][3].values
-        assert result.rss == runs[-1][3].rss
+        assert start == fm.evaluate(guess, fm.shape(guess))[0] == guess
+        assert result.converged
+        assert (result.values, result.rss, result.iterations) == (
+            out.values, out.rss, out.iterations)
 
     @pytest.mark.parametrize("free", [("d", "r", "r1", "t1rho"),
-                                      ("r", "r1", "t1rho"), ("d",)])
+                                      ("r", "r1", "t1rho"), ("d",),
+                                      fitting.PARAMETER_NAMES, ("m0",)])
     def test_jacobian_is_built_once_at_the_guess(self, monkeypatch, free):
-        # the rank check's Jacobian at the guess starts the first LM run
-        at = []
-        original = fitting._BuildUpModel.jacobian
-
-        def recording(fm, v, model, names):
-            at.append(dict(v))
-            return original(fm, v, model, names)
-
-        monkeypatch.setattr(fitting._BuildUpModel, "jacobian", recording)
-        data, oset = self.make_data(noise=0.01, n=61)
-        spec = benchmark_spec(oset, free=free, guess_factor=1.05)
-        fit_buildup(data, spec)
-        guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        assert at.count(guess) == 1
-
-    def test_jacobian_is_built_once_at_the_warm_end_point(self, monkeypatch):
-        # the final run's first iteration builds it; the warm stage does not
-        at, stages = [], []
+        # one Levenberg-Marquardt run over the free set but m0, which
+        # follows by projection, started from the rank check's Jacobian at
+        # the guess (with a free m0 projected); the run does not rebuild it
+        runs, checked, built = [], [], []
+        run, check = fitting._levenberg_marquardt, fitting._check_jacobian
         jacobian = fitting._BuildUpModel.jacobian
-        levenberg_marquardt = fitting._levenberg_marquardt
+
+        def recording_run(fm, names, start, model, res, jac):
+            out = run(fm, names, start, model, res, jac)
+            runs.append((fm, names, start, model, res, jac, out))
+            return out
+
+        def recording_check(jac, names):
+            checked.append((jac, names))
+            check(jac, names)
 
         def recording_jacobian(fm, v, model, names):
-            at.append(dict(v))
+            built.append(dict(v))
             return jacobian(fm, v, model, names)
 
-        def recording_run(*args):
-            stages.append(levenberg_marquardt(*args))
-            return stages[-1]
-
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording_run)
+        monkeypatch.setattr(fitting, "_check_jacobian", recording_check)
         monkeypatch.setattr(fitting._BuildUpModel, "jacobian",
                             recording_jacobian)
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording_run)
         data, oset = self.make_data(noise=0.01, n=61)
-        spec = benchmark_spec(oset, free=("d", "r", "r1", "t1rho"),
-                              guess_factor=1.05)
-        fit_buildup(data, spec)
-        assert len(stages) == 2
-        assert at.count(stages[0].values) == 1
+        spec = benchmark_spec(oset, free=free, guess_factor=1.05)
+        result = fit_buildup(data, spec)
+        assert len(runs) == 1 and len(checked) == 1
+        fm, names, start, model, res, jac, out = runs[0]
+        assert names == tuple(n for n in free if n != "m0")
+        guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+        assert start == fm.evaluate(guess, fm.shape(guess))[0]
+        assert (start["m0"] != guess["m0"]) == ("m0" in free)
+        full, checked_names = checked[0]
+        assert checked_names == free
+        assert np.array_equal(
+            jac, fm.project(start, model, res, full[:, :len(names)]))
+        # built once more there only for the standard errors of a run
+        # that ends where it started (m0 alone is solved before it)
+        assert built.count(start) == 1 + (out.values == start)
+        assert result.converged
+        assert (result.values, result.rss, result.iterations) == (
+            out.values, out.rss, out.iterations)
 
     def test_model_is_the_model_curve_at_the_optimum(self):
         data, oset = self.make_data(noise=0.01, n=61)
@@ -651,8 +720,8 @@ class TestFitBuildup:
         with pytest.raises(FitError, match="consider fixing"):
             fit_buildup(data, spec)
         # d free as well, at a guess so small that eta barely tells the
-        # rates apart: the one check over the whole free set at the guess
-        # also rejects the warm stage's degenerate (r, r1)
+        # rates apart: the check over the whole free set at the guess
+        # names the near-degenerate pair (r, r1)
         d_free = {**parameters, "d": FitParameter(value=1.0, free=True,
                                                   lower=-KHZ, upper=KHZ)}
         with pytest.raises(FitError, match="consider fixing parameter 'r"):
