@@ -24,8 +24,8 @@ value, clipped to its bounds.  Accepted steps never increase the weighted
 residual sum, and the returned result always satisfies
 rss <= rss(initial guess).
 
-`write_curve_csv` is the only writer of the CSV row format: every CLI
-command's output and `save_buildup` go through it.
+`write_curve_csv` and `_read_csv` are the only writer and reader of the
+CSV row format, and `BuildUpData` alone checks the rows of a build-up.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ GYROMAGNETIC_RATIOS = {
 
 
 class DataError(ValueError):
-    """Malformed or inconsistent build-up data (message carries the line number)."""
+    """Malformed or inconsistent data; the message names the line or row."""
 
 
 class GuessError(ValueError):
@@ -84,7 +84,9 @@ class BuildUpData:
 
     ``source_times_us`` keeps the microsecond values exactly as read from a
     CSV so that re-exporting the data is byte-exact; it is absent for
-    programmatically built datasets.
+    programmatically built datasets.  Every row is checked here (finite,
+    first time >= 0, times increasing, sigma > 0, at least 2 rows), and the
+    `DataError` names the first row (array index) at fault.
     """
 
     times: np.ndarray
@@ -94,31 +96,29 @@ class BuildUpData:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        mags = np.asarray(self.magnetizations, dtype=float)
-        if times.ndim != 1 or times.shape != mags.shape:
-            raise DataError("times and magnetizations must be 1-d and equal length")
+        for name in ("times", "magnetizations", "sigmas", "source_times_us"):
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype=float)
+                if column.ndim != 1 or column.shape != times.shape:
+                    raise DataError(f"{name} must be 1-d and as long as times")
+                object.__setattr__(self, name, column)
+        sig = np.ones_like(times) if self.sigmas is None else self.sigmas
+        finite = (np.isfinite(times) & np.isfinite(self.magnetizations)
+                  & np.isfinite(sig))
+        ok = finite & (sig > 0.0) & np.concatenate(   # nan compares False
+            [times[:1] >= 0.0, times[1:] > times[:-1]])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            t_us = float(self.times_us()[i])
+            raise _RowError(i, "non-finite value" if not finite[i]
+                            else f"duplicate time {t_us} us"
+                            if i and times[i] == times[i - 1]
+                            else f"time {t_us} us is not increasing"
+                            if i and times[i] < times[i - 1]
+                            else "negative time" if times[i] < 0.0
+                            else "sigma must be > 0")
         if len(times) < 2:
-            raise DataError(f"need at least 2 points, got {len(times)}")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(mags))):
-            raise DataError("times and magnetizations must be finite")
-        if times[0] < 0.0:
-            raise DataError("times must be >= 0")
-        if np.any(np.diff(times) <= 0.0):
-            raise DataError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "magnetizations", mags)
-        if self.sigmas is not None:
-            sig = np.asarray(self.sigmas, dtype=float)
-            if sig.shape != times.shape:
-                raise DataError("sigma column must match the data length")
-            if not np.all(np.isfinite(sig) & (sig > 0.0)):
-                raise DataError("sigma values must be finite and > 0")
-            object.__setattr__(self, "sigmas", sig)
-        if self.source_times_us is not None:
-            us = np.asarray(self.source_times_us, dtype=float)
-            if us.shape != times.shape:
-                raise DataError("source_times_us must match the data length")
-            object.__setattr__(self, "source_times_us", us)
+            raise DataError(f"need at least 2 data points, got {len(times)}")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -130,6 +130,14 @@ class BuildUpData:
         return self.times * 1e6
 
 
+class _RowError(DataError):
+    """Row ``row`` (array index) of a `BuildUpData` breaks a rule."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
 def load_buildup(source) -> BuildUpData:
     """Parse build-up data from a CSV path or open text/byte stream.
 
@@ -138,11 +146,12 @@ def load_buildup(source) -> BuildUpData:
     microseconds (converted to seconds here at the boundary).  Every
     source is read whole and parsed alike: UTF-8 with universal newlines,
     and a leading byte-order mark (as spreadsheet editors write) skipped.
+    The syntax and header names are checked here, the rows by `BuildUpData`.
 
     Raises:
-        DataError: on input that cannot be read or is not UTF-8, a
-            malformed header or row, a duplicate or decreasing time, or
-            fewer than 2 data points; messages name the line.
+        DataError: on input that cannot be read or is not UTF-8, bad
+            syntax, or rows that `BuildUpData` refuses; the message names
+            the line of the first syntax fault, else of the first bad row.
     """
     is_path = isinstance(source, (str, Path))
     is_bytes = isinstance(source, (bytes, bytearray))
@@ -156,60 +165,52 @@ def load_buildup(source) -> BuildUpData:
         raise DataError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{name}: not UTF-8 text ({exc})") from exc
-    return _parse_buildup_lines(
-        io.StringIO(data.removeprefix("\ufeff"), newline=None), name)
+
+    def check_header(where: str, line: str, names: list[str]) -> None:
+        if ",".join(names).lower() not in ("time_us,magnetization",
+                                           "time_us,magnetization,sigma"):
+            raise DataError(f"{where}: expected header "
+                            f"'time_us,magnetization[,sigma]', got '{line}'")
+
+    _, (us, mags, *sigmas), lines = _read_csv(data.removeprefix("\ufeff"),
+                                              name, check_header)
+    try:
+        return BuildUpData(times=us * 1e-6, magnetizations=mags,
+                           sigmas=sigmas[0] if sigmas else None,
+                           source_times_us=us)
+    except _RowError as exc:
+        raise DataError(f"{name}:{lines[exc.row]}: {exc.reason}") from None
+    except DataError as exc:
+        raise DataError(f"{name}: {exc}") from None
 
 
-def _parse_buildup_lines(lines, name: str) -> BuildUpData:
-    header = None
-    times, times_us, mags, sigs = [], [], [], []
-    row_lines = []
-    for lineno, raw in enumerate(lines, start=1):
+def _read_csv(text: str, name: str, check_header=lambda *_: None):
+    """Header, float columns and row line numbers of CSV text, blank and ``#``
+    lines skipped and fields split on commas and stripped; a bad row names
+    its line, and ``check_header(where, line, names)`` vets the header."""
+    header, rows, lines = None, [], []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
+        where = f"{name}:{lineno}"
         if header is None:
-            header = [f.lower() for f in fields]
-            if header not in (["time_us", "magnetization"],
-                              ["time_us", "magnetization", "sigma"]):
-                raise DataError(
-                    f"{name}:{lineno}: expected header "
-                    f"'time_us,magnetization[,sigma]', got '{line}'")
+            check_header(where, line, fields)
+            header = fields
             continue
         if len(fields) != len(header):
-            raise DataError(f"{name}:{lineno}: expected {len(header)} columns, "
+            raise DataError(f"{where}: expected {len(header)} columns, "
                             f"got {len(fields)}")
         try:
-            values = [float(f) for f in fields]
+            rows.append([float(f) for f in fields])
         except ValueError as exc:
-            raise DataError(f"{name}:{lineno}: non-numeric value ({exc})") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{name}:{lineno}: non-finite value")
-        t_s = values[0] * 1e-6
-        if times:
-            if t_s == times[-1]:
-                raise DataError(f"{name}:{lineno}: duplicate time {values[0]} us")
-            if t_s < times[-1]:
-                raise DataError(f"{name}:{lineno}: time {values[0]} us is not "
-                                "increasing")
-        times.append(t_s)
-        times_us.append(values[0])
-        mags.append(values[1])
-        if len(header) == 3:
-            if values[2] <= 0.0:
-                raise DataError(f"{name}:{lineno}: sigma must be > 0")
-            sigs.append(values[2])
-        row_lines.append(lineno)
+            raise DataError(f"{where}: non-numeric value ({exc})") from exc
+        lines.append(lineno)
     if header is None:
         raise DataError(f"{name}: empty file (header required)")
-    if len(times) < 2:
-        raise DataError(f"{name}: need at least 2 data points, got {len(times)}")
-    if times[0] < 0.0:
-        raise DataError(f"{name}:{row_lines[0]}: negative time")
-    return BuildUpData(times=np.array(times), magnetizations=np.array(mags),
-                       sigmas=np.array(sigs) if sigs else None,
-                       source_times_us=np.array(times_us))
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    return header, [column.copy() for column in table.T], lines
 
 
 def save_buildup(data: BuildUpData, path) -> None:
@@ -242,23 +243,11 @@ def write_curve_csv(path, columns: dict[str, np.ndarray],
 
 
 def read_curve_csv(path) -> dict[str, np.ndarray]:
-    """Read a CSV written by `write_curve_csv` back into named columns."""
-    names = None
-    columns = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if names is None:
-            names = fields
-            columns = [[] for _ in names]
-            continue
-        for col, value in zip(columns, fields):
-            col.append(float(value))
-    if names is None:
-        raise ValueError(f"{path}: no data")
-    return {name: np.array(col) for name, col in zip(names, columns)}
+    """Read a CSV written by `write_curve_csv` back into named columns; only
+    the syntax is checked, by the tokenizer that `load_buildup` uses."""
+    header, columns, _ = _read_csv(
+        Path(path).read_text(encoding="utf-8"), str(path))
+    return dict(zip(header, columns))
 
 
 @dataclass(frozen=True)
@@ -451,8 +440,10 @@ class _BuildUpModel:
             "m0": lambda: model / v["m0"],
         }
         jac = np.empty((len(t), len(names)))
-        for j, name in enumerate(names):
-            jac[:, j] = columns[name]()
+        # a t1rho below ~1e-162 s squares to 0: `_check_jacobian` refuses it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, name in enumerate(names):
+                jac[:, j] = columns[name]()
         return jac * self.weights[:, None]
 
     def project(self, v: dict[str, float], model: np.ndarray,
@@ -650,12 +641,20 @@ def coupling_from_distance(r_angstrom: float, isotope_i: str = "1H",
     """Point-dipole coupling d = (mu0/4pi)*gamma_i*gamma_s*hbar/r^3 in rad/s.
 
     The sign follows the product of the gyromagnetic ratios; downstream
-    transfer curves are even in d.
+    transfer curves are even in d.  Raises ValueError for an unsupported
+    isotope or a distance whose coupling is not finite and nonzero.
     """
     if not (math.isfinite(r_angstrom) and r_angstrom > 0.0):
         raise ValueError(f"distance must be finite and > 0, got {r_angstrom}")
     r = r_angstrom * ANGSTROM
-    return MU0_OVER_4PI * _gamma(isotope_i) * _gamma(isotope_s) * HBAR / r**3
+    try:
+        d = MU0_OVER_4PI * _gamma(isotope_i) * _gamma(isotope_s) * HBAR / r**3
+    except ArithmeticError:   # r**3 overflows, or rounds to 0
+        d = 0.0
+    if not 0.0 < abs(d) < math.inf:
+        raise ValueError(f"distance {r_angstrom} Angstrom is out of range: "
+                         f"its coupling is not finite and nonzero")
+    return d
 
 
 def distance_from_coupling(d: float, isotope_i: str = "1H",

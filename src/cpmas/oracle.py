@@ -404,7 +404,7 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     coeffs = (2.0 / (n + 1)) * (np.cos(np.outer(np.arange(n + 1), theta))
                                 @ (nodes - mean))
     coeffs[0] = mean
-    scale = 1.0 / w if w > 0.0 else 0.0
+    scale = 1.0 / w if n else 0.0   # degree 0 never reads x
     dim = 2 * len(h0)
 
     def steps(c: np.ndarray) -> np.ndarray:

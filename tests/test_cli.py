@@ -856,13 +856,48 @@ class TestSizeCaps:
         assert run(argv) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_distance_is_config_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-100", "1e300"])
+def test_non_finite_distance_is_config_error(tmp_path, capsys, recwarn,
+                                             value):
+    # r**3 rounds to 0 at 1e-100 Angstrom and overflows at 1e300
     code = run(["fit", "--data", str(REPO_DATASET), "--distance-angstrom",
                 value, "--mas-khz", "5", "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_CONFIG
+    r = float(value)
     assert capsys.readouterr().err == (
-        f"error: distance must be finite and > 0, got {value}\n")
+        f"error: distance must be finite and > 0, got {value}\n"
+        if not math.isfinite(r) else
+        f"error: distance {r!r} Angstrom is out of range: its coupling is "
+        f"not finite and nonzero\n")
+    assert not recwarn.list
+
+
+@pytest.mark.filterwarnings("error")
+def test_free_t1rho_guess_whose_square_underflows(tmp_path, capsys):
+    # t1rho = 1e-163 s squares to 0 in the Jacobian's t1rho column
+    code = run(["fit", "--data", str(REPO_DATASET), "--mas-khz", "5",
+                "--d-khz", "22", "--free", "t1rho", "--t1rho-ms", "1e-160",
+                "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_FIT
+    assert capsys.readouterr().err == (
+        "fit error: non-finite Jacobian at the initial guess\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_subnormal_coupling_propagates_as_uncoupled(tmp_path, capsys,
+                                                    command):
+    # 1/w overflows for the table's bound w; its degree-0 table never uses it
+    columns = []
+    for d_khz in ("1e-320", "0"):
+        out = tmp_path / f"{d_khz}.csv"
+        argv = [command, *BENCH_CMP[2:], "--d-khz", d_khz, "--tmax-us", "10",
+                "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        columns.append(read_curve_csv(out))
+    assert capsys.readouterr().err == ""
+    for name in columns[0]:
+        assert np.array_equal(columns[0][name], columns[1][name])
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -104,6 +105,71 @@ class TestLoadBuildup:
     def test_too_few_points(self):
         with pytest.raises(DataError, match="at least 2"):
             load_buildup(io.StringIO("time_us,magnetization\n0.0,0.0\n"))
+
+    # one fault per file, one file per row rule: the exact message, naming
+    # the faulty row's line
+    @pytest.mark.parametrize("text, message", [
+        ("time_us,magnetization\n0,0\nnan,0.5\n50,0.8\n",
+         "<stream>:3: non-finite value"),
+        ("# x\ntime_us,magnetization\n0,0\n25,0.5\n\n-inf,0.8\n",
+         "<stream>:6: non-finite value"),
+        ("time_us,magnetization\n0,0\n25,inf\n",
+         "<stream>:3: non-finite value"),
+        ("time_us,magnetization,sigma\n0,0,0.1\n25,0.5,nan\n",
+         "<stream>:3: non-finite value"),
+        ("time_us,magnetization\n# x\n-1,0\n25,0.5\n",
+         "<stream>:3: negative time"),
+        ("time_us,magnetization\n0,0\n2.5e1,0.5\n25.0,0.6\n50,0.8\n",
+         "<stream>:4: duplicate time 25.0 us"),
+        ("time_us,magnetization\n0,0\n25,0.5\n10,0.6\n50,0.8\n",
+         "<stream>:4: time 10.0 us is not increasing"),
+        ("time_us,magnetization,sigma\n0,0,0.1\n25,0.5,0\n",
+         "<stream>:3: sigma must be > 0"),
+        ("time_us,magnetization,sigma\n0,0,-0.1\n25,0.5,0.1\n",
+         "<stream>:2: sigma must be > 0"),
+        ("time_us,magnetization,sigma\n# x\n0,0,0.1\n",
+         "<stream>: need at least 2 data points, got 1"),
+    ], ids=["nan-time", "-inf-time", "inf-magnetization", "nan-sigma",
+            "negative-time", "duplicate-time", "decreasing-time", "zero-sigma",
+            "negative-sigma", "one-row"])
+    def test_single_fault_names_its_line(self, text, message):
+        with pytest.raises(DataError) as info:
+            load_buildup(io.StringIO(text))
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_infinite_times_name_the_first(self):
+        with pytest.raises(DataError) as info:
+            load_buildup(b"time_us,magnetization\n0,0\ninf,0.5\ninf,0.6\n")
+        assert str(info.value) == "<bytes>:3: non-finite value"
+
+    @pytest.mark.parametrize("text, message", [
+        # a syntax fault comes first, wherever it is
+        ("time_us,magnetization\n0,0\n0,0\n1,x\n",
+         "<stream>:4: non-numeric value"),
+        ("time,signal,sigma\n0,0\n", "<stream>:1: expected header"),
+        # else the first row that breaks a rule, whichever rule
+        ("time_us,magnetization\n-5,0\n10,0\n10,1\n",
+         "<stream>:2: negative time"),
+        ("time_us,magnetization,sigma\n0,0,0.1\n10,0,-1\n10,nan,0.1\n",
+         "<stream>:3: sigma must be > 0"),
+    ], ids=["row-then-syntax", "header-then-width", "negative-then-duplicate",
+            "sigma-then-non-finite"])
+    def test_several_faults_name_the_first(self, text, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            load_buildup(io.StringIO(text))
+
+    def test_read_curve_csv_shares_the_syntax(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"# echo\r\n\r\n t_us , eta \r\n0.0, 0.5\r\n"
+                         b"1.0,1e-3\r\n")
+        cols = fitting.read_curve_csv(path)
+        assert list(cols) == ["t_us", "eta"]
+        assert np.array_equal(cols["eta"], [0.5, 1e-3])
+        path.write_text("# echo\nt_us,eta\n0.0,0.5\n1.0\n")
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}:4: expected 2 "):
+            fitting.read_curve_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -233,6 +299,7 @@ def load_or_data_error(source):
 
 
 class TestLoadBuildupProperties:
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(head=st.one_of(st.just(b""), BUILDUP_HEADERS.map(str.encode)),
            raw=st.binary(max_size=256))
@@ -240,6 +307,7 @@ class TestLoadBuildupProperties:
         load_or_data_error(head + raw)
         load_or_data_error(io.BytesIO(head + raw))
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(head=BUILDUP_HEADERS, text=st.one_of(st.text(max_size=256),
                                                 ROW_TEXT))
@@ -806,6 +874,19 @@ class TestDistanceConversion:
         with pytest.raises(ValueError, match="finite"):
             coupling_from_distance(r)
 
+    @pytest.mark.parametrize("r", [1e-100, 5e-324, 1e200, 1e300])
+    def test_out_of_range_distance_rejected(self, r):
+        # r**3 rounds to 0 or overflows, or the coupling does
+        with pytest.raises(ValueError, match="out of range"):
+            coupling_from_distance(r)
+
+    @pytest.mark.parametrize("r", [1e-60, 0.5, 1.09, 3.7, 1e100])
+    def test_in_range_distance_is_the_point_dipole_law(self, r):
+        gamma = fitting.GYROMAGNETIC_RATIOS
+        assert coupling_from_distance(r) == (
+            fitting.MU0_OVER_4PI * gamma["1H"] * gamma["13C"] * fitting.HBAR
+            / (r * fitting.ANGSTROM)**3)
+
 
 class TestBuildUpDataValidation:
     def test_rejects_negative_time(self):
@@ -823,6 +904,16 @@ class TestBuildUpDataValidation:
             BuildUpData(times=np.array([0.0, 1e-6]),
                         magnetizations=np.zeros(2),
                         sigmas=np.array([0.1, 0.0]))
+
+    def test_error_names_the_first_row_that_breaks_a_rule(self):
+        times = np.array([0.0, 1.0, 2.0, 2.0, -1.0]) * 1e-6
+        with pytest.raises(DataError, match=r"^row 3: duplicate time"):
+            BuildUpData(times=times, magnetizations=np.zeros(5))
+        with pytest.raises(DataError, match=r"^row 1: sigma must be > 0$"):
+            BuildUpData(times=times, magnetizations=np.zeros(5),
+                        sigmas=np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(DataError, match="^need at least 2 data points"):
+            BuildUpData(times=np.zeros(1), magnetizations=np.zeros(1))
 
     @pytest.mark.parametrize("column, value", [
         ("times", math.nan), ("times", math.inf),
