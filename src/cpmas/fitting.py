@@ -10,10 +10,12 @@ law.
 
 Fitting uses one damped least-squares (Levenberg-Marquardt) run with an
 analytic Jacobian, damping scaled x10 on a rejected step and /10 on an
-accepted one, and box bounds enforced by projection.  The model depends on
-the coupling only through the powder-averaged efficiency eta, so eta (and,
-when d is free, its slope d(eta)/dd from the same kernel pass) is computed
-once per distinct d and reused by every residual and Jacobian evaluation.
+accepted one, and box bounds enforced by projection.  Each point of the
+search is evaluated once, into one record that its residuals and Jacobian
+read.  The model depends on the coupling only through the powder-averaged
+efficiency eta, so a point takes eta (and, when d is free, its slope
+d(eta)/dd from the same kernel pass) from the current point when d is
+unchanged: a fixed d is averaged once per fit, a free d once per trial.
 The phase is d times a bracket that does not depend on d, so with d free
 the bracket is built once per fit (`powder.phase_table`) and a trial d
 costs a multiply and one tan pass over it, from which eta and the slope
@@ -21,8 +23,9 @@ both follow by a few multiply-adds and divides.  The model is linear in
 m0, so a free m0 leaves the search by variable projection (Golub &
 Pereyra 1973): every evaluation sets it to its weighted least-squares
 value, clipped to its bounds.  Accepted steps never increase the weighted
-residual sum, and the returned result always satisfies
-rss <= rss(initial guess).
+residual sum, and the result is the better of the run's end and the
+initial guess itself, so it always satisfies rss <= rss(initial guess),
+even where projecting m0 at an optimum rounds the start's sum above it.
 
 `write_curve_csv` and `_read_csv` are the only writer and reader of the
 CSV row format, and `BuildUpData` alone checks the rows of a build-up.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -365,15 +368,33 @@ def model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
     return params
 
 
-class _BuildUpModel:
-    """Residuals and analytic Jacobian of one fit.
+@dataclass(frozen=True)
+class _Point:
+    """One evaluation of a fit's model, as `_BuildUpModel.at` returns it.
 
-    eta depends only on d, so it is computed once per distinct d and kept
-    for the life of the fit (one entry per trial d, at most one per
-    iteration); with d free each evaluation also keeps d(eta)/dd for the
-    Jacobian.  With d free the phase bracket, which does not depend on d,
-    is built once as a `powder.phase_table` (over its budget, the set
-    itself) and every trial d reads it; a fixed d is averaged once.
+    ``values`` has a free m0 projected; ``slope`` is d(eta)/dd with d free
+    (else None); ``shape`` is the model at m0 = 1, which m0 scales exactly;
+    ``res`` holds the weighted residuals and ``rss`` their sum of squares.
+    """
+
+    values: dict[str, float]
+    eta: np.ndarray
+    slope: np.ndarray | None
+    shape: np.ndarray
+    model: np.ndarray
+    res: np.ndarray
+    rss: float
+
+
+class _BuildUpModel:
+    """Points and analytic Jacobian of one fit.
+
+    eta depends only on d, so `at` takes it (and, with d free, its slope
+    d(eta)/dd) from a nearby point of the same d: a fixed d is averaged
+    once per fit, and a free d once per trial.  With d free the phase
+    bracket, which does not depend on d, is built once as a
+    `powder.phase_table` (over its budget, the set itself) and every trial
+    d reads it.
     """
 
     def __init__(self, data: BuildUpData, spec: FitSpec):
@@ -389,29 +410,22 @@ class _BuildUpModel:
         self.with_slope = "d" in spec.free_names
         self.source = (phase_table(spec.spin, data.times, spec.orientations)
                        if self.with_slope else spec.orientations)
-        self._eta: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
 
-    def efficiency(self, d: float) -> tuple[np.ndarray, np.ndarray | None]:
-        if d not in self._eta:
-            d_eff = CouplingParams(d=self.tilt * d)
-            out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
-                                      self.source, with_slope=self.with_slope)
-            self._eta[d] = out if self.with_slope else (out, None)
-        return self._eta[d]
-
-    def shape(self, v: dict[str, float]) -> np.ndarray:
-        """Model magnetization at v with m0 = 1, which m0 scales exactly."""
-        eta, _ = self.efficiency(v["d"])
-        relax = RelaxationParams(m0=1.0, r=v["r"], r1=v["r1"],
-                                 t1rho=v["t1rho"])
-        return damped_magnetization(self.data.times, eta, relax)
-
-    def evaluate(self, v: dict[str, float], shape: np.ndarray
-                 ) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
-        """Values, model magnetization and weighted residuals at v and its
-        ``shape``; a free m0 becomes <shape, M>_w / <shape, shape>_w,
+    def at(self, v: dict[str, float], near: _Point | None = None) -> _Point:
+        """The model at v, with eta and its slope from ``near`` when it has
+        the same d.  A free m0 becomes <shape, M>_w / <shape, shape>_w,
         clipped to its bounds (the lower one where the shape vanishes).
         """
+        if near is not None and near.values["d"] == v["d"]:
+            eta, slope = near.eta, near.slope
+        else:
+            d_eff = CouplingParams(d=self.tilt * v["d"])
+            out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
+                                      self.source, with_slope=self.with_slope)
+            eta, slope = out if self.with_slope else (out, None)
+        relax = RelaxationParams(m0=1.0, r=v["r"], r1=v["r1"],
+                                 t1rho=v["t1rho"])
+        shape = damped_magnetization(self.data.times, eta, relax)
         if self.m0.free:
             lo, hi = self.m0.lower, self.m0.upper
             g = shape * self.amplitude_weights
@@ -419,25 +433,21 @@ class _BuildUpModel:
             m0 = float(g @ self.data.magnetizations) / norm if norm else lo
             v = {**v, "m0": min(hi, max(lo, m0))}
         model = v["m0"] * shape
-        return v, model, (model - self.data.magnetizations) * self.weights
+        res = (model - self.data.magnetizations) * self.weights
+        return _Point(v, eta, slope, shape, model, res, float(res @ res))
 
-    def jacobian(self, v: dict[str, float], model: np.ndarray,
-                 names: tuple[str, ...]) -> np.ndarray:
-        """Analytic d(residuals)/d(names) at v with every other value fixed.
-
-        ``model`` is the model magnetization at v.
-        """
-        t = self.data.times
-        eta, slope = self.efficiency(v["d"])
+    def jacobian(self, p: _Point, names: tuple[str, ...]) -> np.ndarray:
+        """Analytic d(residuals)/d(names) at p with every other value fixed."""
+        t, v = self.data.times, p.values
         envelope = np.exp(-t / v["t1rho"])
         decay_r1 = np.exp(-v["r1"] * t)
         columns = {
-            "d": lambda: v["m0"] * decay_r1 * envelope * (self.tilt * slope),
+            "d": lambda: v["m0"] * decay_r1 * envelope * (self.tilt * p.slope),
             "r": lambda: 0.5 * v["m0"] * t * np.exp(-v["r"] * t) * envelope,
-            "r1": lambda: (0.5 * v["m0"] * t * decay_r1 * (1.0 - 2.0 * eta)
+            "r1": lambda: (0.5 * v["m0"] * t * decay_r1 * (1.0 - 2.0 * p.eta)
                            * envelope),
-            "t1rho": lambda: model * t / (v["t1rho"] * v["t1rho"]),
-            "m0": lambda: model / v["m0"],
+            "t1rho": lambda: p.model * t / (v["t1rho"] * v["t1rho"]),
+            "m0": lambda: p.model / v["m0"],
         }
         jac = np.empty((len(t), len(names)))
         # a t1rho below ~1e-162 s squares to 0: `_check_jacobian` refuses it
@@ -446,47 +456,41 @@ class _BuildUpModel:
                 jac[:, j] = columns[name]()
         return jac * self.weights[:, None]
 
-    def project(self, v: dict[str, float], model: np.ndarray,
-                res: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    def project(self, p: _Point, jac: np.ndarray) -> np.ndarray:
         """`jacobian` J over the other parameters, with a free m0 following
         them while inside its bounds: J - m ((r + m)^T J) / (m^T m), m the
-        weighted model and r the weighted residuals, `evaluate` at v.
+        weighted model and r the weighted residuals at p.
         """
-        if not self.m0.lower < v["m0"] < self.m0.upper:
+        if not self.m0.lower < p.values["m0"] < self.m0.upper:
             return jac
-        fitted = model * self.weights
-        return jac - fitted[:, None] * ((res + fitted) @ jac
+        fitted = p.model * self.weights
+        return jac - fitted[:, None] * ((p.res + fitted) @ jac
                                         / (fitted @ fitted))
 
 
 def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
-                         start: dict[str, float], model: np.ndarray,
-                         res: np.ndarray, jac: np.ndarray) -> FitResult:
-    """Minimize the residual sum over ``names``; other values stay at start
-    but a free m0, which `_BuildUpModel.evaluate` sets.
+                         start: _Point, jac: np.ndarray
+                         ) -> tuple[_Point, int, str]:
+    """Minimize the residual sum over ``names`` from the point ``start``;
+    other values stay at start's but a free m0, which `_BuildUpModel.at`
+    sets.  ``jac`` is the `_BuildUpModel.project` Jacobian at start.
 
-    ``model`` and ``res`` are `_BuildUpModel.evaluate` at start, and ``jac``
-    its `_BuildUpModel.project` Jacobian there.  The result carries no
-    standard errors.
+    Returns the end point, the iterations taken and the stop reason.
     """
     spec = fm.spec
-    x = np.array([start[n] for n in names])
     lo = np.array([spec.parameters[n].lower for n in names])
     hi = np.array([spec.parameters[n].upper for n in names])
 
-    values = start
-    rss = float(res @ res)
-
+    p = start
     mu = DAMPING_INITIAL
     iterations = 0
     stop_reason = "max_iterations"
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if jac is None:
-            jac = fm.project(values, model, res,
-                             fm.jacobian(values, model, names))
+            jac = fm.project(p, fm.jacobian(p, names))
         a = jac.T @ jac
-        g = jac.T @ res
+        g = jac.T @ p.res
         diag = np.diag(a).copy()
         diag[diag <= 0.0] = max(diag.max(initial=0.0), 1.0) * 1e-30
         try:
@@ -494,20 +498,16 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
         except np.linalg.LinAlgError as exc:
             raise FitError("singular normal equations; consider fixing a "
                            "parameter") from exc
+        x = np.array([p.values[n] for n in names])
         x_trial = np.clip(x + delta, lo, hi)
-        step = x_trial - x
-        step_norm = float(np.linalg.norm(step))
+        step_norm = float(np.linalg.norm(x_trial - x))
         if step_norm < STEP_NORM_TOL:
             stop_reason = "step_tol"
             break
-        values_trial = {**start, **dict(zip(names, x_trial.tolist()))}
-        values_trial, model_trial, res_trial = fm.evaluate(
-            values_trial, fm.shape(values_trial))
-        rss_trial = float(res_trial @ res_trial)
-        if rss_trial <= rss:
-            rel_change = (rss - rss_trial) / max(rss, np.finfo(float).tiny)
-            x, values, model, res, rss = (x_trial, values_trial, model_trial,
-                                          res_trial, rss_trial)
+        trial = fm.at({**p.values, **dict(zip(names, x_trial.tolist()))}, p)
+        if trial.rss <= p.rss:
+            rel_change = (p.rss - trial.rss) / max(p.rss, np.finfo(float).tiny)
+            p = trial
             mu = max(mu / DAMPING_FACTOR, 1e-14)
             jac = None
             if rel_change < RSS_RELATIVE_TOL:
@@ -515,10 +515,7 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
                 break
         else:
             mu *= DAMPING_FACTOR
-
-    return FitResult(values=values, rss=rss, iterations=iterations,
-                     converged=stop_reason != "max_iterations",
-                     stop_reason=stop_reason, model=model)
+    return p, iterations, stop_reason
 
 
 def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
@@ -531,7 +528,9 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
 
     One run searches the free parameters but a free m0, which is projected
     out, from the guess; the rank check there and the standard errors use
-    the Jacobian over the whole free set.
+    the Jacobian over the whole free set.  Where the run ends above the
+    guess's own residual sum (projecting m0 at an optimum can round up),
+    the result is the guess.
 
     Raises:
         DataError: if the data under-determine the requested free set, or
@@ -540,9 +539,8 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         GuessError: if the unweighted residual sum at the initial guess
             is not finite.
         FitError: if the Jacobian at the start is rank deficient (the
-            message suggests which parameter to fix), if the normal
-            equations turn singular, or if the residual sum ended above
-            its value at the initial guess.
+            message suggests which parameter to fix), or if the normal
+            equations turn singular.
     """
     free = spec.free_names
     n_pts = len(data)
@@ -554,42 +552,38 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
                         f"{len(free)} free parameters, got {n_pts}")
 
     fm = _BuildUpModel(data, spec)
-    guess = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
+    v = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
     with np.errstate(over="ignore", invalid="ignore"):
-        shape = fm.shape(guess)
-        model = guess["m0"] * shape
+        start = fm.at(v)
+        model = v["m0"] * start.shape
         res = model - data.magnetizations
-        rss_initial = float(res @ res)
-        if not math.isfinite(rss_initial):
+        rss = float(res @ res)
+        if not math.isfinite(rss):
             raise GuessError(f"the residual sum at the initial guess is "
-                             f"{rss_initial!r}; start from a guess nearer "
-                             f"the data")
+                             f"{rss!r}; start from a guess nearer the data")
         res = res * fm.weights   # all 1 without a sigma column
-        rss_initial = float(res @ res)
-        if not math.isfinite(rss_initial):
+        guess = _Point(v, start.eta, start.slope, start.shape, model, res,
+                       float(res @ res))
+        if not math.isfinite(guess.rss):
             raise DataError(f"sigma too small: the weighted residual sum at "
-                            f"the initial guess is {rss_initial!r}")
+                            f"the initial guess is {guess.rss!r}")
     if not free:
-        return FitResult(values=guess, rss=rss_initial, model=model)
+        return FitResult(values=v, rss=guess.rss, model=model)
 
-    values, model, res = fm.evaluate(guess, shape)
-    jac = fm.jacobian(values, model, free)
+    jac = fm.jacobian(start, free)
     _check_jacobian(jac, free)
     # free follows PARAMETER_NAMES, so a free m0 is its last name and column
     names = free[:-1] if fm.m0.free else free
-    best = _levenberg_marquardt(
-        fm, names, values, model, res,
-        fm.project(values, model, res, jac[:, :len(names)]))
-    _check_descent(best.rss, rss_initial)
-    jac = fm.jacobian(best.values, best.model, free)
-    return replace(best, stderr=_standard_errors(jac, best.rss, free))
-
-
-def _check_descent(rss: float, rss_initial: float) -> None:
-    """The fit may only lower the residual sum; also fails on a NaN rss."""
-    if not rss <= rss_initial:
-        raise FitError(f"residual sum {rss!r} ended above its value at the "
-                       f"initial guess {rss_initial!r}")
+    end, iterations, stop_reason = _levenberg_marquardt(
+        fm, names, start, fm.project(start, jac[:, :len(names)]))
+    if not end.rss <= guess.rss:   # also when the end's rss is nan
+        end = guess
+    return FitResult(values=end.values, rss=end.rss,
+                     stderr=_standard_errors(fm.jacobian(end, free), end.rss,
+                                             free),
+                     converged=stop_reason != "max_iterations",
+                     iterations=iterations, stop_reason=stop_reason,
+                     model=end.model)
 
 
 def _check_jacobian(jac: np.ndarray, free) -> None:
@@ -613,9 +607,7 @@ def _check_jacobian(jac: np.ndarray, free) -> None:
 
 
 def _standard_errors(jac, rss, free) -> dict[str, float]:
-    dof = jac.shape[0] - len(free)
-    if dof <= 0:
-        return {name: math.nan for name in free}
+    dof = jac.shape[0] - len(free)   # > 0: `fit_buildup` checks it
     try:
         cov = np.linalg.inv(jac.T @ jac) * (rss / dof)
     except np.linalg.LinAlgError:

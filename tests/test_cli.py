@@ -454,6 +454,26 @@ class TestFitCommand:
         assert set(cols) == {"time_us", "magnetization", "model", "residual"}
         np.testing.assert_allclose(cols["residual"], 0.0, atol=1e-8)
 
+    def test_fit_started_at_its_optimum(self, tmp_path, capsys):
+        # noiseless data at these very flags: projecting m0 at the guess
+        # rounds the start's residual sum above the guess's own, and the
+        # fit keeps the guess's sum, which a fit with nothing free reports
+        data = Path(__file__).parent / "data" / "fit_at_truth.csv"
+        flags = ["fit", "--data", str(data), "--mas-khz", "5", "--d-khz",
+                 "22", "--r-inv-us", "436", "--r1-inv-us", "207",
+                 "--t1rho-ms", "2.8", "--m0", "1.2", "--out",
+                 str(tmp_path / "overlay.csv")]
+        rss = []
+        for free in ("r,r1,t1rho,m0", ""):
+            assert run([*flags, "--free", free]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            report = dict(line.partition(" = ")[::2]
+                          for line in out.splitlines())
+            rss.append(float(report["rss"]))
+        assert report["converged"] == "true"
+        assert rss[0] <= rss[1]
+
     def test_overlay_reparses_and_run_is_deterministic(self, tmp_path):
         args = lambda out: ["fit", "--data", str(REPO_DATASET),
                             "--distance-angstrom", "1.09", "--mas-khz", "5",

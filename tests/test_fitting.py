@@ -463,25 +463,24 @@ class TestFitBuildup:
             names = names[:-1]
         start = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
 
-        def evaluate(x):
+        def at(x):
             values = dict(start)
             values.update({n: float(xi) for n, xi in zip(names, x)})
-            return fm.evaluate(values, fm.shape(values))
+            return fm.at(values)
 
         x0 = np.array([start[n] for n in names])
-        values, model, res = evaluate(x0)
+        p = at(x0)
         m0 = spec.parameters["m0"]
         if inside is not None:
-            assert (m0.lower < values["m0"] < m0.upper) == inside
-        analytic = fm.project(values, model, res,
-                              fm.jacobian(values, model, names))
+            assert (m0.lower < p.values["m0"] < m0.upper) == inside
+        analytic = fm.project(p, fm.jacobian(p, names))
         central = np.empty_like(analytic)
         for j in range(len(x0)):
             h = 1e-5 * abs(x0[j])
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h
             xm[j] -= h
-            central[:, j] = (evaluate(xp)[2] - evaluate(xm)[2]) / (2 * h)
+            central[:, j] = (at(xp).res - at(xm).res) / (2 * h)
         rel = (np.linalg.norm(analytic - central, axis=0)
                / np.linalg.norm(central, axis=0))
         assert np.all(rel < 1e-6), dict(zip(names, rel))
@@ -520,6 +519,31 @@ class TestFitBuildup:
         assert free_d.converged
         assert len(calls) > 1
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("free", [("r", "r1", "t1rho"),
+                                      ("d", "r", "r1", "t1rho")])
+    def test_point_reuses_eta_of_a_near_point_with_the_same_d(
+            self, monkeypatch, free):
+        calls = []
+        original = fitting.averaged_efficiency
+
+        def counting(coupling, *args, **kwargs):
+            calls.append(coupling.d)
+            return original(coupling, *args, **kwargs)
+
+        data, oset = self.make_data(noise=0.01, n=61)
+        fm = fitting._BuildUpModel(data, benchmark_spec(oset, free=free))
+        v = {n: p.value for n, p in fm.spec.parameters.items()}
+        near = fm.at(v)
+        monkeypatch.setattr(fitting, "averaged_efficiency", counting)
+        same_d = fm.at({**v, "r": 1.1 * v["r"]}, near)
+        assert calls == []
+        assert same_d.eta is near.eta and same_d.slope is near.slope
+        assert (near.slope is None) == ("d" not in free)
+        other_d = fm.at({**v, "d": 1.1 * v["d"]}, near)
+        assert len(calls) == 1
+        assert not np.array_equal(other_d.eta, near.eta)
+        assert np.array_equal(other_d.eta, fm.at(other_d.values).eta)
 
     def test_phase_bracket_built_once_per_fit(self, monkeypatch):
         # one block's bracket B is one `bracket_sum` call
@@ -640,8 +664,8 @@ class TestFitBuildup:
         runs = []
         run = fitting._levenberg_marquardt
 
-        def recording_run(fm, names, start, model, res, jac):
-            out = run(fm, names, start, model, res, jac)
+        def recording_run(fm, names, start, jac):
+            out = run(fm, names, start, jac)
             runs.append((fm, names, start, out))
             return out
 
@@ -650,13 +674,13 @@ class TestFitBuildup:
         spec = benchmark_spec(oset, free=free, guess_factor=1.05)
         result = fit_buildup(data, spec)
         assert len(runs) == 1
-        fm, names, start, out = runs[0]
+        fm, names, start, (end, iterations, _) = runs[0]
         assert names == free
         guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        assert start == fm.evaluate(guess, fm.shape(guess))[0] == guess
+        assert start.values == fm.at(guess).values == guess
         assert result.converged
         assert (result.values, result.rss, result.iterations) == (
-            out.values, out.rss, out.iterations)
+            end.values, end.rss, iterations)
 
     @pytest.mark.parametrize("free", [("d", "r", "r1", "t1rho"),
                                       ("r", "r1", "t1rho"), ("d",),
@@ -669,18 +693,18 @@ class TestFitBuildup:
         run, check = fitting._levenberg_marquardt, fitting._check_jacobian
         jacobian = fitting._BuildUpModel.jacobian
 
-        def recording_run(fm, names, start, model, res, jac):
-            out = run(fm, names, start, model, res, jac)
-            runs.append((fm, names, start, model, res, jac, out))
+        def recording_run(fm, names, start, jac):
+            out = run(fm, names, start, jac)
+            runs.append((fm, names, start, jac, out))
             return out
 
         def recording_check(jac, names):
             checked.append((jac, names))
             check(jac, names)
 
-        def recording_jacobian(fm, v, model, names):
-            built.append(dict(v))
-            return jacobian(fm, v, model, names)
+        def recording_jacobian(fm, p, names):
+            built.append(dict(p.values))
+            return jacobian(fm, p, names)
 
         monkeypatch.setattr(fitting, "_levenberg_marquardt", recording_run)
         monkeypatch.setattr(fitting, "_check_jacobian", recording_check)
@@ -690,21 +714,20 @@ class TestFitBuildup:
         spec = benchmark_spec(oset, free=free, guess_factor=1.05)
         result = fit_buildup(data, spec)
         assert len(runs) == 1 and len(checked) == 1
-        fm, names, start, model, res, jac, out = runs[0]
+        fm, names, start, jac, (end, iterations, _) = runs[0]
         assert names == tuple(n for n in free if n != "m0")
         guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        assert start == fm.evaluate(guess, fm.shape(guess))[0]
-        assert (start["m0"] != guess["m0"]) == ("m0" in free)
+        assert start.values == fm.at(guess).values
+        assert (start.values["m0"] != guess["m0"]) == ("m0" in free)
         full, checked_names = checked[0]
         assert checked_names == free
-        assert np.array_equal(
-            jac, fm.project(start, model, res, full[:, :len(names)]))
+        assert np.array_equal(jac, fm.project(start, full[:, :len(names)]))
         # built once more there only for the standard errors of a run
         # that ends where it started (m0 alone is solved before it)
-        assert built.count(start) == 1 + (out.values == start)
+        assert built.count(start.values) == 1 + (end.values == start.values)
         assert result.converged
         assert (result.values, result.rss, result.iterations) == (
-            out.values, out.rss, out.iterations)
+            end.values, end.rss, iterations)
 
     def test_model_is_the_model_curve_at_the_optimum(self):
         data, oset = self.make_data(noise=0.01, n=61)
@@ -729,12 +752,26 @@ class TestFitBuildup:
         assert capped.stop_reason == "max_iterations"
         assert not capped.converged
 
-    def test_descent_check_raises_fit_error(self):
-        fitting._check_descent(1.0, 1.0)
-        with pytest.raises(FitError, match="initial guess"):
-            fitting._check_descent(2.0, 1.0)
-        with pytest.raises(FitError):
-            fitting._check_descent(math.nan, math.nan)
+    @pytest.mark.parametrize("free", [("m0",), ("r", "m0"),
+                                      fitting.PARAMETER_NAMES])
+    def test_fit_started_at_its_optimum_keeps_the_guess_rss(self, free):
+        # noiseless data at the guess: projecting m0 there rounds the
+        # start's rss above the guess's own, which a fit with nothing free
+        # reports, and the fit returns the guess
+        oset, times = zcw_orientation_set(4), np.arange(61) * 25e-6
+        for m0 in (0.9, 1.2, 1.5):
+            spec = benchmark_spec(oset, free=free, guess_factor=1.0)
+            spec = dataclasses.replace(spec, parameters={
+                **spec.parameters, "m0": FitParameter(
+                    value=m0, free=True, lower=m0 / 1000, upper=m0 * 1000)})
+            guess = {n: p.value for n, p in spec.parameters.items()}
+            data = BuildUpData(times=times, magnetizations=model_curve(
+                model_from_values(guess, spec), times))
+            fixed = dataclasses.replace(spec, parameters={
+                n: FitParameter(value=v) for n, v in guess.items()})
+            result = fit_buildup(data, spec)
+            assert result.rss <= fit_buildup(data, fixed).rss
+            assert result.converged
 
     def test_uniform_weights_equal_unweighted(self):
         data, oset = self.make_data(noise=0.01, n=41)
