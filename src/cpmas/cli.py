@@ -23,7 +23,9 @@ overflows for simulate, powder or compare, a compare --threshold not
 finite and >= 0, locks off the Hartmann-Hahn match for simulate,
 powder, compare or fit, or an unweighted fit whose residual sum at the
 initial guess is not finite), 2 comparison threshold exceeded, 3 data
-error, 4 fit non-convergence or fit failure.
+error, 4 fit non-convergence or fit failure (also a fit that leaves a
+free parameter with no finite standard error or at a bound of its
+search; its CSV and report are still written).
 """
 
 from __future__ import annotations
@@ -364,17 +366,17 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
     return relax, any(resolved[key] is not None for key in keys)
 
 
-def run_simulate(resolved) -> tuple[dict, list[str], int]:
+def run_simulate(resolved) -> tuple[dict, list[str], int, str | None]:
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
     coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     _check_phase(coupling.d, spin, grid.duration)
     curve = analytic.efficiency_curve(coupling, orient, spin, grid)
-    return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK
+    return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK, None
 
 
-def run_powder(resolved) -> tuple[dict, list[str], int]:
+def run_powder(resolved) -> tuple[dict, list[str], int, str | None]:
     grid, t_us = _grid_from(resolved)
     coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
@@ -384,10 +386,11 @@ def run_powder(resolved) -> tuple[dict, list[str], int]:
     curve = powder.powder_average(coupling, spin, grid, oset)
     if damped:
         curve = analytic.magnetization(curve, relax)
-    return {"t_us": t_us, "m" if damped else "eta": curve.values}, [], EXIT_OK
+    return ({"t_us": t_us, "m" if damped else "eta": curve.values}, [],
+            EXIT_OK, None)
 
 
-def run_oracle(resolved) -> tuple[dict, list[str], int]:
+def run_oracle(resolved) -> tuple[dict, list[str], int, str | None]:
     """Propagation by `oracle.propagate_expectations`, with state and
     observables along the effective-field axes
     (`oracle.tilted_spin_operators`).  On resonance these are I_y and S_y
@@ -405,10 +408,11 @@ def run_oracle(resolved) -> tuple[dict, list[str], int]:
             resolved["substeps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return {"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK
+    return ({"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK,
+            None)
 
 
-def run_compare(resolved) -> tuple[dict, list[str], int]:
+def run_compare(resolved) -> tuple[dict, list[str], int, str | None]:
     threshold = resolved["threshold"]
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ConfigError(
@@ -421,7 +425,7 @@ def run_compare(resolved) -> tuple[dict, list[str], int]:
               f"threshold = {threshold!r}"]
     code = EXIT_OK if max_dev <= threshold else EXIT_THRESHOLD
     return ({"t_us": columns["t_us"], "eta_analytic": eta, "sy_oracle": sy},
-            report, code)
+            report, code, None)
 
 
 def _fit_spec_from(resolved) -> fitting.FitSpec:
@@ -502,7 +506,7 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
     return lines
 
 
-def run_fit(resolved) -> tuple[dict, list[str], int]:
+def run_fit(resolved) -> tuple[dict, list[str], int, str | None]:
     data = fitting.load_buildup(resolved["data"])
     spec = _fit_spec_from(resolved)
     d = spec.parameters["d"]   # the largest |d| the search may try
@@ -515,8 +519,27 @@ def run_fit(resolved) -> tuple[dict, list[str], int]:
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,
                "residual": result.model - data.magnetizations}
-    return (columns, _fit_report(resolved, data, spec, result),
-            EXIT_OK if result.converged else EXIT_FIT)
+    unusable = _unusable_parameter(spec, result)
+    code = EXIT_OK if result.converged and unusable is None else EXIT_FIT
+    return (columns, _fit_report(resolved, data, spec, result), code,
+            f"fit error: {unusable}" if unusable else None)
+
+
+def _unusable_parameter(spec, result) -> str | None:
+    """Why the fit gives no usable uncertainty, for the first free parameter
+    whose standard error is not finite or that ended at a bound; None when
+    every one is usable."""
+    for name in spec.free_names:
+        p, err = spec.parameters[name], result.stderr[name]
+        if not math.isfinite(err):
+            return (f"free parameter '{name}' has standard error {err!r}; "
+                    f"the fit leaves it undetermined")
+        if not p.lower < result.values[name] < p.upper:
+            side = "lower" if result.values[name] <= p.lower else "upper"
+            return (f"free parameter '{name}' ended at its {side} bound "
+                    f"(guess/1000 to guess*1000), where its standard error "
+                    f"does not hold")
+    return None
 
 
 _RUNNERS = {"simulate": run_simulate, "powder": run_powder,
@@ -535,15 +558,16 @@ def _writing(path):
 def main(argv=None) -> int:
     """Parse arguments, run the command, and write its outputs.
 
-    Every ``run_*`` returns ``(columns, report_lines, exit_code)``: the CSV
-    columns by header name, the lines printed to stdout (and written to
-    ``--report`` when given), and the exit code this returns.
+    Every ``run_*`` returns ``(columns, report_lines, exit_code, note)``:
+    the CSV columns by header name, the lines printed to stdout (and
+    written to ``--report`` when given), the exit code this returns, and
+    a line for stderr once the outputs are written, or None.
     """
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         resolved = _resolve(args, COMMAND_OPTS[args.command])
-        columns, report, code = _RUNNERS[args.command](resolved)
+        columns, report, code, note = _RUNNERS[args.command](resolved)
         with _writing(resolved["out"]):
             write_curve_csv(resolved["out"], columns,
                             _echo_lines(args.command, resolved))
@@ -553,6 +577,8 @@ def main(argv=None) -> int:
             with _writing(resolved["report"]):
                 Path(resolved["report"]).write_text("\n".join(report) + "\n",
                                                     encoding="utf-8")
+        if note:
+            print(note, file=sys.stderr)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

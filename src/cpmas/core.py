@@ -11,8 +11,9 @@ block of orientations, and a fit builds them once for all the d it tries
 `phase_bracket` splits by angle addition into four functions of the rotor
 angle (`rotor_terms`), which a powder average takes once for all its
 orientations, and four coefficients in gamma (`bracket_coefficients`),
-taken once per orientation, and summed for every B by `bracket_sum`; no
-transcendental is evaluated per orientation-point.
+taken once per orientation, and summed for every B by `bracket_sum`, one
+`np.einsum` over the four; no transcendental is evaluated per
+orientation-point.
 
 Off-resonance spin-lock geometry (effective-field magnitudes and tilt
 angles) also lives here because it only rescales d, by `tilt_scale`,
@@ -206,15 +207,22 @@ def phase_bracket(beta, gamma, rotor_angle):
                        rotor_terms(rotor_angle))
 
 
-def bracket_sum(coefficients, terms, out=None, scratch=None):
+def bracket_sum(coefficients, terms, out=None):
     """B = k0*r0 + k1*r1 + k2*r2 + k3*r3 of `bracket_coefficients` k and
-    `rotor_terms` r, added in this order, into ``out`` (products after the
-    first into ``scratch``) when given: every B in the package rounds alike.
+    `rotor_terms` r, into ``out`` when given: every B in the package
+    rounds alike.
+
+    One `np.einsum` over the stacked k axis.  Where the times are einsum's
+    inner loop (any block with more than one time) it adds the products
+    one at a time in k order, each product rounded first (numpy's x86-64
+    baseline has no fused multiply-add), as four multiplies and three adds
+    would; the sum starts from +0.0, so a B of -0.0 comes out +0.0.  A
+    one-element contraction (a scalar time, or one orientation at one
+    time) puts k in the inner loop, where einsum adds the products in
+    pairs: B then differs from the ordered sum by a rounding or two, within
+    4 eps of the sum of the products' magnitudes.
     """
-    out = np.multiply(coefficients[0], terms[0], out=out)
-    for k, r in zip(coefficients[1:], terms[1:]):
-        out += np.multiply(k, r, out=scratch)
-    return out
+    return np.einsum("k...,k...->...", coefficients, terms, out=out)
 
 
 def dipolar_coupling_at(coupling: CouplingParams, orient: Orientation,

@@ -14,20 +14,21 @@ B of `core.phase_bracket` (or d times the stationary rate times t).  B is
 four rotor-angle terms (`core.rotor_terms`), taken once per average, times
 four coefficients per orientation (`core.bracket_coefficients`), taken
 once per set, and summed by `core.bracket_sum` as in `phase_bracket`:
-four multiplies and three adds per orientation-point.  A point's one
-transcendental is tau = tan(phi/2), a vectorised call where numpy's cos
-and sin are scalar libm calls; eta = u/(1 + u) and the slope's
-(1/2)*sin(phi) = tau/(1 + u), with u = tau**2, follow by a multiply, an
-add and a divide each.  The kernel reads the d-independent unit, B or
-the rate, of each block of ORIENT_BLOCK orientations x all times,
-multiplies it by d/2, and adds the weighted blocks in that fixed order,
-so the result is bit-identical however the orientations were ordered.
-A set is averaged straight from the set, block by block, each block's
-unit written into a buffer that the next block reuses, as are those of
-tau, u and 1 + u.  A fit, which averages the same set at many d, builds
-the read-only blocks once as a `phase_table` and passes that instead;
-the result is the same bit for bit.  On request the same pass also
-returns d(eta)/dd for the Jacobian.
+one `np.einsum` pass per block that adds the four products in order.  A
+point's one transcendental is tau = tan(phi/2), a vectorised call where
+numpy's cos and sin are scalar libm calls; eta = u/(1 + u) and the
+slope's (1/2)*sin(phi) = tau/(1 + u), with u = tau**2, follow by a
+multiply, an add and a divide each.  The kernel reads the d-independent
+unit, B or the rate, of each block of ORIENT_BLOCK orientations x all
+times, multiplies it by d/2, weights each block's terms and adds them
+over its orientations in one einsum, and adds the blocks in that fixed
+order, so the result is bit-identical however the orientations were
+ordered.  A set is averaged straight from the set, block by block, each
+block's unit written into one buffer that the next block reuses, as are
+those of tau, u and 1 + u.  A fit, which averages the same set at many
+d, builds the read-only blocks once as a `phase_table` and passes that
+instead; the result is the same bit for bit.  On request the same pass
+also returns d(eta)/dd for the Jacobian.
 """
 
 from __future__ import annotations
@@ -171,10 +172,10 @@ def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
                  fresh: bool = False):
     """(unit, weights) per block of ORIENT_BLOCK orientations, in order.
 
-    The rotor-angle terms and the coefficients of the whole set (or the
-    stationary rates) are taken once, up front.  Unless ``fresh``, every
-    spinning block's B is written into one buffer that the next block
-    overwrites.
+    The rotor-angle terms, stacked as one (4, times) array, and the
+    coefficients of the whole set (or the stationary rates) are taken
+    once, up front.  Unless ``fresh``, every spinning block's B is written
+    into one buffer that the next block overwrites.
     """
     if omega_r == 0.0:
         rates = coupling_shape(oset.beta, oset.gamma, 0.0)
@@ -182,15 +183,14 @@ def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
             blk = slice(start, start + ORIENT_BLOCK)
             yield rates[blk], oset.weights[blk, None]
         return
-    terms = rotor_terms(omega_r * t)
+    terms = np.array(rotor_terms(omega_r * t))
     coeffs = np.array(bracket_coefficients(oset.beta, oset.gamma))
     unit_buf = np.empty((ORIENT_BLOCK, t.size))
-    scratch = np.empty_like(unit_buf)
     for start in range(0, len(oset), ORIENT_BLOCK):
         blk = slice(start, start + ORIENT_BLOCK)
         w = oset.weights[blk, None]
         unit = np.empty((len(w), t.size)) if fresh else unit_buf[:len(w)]
-        bracket_sum(coeffs[:, blk, None], terms, unit, scratch[:len(w)])
+        bracket_sum(coeffs[:, blk, None], terms, unit)
         yield unit, w
 
 
@@ -246,14 +246,11 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray, units,
         u = np.multiply(tau, tau, out=u_buf[:len(w)])
         # without the slope, tau is spent once u is formed
         den = np.add(1.0, u, out=den_buf[:len(w)] if with_slope else tau)
-        block = np.divide(u, den, out=u)
-        block *= w
-        eta += block.sum(axis=0)
+        eta += np.einsum("o...,o...->...", w, np.divide(u, den, out=u))
         if with_slope:
             ds = np.divide(tau, den, out=tau)
             ds *= unit if spinning else np.multiply.outer(unit, t)
-            ds *= per_d * w
-            slope += ds.sum(axis=0)
+            slope += np.einsum("o...,o...->...", per_d * w, ds)
     return (eta, slope) if with_slope else eta
 
 

@@ -474,6 +474,31 @@ class TestFitCommand:
         assert report["converged"] == "true"
         assert rss[0] <= rss[1]
 
+    @pytest.mark.parametrize("flags, named", [
+        # an absurd distance: d runs off to ~1e65 rad/s, every stderr nan
+        (["--distance-angstrom", "1e-20", "--free", "d,r,r1,t1rho,m0",
+          "--m0", "1.5"], "free parameter 'd' has standard error nan"),
+        # an m0 guess 2000x too small: m0 and r end at their upper bounds,
+        # and r comes first in the free set
+        (["--distance-angstrom", "1.09", "--m0", "5e-4"],
+         "free parameter 'r' ended at its upper bound"),
+    ])
+    def test_fit_without_usable_uncertainty_exits_4(self, tmp_path, capsys,
+                                                    flags, named):
+        out, report = tmp_path / "overlay.csv", tmp_path / "report.txt"
+        args = ["fit", "--data", str(REPO_DATASET), "--mas-khz", "5",
+                "--r-inv-us", "436", "--r1-inv-us", "207", "--t1rho-ms",
+                "2.8", *flags, "--out", str(out), "--report", str(report)]
+        assert run(args) == EXIT_FIT
+        stdout, err = capsys.readouterr()
+        assert err.startswith(f"fit error: {named}")
+        assert len(err.splitlines()) == 1
+        # the outputs are written, as for a fit that did not converge
+        assert report.read_text() == stdout
+        assert "converged = true" in stdout.splitlines()
+        assert set(read_curve_csv(out)) == {"time_us", "magnetization",
+                                            "model", "residual"}
+
     def test_overlay_reparses_and_run_is_deterministic(self, tmp_path):
         args = lambda out: ["fit", "--data", str(REPO_DATASET),
                             "--distance-angstrom", "1.09", "--mas-khz", "5",

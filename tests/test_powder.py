@@ -11,7 +11,8 @@ import cpmas.powder as powder
 from cpmas.analytic import (EFFICIENCY_RANGE_TOL, CurveKind, efficiency_curve,
                             transfer_efficiency)
 from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                        coupling_shape, dipolar_phase, phase_bracket)
+                        bracket_coefficients, coupling_shape, dipolar_phase,
+                        phase_bracket, rotor_terms)
 from cpmas.fitting import coupling_from_distance
 from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
                           averaged_efficiency, grid_orientation_set,
@@ -513,3 +514,122 @@ class TestRotorEcho:
                                   SpinningParams(omega_r=omega_r),
                                   np.array([t]), zcw_orientation_set(2))
         assert 0.0 <= eta[0] <= phi_max ** 2 / 4.0 + 2.0 * EPS
+
+
+def ordered_bracket(beta, gamma, rotor_angle):
+    """B as four products and three adds in k order."""
+    products = [k * r for k, r in zip(bracket_coefficients(beta, gamma),
+                                      rotor_terms(rotor_angle))]
+    return ((products[0] + products[1]) + products[2]) + products[3]
+
+
+def elementwise_terms(d, omega_r, t, oset, bracket=ordered_bracket):
+    """The powder kernel in elementwise form, as a test oracle: per block of
+    ORIENT_BLOCK orientations, the weighted eta and slope terms (block x
+    times), with B from ``bracket`` and each block weighted in place.
+    """
+    spinning = omega_r != 0.0
+    per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
+    half_d = 0.5 * (d / (2.0 * omega_r)) if spinning else 0.5 * d
+    for start in range(0, len(oset), ORIENT_BLOCK):
+        blk = slice(start, start + ORIENT_BLOCK)
+        beta, gamma = oset.beta[blk, None], oset.gamma[blk, None]
+        w = oset.weights[blk, None]
+        if spinning:
+            unit = bracket(beta, gamma, omega_r * t)
+            tau = np.tan(half_d * unit)
+        else:
+            unit = coupling_shape(beta[:, 0], gamma[:, 0], 0.0)
+            tau = np.tan(np.multiply.outer(half_d * unit, t))
+        u = tau * tau
+        den = 1.0 + u
+        eta = u / den
+        eta *= w
+        ds = tau / den
+        ds *= unit if spinning else np.multiply.outer(unit, t)
+        ds *= per_d * w
+        yield eta, ds
+
+
+def elementwise_kernel(d, omega_r, t, oset, bracket=ordered_bracket):
+    """(eta, d(eta)/dd): the blocks of `elementwise_terms`, each summed over
+    its orientations and added in order."""
+    eta, slope = np.zeros(t.shape), np.zeros(t.shape)
+    for block, ds in elementwise_terms(d, omega_r, t, oset, bracket):
+        eta += block.sum(axis=0)
+        slope += ds.sum(axis=0)
+    return eta, slope
+
+
+def parity_set(n):
+    if n == 610:
+        return zcw_orientation_set(8)
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.1, 1.0, n)
+    return OrientationSet(beta=np.arccos(rng.uniform(-1.0, 1.0, n)),
+                          gamma=rng.uniform(0.0, 2.0 * math.pi, n),
+                          weights=weights / weights.sum())
+
+
+PARITY_SIZES = [1, 2, 63, 64, 65, 610]
+PARITY_SPINS = [POWDER_MAS, STATIONARY]
+
+
+class TestElementwiseParity:
+    """The kernel forms B and adds each block's weighted terms in one
+    `np.einsum` each.  Where the times are einsum's inner loop (more than
+    one time) it adds the terms one at a time in order, each product
+    rounded first, as the elementwise form does, so the two agree bit for
+    bit.  A one-element contraction (one time; for B also one orientation)
+    makes the contracted axis the inner loop, which einsum adds in pairs:
+    there each side's sum is within one eps of its terms' magnitude sum per
+    product and addition.
+    """
+
+    @pytest.mark.parametrize("spin", PARITY_SPINS)
+    @pytest.mark.parametrize("n_t", [2, 3, 121, 801])
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_bit_identical_to_the_elementwise_kernel(self, n, n_t, spin):
+        oset = parity_set(n)
+        t = np.linspace(0.0, 2.4e-3, n_t)   # 12 rotor periods, from t = 0
+        eta, slope = elementwise_kernel(POWDER_COUPLING.d, spin.omega_r, t,
+                                        oset)
+        for source in (oset, phase_table(spin, t, oset)):
+            got, got_slope = averaged_efficiency(POWDER_COUPLING, spin, t,
+                                                 source, with_slope=True)
+            assert got.tobytes() == eta.tobytes()
+            assert got_slope.tobytes() == slope.tobytes()
+            assert averaged_efficiency(POWDER_COUPLING, spin, t,
+                                       source).tobytes() == eta.tobytes()
+
+    @pytest.mark.parametrize("spin", PARITY_SPINS)
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_one_time_within_the_summation_bound(self, n, spin):
+        # B of a lone orientation at one time is the scalar case below, so
+        # the oracle takes B from the package and checks the weighted sum
+        oset = parity_set(n)
+        for t in (np.array([37e-6]), np.array([1.3e-3])):
+            args = (POWDER_COUPLING.d, spin.omega_r, t, oset, phase_bracket)
+            eta, slope = elementwise_kernel(*args)
+            blocks = list(elementwise_terms(*args))
+            # either side rounds at most 2n products and additions
+            eta_tol = 2 * n * EPS * sum(abs(e).sum() for e, _ in blocks)
+            slope_tol = 2 * n * EPS * sum(abs(s).sum() for _, s in blocks)
+            for source in (oset, phase_table(spin, t, oset)):
+                got, got_slope = averaged_efficiency(
+                    POWDER_COUPLING, spin, t, source, with_slope=True)
+                assert abs(got[0] - eta[0]) <= eta_tol
+                assert abs(got_slope[0] - slope[0]) <= slope_tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.0, math.pi),
+           gamma=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+           rotor_angle=st.floats(0.0, 100.0))
+    def test_scalar_bracket_within_the_summation_bound(self, beta, gamma,
+                                                       rotor_angle):
+        products = [k * r for k, r in zip(bracket_coefficients(beta, gamma),
+                                          rotor_terms(rotor_angle))]
+        # four products and three additions on either side
+        tol = 4 * EPS * sum(abs(p) for p in products)
+        assert (abs(phase_bracket(beta, gamma, rotor_angle)
+                    - ordered_bracket(beta, gamma, rotor_angle)) <= tol)
