@@ -210,6 +210,10 @@ def _resolve(args, opts: list[Opt]) -> dict:
     resolved = {}
     for opt in opts:
         value = getattr(args, opt.dest)
+        if value is not None and not isinstance(value, opt.type):
+            # argparse before Python 3.12 reads --flag=-- as an empty list
+            raise ConfigError(f"argument --{opt.flag}: expected one value, "
+                              f"got {value!r}")
         if value is None and opt.dest in cfg:
             try:
                 value = opt.type(cfg[opt.dest])
@@ -346,8 +350,8 @@ def _orientation_set(text: str) -> powder.OrientationSet:
         if kind == "zcw":
             return powder.zcw_orientation_set(int(arg))
     except ValueError as exc:
-        raise ConfigError(f"bad orientation set '{text}': {exc}") from exc
-    raise ConfigError(f"bad orientation set '{text}' (use grid:NxM or zcw:L)")
+        raise ConfigError(f"bad orientation set {text!r}: {exc}") from exc
+    raise ConfigError(f"bad orientation set {text!r} (use grid:NxM or zcw:L)")
 
 
 def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
@@ -445,7 +449,8 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
     free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
     unknown = set(free) - set(fitting.PARAMETER_NAMES)
     if unknown:
-        raise ConfigError(f"unknown free parameters: {', '.join(sorted(unknown))}")
+        raise ConfigError("unknown free parameters: "
+                          + ", ".join(map(repr, sorted(unknown))))
     relax, _ = _relaxation_from(resolved)
     initial = {"d": d, "r": relax.r, "r1": relax.r1, "t1rho": relax.t1rho,
                "m0": relax.m0}

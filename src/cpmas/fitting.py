@@ -624,7 +624,7 @@ def _gamma(isotope: str) -> float:
         return GYROMAGNETIC_RATIOS[isotope]
     except KeyError:
         supported = ", ".join(sorted(GYROMAGNETIC_RATIOS))
-        raise ValueError(f"unsupported isotope '{isotope}'; supported: "
+        raise ValueError(f"unsupported isotope {isotope!r}; supported: "
                          f"{supported}") from None
 
 

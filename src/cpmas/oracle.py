@@ -50,11 +50,18 @@ are one product of it with the observables.  Only the
 top half [Re P | -Im P] of each propagator's embedding is kept, in one
 array that the scan updates in place, so memory is n x 2n reals per grid
 point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
-block, and does not grow with the substeps per interval.  On 30
-`oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU Xeon,
-numpy 2.4.6, stage timers around one process's calls) a propagation
-takes about 1.7-2.4 ms: forming and composing the factors ~40% of it,
-the scan ~23%, the readout ~18% (0.3-0.5 ms) and the table ~13%.
+block, and does not grow with the substeps per interval.  The largest
+temporaries (the factors from the substep table and their squarings, the
+products of each interval's factors, and the readout's two products) are
+written into buffers that each thread keeps and reuses across blocks and
+calls (`_scratch`, at most 1.25 MiB at SUBSTEP_BLOCK = 1024), so a steady
+run of propagations touches no fresh pages; the table's ``steps(c)``
+returns a view into them, valid until its next call on the same thread.
+On 30 `oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU
+Xeon, numpy 2.4.6, stage timers around one process's calls) a
+propagation takes about 0.8-2.3 ms, 1.3 ms in the median: forming and
+composing the factors ~38% of it, the scan ~28%, the readout ~18%
+(0.1-0.4 ms) and the table ~15%.
 
 Conventions: spin-1/2 operator matrices (eigenvalues +-1/2), product basis
 |aa>, |ab>, |ba>, |bb> with the I spin first.  Tr(I_y @ I_y) = 1 in this
@@ -77,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +104,39 @@ MAX_SUBSTEPS = 10**6
 # Factors held at once (~0.6 KiB of temporaries each): whole grid intervals
 # up to this many, and an interval with more in chunks of whole substeps.
 # The scan and the readout also take about this many grid points at a time.
-# On the `oracle-compare` benchmark (seeds 1621-1629, 3 pairs against
-# 1024 each), 512 read a higher median latency in 3 of 3 pairs
-# (by 8-13%) and 2048 in 2 of 3 (-4% to +4%); one block per operation
-# (10**6) read 4-8% lower in 3 of 3, but at a higher peak, 44.0-44.1
-# against 42.2-42.5 MiB.
+# With the block's temporaries in the thread's scratch, on the
+# `oracle-compare` benchmark (seeds 2741-2743, 3 pairs against 1024 each)
+# the median latency read 3.8% lower at 2048, 1.1% at 4096 and 3.3% at one
+# block per operation (10**6), at peaks 0.7, 1.6 and 3.3 MiB higher.  The
+# 4-8% that one block per operation gained before the scratch was mostly
+# page faults: each block's temporaries came from fresh pages, and one
+# large first block raised glibc's mmap threshold so that later ones came
+# from the heap.  512 read 8-13% higher before the scratch.
 SUBSTEP_BLOCK = 1024
+
+
+# This thread's block-sized temporaries, role -> a float64 buffer that only
+# grows (`_scratch`).  Roles 0 and 1 take the factors from the substep table
+# and their squarings, then the readout's two products; roles 2 and 3 take
+# the products of each grid interval's factors.
+_SCRATCH = threading.local()
+
+
+def _scratch(role: int, shape) -> np.ndarray:
+    """This thread's buffer ``role`` as a C-contiguous float64 array of
+    ``shape``, reused across blocks and calls, so that a steady run of
+    propagations touches no fresh pages.
+
+    Its contents are what its last user left: the caller writes every
+    element before reading any, and what it keeps there is valid until
+    the role's next use on the same thread.
+    """
+    buffers = vars(_SCRATCH)
+    size = math.prod(shape)
+    buf = buffers.get(role)
+    if buf is None or buf.size < size:
+        buf = buffers[role] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -383,7 +418,9 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
     halvings that take that norm below 0.35, and each step is squared s
     times, the oracle's only scaling and squaring; past 0.35 * 2**26 they
     are refused.  In floating point no node's norm exceeds theirs, as Z is
-    diagonal and |w*cos(theta)| <= w.
+    diagonal and |w*cos(theta)| <= w.  A ``steps(c)`` result lives in this
+    thread's scratch (`_scratch`, roles 0 and 1): it is valid until the
+    next ``steps`` call on the same thread.
     """
     h0 = _lock_hamiltonian(_REAL_TERMS, rf)
     z = _REAL_TERMS[4]
@@ -418,9 +455,10 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
         x2 = 2.0 * x
         for j in range(2, n + 1):
             cheb[j] = x2 * cheb[j - 1] - cheb[j - 2]
-        out = (cheb.T @ coeffs)[:len(c)].reshape(len(c), dim, dim)
-        for _ in range(squarings):
-            out = out @ out
+        out = np.matmul(cheb.T, coeffs, out=_scratch(0, (len(x), dim * dim)))
+        out = out[:len(c)].reshape(len(c), dim, dim)
+        for k in range(squarings):
+            out = np.matmul(out, out, out=_scratch(1 - k % 2, out.shape))
         return out
 
     return steps
@@ -504,6 +542,7 @@ def _propagate(make_steps, rf: RfScheme, coupling: CouplingParams,
     for first in range(0, intervals, per_block):
         offsets = np.arange(first, min(first + per_block, intervals))
         u = None  # left halves [Re U; Im U] of the products so far
+        role = 3
         for k0 in range(0, substeps, chunk):
             # j[k, 0, i]: substep k0 + k of interval offsets[i]; c[k, f, i]
             # its factor f's coupling
@@ -513,8 +552,14 @@ def _propagate(make_steps, rf: RfScheme, coupling: CouplingParams,
                                           (j + nodes) * dt_sub)
             c = (weights * c[:, None]).sum(axis=2)
             emb = steps(c.ravel())
+            # CF4's two factors per substep put u in scratch role 2 or 3,
+            # not in the table's, by the time steps runs again
             for step in emb.reshape(-1, len(offsets), 2 * n, 2 * n):
-                u = step[..., :n] if u is None else step @ u
+                if u is None:
+                    u = step[..., :n]
+                else:
+                    role = 5 - role
+                    u = np.matmul(step, u, out=_scratch(role, u.shape))
         p = props[first + 1:first + 1 + len(u)]
         p[..., :n] = u[:, :n]
         np.negative(u[:, n:], out=p[..., n:])
@@ -541,8 +586,10 @@ def _propagate(make_steps, rf: RfScheme, coupling: CouplingParams,
     out = np.empty((grid.n_points, count))
     for b in range(0, grid.n_points, SUBSTEP_BLOCK):
         p = props[b:b + SUBSTEP_BLOCK]
-        halves = (p @ e0).reshape(len(p), 2 * n, 2 * n)
-        rho = halves @ np.swapaxes(p, -1, -2)
+        halves = np.matmul(p, e0, out=_scratch(0, (len(p), n, 4 * n)))
+        rho = np.matmul(halves.reshape(len(p), 2 * n, 2 * n),
+                        np.swapaxes(p, -1, -2),
+                        out=_scratch(1, (len(p), 2 * n, n)))
         out[b:b + len(p)] = (rho.reshape(len(p), 1, -1) @ obs)[:, 0]
     return out.T
 

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpmas.cli as cli
 import cpmas.core as core
@@ -777,6 +782,77 @@ class TestUsageErrors:
         assert_one_error_line(capsys, "error: bad relaxation parameters: "
                               "rates r and r1 must be finite and >= 0")
         assert not out.exists()
+
+
+# Every command with its required flags, on grids and orientation sets
+# small enough for a property test: 11 points, zcw:1 (21 orientations).
+_CRYSTAL = ["--d-khz", "2.5", "--mas-khz", "2", "--beta-deg", "60",
+            "--gamma-deg", "36", "--tmax-us", "10", "--dt-us", "1"]
+_LOCKS = ["--b1i-khz", "80", "--b1s-khz", "80"]
+ARGV_BASES = {
+    "simulate": _CRYSTAL,
+    "powder": ["--d-khz", "23.33", "--mas-khz", "5", "--tmax-us", "100",
+               "--dt-us", "10", "--orient-set", "zcw:1"],
+    "oracle": _CRYSTAL + _LOCKS,
+    "compare": _CRYSTAL + _LOCKS,
+    "fit": ["--data", str(Path(__file__).resolve().parent / "data"
+                          / "fit_at_truth.csv"),
+            "--mas-khz", "5", "--d-khz", "22", "--r-inv-us", "436",
+            "--r1-inv-us", "207", "--t1rho-ms", "2.8", "--m0", "1.2",
+            "--orient-set", "zcw:1"],
+}
+# the exit codes the cli module docstring documents for each command
+DOCUMENTED_EXITS = {"simulate": {EXIT_OK, EXIT_CONFIG},
+                    "powder": {EXIT_OK, EXIT_CONFIG},
+                    "oracle": {EXIT_OK, EXIT_CONFIG},
+                    "compare": {EXIT_OK, EXIT_CONFIG, EXIT_THRESHOLD},
+                    "fit": {EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_FIT}}
+# flags that name files are left alone: a drawn value would be a path
+_PATH_FLAGS = {"out", "config", "data", "report"}
+EXTREME_VALUES = ["0", "-0", "5e-324", "1e308", "inf", "-inf", "nan", "-1"]
+# text that no float flag parses, some of it spread over lines
+MALFORMED_TEXT = ["", "1e", "0x10", "--", "1,5", "a\nb", "zcw:\n", "r,\nq"]
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_BASES)))
+    flags = [o.flag for o in cli.COMMAND_OPTS[command]
+             if o.flag not in _PATH_FLAGS]
+    chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3,
+                           unique=True))
+    values = st.one_of(st.sampled_from(EXTREME_VALUES),
+                       st.sampled_from(MALFORMED_TEXT), st.text(max_size=6))
+    base = ARGV_BASES[command]
+    args = dict(zip(base[::2], base[1::2]))
+    for flag in chosen:
+        args[f"--{flag}"] = draw(values)
+    if "distance-angstrom" in chosen:  # in place of --d-khz, not beside it
+        args.pop("--d-khz", None)
+    # --flag=value, so that text starting with "-" stays a value
+    return command, [command, *(f"{k}={v}" for k, v in args.items())]
+
+
+@settings(max_examples=250, deadline=None)
+@given(drawn=hostile_argv())
+def test_hostile_flags_give_a_documented_exit(tmp_path_factory, drawn):
+    # one to three flags of a valid command set to extreme floats or to
+    # arbitrary text: main returns a documented code, warns of nothing
+    # and says what went wrong on at most one line
+    command, argv = drawn
+    out = tmp_path_factory.mktemp("argv") / "x.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = main([*argv, f"--out={out}"])
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv}: {type(exc).__name__} left main: {exc}")
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert stderr.getvalue().count("\n") <= 1, (argv, stderr.getvalue())
+    assert code in DOCUMENTED_EXITS[command], (argv, code)
 
 
 class TestGoldenLines:

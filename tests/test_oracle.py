@@ -1,5 +1,11 @@
+import functools
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -314,6 +320,8 @@ def assert_table_unitarity(rf, coupling, spin, orient):
     p = np.eye(8)
     for step in steps:
         p = step @ p
+    # the 2e5 factors grew this thread's scratch to ~100 MB
+    vars(oracle._SCRATCH).clear()
     assert np.max(np.abs(p @ p.T - np.eye(8))) <= 1e-10
     u = p[:4, :4] + 1j * p[4:, :4]
     rho0 = oracle._to_real_frame(IY)
@@ -351,7 +359,7 @@ class TestSubstepTable:
         expected, norms = reference_steps(rf, coupling, bench_orientation,
                                           spin, times, dt)
         c = 2.0 * dipolar_coupling_at(coupling, bench_orientation, spin, times)
-        got = steps(c)
+        got = steps(c).copy()  # valid only until the next steps call
         assert got.shape == (5000, 8, 8)
         err = np.abs(got - expected).max(axis=(-1, -2))
         if squares:
@@ -857,6 +865,155 @@ class TestCf4:
             sy_full = propagate(IY, *args, substeps=substeps).sy
             sy_blocks = propagate_blockwise(IY, *args, substeps=substeps)
             assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, seed
+
+
+class TestScratch:
+    """This thread's block temporaries (`oracle._scratch`), reused across
+    blocks and calls, never show in a result."""
+
+    MATCHED = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ)
+    OFF_RESONANCE = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ,
+                             offset_i=20.0 * KHZ, offset_s=15.0 * KHZ)
+    # at 0.5 us factors the table is squared back up: bounding norm >= 0.35
+    STRONG = CouplingParams(d=300.0 * KHZ)
+
+    @staticmethod
+    def clear():
+        vars(oracle._SCRATCH).clear()
+
+    def test_results_do_not_depend_on_earlier_calls(self, bench_coupling,
+                                                    slow_mas,
+                                                    bench_orientation):
+        # a large grid (three readout blocks), a small one, the large one
+        # again; 700 explicit substeps take each interval in two chunks
+        large = TimeGrid(dt=1e-6, n_points=2501)
+        small = TimeGrid(dt=1e-6, n_points=13)
+        orient = bench_orientation
+        chunked = functools.partial(lock_expectations, substeps=700)
+        for rf in (self.MATCHED, self.OFF_RESONANCE):
+            assert bounding_norm(rf, self.STRONG, orient, 0.5e-6) >= 0.35
+        calls = [
+            (lock_expectations, self.MATCHED, self.STRONG, orient, slow_mas,
+             large),
+            (chunked, self.OFF_RESONANCE, bench_coupling, orient, slow_mas,
+             small),
+            (propagate_blockwise, IY, self.MATCHED, bench_coupling, orient,
+             slow_mas, small),
+            (lock_expectations, self.OFF_RESONANCE, self.STRONG, orient,
+             slow_mas, large),
+            (chunked, self.MATCHED, bench_coupling, orient, slow_mas,
+             small),
+            (lock_expectations, self.MATCHED, self.STRONG, orient, slow_mas,
+             large),
+        ]
+        self.clear()
+        in_sequence = [fn(*args) for fn, *args in calls]
+        for (fn, *args), got in zip(calls, in_sequence):
+            self.clear()
+            assert np.array_equal(fn(*args), got)
+
+    def test_threads_get_their_single_thread_bytes(self, bench_coupling,
+                                                   slow_mas,
+                                                   bench_orientation):
+        # more threads than the two cores, switching as often as they can,
+        # each propagating its own inputs over two readout blocks
+        grids = [TimeGrid(dt=1e-6, n_points=n) for n in (1500, 1201, 1777)]
+        inputs = [
+            (propagate_blockwise, IY, self.MATCHED, self.STRONG,
+             bench_orientation, slow_mas, grids[0]),
+            (lock_expectations, self.OFF_RESONANCE, bench_coupling,
+             bench_orientation, slow_mas, grids[1]),
+            (lock_expectations, self.MATCHED, self.STRONG, bench_orientation,
+             slow_mas, grids[2]),
+        ]
+        expected = [fn(*args) for fn, *args in inputs]
+        rounds = 4
+        results = [[] for _ in inputs]
+        barrier = threading.Barrier(len(inputs))
+
+        def work(k):
+            fn, *args = inputs[k]
+            barrier.wait(timeout=30)
+            for _ in range(rounds):
+                results[k].append(fn(*args))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(expected, results):
+            assert len(got) == rounds
+            assert all(np.array_equal(g, want) for g in got)
+
+    def test_bounded_by_one_block(self, slow_mas, bench_orientation):
+        # 80001 points of one substep: 512 intervals of two factors a block,
+        # squared back up.  One block needs two tables of SUBSTEP_BLOCK 8x8
+        # factors and two products of SUBSTEP_BLOCK/2 intervals' 8x4 left
+        # halves, 1.25 MiB at 1024; the readout reuses the tables' buffers
+        block = oracle.SUBSTEP_BLOCK
+        bound = 2 * block * 64 * 8 + 2 * (block // 2) * 32 * 8
+        assert bound == 1310720
+        grid = TimeGrid(dt=0.1e-6, n_points=80001)
+        coupling = CouplingParams(d=3000.0 * KHZ)
+        assert required_substeps(self.MATCHED, slow_mas, grid.dt) == 1
+        assert bounding_norm(self.MATCHED, coupling, bench_orientation,
+                             0.05e-6) >= 0.35
+        held = []
+
+        def work():  # a new thread starts with no scratch
+            propagate(IY, self.MATCHED, coupling, bench_orientation,
+                      slow_mas, grid)
+            held.append(sum(b.nbytes for b in vars(oracle._SCRATCH).values()))
+
+        t = threading.Thread(target=work)
+        t.start()
+        t.join(timeout=120)
+        assert not t.is_alive()
+        assert 0 < held[0] <= bound
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's malloc")
+    def test_repeated_propagation_touches_no_fresh_pages(self):
+        # In a fresh process, so that no earlier test has raised glibc's
+        # mmap and trim thresholds: block temporaries allocated anew on
+        # each call take ~220 minor faults a call here.  At 541 points the
+        # arrays that stay fresh allocations, those as long as the grid,
+        # stay on the heap.
+        probe = """if True:
+            import math, resource
+            from cpmas.core import (CouplingParams, Orientation, RfScheme,
+                                    SpinningParams, TimeGrid)
+            from cpmas.oracle import (DQ_Y, propagate_expectations,
+                                      tilted_spin_operators)
+            khz = 2.0 * math.pi * 1e3
+            rf = RfScheme(omega1_i=80 * khz, omega1_s=80 * khz,
+                          offset_i=30 * khz, offset_s=30 * khz)
+            i_e, s_e = tilted_spin_operators(rf)
+            args = ((s_e, i_e, DQ_Y), rf, CouplingParams(d=3 * khz),
+                    Orientation(beta=math.pi / 3, gamma=math.pi / 5),
+                    SpinningParams(omega_r=5 * khz),
+                    TimeGrid(dt=1e-6, n_points=541))
+            for _ in range(3):
+                propagate_expectations(i_e, *args)
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            propagate_expectations(i_e, *args)
+            print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+                  - before)
+        """
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert int(run.stdout) < 10
 
 
 class TestZqDqDecompose:
