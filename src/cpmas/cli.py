@@ -18,14 +18,15 @@ parse time.  A plain-text key-value config file can supply any flag
 
 Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
 --report path, a time grid over 10**7 points or with a step that rounds
-to 0 s, a grid:NxM set over 10**6 orientations, a dipolar phase that
-overflows for simulate, powder or compare, a compare --threshold not
-finite and >= 0, locks off the Hartmann-Hahn match for simulate,
-powder, compare or fit, or an unweighted fit whose residual sum at the
-initial guess is not finite), 2 comparison threshold exceeded, 3 data
-error, 4 fit non-convergence or fit failure (also a fit that leaves a
-free parameter with no finite standard error or at a bound of its
-search; its CSV and report are still written).
+to 0 s, a grid:NxM set over 10**6 orientations, an oracle or compare run
+over the substep cap of 10**6, a dipolar phase that overflows for
+simulate, powder or compare, a compare --threshold not finite and >= 0,
+locks off the Hartmann-Hahn match for simulate, powder, compare or fit,
+or an unweighted fit whose residual sum at the initial guess is not
+finite), 2 comparison threshold exceeded, 3 data error, 4 fit
+non-convergence or fit failure (also a fit that leaves a free parameter
+with no finite standard error or at a bound of its search; its CSV and
+report are still written).
 """
 
 from __future__ import annotations
@@ -281,14 +282,17 @@ def _check_phase(d: float, spin: SpinningParams, t_max: float) -> None:
 
 
 def _orientation_from(resolved) -> Orientation:
-    gamma = resolved["gamma_deg"] * DEG % (2.0 * math.pi)
+    beta, gamma = resolved["beta_deg"], resolved["gamma_deg"]
+    if not math.isfinite(gamma):
+        raise ConfigError(f"gamma-deg must be finite, got {gamma}")
+    gamma = gamma * DEG % (2.0 * math.pi)
     # a tiny negative angle wraps to a remainder that rounds up to 2*pi
     if gamma == 2.0 * math.pi:
         gamma = 0.0
     try:
-        return Orientation(beta=resolved["beta_deg"] * DEG, gamma=gamma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return Orientation(beta=beta * DEG, gamma=gamma)
+    except ValueError as exc:  # a finite gamma always wraps into range
+        raise ConfigError(f"beta-deg must be in [0, 180], got {beta}") from exc
 
 
 def _rf_from(resolved) -> RfScheme | None:

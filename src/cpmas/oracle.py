@@ -12,11 +12,11 @@ Each substep is one step of CF4, the fourth-order commutator-free Magnus
 rule: two half-length exponential factors, whose couplings c_f combine
 the coupling c(t) = 2*d(t) at the substep's two Gauss points by the rows
 of a weight matrix.  With H0 the locks and offsets and Z = I_z*S_z, each
-factor is exp(-i*(H0 + c_f*Z)*dt).  The substeps per grid interval
-follow from 6.25 substeps per period of the fastest coherent frequency,
-which keeps the result within `CF4_TOLERANCE` of a converged run.  The
-rule does not assume that the Hamiltonian commutes with itself at
-different times, the property the closed form rests on.
+factor is exp(-i*(H0 + c_f*Z)*dt).  One rule (`required_substeps`) sets
+the substeps per grid interval: 6.25 per period of the fastest coherent
+frequency (`CF4_TOLERANCE`), or more, so that every factor is inside the
+Taylor bound.  It does not assume that the Hamiltonian commutes with
+itself at different times, the property the closed form rests on.
 
 The full-space propagation runs in the frame rotated by
 R = exp(-i*pi/2*(I_z + S_z)), which is diagonal in the product basis and
@@ -27,13 +27,12 @@ the scalar c: a substep table (`_substep_table`) exponentiates the
 Hamiltonians at a few Chebyshev points of the range of c once per
 propagation, by `cos_sin_step` (a degree-6 Taylor series in (H*dt)**2
 summed by Horner's rule, no eigendecomposition), and evaluates every
-factor as a Chebyshev series in c, exact to round-off; when H*dt is too
-large for the series, the table is built for a shorter step and each
-factor squared back up.  rho(0) and the observables are rotated once per
-propagation; Tr(O @ rho) is the same in either frame.  The block-wise
-(ZQ/DQ) propagation exponentiates its complex 2x2 blocks by `eigh`
-(`matrix_exponential_step`), so the cross-check between the two is
-independent in its exponential as well as in its block structure.
+factor as a Chebyshev series in c, exact to round-off.  rho(0) and the
+observables are rotated once per propagation; Tr(O @ rho) is the same in
+either frame.  The block-wise (ZQ/DQ) propagation exponentiates its
+complex 2x2 blocks by `eigh` (`matrix_exponential_step`), so the
+cross-check between the two is independent in its exponential as well as
+in its block structure.
 
 One core (`_propagate`) serves both paths and runs in real arithmetic:
 a complex n x n matrix M is carried as its real embedding
@@ -51,10 +50,10 @@ top half [Re P | -Im P] of each propagator's embedding is kept, in one
 array that the scan updates in place, so memory is n x 2n reals per grid
 point (256 B for n = 4, as a complex 4x4) plus the temporaries of one
 block, and does not grow with the substeps per interval.  The largest
-temporaries (the factors from the substep table and their squarings, the
-products of each interval's factors, and the readout's two products) are
-written into buffers that each thread keeps and reuses across blocks and
-calls (`_scratch`, at most 1.25 MiB at SUBSTEP_BLOCK = 1024), so a steady
+temporaries (the factors from the substep table, the products of each
+interval's factors, and the readout's two products) are written into
+buffers that each thread keeps and reuses across blocks and calls
+(`_scratch`, at most 1.0 MiB at SUBSTEP_BLOCK = 1024), so a steady
 run of propagations touches no fresh pages; the table's ``steps(c)``
 returns a view into them, valid until its next call on the same thread.
 On 30 `oracle-compare`-shaped inputs of 200-1000 grid points (a 2-vCPU
@@ -116,9 +115,9 @@ SUBSTEP_BLOCK = 1024
 
 
 # This thread's block-sized temporaries, role -> a float64 buffer that only
-# grows (`_scratch`).  Roles 0 and 1 take the factors from the substep table
-# and their squarings, then the readout's two products; roles 2 and 3 take
-# the products of each grid interval's factors.
+# grows (`_scratch`): role 0 the substep table's factors, roles 0 and 1 the
+# readout's two products, roles 2 and 3 the products of each grid interval's
+# factors; at most 1.0 MiB in all at SUBSTEP_BLOCK = 1024.
 _SCRATCH = threading.local()
 
 
@@ -265,23 +264,13 @@ def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
 # Y = X @ X.  For ||X||_inf < _TAYLOR_NORM the first omitted term,
 # X**14/14!, is below 5e-18.
 _TAYLOR_NORM = 0.35
-# Each squaring of the substep table doubles the round-off; past 26 of them
-# (2**26 * 1.1e-16 ~ 7e-9) the table refuses the step as inaccurate.
-_TAYLOR_MAX_NORM = _TAYLOR_NORM * 2.0**26
 
 
-def _max_norm(x: np.ndarray) -> float:
-    """The largest ||X||_inf over the (..., n, n) stack ``x``.
-
-    Raises:
-        ValueError: if it is not finite or exceeds _TAYLOR_MAX_NORM.
-    """
-    top = np.abs(x).sum(axis=-1).max(initial=0.0)
-    if not top <= _TAYLOR_MAX_NORM:
-        raise ValueError(
-            f"||h*dt||_inf = {top:.3g} exceeds {_TAYLOR_MAX_NORM:.3g}, "
-            "beyond which the Taylor exponential loses accuracy")
-    return float(top)
+def _check_taylor_norm(top: float) -> None:
+    """Refuse an ||h*dt||_inf ``top`` not below the Taylor series' bound."""
+    if not top < _TAYLOR_NORM:
+        raise ValueError(f"||h*dt||_inf = {top:.3g} is not below "
+                         f"{_TAYLOR_NORM}, the Taylor series' bound")
 
 
 def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +291,7 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=float)
     _check_hermitian(h)
     x = h * dt
-    top = _max_norm(x)
-    if not top < _TAYLOR_NORM:
-        raise ValueError(f"||h*dt||_inf = {top:.3g} is not below "
-                         f"{_TAYLOR_NORM}, the Taylor series' bound")
+    _check_taylor_norm(np.abs(x).sum(axis=-1).max(initial=0.0))
     y = x @ x
     c = s = eye = np.eye(h.shape[-1])
     for k in range(6, 0, -1):
@@ -343,26 +329,44 @@ CF4_STEPS_PER_PERIOD = 6.25
 # The largest |c_f| over max |c(t)|: a row sum of |CF4_WEIGHTS|.
 _CF4_REACH = max(sum(abs(w) for w in row) for row in CF4_WEIGHTS)
 # The error that CF4 at CF4_STEPS_PER_PERIOD is held to, against the same
-# rule at 8x the substeps, on inputs like those of the table.
+# rule at 8x the substeps, on inputs like those of the table.  Where d is
+# comparable to the locks it errs by 1e-6 to 1.3e-5 against 64 substeps.
 CF4_TOLERANCE = 1e-7
 
 
-def required_substeps(rf: RfScheme, spin: SpinningParams, dt: float) -> int:
-    """Minimum substeps per grid interval.
+def _factor_bounds(rf: RfScheme, coupling: CouplingParams,
+                   orient: Orientation) -> tuple[float, float]:
+    """w = 2|d|*(|c1|/2 + c2)*_CF4_REACH >= every CF4 factor's |c_f|, and
+    max ||H0 + c*Z||_inf over |c| <= w: a row's lock halves plus |offset_i|/2
+    + |offset_s|/2 + w/4.  Python floats: an overflow is inf, not a warning."""
+    c1, c2 = (float(c) for c in _coefficients(orient.beta))
+    w = abs(coupling.d) * (abs(c1) + 2.0 * c2) * _CF4_REACH
+    return w, (0.5 * (rf.omega1_i + rf.omega1_s + abs(rf.offset_i)
+                      + abs(rf.offset_s)) + 0.25 * w)
 
-    The substep must resolve the fastest coherent frequency - the sum of
+
+def required_substeps(rf: RfScheme, coupling: CouplingParams,
+                      orient: Orientation, spin: SpinningParams,
+                      dt: float) -> int:
+    """Minimum substeps per grid interval, the larger of two counts.
+
+    The frequency rule resolves the fastest coherent frequency - the sum of
     the effective spin-lock fields or twice the rotor frequency, whichever
-    is larger - with at least ``CF4_STEPS_PER_PERIOD`` (6.25) substeps per
-    period.
+    is larger - with ``CF4_STEPS_PER_PERIOD`` (6.25) substeps per period.
+    The norm rule keeps every CF4 factor's ||(H0 + c_f*Z)*h||_inf, h =
+    CF4_LENGTH*dt/substeps, below `cos_sin_step`'s bound of 0.35 (by a
+    relative 1e-12 for round-off; `_factor_bounds`).
 
     Raises:
         ValueError: if that is more than ``MAX_SUBSTEPS`` (an overflowing
-            lock field counts as infinitely many).
+            lock field or coupling counts as infinitely many).
     """
     eff = effective_field(rf)
     omega_fast = max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r)
     max_step = 2.0 * math.pi / (CF4_STEPS_PER_PERIOD * omega_fast)
     steps = dt / max_step - 1e-9 if max_step > 0.0 else math.inf
+    steps = max(steps, _factor_bounds(rf, coupling, orient)[1] * CF4_LENGTH
+                * dt / _TAYLOR_NORM * (1 + 1e-12))
     if steps > MAX_SUBSTEPS:
         raise ValueError(
             f"the step-size rule needs {steps:.3g} substeps per grid "
@@ -405,33 +409,27 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
 
     In the real frame H(t) = H0 + c(t)*Z with H0 the locks and offsets,
     Z = I_z*S_z and c(t) = 2*d(t), so every factor of a substep is a point on
-    the curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar.  |2*d(t)| <=
-    2|d|*(|c1|/2 + c2), so CF4's couplings keep |c| <= w, that bound times
-    the largest row sum of |CF4_WEIGHTS|.  With c = w*x for x in [-1, 1]
-    the k-th derivative in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4;
-    the table exponentiates the n + 1 Chebyshev-point Hamiltonians that
+    the curve U(c) = exp(-i*(H0 + c*Z)*dt) of one scalar, with |c| <= w
+    (`_factor_bounds`).  With c = w*x for x in [-1, 1] the k-th derivative
+    in x is bounded by a**k, a = w*dt*||Z||_2 = w*dt/4; the table
+    exponentiates the n + 1 Chebyshev-point Hamiltonians that
     `_table_degree` asks for in one `cos_sin_step` call (which checks their
     symmetry, and so that of every factor, as Z is diagonal) and evaluates
     each factor as [T_0(x), ..., T_n(x)] @ coefficients, one real product
-    giving the 8x8 embedding.  When the bounding Hamiltonians H0 +- w*Z
-    have ||H*dt||_inf >= 0.35 the table is built for dt/2**s, s the fewest
-    halvings that take that norm below 0.35, and each step is squared s
-    times, the oracle's only scaling and squaring; past 0.35 * 2**26 they
-    are refused.  In floating point no node's norm exceeds theirs, as Z is
-    diagonal and |w*cos(theta)| <= w.  A ``steps(c)`` result lives in this
-    thread's scratch (`_scratch`, roles 0 and 1): it is valid until the
-    next ``steps`` call on the same thread.
+    giving the 8x8 embedding.  ``dt`` must keep the bounding Hamiltonians
+    H0 +- w*Z below the Taylor bound, ||H*dt||_inf < 0.35, as the count of
+    `required_substeps` does, or a ValueError says so; in floating point no
+    node's norm exceeds theirs, as Z is diagonal and |w*cos(theta)| <= w.
+    A ``steps(c)`` result lives in this thread's scratch (`_scratch`, role
+    0): it is valid until the next ``steps`` call on the same thread.
     """
     h0 = _lock_hamiltonian(_REAL_TERMS, rf)
     z = _REAL_TERMS[4]
-    c1, c2 = _coefficients(orient.beta)
-    w = 2.0 * abs(coupling.d) * (0.5 * abs(c1) + c2) * _CF4_REACH
-    top = _max_norm(np.stack([h0 - w * z, h0 + w * z]) * dt)
-    squarings = max(0, math.frexp(top / _TAYLOR_NORM)[1])
-    sub_dt = math.ldexp(dt, -squarings)
-    n = _table_degree(0.25 * w * sub_dt)
+    w, norm = _factor_bounds(rf, coupling, orient)
+    _check_taylor_norm(norm * dt)
+    n = _table_degree(0.25 * w * dt)
     theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
-    c, s = cos_sin_step(h0 + (w * np.cos(theta))[:, None, None] * z, sub_dt)
+    c, s = cos_sin_step(h0 + (w * np.cos(theta))[:, None, None] * z, dt)
     nodes = _embedding_of_top(np.concatenate([c, s], -1)).reshape(n + 1, -1)
     # coefficient j = (2/(n+1)) * sum over nodes k of U(x_k)*T_j(x_k), with
     # T_j(x_k) = cos(j*theta_k), and the mean of the U(x_k) for j = 0.  The
@@ -456,10 +454,7 @@ def _substep_table(rf: RfScheme, coupling: CouplingParams,
         for j in range(2, n + 1):
             cheb[j] = x2 * cheb[j - 1] - cheb[j - 2]
         out = np.matmul(cheb.T, coeffs, out=_scratch(0, (len(x), dim * dim)))
-        out = out[:len(c)].reshape(len(c), dim, dim)
-        for k in range(squarings):
-            out = np.matmul(out, out, out=_scratch(1 - k % 2, out.shape))
-        return out
+        return out[:len(c)].reshape(len(c), dim, dim)
 
     return steps
 
@@ -515,7 +510,7 @@ def _propagate(make_steps, rf: RfScheme, coupling: CouplingParams,
     ``MAX_SUBSTEPS`` before any work; None picks the smallest count the
     step-size rule allows.
     """
-    needed = required_substeps(rf, spin, grid.dt)
+    needed = required_substeps(rf, coupling, orient, spin, grid.dt)
     intervals = grid.n_points - 1
     if substeps is None:
         substeps = needed

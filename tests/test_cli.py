@@ -957,14 +957,15 @@ class TestSizeCaps:
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_coupling_past_the_exponential_limit(self, tmp_path, capsys,
                                                  command):
-        # d is not in the step-size rule, so a huge coupling reaches the
-        # substep exponential, which refuses it instead of writing nan
+        # the step-size rule keeps every factor inside the Taylor
+        # exponential's bound, so a huge coupling asks for more substeps
+        # than the cap allows, and is refused before any work
         args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
         args["--d-khz"] = "1e300"
         out = tmp_path / "x.csv"
         argv = [command, *(x for kv in args.items() for x in kv)]
         assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
-        assert_one_error_line(capsys, "error: ||h*dt||_inf = ")
+        assert_one_error_line(capsys, "error: the step-size rule needs ")
         assert not out.exists()
 
     def test_substep_cap_counts_substeps(self, tmp_path, monkeypatch):
@@ -1019,6 +1020,26 @@ def test_subnormal_coupling_propagates_as_uncoupled(tmp_path, capsys,
     assert capsys.readouterr().err == ""
     for name in columns[0]:
         assert np.array_equal(columns[0][name], columns[1][name])
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+@pytest.mark.parametrize("flag, value", [
+    *(("beta-deg", value) for value in ["200", "-1", "nan", "inf"]),
+    *(("gamma-deg", value) for value in ["nan", "inf"])])
+def test_angle_refusal_names_the_flag_in_degrees(tmp_path, capsys, command,
+                                                 flag, value):
+    # an angle out of range is refused in the units it was given in; any
+    # finite gamma wraps into [0, 360) degrees
+    args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
+    args[f"--{flag}"] = value
+    out = tmp_path / "x.csv"
+    argv = [command, *(x for kv in args.items() for x in kv)]
+    assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+    wanted = ("must be in [0, 180]" if flag == "beta-deg"
+              else "must be finite")
+    assert capsys.readouterr().err == (
+        f"error: {flag} {wanted}, got {float(value)}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
