@@ -11,10 +11,9 @@ from .analytic import (CpCurve, CurveKind, RelaxationParams, efficiency_curve,
 from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
                    SpinningParams, TimeGrid, dipolar_coupling_at,
                    dipolar_phase, effective_field, tilt_scale)
-from .fitting import (BuildUpData, FitParameter, FitResult, FitSpec,
-                      ModelParams, coupling_from_distance,
+from .fitting import (BuildUpData, FitResult, FitSpec, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,
-                      model_curve, model_from_values, save_buildup)
+                      model_curve, save_buildup)
 from .oracle import (Trajectory, ZqDqComponents, dq_constancy_report,
                      hamiltonian_at, matrix_exponential_step, propagate,
                      propagate_blockwise, zq_dq_decompose)

@@ -306,11 +306,14 @@ def _rf_from(resolved) -> RfScheme | None:
         return None
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
-    try:
-        rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
-                      offset_i=off_i * KHZ, offset_s=off_s * KHZ)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for flag, value in (("b1i-khz", b1i), ("b1s-khz", b1s)):
+        if not 0.0 < value * KHZ < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    for flag, value in (("offset-i-khz", off_i), ("offset-s-khz", off_s)):
+        if not math.isfinite(value * KHZ):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
+                  offset_i=off_i * KHZ, offset_s=off_s * KHZ)
     try:
         effective_field(rf)
     except ValueError as exc:
@@ -359,19 +362,29 @@ def _orientation_set(text: str) -> powder.OrientationSet:
 
 
 def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
-    """RelaxationParams plus whether any damping flag was given."""
-    keys = ("r_inv_us", "r1_inv_us", "t1rho_ms")
-    # an absent time constant is infinite: that process does not damp
-    r_inv_us, r1_inv_us, t1rho_ms = (
-        math.inf if resolved[key] is None else resolved[key]
-        for key in keys)
-    try:
-        relax = analytic.RelaxationParams(
-            m0=resolved["m0"], r=1.0 / (r_inv_us * US),
-            r1=1.0 / (r1_inv_us * US), t1rho=t1rho_ms * MS)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad relaxation parameters: {exc}") from exc
-    return relax, any(resolved[key] is not None for key in keys)
+    """RelaxationParams plus whether any damping flag was given; a bad value
+    is refused by its flag."""
+    keys = {"r_inv_us": ("r", US), "r1_inv_us": ("r1", US),
+            "t1rho_ms": ("t1rho", MS)}
+    params = {}
+    for key, (name, unit) in keys.items():
+        # an absent time constant is infinite: that process does not damp
+        value = math.inf if resolved[key] is None else resolved[key]
+        flag, t = key.replace("_", "-"), value * unit
+        if not value > 0.0:   # also nan
+            raise ConfigError(f"{flag} must be > 0, got {value}")
+        if t == 0.0:
+            raise ConfigError(f"{flag}={value} rounds to 0 s")
+        # r and r1 are rates, the inverses of their time constants
+        params[name] = t if name == "t1rho" else 1.0 / t
+        if params[name] == math.inf and name != "t1rho":
+            raise ConfigError(f"{flag}={value} is too small: its rate "
+                              f"overflows")
+    m0 = resolved["m0"]
+    if not (math.isfinite(m0) and m0 > 0.0):
+        raise ConfigError(f"m0 must be finite and > 0, got {m0}")
+    return (analytic.RelaxationParams(m0=m0, **params),
+            any(resolved[key] is not None for key in keys))
 
 
 def run_simulate(resolved) -> tuple[dict, list[str], int, str | None]:
@@ -443,45 +456,32 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
         pair = [s.strip() for s in resolved["isotopes"].split(",")]
         if len(pair) != 2:
             raise ConfigError("--isotopes must be two comma-separated names")
+        r = resolved["distance_angstrom"]
+        if not (math.isfinite(r) and r > 0.0):
+            raise ConfigError(f"distance-angstrom must be finite and > 0, "
+                              f"got {r}")
         try:
-            d = fitting.coupling_from_distance(resolved["distance_angstrom"],
-                                               *pair)
+            d = fitting.coupling_from_distance(r, *pair)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     else:
         d = _coupling_from(resolved).d
-    free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
-    unknown = set(free) - set(fitting.PARAMETER_NAMES)
-    if unknown:
-        raise ConfigError("unknown free parameters: "
-                          + ", ".join(map(repr, sorted(unknown))))
     relax, _ = _relaxation_from(resolved)
-    initial = {"d": d, "r": relax.r, "r1": relax.r1, "t1rho": relax.t1rho,
-               "m0": relax.m0}
-    parameters = {}
+    values = {"d": d, "r": relax.r, "r1": relax.r1, "t1rho": relax.t1rho,
+              "m0": relax.m0}
+    free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
     for name in fitting.PARAMETER_NAMES:
-        value = initial[name]
-        if name in free:
-            if not math.isfinite(value) or value == 0.0:
-                raise ConfigError(
-                    f"free parameter '{name}' needs a finite nonzero initial "
-                    f"guess (set the matching flag)")
-            lo, hi = sorted((value / 1000.0, value * 1000.0))
-            try:
-                parameters[name] = fitting.FitParameter(
-                    value=value, free=True, lower=lo, upper=hi)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"free parameter '{name}' guess {value!r}: {exc} (the "
-                    f"fit searches guess/1000 to guess*1000)") from exc
-        else:
-            parameters[name] = fitting.FitParameter(value=value, free=False)
+        if name in free and not (math.isfinite(values[name])
+                                 and values[name] != 0.0):
+            raise ConfigError(
+                f"free parameter '{name}' needs a finite nonzero initial "
+                f"guess (set the matching flag)")
     # Fields only rescale d through the tilt angles; on resonance any
     # matched pair is equivalent, so without locks take a nominal one.
     rf = _rf_from(resolved) or RfScheme(omega1_i=KHZ * 80.0,
                                         omega1_s=KHZ * 80.0)
     try:
-        return fitting.FitSpec(parameters=parameters,
+        return fitting.FitSpec(values=values, free=free,
                                orientations=_orientation_set(resolved["orient_set"]),
                                spin=_spin_from(resolved), rf=rf)
     except ValueError as exc:
@@ -493,7 +493,7 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
         "command = fit",
         *(f"{key} = {value!r}" for key, value in _echo_items(resolved)),
         f"n_points = {len(data)}",
-        f"free_parameters = {','.join(spec.free_names)}",
+        f"free_parameters = {','.join(spec.free)}",
         f"converged = {str(result.converged).lower()}",
         f"iterations = {result.iterations}",
         f"stop_reason = {result.stop_reason}",
@@ -510,7 +510,7 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
         lines.append(f"r1_inv_us = {1.0 / v['r1'] / US!r}")
     lines.append(f"t1rho_ms = {v['t1rho'] / MS!r}")
     lines.append(f"m0 = {v['m0']!r}")
-    for name in spec.free_names:
+    for name in spec.free:
         lines.append(f"stderr_{name} = {result.stderr[name]!r}")
     return lines
 
@@ -518,9 +518,9 @@ def _fit_report(resolved, data, spec, result) -> list[str]:
 def run_fit(resolved) -> tuple[dict, list[str], int, str | None]:
     data = fitting.load_buildup(resolved["data"])
     spec = _fit_spec_from(resolved)
-    d = spec.parameters["d"]   # the largest |d| the search may try
-    _check_phase(max(abs(d.lower), abs(d.upper)) if d.free else d.value,
-                 spec.spin, data.times[-1])
+    # the largest |d| the search may try
+    _check_phase(max(map(abs, spec.bounds("d"))) if "d" in spec.free
+                 else spec.values["d"], spec.spin, data.times[-1])
     try:
         result = fitting.fit_buildup(data, spec)
     except fitting.GuessError as exc:
@@ -538,16 +538,17 @@ def _unusable_parameter(spec, result) -> str | None:
     """Why the fit gives no usable uncertainty, for the first free parameter
     whose standard error is not finite or that ended at a bound; None when
     every one is usable."""
-    for name in spec.free_names:
-        p, err = spec.parameters[name], result.stderr[name]
+    span = fitting.SEARCH_SPAN
+    for name in spec.free:
+        (lo, hi), err = spec.bounds(name), result.stderr[name]
         if not math.isfinite(err):
             return (f"free parameter '{name}' has standard error {err!r}; "
                     f"the fit leaves it undetermined")
-        if not p.lower < result.values[name] < p.upper:
-            side = "lower" if result.values[name] <= p.lower else "upper"
+        if not lo < result.values[name] < hi:
+            side = "lower" if result.values[name] <= lo else "upper"
             return (f"free parameter '{name}' ended at its {side} bound "
-                    f"(guess/1000 to guess*1000), where its standard error "
-                    f"does not hold")
+                    f"(guess/{span:g} to guess*{span:g}), where its standard "
+                    f"error does not hold")
     return None
 
 

@@ -8,9 +8,12 @@ absorbed into r and r1, so d is a single effective pair coupling that
 converts to an internuclear distance through the point-dipole inverse-cube
 law.
 
-Fitting uses one damped least-squares (Levenberg-Marquardt) run with an
-analytic Jacobian, damping scaled x10 on a rejected step and /10 on an
-accepted one, and box bounds enforced by projection.  Each point of the
+One record, `FitSpec`, holds the model: a value for every parameter, the
+free set and the geometry.  Fitting uses one damped least-squares
+(Levenberg-Marquardt) run with an analytic Jacobian, damping scaled x10 on
+a rejected step and /10 on an accepted one, and box bounds enforced by
+projection: each free parameter stays within its guess / SEARCH_SPAN to
+its guess * SEARCH_SPAN (`FitSpec.bounds`).  Each point of the
 search is evaluated once, into one record that its residuals and Jacobian
 read.  The model depends on the coupling only through the powder-averaged
 efficiency eta, so a point takes eta (and, when d is free, its slope
@@ -45,6 +48,9 @@ from .core import CouplingParams, RfScheme, SpinningParams, tilt_scale
 from .powder import OrientationSet, averaged_efficiency, phase_table
 
 PARAMETER_NAMES = ("d", "r", "r1", "t1rho", "m0")
+# a free parameter is searched from its guess / SEARCH_SPAN to its
+# guess * SEARCH_SPAN (`FitSpec.bounds`)
+SEARCH_SPAN = 1000.0
 
 MAX_ITERATIONS = 500
 RSS_RELATIVE_TOL = 1e-10
@@ -254,83 +260,76 @@ def read_curve_csv(path) -> dict[str, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Full parameter set of the powder build-up model."""
+class FitSpec:
+    """The build-up model: a value for each parameter, the free set, and the
+    fixed experiment geometry.
 
-    coupling: CouplingParams
+    ``values`` must have exactly the keys in PARAMETER_NAMES; a free
+    parameter's value is its initial guess, and the fit searches its
+    `bounds`.  ``free`` names the free parameters and is kept in
+    PARAMETER_NAMES order.  ``rf`` must pass `core.tilt_scale`: the model
+    holds only at the match.
+    """
+
+    values: dict[str, float]
+    free: tuple[str, ...]
+    orientations: OrientationSet
     spin: SpinningParams
     rf: RfScheme
-    relax: RelaxationParams
-    orientations: OrientationSet
+
+    def __post_init__(self):
+        if set(self.values) != set(PARAMETER_NAMES):
+            raise ValueError(f"values must have exactly the keys "
+                             f"{PARAMETER_NAMES}")
+        unknown = set(self.free) - set(PARAMETER_NAMES)
+        if unknown:
+            raise ValueError("unknown free parameters: "
+                             + ", ".join(map(repr, sorted(unknown))))
+        object.__setattr__(self, "free", tuple(n for n in PARAMETER_NAMES
+                                               if n in self.free))
+        for name in PARAMETER_NAMES:
+            value = self.values[name]
+            if name not in self.free:
+                if not (math.isfinite(value)
+                        or (name == "t1rho" and value == math.inf)):
+                    raise ValueError(f"fixed {name} must be finite (t1rho "
+                                     f"may be inf), got {value}")
+                continue
+            if not (math.isfinite(value) and value != 0.0):
+                raise ValueError(f"free parameter '{name}' needs a finite "
+                                 f"nonzero initial guess")
+            # a finite nonzero guess lies inside its box, which is ordered
+            lo, hi = self.bounds(name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(
+                    f"free parameter '{name}' guess {value!r}: free "
+                    f"parameters need finite bounds (the fit searches "
+                    f"guess/{SEARCH_SPAN:g} to guess*{SEARCH_SPAN:g})")
+            if name in ("r", "r1") and lo < 0.0:
+                raise ValueError(f"{name} lower bound must be >= 0")
+            if name in ("t1rho", "m0") and lo <= 0.0:
+                raise ValueError(f"{name} lower bound must be > 0")
+        tilt_scale(self.rf)
+
+    def bounds(self, name: str) -> tuple[float, float]:
+        """The box the fit searches for free parameter ``name``: from its
+        guess / SEARCH_SPAN to its guess * SEARCH_SPAN, in order."""
+        v = self.values[name]
+        return tuple(sorted((v / SEARCH_SPAN, v * SEARCH_SPAN)))
 
 
-def model_curve(params: ModelParams, times) -> np.ndarray:
-    """Predicted magnetization at the requested times.
+def model_curve(spec: FitSpec, times) -> np.ndarray:
+    """Predicted magnetization at the requested times for ``spec.values``.
 
     Powder-averaged transfer efficiency (coupling scaled by
     `core.tilt_scale`, which refuses locks off the Hartmann-Hahn match)
     pushed through the relaxation envelope.
     """
-    d_eff = CouplingParams(d=tilt_scale(params.rf) * params.coupling.d)
-    eta = averaged_efficiency(d_eff, params.spin, times, params.orientations)
-    return damped_magnetization(times, eta, params.relax)
-
-
-@dataclass(frozen=True)
-class FitParameter:
-    """One model parameter: its value (initial guess if free) and box bounds."""
-
-    value: float
-    free: bool = False
-    lower: float = math.nan
-    upper: float = math.nan
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            if not (self.value == math.inf and not self.free):
-                raise ValueError("parameter value must be finite "
-                                 "(inf allowed only for a fixed t1rho)")
-        if self.free:
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-                raise ValueError("free parameters need finite bounds")
-            if not self.lower < self.upper:
-                raise ValueError(f"bounds must be ordered, got "
-                                 f"[{self.lower}, {self.upper}]")
-            if not self.lower <= self.value <= self.upper:
-                raise ValueError(f"initial guess {self.value} outside bounds "
-                                 f"[{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
-class FitSpec:
-    """What to fit: per-parameter settings plus the fixed experiment geometry.
-
-    ``parameters`` must contain exactly the keys in PARAMETER_NAMES, and
-    ``rf`` must pass `core.tilt_scale`: the model holds only at the match.
-    """
-
-    parameters: dict[str, FitParameter]
-    orientations: OrientationSet
-    spin: SpinningParams
-    rf: RfScheme
-
-    def __post_init__(self):
-        if set(self.parameters) != set(PARAMETER_NAMES):
-            raise ValueError(f"parameters must have exactly the keys "
-                             f"{PARAMETER_NAMES}")
-        for name in ("r", "r1"):
-            p = self.parameters[name]
-            if p.free and p.lower < 0.0:
-                raise ValueError(f"{name} lower bound must be >= 0")
-        for name in ("t1rho", "m0"):
-            p = self.parameters[name]
-            if p.free and p.lower <= 0.0:
-                raise ValueError(f"{name} lower bound must be > 0")
-        tilt_scale(self.rf)
-
-    @property
-    def free_names(self) -> tuple[str, ...]:
-        return tuple(n for n in PARAMETER_NAMES if self.parameters[n].free)
+    v = spec.values
+    d_eff = CouplingParams(d=tilt_scale(spec.rf) * v["d"])
+    eta = averaged_efficiency(d_eff, spec.spin, times, spec.orientations)
+    return damped_magnetization(times, eta, RelaxationParams(
+        m0=v["m0"], r=v["r"], r1=v["r1"], t1rho=v["t1rho"]))
 
 
 @dataclass(frozen=True)
@@ -353,19 +352,6 @@ class FitResult:
     iterations: int = 0
     stop_reason: str = "no_free_parameters"
     model: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-def model_from_values(values: dict[str, float], spec: FitSpec) -> ModelParams:
-    """Model parameters for a full set of parameter values and a fit spec."""
-    params = ModelParams(
-        coupling=CouplingParams(d=values["d"]),
-        spin=spec.spin,
-        rf=spec.rf,
-        relax=RelaxationParams(m0=values["m0"], r=values["r"], r1=values["r1"],
-                               t1rho=values["t1rho"]),
-        orientations=spec.orientations,
-    )
-    return params
 
 
 @dataclass(frozen=True)
@@ -405,9 +391,10 @@ class _BuildUpModel:
         # weights of the amplitude's sums, scaled to at most 1 so that those
         # sums stay finite however small sigma is
         self.amplitude_weights = (sigmas.min() / sigmas) ** 2
-        self.m0 = spec.parameters["m0"]   # a fixed m0 has nan bounds
+        # a fixed m0 has no box: it is never projected
+        self.m0_box = spec.bounds("m0") if "m0" in spec.free else None
         self.tilt = tilt_scale(spec.rf)   # d enters only as tilt*d
-        self.with_slope = "d" in spec.free_names
+        self.with_slope = "d" in spec.free
         self.source = (phase_table(spec.spin, data.times, spec.orientations)
                        if self.with_slope else spec.orientations)
 
@@ -426,8 +413,8 @@ class _BuildUpModel:
         relax = RelaxationParams(m0=1.0, r=v["r"], r1=v["r1"],
                                  t1rho=v["t1rho"])
         shape = damped_magnetization(self.data.times, eta, relax)
-        if self.m0.free:
-            lo, hi = self.m0.lower, self.m0.upper
+        if self.m0_box is not None:
+            lo, hi = self.m0_box
             g = shape * self.amplitude_weights
             norm = float(g @ shape)
             m0 = float(g @ self.data.magnetizations) / norm if norm else lo
@@ -461,7 +448,8 @@ class _BuildUpModel:
         them while inside its bounds: J - m ((r + m)^T J) / (m^T m), m the
         weighted model and r the weighted residuals at p.
         """
-        if not self.m0.lower < p.values["m0"] < self.m0.upper:
+        lo, hi = self.m0_box or (math.nan, math.nan)
+        if not lo < p.values["m0"] < hi:
             return jac
         fitted = p.model * self.weights
         return jac - fitted[:, None] * ((p.res + fitted) @ jac
@@ -477,9 +465,7 @@ def _levenberg_marquardt(fm: _BuildUpModel, names: tuple[str, ...],
 
     Returns the end point, the iterations taken and the stop reason.
     """
-    spec = fm.spec
-    lo = np.array([spec.parameters[n].lower for n in names])
-    hi = np.array([spec.parameters[n].upper for n in names])
+    lo, hi = np.array([fm.spec.bounds(n) for n in names]).reshape(-1, 2).T
 
     p = start
     mu = DAMPING_INITIAL
@@ -542,7 +528,7 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
             message suggests which parameter to fix), or if the normal
             equations turn singular.
     """
-    free = spec.free_names
+    free = spec.free
     n_pts = len(data)
     if n_pts <= len(free):
         raise DataError(f"under-determined fit: {n_pts} points for "
@@ -552,7 +538,7 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
                         f"{len(free)} free parameters, got {n_pts}")
 
     fm = _BuildUpModel(data, spec)
-    v = {n: spec.parameters[n].value for n in PARAMETER_NAMES}
+    v = {n: spec.values[n] for n in PARAMETER_NAMES}
     with np.errstate(over="ignore", invalid="ignore"):
         start = fm.at(v)
         model = v["m0"] * start.shape
@@ -573,7 +559,7 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     jac = fm.jacobian(start, free)
     _check_jacobian(jac, free)
     # free follows PARAMETER_NAMES, so a free m0 is its last name and column
-    names = free[:-1] if fm.m0.free else free
+    names = free[:-1] if fm.m0_box is not None else free
     end, iterations, stop_reason = _levenberg_marquardt(
         fm, names, start, fm.project(start, jac[:, :len(names)]))
     if not end.rss <= guess.rss:   # also when the end's rss is nan

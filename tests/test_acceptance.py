@@ -11,6 +11,7 @@ Benchmarks used below:
     1/R1 = 137.9 us, T1rho = 1.867 ms.
 """
 
+import dataclasses
 import math
 import time
 
@@ -21,8 +22,8 @@ import cpmas.cli as cli
 from cpmas.analytic import RelaxationParams, transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, effective_field)
-from cpmas.fitting import (BuildUpData, FitParameter, FitSpec, ModelParams,
-                           coupling_from_distance, fit_buildup, model_curve)
+from cpmas.fitting import (BuildUpData, FitSpec, coupling_from_distance,
+                           fit_buildup, model_curve)
 from cpmas.oracle import (IY, SY, dq_constancy_report, fictitious_operator,
                           hamiltonian_at, matrix_exponential_step, propagate,
                           propagate_blockwise, propagate_expectations,
@@ -204,28 +205,22 @@ def test_criterion_6_powder_average_convergence():
 def test_criterion_7_fit_round_trip_recovers_relaxation():
     started = time.perf_counter()
     oset = zcw_orientation_set(DEFAULT_FIT_LEVEL)
-    truth = ModelParams(coupling=POWDER_COUPLING, spin=POWDER_MAS,
-                        rf=CRYSTAL_RF, relax=POWDER_RELAX, orientations=oset)
+    truth = FitSpec(values={"d": POWDER_COUPLING.d, "r": POWDER_RELAX.r,
+                            "r1": POWDER_RELAX.r1,
+                            "t1rho": POWDER_RELAX.t1rho,
+                            "m0": POWDER_RELAX.m0},
+                    free=(), orientations=oset, spin=POWDER_MAS,
+                    rf=CRYSTAL_RF)
     times = np.arange(121) * 25e-6
     clean = model_curve(truth, times)
 
     def spec(guess_factor=1.5):
-        parameters = {
-            "d": FitParameter(value=POWDER_COUPLING.d),
-            "r": FitParameter(value=POWDER_RELAX.r * guess_factor, free=True,
-                              lower=POWDER_RELAX.r / 100,
-                              upper=POWDER_RELAX.r * 100),
-            "r1": FitParameter(value=POWDER_RELAX.r1 * guess_factor, free=True,
-                               lower=POWDER_RELAX.r1 / 100,
-                               upper=POWDER_RELAX.r1 * 100),
-            "t1rho": FitParameter(value=POWDER_RELAX.t1rho * guess_factor,
-                                  free=True,
-                                  lower=POWDER_RELAX.t1rho / 100,
-                                  upper=POWDER_RELAX.t1rho * 100),
-            "m0": FitParameter(value=POWDER_RELAX.m0),
-        }
-        return FitSpec(parameters=parameters, orientations=oset,
-                       spin=POWDER_MAS, rf=CRYSTAL_RF)
+        # r, r1 and t1rho free, each searched over the derived box from its
+        # guess / SEARCH_SPAN to its guess * SEARCH_SPAN
+        free = ("r", "r1", "t1rho")
+        return dataclasses.replace(truth, values={
+            n: v * guess_factor if n in free else v
+            for n, v in truth.values.items()}, free=free)
 
     noiseless = fit_buildup(
         BuildUpData(times=times, magnetizations=clean), spec())

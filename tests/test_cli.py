@@ -760,8 +760,8 @@ class TestUsageErrors:
         out = tmp_path / "p.csv"
         assert run(["powder", *POWDER_ARGS, "--m0", value, "--r-inv-us",
                     "100", "--out", str(out)]) == EXIT_CONFIG
-        assert_one_error_line(capsys, "error: bad relaxation parameters: "
-                              f"m0 must be finite and > 0, got {value}")
+        assert_one_error_line(capsys,
+                              f"error: m0 must be finite and > 0, got {value}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--r-inv-us", "--r1-inv-us"])
@@ -779,8 +779,8 @@ class TestUsageErrors:
         out = tmp_path / "o.csv"
         assert run([command, *base, *(x for kv in times.items() for x in kv),
                     "--out", str(out)]) == EXIT_CONFIG
-        assert_one_error_line(capsys, "error: bad relaxation parameters: "
-                              "rates r and r1 must be finite and >= 0")
+        assert_one_error_line(capsys, f"error: {flag[2:]}=1e-310 is too "
+                              "small: its rate overflows")
         assert not out.exists()
 
 
@@ -987,11 +987,39 @@ def test_non_finite_distance_is_config_error(tmp_path, capsys, recwarn,
     assert code == EXIT_CONFIG
     r = float(value)
     assert capsys.readouterr().err == (
-        f"error: distance must be finite and > 0, got {value}\n"
+        f"error: distance-angstrom must be finite and > 0, got {value}\n"
         if not math.isfinite(r) else
         f"error: distance {r!r} Angstrom is out of range: its coupling is "
         f"not finite and nonzero\n")
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r-inv-us", "0"], "r-inv-us must be > 0, got 0.0"),
+    (["--r-inv-us", "-5"], "r-inv-us must be > 0, got -5.0"),
+    (["--t1rho-ms", "-1"], "t1rho-ms must be > 0, got -1.0"),
+    (["--t1rho-ms", "5e-324"], "t1rho-ms=5e-324 rounds to 0 s"),
+    (["--b1i-khz", "-5", "--b1s-khz", "80"],
+     "b1i-khz must be finite and > 0, got -5.0"),
+    (["--b1i-khz", "80", "--b1s-khz", "80", "--offset-i-khz", "inf"],
+     "offset-i-khz must be finite, got inf"),
+    (["--distance-angstrom", "-1"],
+     "distance-angstrom must be finite and > 0, got -1.0"),
+    (["--free", "q,m0"], "unknown free parameters: 'q'"),
+], ids=["zero-r", "negative-r", "negative-t1rho", "t1rho-rounds-to-0",
+        "negative-lock", "infinite-offset", "negative-distance",
+        "unknown-free-name"])
+def test_refusal_names_the_flag_and_its_value(tmp_path, capsys, flags,
+                                              message):
+    # one line that names the flag and the value in the units it was given
+    # in, not the library's parameter in SI units
+    coupling = [] if "--distance-angstrom" in flags else ["--d-khz", "20"]
+    out = tmp_path / "o.csv"
+    assert run(["fit", "--data", str(REPO_DATASET), "--mas-khz", "5",
+                "--free", "m0", *coupling, *flags,
+                "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

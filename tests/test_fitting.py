@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 import cpmas.fitting as fitting
 import cpmas.powder as powder
-from cpmas.analytic import RelaxationParams
-from cpmas.core import CouplingParams, RfScheme, SpinningParams
-from cpmas.fitting import (BuildUpData, DataError, FitError, FitParameter,
-                           FitResult, FitSpec, ModelParams,
-                           coupling_from_distance, distance_from_coupling,
-                           fit_buildup, load_buildup, model_curve,
-                           model_from_values, save_buildup)
+from cpmas.core import RfScheme, SpinningParams
+from cpmas.fitting import (BuildUpData, DataError, FitError, FitResult,
+                           FitSpec, coupling_from_distance,
+                           distance_from_coupling, fit_buildup, load_buildup,
+                           model_curve, save_buildup)
 from cpmas.powder import grid_orientation_set, zcw_orientation_set
 
 KHZ = 2.0 * math.pi * 1e3
@@ -35,28 +33,15 @@ TRUE_T1RHO = 1.867e-3
 
 
 def benchmark_params(orientations):
-    return ModelParams(
-        coupling=CouplingParams(d=coupling_from_distance(1.09, "1H", "13C")),
-        spin=SpinningParams(omega_r=5.0 * KHZ),
-        rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ),
-        relax=RelaxationParams(m0=1.0, r=TRUE_R, r1=TRUE_R1, t1rho=TRUE_T1RHO),
-        orientations=orientations,
-    )
+    return benchmark_spec(orientations, free=())
 
 
 def benchmark_spec(orientations, free=("r", "r1", "t1rho"), guess_factor=1.5):
     truth = {"d": coupling_from_distance(1.09, "1H", "13C"),
              "r": TRUE_R, "r1": TRUE_R1, "t1rho": TRUE_T1RHO, "m0": 1.0}
-    parameters = {}
-    for name, value in truth.items():
-        if name in free:
-            start = value * guess_factor
-            parameters[name] = FitParameter(value=start, free=True,
-                                            lower=start / 1000.0,
-                                            upper=start * 1000.0)
-        else:
-            parameters[name] = FitParameter(value=value)
-    return FitSpec(parameters=parameters, orientations=orientations,
+    return FitSpec(values={n: v * guess_factor if n in free else v
+                           for n, v in truth.items()},
+                   free=free, orientations=orientations,
                    spin=SpinningParams(omega_r=5.0 * KHZ),
                    rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
 
@@ -323,14 +308,10 @@ class TestModelCurve:
         assert model_curve(params, np.array([0.0]))[0] == 0.0
 
     def test_no_coupling_reduces_to_rate_model(self):
-        params = ModelParams(
-            coupling=CouplingParams(d=0.0),
-            spin=SpinningParams(omega_r=5.0 * KHZ),
-            rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ),
-            relax=RelaxationParams(m0=1.2, r=TRUE_R, r1=TRUE_R1,
-                                   t1rho=TRUE_T1RHO),
-            orientations=zcw_orientation_set(2),
-        )
+        params = dataclasses.replace(
+            benchmark_params(zcw_orientation_set(2)),
+            values={"d": 0.0, "r": TRUE_R, "r1": TRUE_R1, "t1rho": TRUE_T1RHO,
+                    "m0": 1.2})
         t = np.linspace(0.0, 3e-3, 31)
         expected = (1.2 * (1.0 - 0.5 * np.exp(-TRUE_R * t)
                            - 0.5 * np.exp(-TRUE_R1 * t))
@@ -343,7 +324,7 @@ class TestModelCurve:
         # orientation table, scalar math only
         oset = grid_orientation_set(12, 8)
         params = benchmark_params(oset)
-        d = params.coupling.d
+        d = params.values["d"]
         wr = params.spin.omega_r
         times = np.array([0.0, 40e-6, 153e-6, 0.97e-3, 2.5e-3])
         expected = []
@@ -364,10 +345,10 @@ class TestModelCurve:
                                    rtol=0, atol=1e-13)
 
     def test_off_match_is_refused(self):
-        params = dataclasses.replace(benchmark_params(zcw_orientation_set(2)),
-                                     rf=OFF_MATCH_RF)
         with pytest.raises(ValueError, match=OFF_MATCH_MESSAGE):
-            model_curve(params, np.array([0.0, 1e-4]))
+            model_curve(dataclasses.replace(
+                benchmark_params(zcw_orientation_set(2)), rf=OFF_MATCH_RF),
+                np.array([0.0, 1e-4]))
 
     def test_within_match_tolerance_is_the_matched_curve(self):
         params = benchmark_params(zcw_orientation_set(4))
@@ -422,9 +403,7 @@ class TestFitBuildup:
     def test_residual_never_exceeds_initial(self):
         data, oset = self.make_data(noise=0.05)
         spec = benchmark_spec(oset)
-        initial = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
-        res0 = model_curve(fitting.model_from_values(initial, spec),
-                           data.times) - data.magnetizations
+        res0 = model_curve(spec, data.times) - data.magnetizations
         result = fit_buildup(data, spec)
         assert result.rss <= float(res0 @ res0)
 
@@ -438,7 +417,8 @@ class TestFitBuildup:
     def test_analytic_jacobian_matches_central_differences(self):
         # non-uniform sigma weights; a fixed m0 is one more column, a free
         # m0 is projected: inside its bounds, and clipped at an upper bound
-        # of about half the least-squares amplitude
+        # of about half the least-squares amplitude (a guess of 5e-4 gives
+        # the box [5e-7, 0.5])
         data, oset = self.make_data(noise=0.01)
         rng = np.random.default_rng(42)
         data = BuildUpData(times=data.times,
@@ -446,14 +426,11 @@ class TestFitBuildup:
                            sigmas=rng.uniform(0.005, 0.02, len(data)))
         spec = benchmark_spec(oset, free=("d", "r", "r1", "t1rho"),
                               guess_factor=1.1)
-        for m0, inside in [
-                (FitParameter(value=1.1), None),
-                (FitParameter(value=1.1, free=True, lower=1e-3, upper=1e3),
-                 True),
-                (FitParameter(value=0.5, free=True, lower=0.25, upper=0.5),
-                 False)]:
+        for m0, free_m0, inside in [(1.1, (), None), (1.1, ("m0",), True),
+                                    (5e-4, ("m0",), False)]:
             self.check_jacobian(data, dataclasses.replace(
-                spec, parameters={**spec.parameters, "m0": m0}), inside)
+                spec, values={**spec.values, "m0": m0},
+                free=spec.free + free_m0), inside)
 
     @staticmethod
     def check_jacobian(data, spec, inside):
@@ -461,7 +438,7 @@ class TestFitBuildup:
         names = fitting.PARAMETER_NAMES   # m0, the last, when fixed
         if inside is not None:
             names = names[:-1]
-        start = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+        start = dict(spec.values)
 
         def at(x):
             values = dict(start)
@@ -470,9 +447,9 @@ class TestFitBuildup:
 
         x0 = np.array([start[n] for n in names])
         p = at(x0)
-        m0 = spec.parameters["m0"]
         if inside is not None:
-            assert (m0.lower < p.values["m0"] < m0.upper) == inside
+            lo, hi = spec.bounds("m0")
+            assert (lo < p.values["m0"] < hi) == inside
         analytic = fm.project(p, fm.jacobian(p, names))
         central = np.empty_like(analytic)
         for j in range(len(x0)):
@@ -492,8 +469,8 @@ class TestFitBuildup:
                            magnetizations=data.magnetizations, sigmas=sigmas)
         spec = benchmark_spec(oset, free=("m0",), guess_factor=1.5)
         result = fit_buildup(data, spec)
-        unit = {n: p.value for n, p in spec.parameters.items()} | {"m0": 1.0}
-        g = model_curve(model_from_values(unit, spec), data.times)
+        g = model_curve(dataclasses.replace(
+            spec, values={**spec.values, "m0": 1.0}), data.times)
         w = 1.0 / sigmas**2
         expected = (w * g) @ data.magnetizations / ((w * g) @ g)
         assert result.converged
@@ -533,7 +510,7 @@ class TestFitBuildup:
 
         data, oset = self.make_data(noise=0.01, n=61)
         fm = fitting._BuildUpModel(data, benchmark_spec(oset, free=free))
-        v = {n: p.value for n, p in fm.spec.parameters.items()}
+        v = dict(fm.spec.values)
         near = fm.at(v)
         monkeypatch.setattr(fitting, "averaged_efficiency", counting)
         same_d = fm.at({**v, "r": 1.1 * v["r"]}, near)
@@ -605,16 +582,12 @@ class TestFitBuildup:
         guess = {"d": 9.2546 * KHZ, "r": 1 / 445.23e-6, "r1": 1 / 192.01e-6,
                  "t1rho": 1.1636e-3, "m0": 1.8822}
         times = np.arange(121) * 25e-6
-        clean = model_curve(ModelParams(
-            coupling=CouplingParams(d=truth["d"]), spin=spin, rf=rf,
-            relax=RelaxationParams(m0=truth["m0"], r=truth["r"],
-                                   r1=truth["r1"], t1rho=truth["t1rho"]),
-            orientations=oset), times)
+        clean = model_curve(FitSpec(values=truth, free=(), orientations=oset,
+                                    spin=spin, rf=rf), times)
         noise = 0.01 * truth["m0"] * np.random.default_rng(95).standard_normal(
             len(times))
-        spec = FitSpec(parameters={
-            n: FitParameter(value=v, free=True, lower=v / 1000, upper=v * 1000)
-            for n, v in guess.items()}, orientations=oset, spin=spin, rf=rf)
+        spec = FitSpec(values=guess, free=fitting.PARAMETER_NAMES,
+                       orientations=oset, spin=spin, rf=rf)
         result = fit_buildup(BuildUpData(times=times,
                                          magnetizations=clean + noise), spec)
         assert result.converged
@@ -644,13 +617,12 @@ class TestFitBuildup:
         guess = {"d": d_khz * KHZ, "r": 1.0 / (r_inv_us * 1e-6),
                  "r1": 1.0 / (r1_inv_us * 1e-6), "t1rho": t1rho_ms * 1e-3,
                  "m0": m0}
-        spec = FitSpec(parameters={
-            n: FitParameter(value=v, free=True, lower=v / 1000, upper=v * 1000)
-            for n, v in guess.items()}, orientations=zcw_orientation_set(8),
-            spin=SpinningParams(omega_r=mas_khz * KHZ),
-            rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
-        res = model_curve(model_from_values(
-            dict(zip(fitting.PARAMETER_NAMES, truth)), spec),
+        spec = FitSpec(values=guess, free=fitting.PARAMETER_NAMES,
+                       orientations=zcw_orientation_set(8),
+                       spin=SpinningParams(omega_r=mas_khz * KHZ),
+                       rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
+        res = model_curve(dataclasses.replace(
+            spec, values=dict(zip(fitting.PARAMETER_NAMES, truth))),
             data.times) - data.magnetizations
         result = fit_buildup(data, spec)
         assert result.converged
@@ -676,7 +648,7 @@ class TestFitBuildup:
         assert len(runs) == 1
         fm, names, start, (end, iterations, _) = runs[0]
         assert names == free
-        guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+        guess = spec.values
         assert start.values == fm.at(guess).values == guess
         assert result.converged
         assert (result.values, result.rss, result.iterations) == (
@@ -716,7 +688,7 @@ class TestFitBuildup:
         assert len(runs) == 1 and len(checked) == 1
         fm, names, start, jac, (end, iterations, _) = runs[0]
         assert names == tuple(n for n in free if n != "m0")
-        guess = {n: spec.parameters[n].value for n in fitting.PARAMETER_NAMES}
+        guess = spec.values
         assert start.values == fm.at(guess).values
         assert (start.values["m0"] != guess["m0"]) == ("m0" in free)
         full, checked_names = checked[0]
@@ -736,8 +708,8 @@ class TestFitBuildup:
                                     guess_factor=1.05),
                      benchmark_spec(oset, free=())):
             result = fit_buildup(data, spec)
-            expected = model_curve(model_from_values(result.values, spec),
-                                   data.times)
+            expected = model_curve(
+                dataclasses.replace(spec, values=result.values), data.times)
             assert np.array_equal(result.model, expected)
 
     def test_stop_reason(self, monkeypatch):
@@ -761,14 +733,11 @@ class TestFitBuildup:
         oset, times = zcw_orientation_set(4), np.arange(61) * 25e-6
         for m0 in (0.9, 1.2, 1.5):
             spec = benchmark_spec(oset, free=free, guess_factor=1.0)
-            spec = dataclasses.replace(spec, parameters={
-                **spec.parameters, "m0": FitParameter(
-                    value=m0, free=True, lower=m0 / 1000, upper=m0 * 1000)})
-            guess = {n: p.value for n, p in spec.parameters.items()}
-            data = BuildUpData(times=times, magnetizations=model_curve(
-                model_from_values(guess, spec), times))
-            fixed = dataclasses.replace(spec, parameters={
-                n: FitParameter(value=v) for n, v in guess.items()})
+            spec = dataclasses.replace(spec, values={**spec.values, "m0": m0},
+                                       free=(*spec.free, "m0"))
+            data = BuildUpData(times=times,
+                               magnetizations=model_curve(spec, times))
+            fixed = dataclasses.replace(spec, free=())
             result = fit_buildup(data, spec)
             assert result.rss <= fit_buildup(data, fixed).rss
             assert result.converged
@@ -804,33 +773,23 @@ class TestFitBuildup:
                             lambda *args: runs.append(args))
         oset = zcw_orientation_set(1)
         times = np.arange(31) * 50e-6
-        relax = RelaxationParams(m0=1.0, r=3000.0, r1=3000.0, t1rho=2e-3)
-        truth = ModelParams(coupling=CouplingParams(d=0.0),
-                            spin=SpinningParams(omega_r=5.0 * KHZ),
-                            rf=RfScheme(omega1_i=80.0 * KHZ,
-                                        omega1_s=80.0 * KHZ),
-                            relax=relax, orientations=oset)
-        data = BuildUpData(times=times,
-                           magnetizations=model_curve(truth, times))
-        parameters = {
-            "d": FitParameter(value=0.0),
-            "r": FitParameter(value=3000.0, free=True, lower=1.0, upper=1e6),
-            "r1": FitParameter(value=3000.0, free=True, lower=1.0, upper=1e6),
-            "t1rho": FitParameter(value=2e-3),
-            "m0": FitParameter(value=1.0),
-        }
-        spec = FitSpec(parameters=parameters, orientations=oset,
+        # the guess is the truth
+        spec = FitSpec(values={"d": 0.0, "r": 3000.0, "r1": 3000.0,
+                               "t1rho": 2e-3, "m0": 1.0},
+                       free=("r", "r1"), orientations=oset,
                        spin=SpinningParams(omega_r=5.0 * KHZ),
                        rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
+        data = BuildUpData(times=times,
+                           magnetizations=model_curve(spec, times))
         with pytest.raises(FitError, match="consider fixing"):
             fit_buildup(data, spec)
         # d free as well, at a guess so small that eta barely tells the
         # rates apart: the check over the whole free set at the guess
         # names the near-degenerate pair (r, r1)
-        d_free = {**parameters, "d": FitParameter(value=1.0, free=True,
-                                                  lower=-KHZ, upper=KHZ)}
+        d_free = dataclasses.replace(spec, values={**spec.values, "d": 1.0},
+                                     free=("d", "r", "r1"))
         with pytest.raises(FitError, match="consider fixing parameter 'r"):
-            fit_buildup(data, dataclasses.replace(spec, parameters=d_free))
+            fit_buildup(data, d_free)
         assert runs == []
 
     def test_stderr_reported_per_free_parameter(self):
@@ -844,8 +803,8 @@ class TestFitSpecValidation:
     def test_requires_all_parameter_names(self):
         oset = zcw_orientation_set(1)
         with pytest.raises(ValueError, match="exactly the keys"):
-            FitSpec(parameters={"d": FitParameter(value=1.0)},
-                    orientations=oset, spin=SpinningParams(omega_r=0.0),
+            FitSpec(values={"d": 1.0}, free=(), orientations=oset,
+                    spin=SpinningParams(omega_r=0.0),
                     rf=RfScheme(omega1_i=1.0, omega1_s=1.0))
 
     def test_off_match_is_refused(self):
@@ -858,13 +817,69 @@ class TestFitSpecValidation:
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=79.999999848 * KHZ)
         assert dataclasses.replace(spec, rf=rf).rf == rf
 
-    def test_free_parameter_needs_finite_ordered_bounds(self):
-        with pytest.raises(ValueError, match="finite bounds"):
-            FitParameter(value=1.0, free=True, lower=0.0, upper=math.inf)
-        with pytest.raises(ValueError, match="ordered"):
-            FitParameter(value=1.0, free=True, lower=2.0, upper=1.0)
-        with pytest.raises(ValueError, match="outside bounds"):
-            FitParameter(value=5.0, free=True, lower=0.0, upper=1.0)
+    @pytest.mark.parametrize("name, value, free, message", [
+        ("m0", 1e308, ("m0",), "free parameter 'm0' guess 1e+308: free "
+         "parameters need finite bounds (the fit searches guess/1000 to "
+         "guess*1000)"),
+        ("r", 0.0, ("r",), "free parameter 'r' needs a finite nonzero "
+         "initial guess"),
+        ("t1rho", math.inf, ("t1rho",), "free parameter 't1rho' needs a "
+         "finite nonzero initial guess"),
+        ("r1", -5.0, ("r1",), "r1 lower bound must be >= 0"),
+        ("m0", 5e-324, ("m0",), "m0 lower bound must be > 0"),
+        ("d", math.nan, (), "fixed d must be finite (t1rho may be inf), "
+         "got nan"),
+        ("d", 1.0, ("d", "q"), "unknown free parameters: 'q'"),
+    ], ids=["box-overflows", "zero-guess", "infinite-guess", "negative-rate",
+            "box-reaches-zero", "nan-fixed", "unknown-name"])
+    def test_refuses_a_model_it_cannot_search(self, name, value, free,
+                                              message):
+        spec = benchmark_params(zcw_orientation_set(1))
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(spec, values={**spec.values, name: value},
+                                free=free)
+        assert str(info.value) == message
+
+    def test_free_set_follows_parameter_names(self):
+        spec = benchmark_spec(zcw_orientation_set(1), free=["m0", "d", "r"])
+        assert spec.free == ("d", "r", "m0")
+        assert spec.bounds("d") == (spec.values["d"] / fitting.SEARCH_SPAN,
+                                    spec.values["d"] * fitting.SEARCH_SPAN)
+
+
+# guesses at the edges of double precision, and ordinary ones of either sign
+GUESSES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-300, 1e305, -1e305, 1e308, -1e308, math.inf,
+                     -math.inf, math.nan]),
+    st.floats(), st.floats(min_value=0.0))
+
+
+class TestFitSpecBoxProperties:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(guesses=st.fixed_dictionaries(
+               {n: GUESSES for n in fitting.PARAMETER_NAMES}),
+           free=st.sets(st.sampled_from(fitting.PARAMETER_NAMES), min_size=1))
+    def test_box_is_finite_ordered_and_holds_the_guess(self, guesses, free):
+        # the free parameters start at the drawn guesses, the fixed ones at
+        # the benchmark's values
+        truth = benchmark_params(zcw_orientation_set(1))
+        try:
+            spec = dataclasses.replace(truth, values={
+                n: guesses[n] if n in free else v
+                for n, v in truth.values.items()}, free=free)
+        except ValueError:
+            return
+        for name in spec.free:
+            lo, hi = spec.bounds(name)
+            assert math.isfinite(lo) and math.isfinite(hi)
+            assert lo < hi
+            assert lo <= spec.values[name] <= hi
+            if name in ("r", "r1"):
+                assert lo >= 0.0
+            if name in ("t1rho", "m0"):
+                assert lo > 0.0
 
 
 class TestDistanceConversion:
