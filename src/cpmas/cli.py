@@ -24,9 +24,9 @@ simulate, powder or compare, a compare --threshold not finite and >= 0,
 locks off the Hartmann-Hahn match for simulate, powder, compare or fit,
 or an unweighted fit whose residual sum at the initial guess is not
 finite), 2 comparison threshold exceeded, 3 data error, 4 fit
-non-convergence or fit failure (also a fit that leaves a free parameter
-with no finite standard error or at a bound of its search; its CSV and
-report are still written).
+non-convergence or fit failure (also a fit whose `FitResult.unusable`
+names a free parameter with no finite standard error or at a bound of its
+search; its CSV and report are still written).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +295,13 @@ def _orientation_from(resolved) -> Orientation:
         raise ConfigError(f"beta-deg must be in [0, 180], got {beta}") from exc
 
 
+def _rad_per_s(flag: str, khz: float) -> float:
+    """``khz`` in rad/s; a finite value that overflows there is refused."""
+    if math.isfinite(khz) and not math.isfinite(khz * KHZ):
+        raise ConfigError(f"{flag}={khz} overflows double precision in rad/s")
+    return khz * KHZ
+
+
 def _rf_from(resolved) -> RfScheme | None:
     """The lock scheme, or None when neither amplitude is given."""
     b1i, b1s = resolved["b1i_khz"], resolved["b1s_khz"]
@@ -307,10 +314,10 @@ def _rf_from(resolved) -> RfScheme | None:
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
     for flag, value in (("b1i-khz", b1i), ("b1s-khz", b1s)):
-        if not 0.0 < value * KHZ < math.inf:
+        if not 0.0 < _rad_per_s(flag, value) < math.inf:
             raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     for flag, value in (("offset-i-khz", off_i), ("offset-s-khz", off_s)):
-        if not math.isfinite(value * KHZ):
+        if not math.isfinite(_rad_per_s(flag, value)):
             raise ConfigError(f"{flag} must be finite, got {value}")
     rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
                   offset_i=off_i * KHZ, offset_s=off_s * KHZ)
@@ -330,7 +337,7 @@ def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        return CouplingParams(d=scale * (resolved["d_khz"] * KHZ))
+        return CouplingParams(d=scale * _rad_per_s("d-khz", resolved["d_khz"]))
     except ValueError as exc:
         raise ConfigError(
             f"d-khz must be finite, got {resolved['d_khz']}") from exc
@@ -339,7 +346,7 @@ def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
 def _spin_from(resolved) -> SpinningParams:
     mas = resolved["mas_khz"]
     try:
-        return SpinningParams(omega_r=mas * KHZ)
+        return SpinningParams(omega_r=_rad_per_s("mas-khz", mas))
     except ValueError as exc:
         raise ConfigError(
             f"mas-khz must be finite and >= 0, got {mas}") from exc
@@ -467,15 +474,8 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
     else:
         d = _coupling_from(resolved).d
     relax, _ = _relaxation_from(resolved)
-    values = {"d": d, "r": relax.r, "r1": relax.r1, "t1rho": relax.t1rho,
-              "m0": relax.m0}
+    values = {"d": d, **asdict(relax)}
     free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
-    for name in fitting.PARAMETER_NAMES:
-        if name in free and not (math.isfinite(values[name])
-                                 and values[name] != 0.0):
-            raise ConfigError(
-                f"free parameter '{name}' needs a finite nonzero initial "
-                f"guess (set the matching flag)")
     # Fields only rescale d through the tilt angles; on resonance any
     # matched pair is equivalent, so without locks take a nominal one.
     rf = _rf_from(resolved) or RfScheme(omega1_i=KHZ * 80.0,
@@ -528,28 +528,9 @@ def run_fit(resolved) -> tuple[dict, list[str], int, str | None]:
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,
                "residual": result.model - data.magnetizations}
-    unusable = _unusable_parameter(spec, result)
-    code = EXIT_OK if result.converged and unusable is None else EXIT_FIT
+    code = EXIT_OK if result.converged and not result.unusable else EXIT_FIT
     return (columns, _fit_report(resolved, data, spec, result), code,
-            f"fit error: {unusable}" if unusable else None)
-
-
-def _unusable_parameter(spec, result) -> str | None:
-    """Why the fit gives no usable uncertainty, for the first free parameter
-    whose standard error is not finite or that ended at a bound; None when
-    every one is usable."""
-    span = fitting.SEARCH_SPAN
-    for name in spec.free:
-        (lo, hi), err = spec.bounds(name), result.stderr[name]
-        if not math.isfinite(err):
-            return (f"free parameter '{name}' has standard error {err!r}; "
-                    f"the fit leaves it undetermined")
-        if not lo < result.values[name] < hi:
-            side = "lower" if result.values[name] <= lo else "upper"
-            return (f"free parameter '{name}' ended at its {side} bound "
-                    f"(guess/{span:g} to guess*{span:g}), where its standard "
-                    f"error does not hold")
-    return None
+            result.unusable and f"fit error: {result.unusable}")
 
 
 _RUNNERS = {"simulate": run_simulate, "powder": run_powder,

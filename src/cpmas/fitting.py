@@ -9,7 +9,8 @@ converts to an internuclear distance through the point-dipole inverse-cube
 law.
 
 One record, `FitSpec`, holds the model: a value for every parameter, the
-free set and the geometry.  Fitting uses one damped least-squares
+free set and the geometry; it alone checks a model, fixed values and free
+guesses alike.  Fitting uses one damped least-squares
 (Levenberg-Marquardt) run with an analytic Jacobian, damping scaled x10 on
 a rejected step and /10 on an accepted one, and box bounds enforced by
 projection: each free parameter stays within its guess / SEARCH_SPAN to
@@ -29,6 +30,7 @@ value, clipped to its bounds.  Accepted steps never increase the weighted
 residual sum, and the result is the better of the run's end and the
 initial guess itself, so it always satisfies rss <= rss(initial guess),
 even where projecting m0 at an optimum rounds the start's sum above it.
+`FitResult.unusable` says when that answer gives no usable uncertainty.
 
 `write_curve_csv` and `_read_csv` are the only writer and reader of the
 CSV row format, and `BuildUpData` alone checks the rows of a build-up.
@@ -267,8 +269,9 @@ class FitSpec:
     ``values`` must have exactly the keys in PARAMETER_NAMES; a free
     parameter's value is its initial guess, and the fit searches its
     `bounds`.  ``free`` names the free parameters and is kept in
-    PARAMETER_NAMES order.  ``rf`` must pass `core.tilt_scale`: the model
-    holds only at the match.
+    PARAMETER_NAMES order.  r, r1, t1rho and m0, fixed or free, must pass
+    `analytic.RelaxationParams`.  ``rf`` must pass `core.tilt_scale` (the
+    model holds only at the match); ``tilt`` keeps its factor on d.
     """
 
     values: dict[str, float]
@@ -276,6 +279,7 @@ class FitSpec:
     orientations: OrientationSet
     spin: SpinningParams
     rf: RfScheme
+    tilt: float = field(init=False)
 
     def __post_init__(self):
         if set(self.values) != set(PARAMETER_NAMES):
@@ -309,7 +313,8 @@ class FitSpec:
                 raise ValueError(f"{name} lower bound must be >= 0")
             if name in ("t1rho", "m0") and lo <= 0.0:
                 raise ValueError(f"{name} lower bound must be > 0")
-        tilt_scale(self.rf)
+        RelaxationParams(**{n: v for n, v in self.values.items() if n != "d"})
+        object.__setattr__(self, "tilt", tilt_scale(self.rf))
 
     def bounds(self, name: str) -> tuple[float, float]:
         """The box the fit searches for free parameter ``name``: from its
@@ -321,12 +326,11 @@ class FitSpec:
 def model_curve(spec: FitSpec, times) -> np.ndarray:
     """Predicted magnetization at the requested times for ``spec.values``.
 
-    Powder-averaged transfer efficiency (coupling scaled by
-    `core.tilt_scale`, which refuses locks off the Hartmann-Hahn match)
+    Powder-averaged transfer efficiency (coupling scaled by ``spec.tilt``)
     pushed through the relaxation envelope.
     """
     v = spec.values
-    d_eff = CouplingParams(d=tilt_scale(spec.rf) * v["d"])
+    d_eff = CouplingParams(d=spec.tilt * v["d"])
     eta = averaged_efficiency(d_eff, spec.spin, times, spec.orientations)
     return damped_magnetization(times, eta, RelaxationParams(
         m0=v["m0"], r=v["r"], r1=v["r1"], t1rho=v["t1rho"]))
@@ -343,6 +347,8 @@ class FitResult:
     one Levenberg-Marquardt run.  ``stop_reason`` is one of ``rss_tol``,
     ``step_tol``, ``max_iterations`` or ``no_free_parameters``; ``model``
     holds the model magnetization at the data times for ``values``.
+    ``unusable`` is None or says why the fit gives no usable uncertainty
+    (a free parameter's stderr is not finite, or it ended at a bound).
     """
 
     values: dict[str, float]
@@ -351,6 +357,7 @@ class FitResult:
     converged: bool = True
     iterations: int = 0
     stop_reason: str = "no_free_parameters"
+    unusable: str | None = None
     model: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -393,7 +400,6 @@ class _BuildUpModel:
         self.amplitude_weights = (sigmas.min() / sigmas) ** 2
         # a fixed m0 has no box: it is never projected
         self.m0_box = spec.bounds("m0") if "m0" in spec.free else None
-        self.tilt = tilt_scale(spec.rf)   # d enters only as tilt*d
         self.with_slope = "d" in spec.free
         self.source = (phase_table(spec.spin, data.times, spec.orientations)
                        if self.with_slope else spec.orientations)
@@ -406,7 +412,7 @@ class _BuildUpModel:
         if near is not None and near.values["d"] == v["d"]:
             eta, slope = near.eta, near.slope
         else:
-            d_eff = CouplingParams(d=self.tilt * v["d"])
+            d_eff = CouplingParams(d=self.spec.tilt * v["d"])
             out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
                                       self.source, with_slope=self.with_slope)
             eta, slope = out if self.with_slope else (out, None)
@@ -425,11 +431,11 @@ class _BuildUpModel:
 
     def jacobian(self, p: _Point, names: tuple[str, ...]) -> np.ndarray:
         """Analytic d(residuals)/d(names) at p with every other value fixed."""
-        t, v = self.data.times, p.values
+        t, v, tilt = self.data.times, p.values, self.spec.tilt
         envelope = np.exp(-t / v["t1rho"])
         decay_r1 = np.exp(-v["r1"] * t)
         columns = {
-            "d": lambda: v["m0"] * decay_r1 * envelope * (self.tilt * p.slope),
+            "d": lambda: v["m0"] * decay_r1 * envelope * (tilt * p.slope),
             "r": lambda: 0.5 * v["m0"] * t * np.exp(-v["r"] * t) * envelope,
             "r1": lambda: (0.5 * v["m0"] * t * decay_r1 * (1.0 - 2.0 * p.eta)
                            * envelope),
@@ -564,12 +570,26 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         fm, names, start, fm.project(start, jac[:, :len(names)]))
     if not end.rss <= guess.rss:   # also when the end's rss is nan
         end = guess
-    return FitResult(values=end.values, rss=end.rss,
-                     stderr=_standard_errors(fm.jacobian(end, free), end.rss,
-                                             free),
+    stderr = _standard_errors(fm.jacobian(end, free), end.rss, free)
+    return FitResult(values=end.values, rss=end.rss, stderr=stderr,
                      converged=stop_reason != "max_iterations",
                      iterations=iterations, stop_reason=stop_reason,
+                     unusable=_unusable(spec, end.values, stderr),
                      model=end.model)
+
+
+def _unusable(spec: FitSpec, values, stderr) -> str | None:
+    for name in spec.free:
+        (lo, hi), err = spec.bounds(name), stderr[name]
+        if not math.isfinite(err):
+            return (f"free parameter '{name}' has standard error {err!r}; "
+                    f"the fit leaves it undetermined")
+        if not lo < values[name] < hi:
+            side = "lower" if values[name] <= lo else "upper"
+            return (f"free parameter '{name}' ended at its {side} bound "
+                    f"(guess/{SEARCH_SPAN:g} to guess*{SEARCH_SPAN:g}), "
+                    f"where its standard error does not hold")
+    return None
 
 
 def _check_jacobian(jac: np.ndarray, free) -> None:
@@ -598,11 +618,8 @@ def _standard_errors(jac, rss, free) -> dict[str, float]:
         cov = np.linalg.inv(jac.T @ jac) * (rss / dof)
     except np.linalg.LinAlgError:
         return {name: math.nan for name in free}
-    err = {}
-    for j, name in enumerate(free):
-        var = cov[j, j]
-        err[name] = math.sqrt(var) if var >= 0.0 else math.nan
-    return err
+    return {name: math.sqrt(var) if var >= 0.0 else math.nan
+            for name, var in zip(free, np.diag(cov).tolist())}
 
 
 def _gamma(isotope: str) -> float:

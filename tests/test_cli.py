@@ -1022,6 +1022,25 @@ def test_refusal_names_the_flag_and_its_value(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("d-khz", "1e308"), ("mas-khz", "1e308"), ("b1i-khz", "1e308"),
+    ("b1s-khz", "1e308"), ("offset-i-khz", "1e308"),
+    ("offset-s-khz", "-1e308")])
+def test_finite_value_that_overflows_in_rad_per_s(tmp_path, capsys, flag,
+                                                  value):
+    # finite in kHz, so the refusal says what is wrong: times 2*pi*1e3 it
+    # is not
+    args = dict(zip(BENCH_CMP[::2], BENCH_CMP[1::2]))
+    args[f"--{flag}"] = value
+    out = tmp_path / "x.csv"
+    argv = ["simulate", *(x for kv in args.items() for x in kv)]
+    assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {flag}={float(value)} overflows double precision in "
+        f"rad/s\n")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_free_t1rho_guess_whose_square_underflows(tmp_path, capsys):
     # t1rho = 1e-163 s squares to 0 in the Jacobian's t1rho column

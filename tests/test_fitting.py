@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import cpmas.fitting as fitting
 import cpmas.powder as powder
+import cpmas.core as core
+from cpmas.cli import EXIT_FIT, main
 from cpmas.core import RfScheme, SpinningParams
 from cpmas.fitting import (BuildUpData, DataError, FitError, FitResult,
                            FitSpec, coupling_from_distance,
@@ -799,6 +801,72 @@ class TestFitBuildup:
         assert all(se > 0 for se in result.stderr.values())
 
 
+# the README's fit flags as library values: 1/R = 436 us, 1/R1 = 207 us,
+# T1rho = 2.8 ms, 5 kHz spinning and the nominal matched 80 kHz locks, all
+# computed as `cpmas fit` computes them from its flags
+README_FIT_FLAGS = ["--mas-khz", "5", "--r-inv-us", "436", "--r1-inv-us",
+                    "207", "--t1rho-ms", "2.8"]
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_fit_spec(d, m0, free=("r", "r1", "t1rho", "m0")):
+    return FitSpec(values={"d": d, "r": 1.0 / (436 * 1e-6),
+                           "r1": 1.0 / (207 * 1e-6), "t1rho": 2.8 * 1e-3,
+                           "m0": m0},
+                   free=free,
+                   orientations=zcw_orientation_set(powder.DEFAULT_FIT_LEVEL),
+                   spin=SpinningParams(omega_r=5.0 * KHZ),
+                   rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
+
+
+class TestUnusableFit:
+    @pytest.mark.parametrize("angstrom, m0, free, flags, unusable", [
+        # an absurd distance: d runs off to ~1e65 rad/s, every stderr nan
+        (1e-20, 1.5, fitting.PARAMETER_NAMES,
+         ["--free", "d,r,r1,t1rho,m0", "--m0", "1.5"],
+         "free parameter 'd' has standard error nan; the fit leaves it "
+         "undetermined"),
+        # an m0 guess 2000x too small: r and m0 end at their upper bounds
+        (1.09, 5e-4, ("r", "r1", "t1rho", "m0"), ["--m0", "5e-4"],
+         "free parameter 'r' ended at its upper bound (guess/1000 to "
+         "guess*1000), where its standard error does not hold"),
+    ], ids=["absurd-distance", "tiny-m0-guess"])
+    def test_reason_is_the_line_the_cli_prints(self, tmp_path, capsys,
+                                               angstrom, m0, free, flags,
+                                               unusable):
+        data = load_buildup(REPO_ROOT / "data" / "synthetic_buildup.csv")
+        spec = readme_fit_spec(coupling_from_distance(angstrom), m0, free)
+        result = fit_buildup(data, spec)
+        # the verdict does not depend on how the search stopped
+        assert result.converged
+        assert result.unusable == unusable
+        code = main(["fit", "--data", str(REPO_ROOT / "data"
+                                          / "synthetic_buildup.csv"),
+                     "--distance-angstrom", str(angstrom),
+                     *README_FIT_FLAGS, *flags,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_FIT
+        assert capsys.readouterr().err == f"fit error: {unusable}\n"
+
+    @pytest.mark.parametrize("path, d, m0", [
+        # the README's fit
+        ("data/synthetic_buildup.csv", coupling_from_distance(1.09), 1.5),
+        # noiseless data fitted from its truth
+        ("tests/data/fit_at_truth.csv", 22.0 * KHZ, 1.2),
+    ], ids=["readme", "at-truth"])
+    def test_usable_fit_has_no_reason(self, path, d, m0):
+        result = fit_buildup(load_buildup(REPO_ROOT / path),
+                             readme_fit_spec(d, m0))
+        assert result.converged
+        assert result.unusable is None
+
+    def test_fit_without_free_parameters_has_no_reason(self):
+        data = load_buildup(REPO_ROOT / "tests" / "data" / "fit_at_truth.csv")
+        result = fit_buildup(data, readme_fit_spec(22.0 * KHZ, 1.2, free=()))
+        assert result.stop_reason == "no_free_parameters"
+        assert result.unusable is None
+
+
 class TestFitSpecValidation:
     def test_requires_all_parameter_names(self):
         oset = zcw_orientation_set(1)
@@ -830,8 +898,14 @@ class TestFitSpecValidation:
         ("d", math.nan, (), "fixed d must be finite (t1rho may be inf), "
          "got nan"),
         ("d", 1.0, ("d", "q"), "unknown free parameters: 'q'"),
+        # fixed values outside what the relaxation envelope allows
+        ("m0", -1.5, (), "m0 must be finite and > 0, got -1.5"),
+        ("r", -100.0, (), f"rates r and r1 must be finite and >= 0, got "
+         f"r=-100.0, r1={TRUE_R1}"),
+        ("t1rho", -1e-3, (), "t1rho must be > 0 (inf allowed), got -0.001"),
     ], ids=["box-overflows", "zero-guess", "infinite-guess", "negative-rate",
-            "box-reaches-zero", "nan-fixed", "unknown-name"])
+            "box-reaches-zero", "nan-fixed", "unknown-name", "negative-m0",
+            "negative-fixed-rate", "negative-t1rho"])
     def test_refuses_a_model_it_cannot_search(self, name, value, free,
                                               message):
         spec = benchmark_params(zcw_orientation_set(1))
@@ -839,6 +913,13 @@ class TestFitSpecValidation:
             dataclasses.replace(spec, values={**spec.values, name: value},
                                 free=free)
         assert str(info.value) == message
+
+    def test_tilt_is_the_factor_of_the_locks(self):
+        spec = benchmark_spec(zcw_orientation_set(1))
+        assert spec.tilt == 1.0
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
+                      offset_i=80.0 * KHZ, offset_s=80.0 * KHZ)
+        assert dataclasses.replace(spec, rf=rf).tilt == core.tilt_scale(rf)
 
     def test_free_set_follows_parameter_names(self):
         spec = benchmark_spec(zcw_orientation_set(1), free=["m0", "d", "r"])
