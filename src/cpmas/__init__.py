@@ -6,17 +6,17 @@ orientation ensembles; and least-squares fitting of measured build-up
 curves for couplings, distances and relaxation rates.
 """
 
-from .analytic import (CpCurve, CurveKind, RelaxationParams, efficiency_curve,
-                       magnetization, static_magnetization, transfer_efficiency)
+from .analytic import (RelaxationParams, efficiency_curve, magnetization,
+                       transfer_efficiency)
 from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
                    SpinningParams, TimeGrid, dipolar_coupling_at,
                    dipolar_phase, effective_field, tilt_scale)
 from .fitting import (BuildUpData, FitResult, FitSpec, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,
                       model_curve, save_buildup)
-from .oracle import (Trajectory, ZqDqComponents, dq_constancy_report,
-                     hamiltonian_at, matrix_exponential_step, propagate,
-                     propagate_blockwise, zq_dq_decompose)
+from .oracle import (ZqDqComponents, dq_constancy_report, hamiltonian_at,
+                     matrix_exponential_step, propagate_blockwise,
+                     zq_dq_decompose)
 from .powder import (OrientationSet, averaged_efficiency, grid_orientation_set,
                      powder_average, zcw_orientation_set)
 

@@ -15,27 +15,21 @@ model
 
 reduces to the classic stationary-sample result (cosine oscillation under
 the same envelope) when the spinning is switched off.
+
+Curves are plain arrays over sample times.  `efficiency_curve` and
+`magnetization` are the command line's uniform-grid forms of
+`transfer_efficiency` and `damped_magnetization`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                   dipolar_coupling_at, dipolar_phase)
-
-EFFICIENCY_RANGE_TOL = 1e-12
-
-
-class CurveKind(enum.Enum):
-    """What a sampled curve holds: transfer efficiency or damped magnetization."""
-
-    EFFICIENCY = "efficiency"
-    MAGNETIZATION = "magnetization"
+                   dipolar_phase)
 
 
 @dataclass(frozen=True)
@@ -65,33 +59,6 @@ class RelaxationParams:
             raise ValueError(f"t1rho must be > 0 (inf allowed), got {self.t1rho}")
 
 
-@dataclass(frozen=True)
-class CpCurve:
-    """A transfer-efficiency or magnetization trajectory on a uniform grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    kind: CurveKind
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid length "
-                f"{self.grid.n_points}")
-        if self.kind is CurveKind.EFFICIENCY:
-            lo, hi = values.min(), values.max()
-            if lo < -EFFICIENCY_RANGE_TOL or hi > 1.0 + EFFICIENCY_RANGE_TOL:
-                raise ValueError(
-                    f"efficiency values out of [0, 1]: min={lo}, max={hi}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def times(self) -> np.ndarray:
-        return self.grid.times()
-
-
 def transfer_efficiency(coupling: CouplingParams, orient: Orientation,
                         spin: SpinningParams, t):
     """Transfer efficiency eta(t) = (1 - cos(phi(t)))/2 in [0, 1].
@@ -112,17 +79,17 @@ def transfer_efficiency(coupling: CouplingParams, orient: Orientation,
 
 
 def efficiency_curve(coupling: CouplingParams, orient: Orientation,
-                     spin: SpinningParams, grid: TimeGrid) -> CpCurve:
+                     spin: SpinningParams, grid: TimeGrid) -> np.ndarray:
     """eta sampled over a uniform time grid."""
-    values = transfer_efficiency(coupling, orient, spin, grid.times())
-    return CpCurve(grid=grid, values=values, kind=CurveKind.EFFICIENCY)
+    # bench/tracing.py times the CLI's calls to this by its name
+    return transfer_efficiency(coupling, orient, spin, grid.times())
 
 
 def damped_magnetization(times, eta, relax: RelaxationParams) -> np.ndarray:
     """Relaxation-damped magnetization evaluated pointwise.
 
     M = m0 * {1 - exp(-r*t)/2 - exp(-r1*t)*(1 - 2*eta)/2} * exp(-t/t1rho).
-    Shared kernel for curve-level `magnetization` and the fitting model;
+    Shared kernel for the grid form `magnetization` and the fitting model;
     m0 multiplies last, so M is m0 times the m0 = 1 curve bit for bit.
     """
     t = np.asarray(times, dtype=float)
@@ -133,28 +100,7 @@ def damped_magnetization(times, eta, relax: RelaxationParams) -> np.ndarray:
         return relax.m0 * (bracket * np.exp(-t / relax.t1rho))
 
 
-def magnetization(eta_curve: CpCurve, relax: RelaxationParams) -> CpCurve:
-    """Apply the spin-diffusion / T1rho envelope to an efficiency curve."""
-    if eta_curve.kind is not CurveKind.EFFICIENCY:
-        raise ValueError("magnetization() requires an efficiency curve, "
-                         f"got kind={eta_curve.kind.value}")
-    values = damped_magnetization(eta_curve.times(), eta_curve.values, relax)
-    return CpCurve(grid=eta_curve.grid, values=values, kind=CurveKind.MAGNETIZATION)
-
-
-def static_magnetization(coupling: CouplingParams, orient: Orientation,
-                         relax: RelaxationParams, grid: TimeGrid) -> CpCurve:
-    """Stationary-sample magnetization curve.
-
-    With the rotor stopped the phase grows linearly, phi = d(0)*t, and the
-    model reduces to m0*{1 - exp(-r*t)/2 - exp(-r1*t)*cos(d(0)*t)/2}*exp(-t/t1rho).
-    Implemented through the general pipeline with omega_r = 0 so the two
-    routes agree bit for bit.
-    """
-    eta = efficiency_curve(coupling, orient, SpinningParams(omega_r=0.0), grid)
-    return magnetization(eta, relax)
-
-
-def orientation_frequency(coupling: CouplingParams, orient: Orientation) -> float:
-    """Oscillation angular frequency d(0) of the stationary-sample curve, rad/s."""
-    return dipolar_coupling_at(coupling, orient, SpinningParams(omega_r=0.0), 0.0)
+def magnetization(grid: TimeGrid, eta, relax: RelaxationParams) -> np.ndarray:
+    """Apply the spin-diffusion / T1rho envelope to eta on a uniform grid."""
+    # bench/tracing.py times the CLI's calls to this by its name
+    return damped_magnetization(grid.times(), eta, relax)

@@ -24,9 +24,10 @@ simulate, powder or compare, a compare --threshold not finite and >= 0,
 locks off the Hartmann-Hahn match for simulate, powder, compare or fit,
 or an unweighted fit whose residual sum at the initial guess is not
 finite), 2 comparison threshold exceeded, 3 data error, 4 fit
-non-convergence or fit failure (also a fit whose `FitResult.unusable`
-names a free parameter with no finite standard error or at a bound of its
-search; its CSV and report are still written).
+non-convergence or fit failure (also a fit with a `FitResult.unusable`
+line: it stopped at the iteration cap, or names a free parameter with no
+finite standard error or at a bound of its search; its CSV and report
+are still written).
 """
 
 from __future__ import annotations
@@ -400,8 +401,8 @@ def run_simulate(resolved) -> tuple[dict, list[str], int, str | None]:
     coupling = _coupling_from(resolved, _rf_from(resolved))
     spin = _spin_from(resolved)
     _check_phase(coupling.d, spin, grid.duration)
-    curve = analytic.efficiency_curve(coupling, orient, spin, grid)
-    return {"t_us": t_us, "eta": curve.values}, [], EXIT_OK, None
+    eta = analytic.efficiency_curve(coupling, orient, spin, grid)
+    return {"t_us": t_us, "eta": eta}, [], EXIT_OK, None
 
 
 def run_powder(resolved) -> tuple[dict, list[str], int, str | None]:
@@ -413,17 +414,17 @@ def run_powder(resolved) -> tuple[dict, list[str], int, str | None]:
     relax, damped = _relaxation_from(resolved)
     curve = powder.powder_average(coupling, spin, grid, oset)
     if damped:
-        curve = analytic.magnetization(curve, relax)
-    return ({"t_us": t_us, "m" if damped else "eta": curve.values}, [],
-            EXIT_OK, None)
+        curve = analytic.magnetization(grid, curve, relax)
+    return ({"t_us": t_us, "m" if damped else "eta": curve}, [], EXIT_OK,
+            None)
 
 
 def run_oracle(resolved) -> tuple[dict, list[str], int, str | None]:
     """Propagation by `oracle.propagate_expectations`, with state and
     observables along the effective-field axes
     (`oracle.tilted_spin_operators`).  On resonance these are I_y and S_y
-    exactly, so the columns are those of `oracle.propagate` from I_y bit
-    for bit."""
+    exactly, so the columns are <S_y>, <I_y> and the DQ lock component
+    from rho(0) = I_y."""
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
     rf = _rf_from(resolved)
@@ -528,7 +529,7 @@ def run_fit(resolved) -> tuple[dict, list[str], int, str | None]:
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,
                "residual": result.model - data.magnetizations}
-    code = EXIT_OK if result.converged and not result.unusable else EXIT_FIT
+    code = EXIT_FIT if result.unusable else EXIT_OK
     return (columns, _fit_report(resolved, data, spec, result), code,
             result.unusable and f"fit error: {result.unusable}")
 

@@ -347,8 +347,9 @@ class FitResult:
     one Levenberg-Marquardt run.  ``stop_reason`` is one of ``rss_tol``,
     ``step_tol``, ``max_iterations`` or ``no_free_parameters``; ``model``
     holds the model magnetization at the data times for ``values``.
-    ``unusable`` is None or says why the fit gives no usable uncertainty
-    (a free parameter's stderr is not finite, or it ended at a bound).
+    ``unusable`` is None or says why the fit gives no usable result (it
+    stopped at the iteration cap, a free parameter's stderr is not finite,
+    or one ended at a bound).
     """
 
     values: dict[str, float]
@@ -574,11 +575,14 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
     return FitResult(values=end.values, rss=end.rss, stderr=stderr,
                      converged=stop_reason != "max_iterations",
                      iterations=iterations, stop_reason=stop_reason,
-                     unusable=_unusable(spec, end.values, stderr),
+                     unusable=_unusable(spec, end.values, stderr, stop_reason),
                      model=end.model)
 
 
-def _unusable(spec: FitSpec, values, stderr) -> str | None:
+def _unusable(spec: FitSpec, values, stderr, stop_reason) -> str | None:
+    if stop_reason == "max_iterations":
+        return (f"the fit stopped at the iteration cap of {MAX_ITERATIONS} "
+                f"before converging")
     for name in spec.free:
         (lo, hi), err = spec.bounds(name), stderr[name]
         if not math.isfinite(err):

@@ -6,7 +6,9 @@ Propagates the full time-dependent Hamiltonian
 
 in the 4-dimensional product space by products of exactly unitary
 exponentials, independent of every closed-form result in `analytic`.  It
-is the ground truth the analytic curves are validated against.
+is the ground truth the analytic curves are validated against.  Its one
+entry, `propagate_expectations`, returns Tr(O @ rho) as a plain array,
+one row per observable O and one column per grid point.
 
 Each substep is one step of CF4, the fourth-order commutator-free Magnus
 rule: two half-length exponential factors, whose couplings c_f combine
@@ -175,28 +177,6 @@ def _in_y_basis(op) -> np.ndarray:
 def _block(op_y: np.ndarray, idx) -> np.ndarray:
     """The (idx, idx) 2x2 block of a y-basis operator or stack."""
     return op_y[..., idx, :][..., idx]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Expectation values along one propagation.
-
-    sy, iy: <S_y>, <I_y> per grid point; dq_y: the double-quantum lock
-    component <(I_y + S_y)/2>.  With rho(0) = I_y these satisfy iy[0] = 1
-    and |sy| <= 1 under the trace convention of this module.
-    """
-
-    grid: TimeGrid
-    sy: np.ndarray
-    iy: np.ndarray
-    dq_y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sy", "iy", "dq_y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_points,):
-                raise ValueError(f"{name} length does not match grid")
-            object.__setattr__(self, name, _frozen(arr.copy()))
 
 
 # Product-basis operators of the Hamiltonian's terms, and the same terms in
@@ -615,15 +595,6 @@ def propagate_expectations(rho0: np.ndarray, observables,
         _to_real_frame(observables))
 
 
-def propagate(rho0: np.ndarray, rf: RfScheme, coupling: CouplingParams,
-              orient: Orientation, spin: SpinningParams, grid: TimeGrid,
-              substeps: int | None = None) -> Trajectory:
-    """Full-space propagation recording <S_y>, <I_y> and the DQ lock component."""
-    out = propagate_expectations(rho0, (SY, IY, DQ_Y), rf, coupling, orient,
-                                 spin, grid, substeps)
-    return Trajectory(grid=grid, sy=out[0], iy=out[1], dq_y=out[2])
-
-
 def _eigh_steps(rf: RfScheme, idx, dt: float):
     """``steps(c)`` for the (idx, idx) y-basis block of H0 + c*I_z*S_z,
     exponentiated by eigh."""
@@ -648,7 +619,7 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     reproduce the full 4x4 propagation; this provides the structural
     cross-check of that claim.  Each block of the full Hamiltonian stack is
     exponentiated by `matrix_exponential_step` (``eigh``) and propagated on
-    its own, by the same CF4 steps as `propagate`.
+    its own, by the same CF4 steps as `propagate_expectations`.
 
     Raises:
         ValueError: for nonzero offsets (which couple the blocks), an
@@ -741,9 +712,10 @@ def zq_dq_decompose(op: np.ndarray) -> ZqDqComponents:
                           remainder_norm=remainder)
 
 
-def dq_constancy_report(traj: Trajectory) -> float:
-    """Max excursion of the DQ lock component from its initial value."""
-    return float(np.max(np.abs(traj.dq_y - traj.dq_y[0])))
+def dq_constancy_report(dq_y: np.ndarray) -> float:
+    """Max excursion of the DQ lock component (<DQ_Y> per grid point) from
+    its initial value."""
+    return float(np.max(np.abs(dq_y - dq_y[0])))
 
 
 def tilted_spin_operators(rf: RfScheme) -> tuple[np.ndarray, np.ndarray]:

@@ -24,9 +24,10 @@ from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, effective_field)
 from cpmas.fitting import (BuildUpData, FitSpec, coupling_from_distance,
                            fit_buildup, model_curve)
-from cpmas.oracle import (IY, SY, dq_constancy_report, fictitious_operator,
-                          hamiltonian_at, matrix_exponential_step, propagate,
-                          propagate_blockwise, propagate_expectations,
+from cpmas.oracle import (DQ_Y, IY, SY, dq_constancy_report,
+                          fictitious_operator, hamiltonian_at,
+                          matrix_exponential_step, propagate_blockwise,
+                          propagate_expectations,
                           tilted_spin_operators, zq_dq_decompose)
 from cpmas.powder import (DEFAULT_FIT_LEVEL, grid_orientation_set,
                           powder_average, zcw_orientation_set)
@@ -63,9 +64,10 @@ def test_criterion_1_analytic_matches_propagator_at_match():
     for orient in SPANNING_ORIENTATIONS:
         eta = transfer_efficiency(CRYSTAL_COUPLING, orient, CRYSTAL_MAS,
                                   CRYSTAL_GRID.times())
-        traj = propagate(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient,
-                         CRYSTAL_MAS, CRYSTAL_GRID)
-        worst = max(worst, float(np.max(np.abs(eta - traj.sy))))
+        sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), CRYSTAL_RF,
+                                          CRYSTAL_COUPLING, orient,
+                                          CRYSTAL_MAS, CRYSTAL_GRID)
+        worst = max(worst, float(np.max(np.abs(eta - sy))))
     elapsed = time.perf_counter() - started
     assert worst <= 0.02
     assert elapsed < 10.0
@@ -97,9 +99,10 @@ def test_criterion_2_rotor_periodicity_and_nulls():
     worst_oracle = 0.0
     grid = TimeGrid(dt=2.5e-6, n_points=201)  # point 200 sits at 500 us
     for orient in SPANNING_ORIENTATIONS:
-        traj = propagate(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient,
-                         CRYSTAL_MAS, grid)
-        worst_oracle = max(worst_oracle, abs(float(traj.sy[200])))
+        sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), CRYSTAL_RF,
+                                          CRYSTAL_COUPLING, orient,
+                                          CRYSTAL_MAS, grid)
+        worst_oracle = max(worst_oracle, abs(float(sy[200])))
     assert worst_oracle <= 0.03
     _report(2, "transfer is rotor-periodic with exact nulls at the rotor "
                "echoes; propagator agrees at the first echo",
@@ -114,9 +117,10 @@ def test_criterion_3_stationary_sample_limit():
     n_periods = 5
     t_max = n_periods * 2.0 * math.pi / d0
     grid = TimeGrid(dt=t_max / 4000, n_points=4001)
-    traj = propagate(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient, static, grid)
+    sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), CRYSTAL_RF,
+                                      CRYSTAL_COUPLING, orient, static, grid)
 
-    s = traj.sy - 0.5
+    s = sy - 0.5
     idx = np.where(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
     t = grid.times()
     crossings = t[idx] - s[idx] * (t[idx + 1] - t[idx]) / (s[idx + 1] - s[idx])
@@ -125,7 +129,7 @@ def test_criterion_3_stationary_sample_limit():
     assert freq_err <= 0.01
 
     eta = transfer_efficiency(CRYSTAL_COUPLING, orient, static, t)
-    max_dev = float(np.max(np.abs(eta - traj.sy)))
+    max_dev = float(np.max(np.abs(eta - sy)))
     assert max_dev <= 0.02
     _report(3, "stationary-sample transfer oscillates at the orientation "
                "coupling and matches the closed form",
@@ -138,11 +142,12 @@ def test_criterion_4_double_quantum_component_is_pinned():
     worst = 0.0
     worst_ratio = math.inf
     for orient in SPANNING_ORIENTATIONS[:4]:
-        dev = dq_constancy_report(propagate(
-            IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient, CRYSTAL_MAS,
-            CRYSTAL_GRID))
-        dev2 = dq_constancy_report(propagate(
-            IY, doubled, CRYSTAL_COUPLING, orient, CRYSTAL_MAS, CRYSTAL_GRID))
+        dev = dq_constancy_report(propagate_expectations(
+            IY, (SY, IY, DQ_Y), CRYSTAL_RF, CRYSTAL_COUPLING, orient,
+            CRYSTAL_MAS, CRYSTAL_GRID)[2])
+        dev2 = dq_constancy_report(propagate_expectations(
+            IY, (SY, IY, DQ_Y), doubled, CRYSTAL_COUPLING, orient,
+            CRYSTAL_MAS, CRYSTAL_GRID)[2])
         worst = max(worst, dev)
         worst_ratio = min(worst_ratio, dev / dev2)
     assert worst <= 0.05
@@ -172,11 +177,12 @@ def test_criterion_5_commuting_subspaces_and_blockwise_propagation():
 
     worst_block = 0.0
     for orient in SPANNING_ORIENTATIONS[:4]:
-        traj = propagate(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient,
-                         CRYSTAL_MAS, CRYSTAL_GRID)
+        sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), CRYSTAL_RF,
+                                          CRYSTAL_COUPLING, orient,
+                                          CRYSTAL_MAS, CRYSTAL_GRID)
         blocks = propagate_blockwise(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient,
                                      CRYSTAL_MAS, CRYSTAL_GRID)
-        worst_block = max(worst_block, float(np.max(np.abs(traj.sy - blocks))))
+        worst_block = max(worst_block, float(np.max(np.abs(sy - blocks))))
     assert worst_block <= 1e-8
     _report(5, "zero- and double-quantum parts commute and block-wise "
                "propagation reproduces the full space",
@@ -187,7 +193,7 @@ def test_criterion_6_powder_average_convergence():
     grid = TimeGrid(dt=10e-6, n_points=201)
 
     def averaged(oset):
-        return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset).values
+        return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset)
 
     coarse = averaged(grid_orientation_set(64, 64))
     fine = averaged(grid_orientation_set(128, 128))
@@ -303,8 +309,9 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     grid = TimeGrid(dt=1e-6, n_points=401)
 
     def sy(substeps):
-        return propagate(IY, CRYSTAL_RF, CRYSTAL_COUPLING, orient,
-                         CRYSTAL_MAS, grid, substeps=substeps).sy
+        return propagate_expectations(IY, (SY, IY, DQ_Y), CRYSTAL_RF,
+                                      CRYSTAL_COUPLING, orient, CRYSTAL_MAS,
+                                      grid, substeps=substeps)[0]
 
     reference = sy(32)
     errors = [float(np.max(np.abs(sy(k) - reference))) for k in (1, 2, 4)]

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 import cpmas.cli as cli
 import cpmas.core as core
+import cpmas.fitting as fitting
 import cpmas.oracle as oracle
 from cpmas.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_FIT, EXIT_OK,
                        EXIT_THRESHOLD, main)
+from cpmas.core import RfScheme, SpinningParams
 from cpmas.fitting import load_buildup, read_curve_csv
+from cpmas.powder import DEFAULT_FIT_LEVEL, zcw_orientation_set
 
 KHZ = 2.0 * math.pi * 1e3
 
@@ -368,7 +371,7 @@ class TestOracleCommand:
 
     def test_on_resonance_run_starts_from_i_y(self, tmp_path, monkeypatch):
         # on resonance the lock axes are I_y and S_y exactly, so the columns
-        # are those of `propagate` from I_y bit for bit
+        # are those of the propagation from I_y bit for bit
         calls = []
         original = oracle.propagate_expectations
 
@@ -384,9 +387,10 @@ class TestOracleCommand:
         cols = read_curve_csv(out)
         args, kwargs = calls[0]
         assert kwargs == {}
-        traj = oracle.propagate(oracle.IY, *args)
-        for name in ("sy", "iy", "dq_y"):
-            assert np.array_equal(cols[name], getattr(traj, name))
+        rows = oracle.propagate_expectations(
+            oracle.IY, (oracle.SY, oracle.IY, oracle.DQ_Y), *args)
+        for name, row in zip(("sy", "iy", "dq_y"), rows):
+            assert np.array_equal(cols[name], row)
 
 
 class TestMatchGuard:
@@ -503,6 +507,35 @@ class TestFitCommand:
         assert "converged = true" in stdout.splitlines()
         assert set(read_curve_csv(out)) == {"time_us", "magnetization",
                                             "model", "residual"}
+
+    def test_fit_stopped_at_iteration_cap_exits_4(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the README fit cut off after 2 iterations: one stderr line, from
+        # `FitResult.unusable`, which `fit_buildup` gives the library too
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+        out = tmp_path / "overlay.csv"
+        args = ["fit", "--data", str(REPO_DATASET), "--distance-angstrom",
+                "1.09", "--mas-khz", "5", "--r-inv-us", "436", "--r1-inv-us",
+                "207", "--t1rho-ms", "2.8", "--m0", "1.5", "--out", str(out)]
+        assert run(args) == EXIT_FIT
+        stdout, err = capsys.readouterr()
+        line = ("fit error: the fit stopped at the iteration cap of 2 "
+                "before converging\n")
+        assert err == line
+        assert "converged = false" in stdout.splitlines()
+        assert set(read_curve_csv(out)) == {"time_us", "magnetization",
+                                            "model", "residual"}
+        spec = fitting.FitSpec(
+            values={"d": fitting.coupling_from_distance(1.09, "1H", "13C"),
+                    "r": 1 / 436e-6, "r1": 1 / 207e-6, "t1rho": 2.8e-3,
+                    "m0": 1.5},
+            free=("r", "r1", "t1rho", "m0"),
+            orientations=zcw_orientation_set(DEFAULT_FIT_LEVEL),
+            spin=SpinningParams(omega_r=5.0 * KHZ),
+            rf=RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ))
+        result = fitting.fit_buildup(load_buildup(REPO_DATASET), spec)
+        assert not result.converged
+        assert f"fit error: {result.unusable}\n" == line
 
     def test_overlay_reparses_and_run_is_deterministic(self, tmp_path):
         args = lambda out: ["fit", "--data", str(REPO_DATASET),

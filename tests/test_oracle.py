@@ -17,11 +17,11 @@ import cpmas.oracle as oracle
 from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, dipolar_coupling_at, effective_field)
-from cpmas.oracle import (IX, IY, IZ, IZSZ, SX, SY, SZ, Trajectory,
+from cpmas.oracle import (DQ_Y, IX, IY, IZ, IZSZ, SX, SY, SZ,
                           cos_sin_step, dq_constancy_report,
                           fictitious_operator,
                           hamiltonian_at,
-                          matrix_exponential_step, propagate,
+                          matrix_exponential_step,
                           propagate_blockwise, propagate_expectations,
                           required_substeps, tilted_spin_operators,
                           zq_dq_decompose)
@@ -480,8 +480,8 @@ class TestSubstepTable:
 
         monkeypatch.setattr(oracle, "cos_sin_step", counting)
         grid = TimeGrid(dt=1e-6, n_points=1001)  # 1000 intervals x 1
-        propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                  slow_mas, grid)
+        propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf, bench_coupling,
+                               bench_orientation, slow_mas, grid)
         assert len(counts) == 1
         # each substep is two 0.5 us factors, whose couplings reach 2/sqrt(3)
         # of max |2*d(t)|: a = w*dt/4 ~ 9.0e-3 takes degree 6, 7 nodes
@@ -516,10 +516,11 @@ class TestSubstepTable:
 class TestPropagate:
     def test_no_coupling_is_static(self, matched_rf, slow_mas):
         grid = TimeGrid(dt=1e-6, n_points=101)
-        traj = propagate(IY, matched_rf, CouplingParams(d=0.0),
-                         Orientation(beta=1.0, gamma=0.5), slow_mas, grid)
-        np.testing.assert_allclose(traj.sy, 0.0, atol=1e-12)
-        np.testing.assert_allclose(traj.iy, 1.0, atol=1e-12)
+        sy, iy, _ = propagate_expectations(
+            IY, (SY, IY, DQ_Y), matched_rf, CouplingParams(d=0.0),
+            Orientation(beta=1.0, gamma=0.5), slow_mas, grid)
+        np.testing.assert_allclose(sy, 0.0, atol=1e-12)
+        np.testing.assert_allclose(iy, 1.0, atol=1e-12)
 
     def test_stationary_oscillation(self, matched_rf, bench_coupling):
         # at beta = pi/2, gamma = 0 the transfer oscillates at |d|
@@ -527,18 +528,20 @@ class TestPropagate:
         orient = Orientation(beta=math.pi / 2, gamma=0.0)
         d0 = abs(bench_coupling.d)
         grid = TimeGrid(dt=1e-6, n_points=801)  # two oscillation periods
-        traj = propagate(IY, matched_rf, bench_coupling, orient, static, grid)
+        sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                          bench_coupling, orient, static, grid)
         expected = 0.5 * (1.0 - np.cos(d0 * grid.times()))
-        assert np.max(np.abs(traj.sy - expected)) <= 0.02
+        assert np.max(np.abs(sy - expected)) <= 0.02
 
     def test_matches_analytic_transfer(self, matched_rf, bench_coupling,
                                        slow_mas, bench_orientation):
         grid = TimeGrid(dt=1e-6, n_points=1001)
-        traj = propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                         slow_mas, grid)
+        sy, _, _ = propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                          bench_coupling, bench_orientation,
+                                          slow_mas, grid)
         eta = transfer_efficiency(bench_coupling, bench_orientation, slow_mas,
                                   grid.times())
-        assert np.max(np.abs(traj.sy - eta)) <= 0.02
+        assert np.max(np.abs(sy - eta)) <= 0.02
 
     def test_step_rule_violation_names_required_substeps(self, matched_rf,
                                                          bench_coupling,
@@ -549,8 +552,9 @@ class TestPropagate:
                                    bench_orientation, slow_mas, grid.dt)
         assert needed == 8
         with pytest.raises(ValueError, match=f"at least {needed} substeps"):
-            propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                      slow_mas, grid, substeps=needed - 1)
+            propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                   bench_coupling, bench_orientation,
+                                   slow_mas, grid, substeps=needed - 1)
 
     def test_unitarity_preserved(self, matched_rf, bench_coupling, slow_mas,
                                  bench_orientation):
@@ -581,7 +585,7 @@ class TestPropagate:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
                 TimeGrid(dt=1e-6, n_points=41))
-        propagate(*args)
+        propagate_expectations(IY, (SY, IY, DQ_Y), *args[1:])
         assert calls == []
         propagate_blockwise(*args)
         assert calls and all(shape[-2:] == (2, 2) for shape in calls)
@@ -605,7 +609,7 @@ class TestPropagate:
                 TimeGrid(dt=rng.choice([0.5e-6, 1e-6, 2e-6]),
                          n_points=int(rng.integers(200, 1001)))))
         for k, args in enumerate(cases):
-            sy_full = propagate(IY, *args).sy
+            sy_full = propagate_expectations(IY, (SY, IY, DQ_Y), *args)[0]
             sy_blocks = propagate_blockwise(IY, *args)
             assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, k
 
@@ -685,9 +689,10 @@ class TestPropagate:
                                      TimeGrid(dt=1e-6, n_points=1))
         expected = [[np.trace(s_e @ i_e).real], [np.trace(i_e @ i_e).real]]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
-        traj = propagate(IY, rf, bench_coupling, bench_orientation, slow_mas,
-                         TimeGrid(dt=1e-6, n_points=1))
-        assert (traj.sy[0], traj.iy[0], traj.dq_y[0]) == (0.0, 1.0, 0.5)
+        sy, iy, dq_y = propagate_expectations(
+            IY, (SY, IY, DQ_Y), rf, bench_coupling, bench_orientation,
+            slow_mas, TimeGrid(dt=1e-6, n_points=1))
+        assert (sy[0], iy[0], dq_y[0]) == (0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
     def test_substep_blocks_do_not_change_results(self, monkeypatch, block,
@@ -698,11 +703,12 @@ class TestPropagate:
         args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
                 TimeGrid(dt=4e-6, n_points=41))
         assert required_substeps(*args[1:5], 4e-6) == 4
-        full, blocks = propagate(*args), propagate_blockwise(*args)
+        full = propagate_expectations(IY, (SY, IY, DQ_Y), *args[1:])
+        blocks = propagate_blockwise(*args)
         monkeypatch.setattr(oracle, "SUBSTEP_BLOCK", block)
-        small = propagate(*args)
-        for name in ("sy", "iy", "dq_y"):
-            assert np.array_equal(getattr(small, name), getattr(full, name))
+        small = propagate_expectations(IY, (SY, IY, DQ_Y), *args[1:])
+        for row in range(3):   # sy, iy, dq_y
+            assert np.array_equal(small[row], full[row])
         assert np.array_equal(propagate_blockwise(*args), blocks)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 24])
@@ -758,8 +764,9 @@ class TestPropagate:
                                      grid.dt) == 1
             tracemalloc.start()
             try:
-                propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                          slow_mas, grid)
+                propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                       bench_coupling, bench_orientation,
+                                       slow_mas, grid)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -779,13 +786,14 @@ class TestPropagate:
                                    bench_coupling, slow_mas,
                                    bench_orientation):
         grid = TimeGrid(dt=8e-6, n_points=11)  # 10 intervals x 8 substeps
-        args = (IY, matched_rf, bench_coupling, bench_orientation, slow_mas,
-                grid)
+        args = (matched_rf, bench_coupling, bench_orientation, slow_mas, grid)
+        paths = (functools.partial(propagate_expectations, IY, (SY, IY, DQ_Y)),
+                 functools.partial(propagate_blockwise, IY))
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 80)
-        propagate(*args)
-        propagate_blockwise(*args)
+        for fn in paths:
+            fn(*args)
         monkeypatch.setattr(oracle, "MAX_SUBSTEPS", 79)
-        for fn in (propagate, propagate_blockwise):
+        for fn in paths:
             with pytest.raises(ValueError, match=r"^80 substeps \(10 grid "
                                r"intervals x 8\) exceed the limit of 79 "):
                 fn(*args)
@@ -805,9 +813,11 @@ class TestPropagate:
         with pytest.raises(ValueError, match=message):
             required_substeps(rf, bench_coupling, bench_orientation,
                               slow_mas, grid.dt)
-        for fn in (propagate, propagate_blockwise):
+        for fn in (functools.partial(propagate_expectations, IY,
+                                     (SY, IY, DQ_Y)),
+                   functools.partial(propagate_blockwise, IY)):
             with pytest.raises(ValueError, match=message):
-                fn(IY, rf, bench_coupling, bench_orientation, slow_mas, grid)
+                fn(rf, bench_coupling, bench_orientation, slow_mas, grid)
 
     def test_blockwise_rejects_offsets(self, bench_coupling, slow_mas,
                                        bench_orientation):
@@ -939,7 +949,8 @@ class TestCf4:
                                 gamma=rng.uniform(0.0, 2.0 * math.pi)),
                     spin, grid)
             substeps = required_substeps(*args[:4], grid.dt) + 1
-            sy_full = propagate(IY, *args, substeps=substeps).sy
+            sy_full = propagate_expectations(IY, (SY, IY, DQ_Y), *args,
+                                             substeps=substeps)[0]
             sy_blocks = propagate_blockwise(IY, *args, substeps=substeps)
             assert np.max(np.abs(sy_full - sy_blocks)) < 1e-11, seed
 
@@ -1052,8 +1063,8 @@ class TestScratch:
         held = []
 
         def work():  # a new thread starts with no scratch
-            propagate(IY, self.MATCHED, coupling, bench_orientation,
-                      slow_mas, grid)
+            propagate_expectations(IY, (SY, IY, DQ_Y), self.MATCHED, coupling,
+                                   bench_orientation, slow_mas, grid)
             held.append(sum(b.nbytes for b in vars(oracle._SCRATCH).values()))
 
         t = threading.Thread(target=work)
@@ -1165,17 +1176,19 @@ class TestDqConstancy:
     def test_zero_coupling_is_constant(self, matched_rf, slow_mas,
                                        bench_orientation):
         grid = TimeGrid(dt=1e-6, n_points=101)
-        traj = propagate(IY, matched_rf, CouplingParams(d=0.0),
-                         bench_orientation, slow_mas, grid)
-        assert dq_constancy_report(traj) < 1e-10
+        _, _, dq_y = propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                            CouplingParams(d=0.0),
+                                            bench_orientation, slow_mas, grid)
+        assert dq_constancy_report(dq_y) < 1e-10
 
     def test_strong_lock_pins_dq_component(self, matched_rf, bench_coupling,
                                            slow_mas, bench_orientation):
         grid = TimeGrid(dt=1e-6, n_points=1001)
-        traj = propagate(IY, matched_rf, bench_coupling, bench_orientation,
-                         slow_mas, grid)
-        assert traj.dq_y[0] == pytest.approx(0.5, abs=1e-12)
-        assert dq_constancy_report(traj) <= 0.05
+        _, _, dq_y = propagate_expectations(IY, (SY, IY, DQ_Y), matched_rf,
+                                            bench_coupling, bench_orientation,
+                                            slow_mas, grid)
+        assert dq_y[0] == pytest.approx(0.5, abs=1e-12)
+        assert dq_constancy_report(dq_y) <= 0.05
 
     def test_doubling_fields_tightens_constancy(self, matched_rf,
                                                 bench_coupling, slow_mas,
@@ -1183,10 +1196,12 @@ class TestDqConstancy:
         grid = TimeGrid(dt=1e-6, n_points=1001)
         doubled = RfScheme(omega1_i=2 * matched_rf.omega1_i,
                            omega1_s=2 * matched_rf.omega1_s)
-        dev1 = dq_constancy_report(propagate(
-            IY, matched_rf, bench_coupling, bench_orientation, slow_mas, grid))
-        dev2 = dq_constancy_report(propagate(
-            IY, doubled, bench_coupling, bench_orientation, slow_mas, grid))
+        dev1 = dq_constancy_report(propagate_expectations(
+            IY, (SY, IY, DQ_Y), matched_rf, bench_coupling, bench_orientation,
+            slow_mas, grid)[2])
+        dev2 = dq_constancy_report(propagate_expectations(
+            IY, (SY, IY, DQ_Y), doubled, bench_coupling, bench_orientation,
+            slow_mas, grid)[2])
         assert dev1 / dev2 >= 1.8
 
 
@@ -1222,11 +1237,3 @@ class TestOffResonanceScaling:
         t_off = first_half_transfer_time(rf_off, tilted=True,
                                          t_max=3 * t_half_on / scale)
         assert t_on / t_off == pytest.approx(scale, rel=0.05)
-
-
-class TestTrajectoryValidation:
-    def test_length_mismatch(self):
-        grid = TimeGrid(dt=1e-6, n_points=4)
-        with pytest.raises(ValueError):
-            Trajectory(grid=grid, sy=np.zeros(3), iy=np.zeros(4),
-                       dq_y=np.zeros(4))
