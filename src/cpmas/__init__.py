@@ -14,7 +14,7 @@ from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
 from .fitting import (BuildUpData, FitResult, FitSpec, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,
                       model_curve, save_buildup)
-from .oracle import (ZqDqComponents, dq_constancy_report, hamiltonian_at,
+from .oracle import (FICTITIOUS, dq_constancy_report, hamiltonian_at,
                      matrix_exponential_step, propagate_blockwise,
                      zq_dq_decompose)
 from .powder import (OrientationSet, averaged_efficiency, grid_orientation_set,

@@ -95,8 +95,10 @@ class BuildUpData:
 
     ``source_times_us`` keeps the microsecond values exactly as read from a
     CSV so that re-exporting the data is byte-exact; it is absent for
-    programmatically built datasets.  Every row is checked here (finite,
-    first time >= 0, times increasing, sigma > 0, at least 2 rows), and the
+    programmatically built datasets, and when present must give ``times``
+    exactly as ``source_times_us * 1e-6``, as `load_buildup` builds them.
+    Every row is checked here (finite, wire time equal to time, first time
+    >= 0, times increasing, sigma > 0, at least 2 rows), and the
     `DataError` names the first row (array index) at fault.
     """
 
@@ -116,12 +118,16 @@ class BuildUpData:
         sig = np.ones_like(times) if self.sigmas is None else self.sigmas
         finite = (np.isfinite(times) & np.isfinite(self.magnetizations)
                   & np.isfinite(sig))
-        ok = finite & (sig > 0.0) & np.concatenate(   # nan compares False
-            [times[:1] >= 0.0, times[1:] > times[:-1]])
+        wire = (np.ones_like(finite) if self.source_times_us is None
+                else self.source_times_us * 1e-6 == times)
+        ok = finite & wire & (sig > 0.0) & np.concatenate(
+            [times[:1] >= 0.0, times[1:] > times[:-1]])   # nan compares False
         if not ok.all():
             i = int(np.argmin(ok))
             t_us = float(self.times_us()[i])
             raise _RowError(i, "non-finite value" if not finite[i]
+                            else f"wire time {t_us} us is not the time "
+                                 f"{float(times[i])!r} s" if not wire[i]
                             else f"duplicate time {t_us} us"
                             if i and times[i] == times[i - 1]
                             else f"time {t_us} us is not increasing"
@@ -239,9 +245,17 @@ def save_buildup(data: BuildUpData, path) -> None:
 def write_curve_csv(path, columns: dict[str, np.ndarray],
                     echo: list[str]) -> None:
     """Write comment echo lines, a header row of the column names, then one
-    row of repr-formatted values per sample."""
+    row of repr-formatted values per sample.
+
+    Raises:
+        ValueError: if the columns differ in length (the message names
+            each column's length).
+    """
     values = [np.asarray(col, dtype=float).tolist() for col in columns.values()]
-    rows = min(map(len, values), default=0)
+    lengths = {name: len(col) for name, col in zip(columns, values)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    rows = min(lengths.values(), default=0)
     step = 2 * len(values)
     # each value followed by its separator: "," within a row, "\n" at its end
     cells = [","] * (step * rows)
@@ -342,11 +356,13 @@ class FitResult:
 
     ``values`` holds all five parameters (fitted or fixed); ``stderr`` has
     an entry per free parameter, derived from the Jacobian at the optimum.
-    A non-converged fit (iteration cap hit) is returned flagged, with the
-    best point found.  ``iterations`` counts the iterations of the fit's
-    one Levenberg-Marquardt run.  ``stop_reason`` is one of ``rss_tol``,
-    ``step_tol``, ``max_iterations`` or ``no_free_parameters``; ``model``
-    holds the model magnetization at the data times for ``values``.
+    A fit stopped at the iteration cap is returned with the best point
+    found, and its read-only ``converged`` (``stop_reason !=
+    "max_iterations"``) is False.  ``iterations`` counts the iterations of
+    the fit's one Levenberg-Marquardt run.  ``stop_reason`` is one of
+    ``rss_tol``, ``step_tol``, ``max_iterations`` or
+    ``no_free_parameters``; ``model`` holds the model magnetization at the
+    data times for ``values``.
     ``unusable`` is None or says why the fit gives no usable result (it
     stopped at the iteration cap, a free parameter's stderr is not finite,
     or one ended at a bound).
@@ -355,11 +371,15 @@ class FitResult:
     values: dict[str, float]
     rss: float
     stderr: dict[str, float] = field(default_factory=dict)
-    converged: bool = True
     iterations: int = 0
     stop_reason: str = "no_free_parameters"
     unusable: str | None = None
     model: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """False only for a fit stopped at the iteration cap."""
+        return self.stop_reason != "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -573,7 +593,6 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         end = guess
     stderr = _standard_errors(fm.jacobian(end, free), end.rss, free)
     return FitResult(values=end.values, rss=end.rss, stderr=stderr,
-                     converged=stop_reason != "max_iterations",
                      iterations=iterations, stop_reason=stop_reason,
                      unusable=_unusable(spec, end.values, stderr, stop_reason),
                      model=end.model)

@@ -70,15 +70,19 @@ space, so for rho(0) = I_y the raw traces <S_y> = Tr(S_y @ rho) start at 0,
 reach 1 at full transfer, and are directly comparable to the analytic
 efficiency.
 
-The zero-/double-quantum decomposition (the commuting 2x2 blocks of the
-y-quantized basis) is exposed both for structural tests and for block-wise
-propagation, which projects the full Hamiltonian stack onto each block and
-exponentiates the blocks on their own.  Fictitious spin-1/2 axes within
-each block are labeled so that sigma_y is the spin-lock (sum/difference)
-direction and sigma_z is the coupling direction:
+The zero- and double-quantum (ZQ/DQ) spaces are the commuting 2x2 blocks
+of the y-quantized basis.  One frozen table, ``FICTITIOUS[(space, axis)]``,
+holds their fictitious spin-1/2 operators in the product basis, for space
+"zq" or "dq" and axis "x", "y", "z" or "1" (the block identity).  The axes
+are labeled so that "y" is the spin-lock (difference/sum) direction and "z"
+the coupling direction:
 
     sigma_y_zq = (I_y - S_y)/2      sigma_y_dq = (I_y + S_y)/2
     sigma_z_zq = ZQ part of 2*I_z*S_z,  sigma_z_dq = DQ part of 2*I_z*S_z
+
+`zq_dq_decompose` reads an operator's coefficients off that table, and the
+block-wise propagation (`propagate_blockwise`) takes the blocks of H0 and
+of I_z*S_z once and exponentiates each factor's block H0 + c*Z on its own.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+import types
 
 import numpy as np
 
@@ -165,18 +169,25 @@ DQ_Y = _frozen(0.5 * (IY + SY))
 # Columns are the y-quantized product kets |+y+y>, |+y-y>, |-y+y>, |-y-y>.
 _V1 = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / math.sqrt(2.0)
 Y_BASIS = _frozen(np.kron(_V1, _V1))
-_DQ_IDX = (0, 3)
-_ZQ_IDX = (1, 2)
+# The y-basis kets that span each space.
+_SPACES = {"zq": (1, 2), "dq": (0, 3)}
 
 
-def _in_y_basis(op) -> np.ndarray:
-    """An operator, or a stack of them, in the y-quantized basis."""
-    return Y_BASIS.conj().T @ np.asarray(op, dtype=complex) @ Y_BASIS
-
-
-def _block(op_y: np.ndarray, idx) -> np.ndarray:
-    """The (idx, idx) 2x2 block of a y-basis operator or stack."""
+def _block(op, space: str) -> np.ndarray:
+    """The ``space`` 2x2 block, in the y-quantized basis, of a product-basis
+    operator or stack."""
+    idx = _SPACES[space]
+    op_y = Y_BASIS.conj().T @ np.asarray(op, dtype=complex) @ Y_BASIS
     return op_y[..., idx, :][..., idx]
+
+
+# The axes map to the block matrices (s_y, s_z, s_x, 1), so that the lock
+# direction is "y" and the coupling direction "z"; the cyclic relabeling
+# keeps [s_x, s_y] = i*s_z.
+FICTITIOUS = types.MappingProxyType({
+    (space, axis): _frozen(Y_BASIS[:, idx] @ m @ Y_BASIS[:, idx].conj().T)
+    for space, idx in _SPACES.items()
+    for axis, m in zip("xyz1", (_SY, _SZ, _SX, _E2))})
 
 
 # Product-basis operators of the Hamiltonian's terms, and the same terms in
@@ -595,14 +606,14 @@ def propagate_expectations(rho0: np.ndarray, observables,
         _to_real_frame(observables))
 
 
-def _eigh_steps(rf: RfScheme, idx, dt: float):
-    """``steps(c)`` for the (idx, idx) y-basis block of H0 + c*I_z*S_z,
-    exponentiated by eigh."""
-    h0 = _lock_hamiltonian(_TERMS, rf)
+def _eigh_steps(rf: RfScheme, space: str, dt: float):
+    """``steps(c)`` for the ``space`` block of H0 + c*I_z*S_z, exponentiated
+    by eigh."""
+    h0 = _block(_lock_hamiltonian(_TERMS, rf), space)
+    z = _block(IZSZ, space)
 
     def steps(c: np.ndarray) -> np.ndarray:
-        u = matrix_exponential_step(_block(_in_y_basis(
-            h0 + c[:, None, None] * IZSZ), idx), dt)
+        u = matrix_exponential_step(h0 + c[:, None, None] * z, dt)
         return _embedding_of_top(np.concatenate([u.real, -u.imag], -1))
 
     return steps
@@ -617,9 +628,10 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     On resonance the Hamiltonian is block diagonal in the y-quantized basis
     ([H_zq, H_dq] = 0), so evolving the two 2x2 blocks independently must
     reproduce the full 4x4 propagation; this provides the structural
-    cross-check of that claim.  Each block of the full Hamiltonian stack is
-    exponentiated by `matrix_exponential_step` (``eigh``) and propagated on
-    its own, by the same CF4 steps as `propagate_expectations`.
+    cross-check of that claim.  The blocks of H0 and of I_z*S_z are taken
+    once; each CF4 factor's block H0 + c*Z is exponentiated by
+    `matrix_exponential_step` (``eigh``) and propagated on its own, by the
+    same steps as `propagate_expectations`.
 
     Raises:
         ValueError: for nonzero offsets (which couple the blocks), an
@@ -628,88 +640,32 @@ def propagate_blockwise(rho0: np.ndarray, rf: RfScheme,
     """
     if rf.offset_i != 0.0 or rf.offset_s != 0.0:
         raise ValueError("block-wise propagation requires zero offsets")
-    rho_y, sy_y = _in_y_basis(rho0), _in_y_basis(SY)
     return sum(_propagate(
-        functools.partial(_eigh_steps, rf, idx), rf, coupling, orient, spin,
-        grid, substeps, _block(rho_y, idx), [_block(sy_y, idx)])[0]
-        for idx in (_ZQ_IDX, _DQ_IDX))
+        functools.partial(_eigh_steps, rf, space), rf, coupling, orient,
+        spin, grid, substeps, _block(rho0, space), [_block(SY, space)])[0]
+        for space in _SPACES)
 
 
-@dataclass(frozen=True)
-class ZqDqComponents:
-    """ZQ/DQ 2x2 blocks of an operator plus fictitious spin-1/2 coefficients.
+def zq_dq_decompose(op: np.ndarray) -> tuple[tuple, tuple, float]:
+    """Project a 4x4 operator onto the fictitious spin-1/2 operators of the
+    ZQ and DQ spaces.
 
-    Coefficients are ordered (c_x, c_y, c_z, c_1) against the fictitious
-    axes documented in the module docstring; c_1 multiplies the block
-    identity.  ``remainder_norm`` is the max magnitude of the operator's
-    elements outside the two blocks (0 for block-supported operators).
+    Returns:
+        ``(zq_coeffs, dq_coeffs, remainder_norm)``: each space's
+        coefficients (c_x, c_y, c_z, c_1) of ``FICTITIOUS[space, axis]``,
+        c_a = 2*Re Tr(F_a @ op) and c_1 = Re Tr(F_1 @ op)/2, and the max
+        magnitude of op minus their sum in the product basis, ~0 for
+        Hermitian operators supported on the blocks (every Hamiltonian this
+        module builds on resonance, and rho(0) = I_y).
     """
-
-    zq: np.ndarray
-    dq: np.ndarray
-    zq_coeffs: tuple[float, float, float, float]
-    dq_coeffs: tuple[float, float, float, float]
-    remainder_norm: float
-
-    def recompose(self) -> np.ndarray:
-        """Embed the blocks back into the 4x4 product-basis operator."""
-        return _from_blocks(self.zq, self.dq)
-
-
-def _from_blocks(zq, dq) -> np.ndarray:
-    """The 4x4 product-basis operator with these ZQ and DQ blocks."""
-    opy = np.zeros((4, 4), dtype=complex)
-    opy[np.ix_(_ZQ_IDX, _ZQ_IDX)] = zq
-    opy[np.ix_(_DQ_IDX, _DQ_IDX)] = dq
-    return Y_BASIS @ opy @ Y_BASIS.conj().T
-
-
-# Fictitious axes expressed in the within-block matrix basis: the physical
-# axis labels (x, y, z) map to block matrices (e_y, e_z, e_x) so that the
-# spin-lock direction stays "y" and the coupling direction is "z"; the
-# cyclic relabeling keeps [s_x, s_y] = i*s_z.
-_BLOCK_X, _BLOCK_Y, _BLOCK_Z = _SY, _SZ, _SX
-
-
-def fictitious_operator(space: str, axis: str) -> np.ndarray:
-    """Fictitious spin-1/2 operator embedded in the 4x4 product basis.
-
-    Args:
-        space: "zq" or "dq".
-        axis: "x", "y", "z" or "1" (block identity).
-    """
-    block = {"x": _BLOCK_X, "y": _BLOCK_Y, "z": _BLOCK_Z,
-             "1": np.eye(2, dtype=complex)}[axis]
-    return _from_blocks(*{"zq": (block, 0.0), "dq": (0.0, block)}[space])
-
-
-def _block_coeffs(block: np.ndarray) -> tuple[float, float, float, float]:
-    c_x = 2.0 * np.trace(block @ _BLOCK_X)
-    c_y = 2.0 * np.trace(block @ _BLOCK_Y)
-    c_z = 2.0 * np.trace(block @ _BLOCK_Z)
-    c_1 = 0.5 * np.trace(block)
-    return (complex(c_x).real, complex(c_y).real,
-            complex(c_z).real, complex(c_1).real)
-
-
-def zq_dq_decompose(op: np.ndarray) -> ZqDqComponents:
-    """Project a 4x4 operator onto its ZQ and DQ blocks.
-
-    For Hermitian operators supported on the blocks (every Hamiltonian this
-    module builds on resonance, and rho(0) = I_y), ``recompose()``
-    reproduces the input and ``remainder_norm`` is ~0.
-    """
-    opy = _in_y_basis(op)
-    zq = _block(opy, _ZQ_IDX)
-    dq = _block(opy, _DQ_IDX)
-    mask = np.ones((4, 4), dtype=bool)
-    mask[np.ix_(_ZQ_IDX, _ZQ_IDX)] = False
-    mask[np.ix_(_DQ_IDX, _DQ_IDX)] = False
-    remainder = float(np.max(np.abs(opy[mask])))
-    return ZqDqComponents(zq=_frozen(zq), dq=_frozen(dq),
-                          zq_coeffs=_block_coeffs(zq),
-                          dq_coeffs=_block_coeffs(dq),
-                          remainder_norm=remainder)
+    op = np.asarray(op, dtype=complex)
+    coeffs = [tuple(float((0.5 if axis == "1" else 2.0)
+                          * np.trace(FICTITIOUS[space, axis] @ op).real)
+                    for axis in "xyz1") for space in _SPACES]
+    rest = op - sum(c * FICTITIOUS[space, axis]
+                    for space, cs in zip(_SPACES, coeffs)
+                    for c, axis in zip(cs, "xyz1"))
+    return *coeffs, float(np.max(np.abs(rest)))
 
 
 def dq_constancy_report(dq_y: np.ndarray) -> float:

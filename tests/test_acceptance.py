@@ -24,8 +24,8 @@ from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, effective_field)
 from cpmas.fitting import (BuildUpData, FitSpec, coupling_from_distance,
                            fit_buildup, model_curve)
-from cpmas.oracle import (DQ_Y, IY, SY, dq_constancy_report,
-                          fictitious_operator, hamiltonian_at,
+from cpmas.oracle import (DQ_Y, FICTITIOUS, IY, SY, dq_constancy_report,
+                          hamiltonian_at,
                           matrix_exponential_step, propagate_blockwise,
                           propagate_expectations,
                           tilted_spin_operators, zq_dq_decompose)
@@ -165,11 +165,11 @@ def test_criterion_5_commuting_subspaces_and_blockwise_propagation():
                              gamma=float(rng.uniform(0, 2 * math.pi)))
         t = float(rng.uniform(0, 1e-3))
         h = hamiltonian_at(CRYSTAL_RF, CRYSTAL_COUPLING, orient, CRYSTAL_MAS, t)
-        comps = zq_dq_decompose(h)
-        h_zq = sum(c * fictitious_operator("zq", ax)
-                   for c, ax in zip(comps.zq_coeffs, "xyz1"))
-        h_dq = sum(c * fictitious_operator("dq", ax)
-                   for c, ax in zip(comps.dq_coeffs, "xyz1"))
+        zq_coeffs, dq_coeffs, _ = zq_dq_decompose(h)
+        h_zq = sum(c * FICTITIOUS["zq", ax]
+                   for c, ax in zip(zq_coeffs, "xyz1"))
+        h_dq = sum(c * FICTITIOUS["dq", ax]
+                   for c, ax in zip(dq_coeffs, "xyz1"))
         comm = np.linalg.norm(h_zq @ h_dq - h_dq @ h_zq, 2)
         scale = np.linalg.norm(h_zq, 2) * np.linalg.norm(h_dq, 2)
         worst_comm = max(worst_comm, comm / scale)

@@ -231,6 +231,13 @@ class TestLoadBuildup:
             b"3.0,-inf,1e+300\n"
             b"9007199254740992.0,1e-300,-2.5\n")
 
+    def test_writer_refuses_unequal_columns(self, tmp_path):
+        out = tmp_path / "unequal.csv"
+        lengths = r"^columns differ in length: \{'a': 2, 'b': 1\}$"
+        with pytest.raises(ValueError, match=lengths):
+            fitting.write_curve_csv(out, {"a": [1, 2], "b": [3]}, [])
+        assert not out.exists()
+
 
 # any float64 bit pattern, plus the values whose repr is easiest to get wrong
 CSV_FLOATS = st.one_of(
@@ -866,6 +873,16 @@ class TestUnusableFit:
         assert result.stop_reason == "no_free_parameters"
         assert result.unusable is None
 
+    @pytest.mark.parametrize("stop_reason", [
+        "rss_tol", "step_tol", "max_iterations", "no_free_parameters"])
+    def test_converged_follows_the_stop_reason(self, stop_reason):
+        result = FitResult(values={}, rss=0.0, stop_reason=stop_reason)
+        assert result.converged == (stop_reason != "max_iterations")
+        with pytest.raises(AttributeError):
+            result.converged = True
+        with pytest.raises(TypeError):
+            FitResult(values={}, rss=0.0, converged=True)
+
 
 class TestFitSpecValidation:
     def test_requires_all_parameter_names(self):
@@ -1047,6 +1064,16 @@ class TestBuildUpDataValidation:
                         sigmas=np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
         with pytest.raises(DataError, match="^need at least 2 data points"):
             BuildUpData(times=np.zeros(1), magnetizations=np.zeros(1))
+
+    def test_rejects_wire_times_that_are_not_the_times(self):
+        times = np.array([0.0, 1e-6, 2e-6])
+        with pytest.raises(DataError, match=r"^row 1: wire time 5.0 us is "
+                                            r"not the time 1e-06 s$"):
+            BuildUpData(times=times, magnetizations=np.zeros(3),
+                        source_times_us=np.array([0.0, 5.0, 9.0]))
+        data = BuildUpData(times=times, magnetizations=np.zeros(3),
+                           source_times_us=np.array([0.0, 1.0, 2.0]))
+        assert np.array_equal(data.times_us(), [0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("column, value", [
         ("times", math.nan), ("times", math.inf),

@@ -17,9 +17,8 @@ import cpmas.oracle as oracle
 from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
                         TimeGrid, dipolar_coupling_at, effective_field)
-from cpmas.oracle import (DQ_Y, IX, IY, IZ, IZSZ, SX, SY, SZ,
+from cpmas.oracle import (DQ_Y, FICTITIOUS, IX, IY, IZ, IZSZ, SX, SY, SZ,
                           cos_sin_step, dq_constancy_report,
-                          fictitious_operator,
                           hamiltonian_at,
                           matrix_exponential_step,
                           propagate_blockwise, propagate_expectations,
@@ -76,13 +75,13 @@ class TestHamiltonian:
                                  gamma=float(rng.uniform(0, 2 * math.pi)))
             t = float(rng.uniform(0, 1e-3))
             h = hamiltonian_at(matched_rf, bench_coupling, orient, slow_mas, t)
-            comps = zq_dq_decompose(h)
-            h_zq = _embed(comps.zq_coeffs, "zq")
-            h_dq = _embed(comps.dq_coeffs, "dq")
+            zq_coeffs, dq_coeffs, remainder_norm = zq_dq_decompose(h)
+            h_zq = _embed(zq_coeffs, "zq")
+            h_dq = _embed(dq_coeffs, "dq")
             comm = h_zq @ h_dq - h_dq @ h_zq
             scale = np.linalg.norm(h_zq, 2) * np.linalg.norm(h_dq, 2)
             assert np.linalg.norm(comm, 2) / scale < 1e-12
-            assert comps.remainder_norm < 1e-9 * np.max(np.abs(h))
+            assert remainder_norm < 1e-9 * np.max(np.abs(h))
             np.testing.assert_allclose(h_zq + h_dq, h,
                                        atol=1e-10 * np.max(np.abs(h)))
 
@@ -122,7 +121,7 @@ def _embed(coeffs, space):
     """4x4 operator from its fictitious spin-1/2 expansion in one space."""
     out = np.zeros((4, 4), dtype=complex)
     for axis, coeff in zip("xyz1", coeffs):
-        out = out + coeff * fictitious_operator(space, axis)
+        out = out + coeff * FICTITIOUS[space, axis]
     return out
 
 
@@ -1112,31 +1111,31 @@ class TestScratch:
 
 class TestZqDqDecompose:
     def test_initial_state_splits_into_unit_lock_components(self):
-        comps = zq_dq_decompose(IY)
-        np.testing.assert_allclose(comps.zq_coeffs, (0.0, 1.0, 0.0, 0.0),
+        zq_coeffs, dq_coeffs, remainder_norm = zq_dq_decompose(IY)
+        np.testing.assert_allclose(zq_coeffs, (0.0, 1.0, 0.0, 0.0),
                                    atol=1e-12)
-        np.testing.assert_allclose(comps.dq_coeffs, (0.0, 1.0, 0.0, 0.0),
+        np.testing.assert_allclose(dq_coeffs, (0.0, 1.0, 0.0, 0.0),
                                    atol=1e-12)
-        assert comps.remainder_norm < 1e-12
+        assert remainder_norm < 1e-12
 
     def test_lock_components_match_spin_combinations(self):
-        np.testing.assert_allclose(fictitious_operator("zq", "y"),
+        np.testing.assert_allclose(FICTITIOUS["zq", "y"],
                                    0.5 * (IY - SY), atol=1e-14)
-        np.testing.assert_allclose(fictitious_operator("dq", "y"),
+        np.testing.assert_allclose(FICTITIOUS["dq", "y"],
                                    0.5 * (IY + SY), atol=1e-14)
 
     def test_cross_space_commutators_vanish(self):
         for ax1 in "xyz":
             for ax2 in "xyz":
-                a = fictitious_operator("zq", ax1)
-                b = fictitious_operator("dq", ax2)
+                a = FICTITIOUS["zq", ax1]
+                b = FICTITIOUS["dq", ax2]
                 assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
     def test_spin_half_algebra_within_each_space(self):
         for space in ("zq", "dq"):
-            sx = fictitious_operator(space, "x")
-            sy = fictitious_operator(space, "y")
-            sz = fictitious_operator(space, "z")
+            sx = FICTITIOUS[space, "x"]
+            sy = FICTITIOUS[space, "y"]
+            sz = FICTITIOUS[space, "z"]
             np.testing.assert_allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-14)
 
     def test_matched_hamiltonian_is_pure_coupling_in_zq(self, matched_rf,
@@ -1148,28 +1147,58 @@ class TestZqDqDecompose:
                                  gamma=float(rng.uniform(0, 2 * math.pi)))
             t = float(rng.uniform(0, 5e-4))
             h = hamiltonian_at(matched_rf, bench_coupling, orient, slow_mas, t)
-            comps = zq_dq_decompose(h)
+            zq_coeffs, dq_coeffs, _ = zq_dq_decompose(h)
             d_t = dipolar_coupling_at(bench_coupling, orient, slow_mas, t)
-            c_x, c_y, c_z, c_1 = comps.zq_coeffs
+            c_x, c_y, c_z, c_1 = zq_coeffs
             assert c_z == pytest.approx(d_t, rel=1e-10, abs=1e-6)
             assert abs(c_x) < 1e-9 and abs(c_y) < 1e-9 and abs(c_1) < 1e-9
             # DQ part carries the lock sum plus the same coupling component
-            assert comps.dq_coeffs[1] == pytest.approx(
+            assert dq_coeffs[1] == pytest.approx(
                 matched_rf.omega1_i + matched_rf.omega1_s, rel=1e-12)
-            assert comps.dq_coeffs[2] == pytest.approx(d_t, rel=1e-10, abs=1e-6)
+            assert dq_coeffs[2] == pytest.approx(d_t, rel=1e-10, abs=1e-6)
 
     def test_recomposition_reproduces_block_supported_operator(self, matched_rf,
                                                                bench_coupling,
                                                                slow_mas):
         h = hamiltonian_at(matched_rf, bench_coupling,
                            Orientation(beta=1.2, gamma=0.3), slow_mas, 1e-5)
-        comps = zq_dq_decompose(h)
-        assert np.max(np.abs(comps.recompose() - h)) < 1e-12 * np.max(np.abs(h))
+        zq_coeffs, dq_coeffs, _ = zq_dq_decompose(h)
+        recomposed = _embed(zq_coeffs, "zq") + _embed(dq_coeffs, "dq")
+        assert np.max(np.abs(recomposed - h)) < 1e-12 * np.max(np.abs(h))
 
     def test_off_block_operator_reports_remainder(self):
         # a single-spin z operator mixes the two spaces
-        comps = zq_dq_decompose(IZ)
-        assert comps.remainder_norm > 0.1
+        assert zq_dq_decompose(IZ)[2] > 0.1
+
+
+class TestZqClaim:
+    def test_zq_lock_is_the_closed_form_and_dq_is_its_error(self):
+        # On resonance at the match the ZQ Hamiltonian is d(t)*sigma_z_zq,
+        # so <ZQ_y> = cos(phi)/2 = 1/2 - eta exactly, and S_y = DQ_y - ZQ_y
+        # leaves the closed form's whole error to the DQ lock's excursion;
+        # single crystals inside CF4's fitted box
+        rng = np.random.default_rng(34)
+        tol = oracle.CF4_TOLERANCE
+        worst_closed_form = 0.0
+        for k in range(15):
+            lock = float(rng.uniform(40.0, 120.0)) * KHZ
+            rf = RfScheme(omega1_i=lock, omega1_s=lock)
+            coupling = CouplingParams(d=float(rng.uniform(1.0, 5.0)) * KHZ)
+            orient = Orientation(beta=float(rng.uniform(0, math.pi)),
+                                 gamma=float(rng.uniform(0, 2 * math.pi)))
+            spin = SpinningParams(omega_r=float(rng.uniform(1.0, 10.0)) * KHZ)
+            grid = TimeGrid(dt=float(rng.uniform(0.5, 2.0)) * 1e-6,
+                            n_points=int(rng.integers(200, 601)))
+            sy, zq_y, dq_y = propagate_expectations(
+                IY, (SY, FICTITIOUS["zq", "y"], DQ_Y), rf, coupling, orient,
+                spin, grid)
+            eta = transfer_efficiency(coupling, orient, spin, grid.times())
+            assert np.max(np.abs(zq_y - (0.5 - eta))) <= tol, k
+            assert np.max(np.abs((sy - eta) - (dq_y - dq_y[0]))) <= tol, k
+            worst_closed_form = max(worst_closed_form,
+                                    float(np.max(np.abs(sy - eta))))
+        # the identities are not vacuous: the closed form itself errs
+        assert worst_closed_form > 100 * tol
 
 
 class TestDqConstancy:
