@@ -8,9 +8,8 @@ curves for couplings, distances and relaxation rates.
 
 from .analytic import (RelaxationParams, efficiency_curve, magnetization,
                        transfer_efficiency)
-from .core import (CouplingParams, EffectiveField, Orientation, RfScheme,
-                   SpinningParams, TimeGrid, dipolar_coupling_at,
-                   dipolar_phase, effective_field, tilt_scale)
+from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                   TimeGrid, dipolar_coupling_at, dipolar_phase, tilt_scale)
 from .fitting import (BuildUpData, FitResult, FitSpec, coupling_from_distance,
                       distance_from_coupling, fit_buildup, load_buildup,
                       model_curve, save_buildup)

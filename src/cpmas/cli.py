@@ -22,6 +22,7 @@ to 0 s, a grid:NxM set over 10**6 orientations, an oracle or compare run
 over the substep cap of 10**6, a dipolar phase that overflows for
 simulate, powder or compare, a compare --threshold not finite and >= 0,
 locks off the Hartmann-Hahn match for simulate, powder, compare or fit,
+locks whose effective field lies on the z axis or overflows,
 or an unweighted fit whose residual sum at the initial guess is not
 finite), 2 comparison threshold exceeded, 3 data error, 4 fit
 non-convergence or fit failure (also a fit with a `FitResult.unusable`
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import analytic, fitting, oracle, powder
 from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
-                   TimeGrid, effective_field, tilt_scale)
+                   TimeGrid, tilt_scale)
 from .fitting import write_curve_csv
 
 EXIT_OK = 0
@@ -320,15 +321,11 @@ def _rf_from(resolved) -> RfScheme | None:
     for flag, value in (("offset-i-khz", off_i), ("offset-s-khz", off_s)):
         if not math.isfinite(_rad_per_s(flag, value)):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    rf = RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
-                  offset_i=off_i * KHZ, offset_s=off_s * KHZ)
     try:
-        effective_field(rf)
-    except ValueError as exc:
-        raise ConfigError(
-            f"an offset this large against its lock amplitude turns the "
-            f"effective field onto the z axis ({exc})") from exc
-    return rf
+        return RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
+                        offset_i=off_i * KHZ, offset_s=off_s * KHZ)
+    except ValueError as exc:  # an effective field on z, or overflowing
+        raise ConfigError(str(exc)) from exc
 
 
 def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:

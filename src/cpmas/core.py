@@ -15,9 +15,9 @@ taken once per orientation, and summed for every B by `bracket_sum`, one
 `np.einsum` over the four; no transcendental is evaluated per
 orientation-point.
 
-Off-resonance spin-lock geometry (effective-field magnitudes and tilt
-angles) also lives here because it only rescales d, by `tilt_scale`,
-which alone decides where the closed forms hold: the Hartmann-Hahn match.
+Off-resonance spin-lock geometry also lives here, in `RfScheme`, as it
+only rescales d, by `tilt_scale`, which alone decides where the closed
+forms hold: the Hartmann-Hahn match.
 
 Unit convention: all angular frequencies are stored in rad/s, times in
 seconds, angles in radians.  User-facing layers (the CLI) convert from
@@ -87,7 +87,16 @@ class SpinningParams:
 
 @dataclass(frozen=True)
 class RfScheme:
-    """Spin-lock amplitudes and resonance offsets for the I and S channels (rad/s)."""
+    """Spin-lock amplitudes omega1_i, omega1_s and resonance offsets
+    offset_i, offset_s of the I and S channels (rad/s).
+
+    Properties give each channel's effective field: the magnitude omega1_ie,
+    omega1_se = sqrt(offset^2 + omega1^2) and the tilt angle from +z
+    theta_i, theta_s = arccos(offset / magnitude), exactly pi/2 on
+    resonance.  Raises ValueError for an amplitude not > 0, a field not
+    finite, a magnitude that overflows (its tilt angle would read pi/2) or
+    a tilt angle that rounds to 0 or pi (the effective field on z).
+    """
 
     omega1_i: float
     omega1_s: float
@@ -100,27 +109,33 @@ class RfScheme:
         for name in ("omega1_i", "omega1_s", "offset_i", "offset_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class EffectiveField:
-    """Effective spin-lock fields: magnitudes (rad/s) and tilt angles from +z (rad).
-
-    On resonance both tilt angles are exactly pi/2 and the magnitudes equal
-    the nominal amplitudes.
-    """
-
-    omega1_ie: float
-    omega1_se: float
-    theta_i: float
-    theta_s: float
-
-    def __post_init__(self):
-        if not (self.omega1_ie > 0.0 and self.omega1_se > 0.0):
-            raise ValueError("effective-field magnitudes must be > 0")
+        for name in ("omega1_ie", "omega1_se"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"the effective-field magnitude {name} = "
+                                 f"sqrt(offset^2 + omega1^2) overflows "
+                                 f"double precision")
         for theta in (self.theta_i, self.theta_s):
             if not 0.0 < theta < math.pi:
-                raise ValueError(f"tilt angle must be in (0, pi), got {theta}")
+                raise ValueError(
+                    f"an offset this large against its lock amplitude turns "
+                    f"the effective field onto the z axis (tilt angle must "
+                    f"be in (0, pi), got {theta})")
+
+    @property
+    def omega1_ie(self) -> float:
+        return math.hypot(self.offset_i, self.omega1_i)
+
+    @property
+    def omega1_se(self) -> float:
+        return math.hypot(self.offset_s, self.omega1_s)
+
+    @property
+    def theta_i(self) -> float:
+        return math.acos(self.offset_i / self.omega1_ie)
+
+    @property
+    def theta_s(self) -> float:
+        return math.acos(self.offset_s / self.omega1_se)
 
 
 @dataclass(frozen=True)
@@ -257,21 +272,6 @@ def dipolar_phase(coupling: CouplingParams, orient: Orientation,
     return out if np.ndim(t) else float(out)
 
 
-def effective_field(rf: RfScheme) -> EffectiveField:
-    """Effective-field magnitudes and tilt angles for both channels.
-
-    omega1_e = sqrt(offset^2 + omega1^2), theta = arccos(offset / omega1_e).
-    """
-    w_ie = math.hypot(rf.offset_i, rf.omega1_i)
-    w_se = math.hypot(rf.offset_s, rf.omega1_s)
-    return EffectiveField(
-        omega1_ie=w_ie,
-        omega1_se=w_se,
-        theta_i=math.acos(rf.offset_i / w_ie),
-        theta_s=math.acos(rf.offset_s / w_se),
-    )
-
-
 # The closed forms hold at the Hartmann-Hahn match: `tilt_scale` refuses
 # effective lock fields that differ by more than this share of their sum.
 # Equal amplitudes with equal offsets match exactly.
@@ -286,12 +286,11 @@ def tilt_scale(rf: RfScheme) -> float:
     dropped.  On resonance the factor is exactly 1.  Raises ValueError,
     naming w1I,e - w1S,e in kHz, off the match by more than MATCH_TOL.
     """
-    eff = effective_field(rf)
-    delta = eff.omega1_ie - eff.omega1_se
-    if abs(delta) > MATCH_TOL * (eff.omega1_ie + eff.omega1_se):
+    delta = rf.omega1_ie - rf.omega1_se
+    if abs(delta) > MATCH_TOL * (rf.omega1_ie + rf.omega1_se):
         raise ValueError(
             f"the effective lock fields are off the Hartmann-Hahn match by "
             f"w1I,e - w1S,e = {delta / (2.0 * math.pi * 1e3):.6g} kHz, more "
             f"than {MATCH_TOL:g} of their sum; the closed form holds only at "
             f"the match (`oracle` propagates any locks)")
-    return math.sin(eff.theta_i) * math.sin(eff.theta_s)
+    return math.sin(rf.theta_i) * math.sin(rf.theta_s)

@@ -95,9 +95,10 @@ import types
 import numpy as np
 
 from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
-                   TimeGrid, _coefficients, dipolar_coupling_at,
-                   effective_field)
+                   TimeGrid, _coefficients, dipolar_coupling_at)
 
+# Largest asymmetry of a Hermitian matrix, as a share of max(1, max |h|): the
+# Hamiltonians are in rad/s, where round-off alone can leave ~1e-11.
 HERMITICITY_TOL = 1e-12
 
 # Most substeps in one propagation (two factors each, each a Chebyshev
@@ -176,9 +177,8 @@ _SPACES = {"zq": (1, 2), "dq": (0, 3)}
 def _block(op, space: str) -> np.ndarray:
     """The ``space`` 2x2 block, in the y-quantized basis, of a product-basis
     operator or stack."""
-    idx = _SPACES[space]
-    op_y = Y_BASIS.conj().T @ np.asarray(op, dtype=complex) @ Y_BASIS
-    return op_y[..., idx, :][..., idx]
+    kets = Y_BASIS[:, _SPACES[space]]
+    return kets.conj().T @ np.asarray(op, dtype=complex) @ kets
 
 
 # The axes map to the block matrices (s_y, s_z, s_x, 1), so that the lock
@@ -227,9 +227,13 @@ def hamiltonian_at(rf: RfScheme, coupling: CouplingParams, orient: Orientation,
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0)
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    asym = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1),
+                                                          initial=0.0)
+    scale = np.abs(h).max(axis=(-2, -1), initial=0.0)
+    refused = asym > HERMITICITY_TOL * np.maximum(1.0, scale)
+    if np.any(refused):
+        raise ValueError(f"matrix is not Hermitian (asymmetry "
+                         f"{np.max(asym[refused]):.3e})")
 
 
 def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
@@ -241,8 +245,8 @@ def matrix_exponential_step(h: np.ndarray, dt: float) -> np.ndarray:
     block-wise propagation; the full-space one is `cos_sin_step`.
 
     Raises:
-        ValueError: if ``h`` is not Hermitian within 1e-12 (max elementwise
-            asymmetry over the stack).
+        ValueError: if some matrix of ``h`` is not Hermitian within 1e-12
+            of max(1, its largest magnitude) (`HERMITICITY_TOL`).
     """
     h = np.asarray(h, dtype=complex)
     _check_hermitian(h)
@@ -275,9 +279,9 @@ def cos_sin_step(h: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     exact to round-off; a matrix's result does not depend on the stack.
 
     Raises:
-        ValueError: if ``h`` is not symmetric within 1e-12 (max elementwise
-            asymmetry over the stack), or some ||h*dt||_inf is not below
-            0.35.
+        ValueError: if some matrix of ``h`` is not symmetric within 1e-12
+            of max(1, its largest magnitude) (`HERMITICITY_TOL`), or some
+            ||h*dt||_inf is not below 0.35.
     """
     h = np.asarray(h, dtype=float)
     _check_hermitian(h)
@@ -352,8 +356,7 @@ def required_substeps(rf: RfScheme, coupling: CouplingParams,
         ValueError: if that is more than ``MAX_SUBSTEPS`` (an overflowing
             lock field or coupling counts as infinitely many).
     """
-    eff = effective_field(rf)
-    omega_fast = max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r)
+    omega_fast = max(rf.omega1_ie + rf.omega1_se, 2.0 * spin.omega_r)
     max_step = 2.0 * math.pi / (CF4_STEPS_PER_PERIOD * omega_fast)
     steps = dt / max_step - 1e-9 if max_step > 0.0 else math.inf
     steps = max(steps, _factor_bounds(rf, coupling, orient)[1] * CF4_LENGTH
@@ -682,8 +685,7 @@ def tilted_spin_operators(rf: RfScheme) -> tuple[np.ndarray, np.ndarray]:
     these are the natural initial state and observable for off-resonance
     propagation.  On resonance they are I_y and S_y exactly.
     """
-    eff = effective_field(rf)
-    w_i, w_s = eff.omega1_ie, eff.omega1_se
+    w_i, w_s = rf.omega1_ie, rf.omega1_se
     i_e = (rf.omega1_i / w_i) * IY + (rf.offset_i / w_i) * IZ
     s_e = (rf.omega1_s / w_s) * SY + (rf.offset_s / w_s) * SZ
     return i_e, s_e

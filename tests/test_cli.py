@@ -240,6 +240,46 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "not-a-flag" in capsys.readouterr().err.replace("_", "-")
 
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "absent.cfg", tmp_path / "o.csv"
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys,
+                              f"error: cannot read config file {cfg}: ")
+        assert not out.exists()
+
+    def test_line_without_equals_is_config_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o.csv"
+        cfg.write_text("d-khz = 2.5\nmas-khz 2\n")
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(out)]) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, f"error: {cfg}:2: expected 'key = value'\n")
+        assert not out.exists()
+
+    def test_value_that_does_not_parse_is_config_error(self, tmp_path,
+                                                       capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o.csv"
+        cfg.write_text("d-khz = abc\n")
+        assert run(["simulate", *BENCH_SIM[2:], "--config", str(cfg),
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, "error: config key d_khz: could not convert string to "
+            "float: 'abc'\n")
+        assert not out.exists()
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# the README simulate\n\nd-khz = 2.5\n   \n"
+                       "  # spinning\nmas-khz = 2\nbeta-deg = 60\n"
+                       "gamma-deg = 36\ntmax-us = 100\ndt-us = 1\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["simulate", "--config", str(cfg), "--out",
+                    str(a)]) == EXIT_OK
+        assert run(["simulate", *BENCH_SIM[:-4], "--tmax-us", "100",
+                    "--dt-us", "1", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"d-khz = 2.5\nmas-khz = 2\xff\n")
@@ -397,7 +437,7 @@ class TestMatchGuard:
     """The closed forms answer only at the Hartmann-Hahn match."""
 
     BASE = {"simulate": BENCH_SIM, "powder": POWDER_ARGS,
-            "compare": BENCH_SIM, "fit": FIT_ARGS}
+            "oracle": BENCH_SIM, "compare": BENCH_SIM, "fit": FIT_ARGS}
 
     def run_in(self, tmp_path, monkeypatch, command, locks):
         monkeypatch.chdir(tmp_path)
@@ -434,6 +474,22 @@ class TestMatchGuard:
         assert self.run_in(tmp_path, monkeypatch, command,
                            ["--b1i-khz", "80", "--b1s-khz", b1s]) == code
 
+    @pytest.mark.parametrize("command", ["simulate", "powder", "oracle",
+                                         "compare", "fit"])
+    def test_overflowing_effective_field_is_config_error(
+            self, tmp_path, monkeypatch, capsys, command):
+        # 45-degree locks of 1.7e308 rad/s: each field is finite, but the
+        # effective field's magnitude overflows, and its tilt angle would
+        # read pi/2, as on resonance
+        locks = [x for flag in ("b1i", "b1s", "offset-i", "offset-s")
+                 for x in (f"--{flag}-khz", "2.7e304")]
+        assert self.run_in(tmp_path, monkeypatch, command,
+                           locks) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, "error: the effective-field magnitude omega1_ie = "
+            "sqrt(offset^2 + omega1^2) overflows double precision\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oracle_runs_off_the_match(self, tmp_path):
         out = tmp_path / "orc.csv"
         assert run(["oracle", *BENCH_SIM[:-4], "--tmax-us", "100", "--dt-us",
@@ -443,6 +499,16 @@ class TestMatchGuard:
 
 
 class TestFitCommand:
+    def test_one_isotope_is_config_error(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        assert run(["fit", *FIT_ARGS, "--isotopes", "1H", "--out",
+                    "x.csv"]) == EXIT_CONFIG
+        assert_one_error_line(
+            capsys, "error: --isotopes must be two comma-separated names\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_shipped_dataset_round_trip(self, tmp_path, capsys):
         out = tmp_path / "overlay.csv"
         args = ["fit", "--data", str(REPO_DATASET), "--distance-angstrom",

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpmas.core import (MATCH_TOL, CouplingParams, EffectiveField,
-                        Orientation, RfScheme, SpinningParams, TimeGrid,
-                        coupling_shape, dipolar_coupling_at, dipolar_phase,
-                        effective_field, phase_bracket, tilt_scale)
+from cpmas.core import (MATCH_TOL, CouplingParams, Orientation, RfScheme,
+                        SpinningParams, TimeGrid, coupling_shape,
+                        dipolar_coupling_at, dipolar_phase, phase_bracket,
+                        tilt_scale)
 
 KHZ = 2.0 * math.pi * 1e3
 EPS = np.finfo(float).eps
@@ -180,25 +180,22 @@ class TestPhaseBracket:
 class TestEffectiveField:
     def test_on_resonance_is_identity_geometry(self):
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=50.0 * KHZ)
-        eff = effective_field(rf)
-        assert eff.omega1_ie == rf.omega1_i
-        assert eff.omega1_se == rf.omega1_s
-        assert eff.theta_i == math.pi / 2
-        assert eff.theta_s == math.pi / 2
+        assert rf.omega1_ie == rf.omega1_i
+        assert rf.omega1_se == rf.omega1_s
+        assert rf.theta_i == math.pi / 2
+        assert rf.theta_s == math.pi / 2
 
     def test_offset_equal_to_amplitude(self):
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
                       offset_i=80.0 * KHZ)
-        eff = effective_field(rf)
-        assert eff.omega1_ie == pytest.approx(math.sqrt(2) * rf.omega1_i, rel=1e-14)
-        assert eff.theta_i == pytest.approx(math.pi / 4, rel=1e-14)
+        assert rf.omega1_ie == pytest.approx(math.sqrt(2) * rf.omega1_i, rel=1e-14)
+        assert rf.theta_i == pytest.approx(math.pi / 4, rel=1e-14)
 
     def test_magnitude_arithmetic(self):
         # 80 kHz amplitude, 10 kHz offset -> sqrt(6500) kHz effective field
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
                       offset_i=10.0 * KHZ)
-        eff = effective_field(rf)
-        assert eff.omega1_ie / KHZ == pytest.approx(math.sqrt(6500.0), rel=1e-12)
+        assert rf.omega1_ie / KHZ == pytest.approx(math.sqrt(6500.0), rel=1e-12)
 
     def test_magnitude_never_below_amplitude(self):
         rng = np.random.default_rng(6)
@@ -207,11 +204,34 @@ class TestEffectiveField:
                           omega1_s=float(rng.uniform(1, 100)) * KHZ,
                           offset_i=float(rng.uniform(-50, 50)) * KHZ,
                           offset_s=float(rng.uniform(-50, 50)) * KHZ)
-            eff = effective_field(rf)
-            assert eff.omega1_ie >= rf.omega1_i
-            assert eff.omega1_se >= rf.omega1_s
-            assert 0.0 < eff.theta_i < math.pi
-            assert 0.0 < eff.theta_s < math.pi
+            assert rf.omega1_ie >= rf.omega1_i
+            assert rf.omega1_se >= rf.omega1_s
+            assert 0.0 < rf.theta_i < math.pi
+            assert 0.0 < rf.theta_s < math.pi
+
+    @pytest.mark.parametrize("channel", ["i", "s"])
+    def test_overflowing_magnitude_is_refused(self, channel):
+        # a 45-degree lock of 1.7e308 rad/s: hypot overflows, and the tilt
+        # angle would read pi/2, so tilt_scale would answer 1, not 0.5
+        big = 2.7e304 * KHZ
+        fields = {"omega1_i": big, "omega1_s": big,
+                  f"offset_{channel}": big}
+        with pytest.raises(ValueError, match=rf"^the effective-field "
+                           rf"magnitude omega1_{channel}e = sqrt\(offset\^2 "
+                           rf"\+ omega1\^2\) overflows double precision$"):
+            RfScheme(**fields)
+
+    def test_magnitudes_checked_one_by_one(self):
+        # each effective field is finite, though their sum overflows
+        rf = RfScheme(omega1_i=1e308, omega1_s=1e308)
+        assert rf.omega1_ie + rf.omega1_se == math.inf
+        assert tilt_scale(rf) == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_is_named_before_the_geometry(self, value):
+        for name in ("offset_i", "offset_s"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                RfScheme(omega1_i=KHZ, omega1_s=KHZ, **{name: value})
 
 
 class TestTiltScale:
@@ -284,6 +304,7 @@ class TestTypeValidation:
         assert grid.duration == pytest.approx(4e-6)
 
     def test_effective_field_angle_range(self):
-        with pytest.raises(ValueError):
-            EffectiveField(omega1_ie=1.0, omega1_se=1.0, theta_i=0.0,
-                           theta_s=math.pi / 2)
+        # against a 1 rad/s lock the tilt angle of a 1e20 rad/s offset
+        # rounds to 0
+        with pytest.raises(ValueError, match="onto the z axis"):
+            RfScheme(omega1_i=1.0, omega1_s=1.0, offset_i=1e20)

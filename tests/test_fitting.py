@@ -801,6 +801,19 @@ class TestFitBuildup:
             fit_buildup(data, d_free)
         assert runs == []
 
+    def test_model_that_ignores_every_parameter_is_refused(self):
+        # T1rho = 1 ns damps the model to 0 at every sampled time after 0,
+        # where the build-up is 0 itself: no free parameter moves it
+        data = load_buildup(REPO_ROOT / "data" / "synthetic_buildup.csv")
+        spec = readme_fit_spec(coupling_from_distance(1.09, "1H", "13C"),
+                               1.5, free=("r", "m0"))
+        spec = dataclasses.replace(spec, values={**spec.values,
+                                                 "t1rho": 1e-9})
+        with pytest.raises(FitError, match=r"^degenerate Jacobian: parameter "
+                           r"'r' has no effect on the model; consider "
+                           r"fixing it$"):
+            fit_buildup(data, spec)
+
     def test_stderr_reported_per_free_parameter(self):
         data, oset = self.make_data(noise=0.01, n=61)
         result = fit_buildup(data, benchmark_spec(oset))
@@ -1048,6 +1061,12 @@ class TestBuildUpDataValidation:
         with pytest.raises(DataError):
             BuildUpData(times=np.array([0.0, 1e-6, 1e-6]),
                         magnetizations=np.zeros(3))
+
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(DataError, match="^magnetizations must be 1-d "
+                                            "and as long as times$"):
+            BuildUpData(times=np.array([0.0, 1e-6, 2e-6]),
+                        magnetizations=np.array([0.0, 0.1]))
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(DataError):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cpmas.oracle as oracle
 from cpmas.analytic import transfer_efficiency
 from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
-                        TimeGrid, dipolar_coupling_at, effective_field)
+                        TimeGrid, dipolar_coupling_at)
 from cpmas.oracle import (DQ_Y, FICTITIOUS, IX, IY, IZ, IZSZ, SX, SY, SZ,
                           cos_sin_step, dq_constancy_report,
                           hamiltonian_at,
@@ -163,6 +163,29 @@ class TestMatrixExponentialStep:
             matrix_exponential_step(real, 1e-6)
         with pytest.raises(ValueError, match="Hermitian"):
             cos_sin_step(real, 1e-6)
+
+    @pytest.mark.parametrize("lock_khz,asymmetry", [
+        (40.0, 1.2e-12), (80.0, 2.4e-12), (120.0, 3.3e-11)])
+    def test_round_off_asymmetry_is_measured_against_the_scale(
+            self, lock_khz, asymmetry):
+        # the DQ block of the matched lock Hamiltonian, taken with the two
+        # y-basis kets that span it, is Hermitian to round-off, which in
+        # rad/s is above an absolute 1e-12
+        kets = oracle.Y_BASIS[:, (0, 3)]
+        rf = RfScheme(omega1_i=lock_khz * KHZ, omega1_s=lock_khz * KHZ)
+        h = kets.conj().T @ hamiltonian_at(
+            rf, CouplingParams(d=0.0), Orientation(beta=0.0, gamma=0.0),
+            SpinningParams(omega_r=0.0), 0.0) @ kets
+        assert (np.max(np.abs(h - h.conj().T))
+                == pytest.approx(asymmetry, rel=0.1))
+        u = matrix_exponential_step(h, 1e-7)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+        # a scale-1 matrix keeps the absolute bound, whatever else is in
+        # the stack
+        small = np.eye(2, dtype=complex)
+        small[0, 1] = 2e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix_exponential_step(np.stack([h, small]), 1e-7)
 
     def test_stack_equals_scalar_calls(self, bench_coupling, slow_mas,
                                        bench_orientation):
@@ -441,9 +464,8 @@ class TestSubstepTable:
         orient = Orientation(beta=beta, gamma=0.0)
         spin = SpinningParams(omega_r=mas_khz * KHZ)
         dt = 10.0**log_dt_us * 1e-6
-        eff = effective_field(rf)
         frequency = (dt * oracle.CF4_STEPS_PER_PERIOD / (2.0 * math.pi)
-                     * max(eff.omega1_ie + eff.omega1_se, 2.0 * spin.omega_r))
+                     * max(rf.omega1_ie + rf.omega1_se, 2.0 * spin.omega_r))
         norm = bounding_norm(rf, coupling, orient, oracle.CF4_LENGTH * dt)
         try:
             k = required_substeps(rf, coupling, orient, spin, dt)
@@ -1242,9 +1264,8 @@ class TestOffResonanceScaling:
         rf_off = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
                           offset_i=offset, offset_s=offset)
         rf_on = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ)
-        eff = effective_field(rf_off)
-        assert eff.omega1_ie == pytest.approx(eff.omega1_se, rel=1e-14)
-        scale = math.sin(eff.theta_i) * math.sin(eff.theta_s)
+        assert rf_off.omega1_ie == pytest.approx(rf_off.omega1_se, rel=1e-14)
+        scale = math.sin(rf_off.theta_i) * math.sin(rf_off.theta_s)
 
         static = SpinningParams(omega_r=0.0)
         orient = Orientation(beta=math.pi / 2, gamma=0.0)
