@@ -66,8 +66,8 @@ def transfer_efficiency(coupling: CouplingParams, orient: Orientation,
     Evaluated from the tangent half-angle as eta = u/(1 + u) with
     u = tan(phi/2)**2: one tan per point, which numpy vectorises on
     AVX-512 CPUs, where its float64 cos is a scalar libm call.  The result
-    stays in [0, 1] for every finite phi, and `powder._efficiency_kernel`
-    runs the same operations.
+    stays in [0, 1] for every finite phi, and
+    `powder.averaged_efficiency` runs the same operations.
 
     Args:
         t: time in seconds, scalar or ndarray.

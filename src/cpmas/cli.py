@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -113,6 +114,8 @@ _RELAX_OPTS = [
 _SUBSTEPS_OPT = Opt("substeps", int,
                     "steps per grid interval of the fourth-order CF4 rule "
                     "of cpmas.oracle")
+_ORIENT_SET_OPT = Opt("orient-set", str, "orientation set, grid:NxM or zcw:L",
+                      default=f"zcw:{powder.DEFAULT_FIT_LEVEL}")
 _COMMON_OPTS = [
     Opt("out", str, "output CSV path", required=True),
     Opt("config", str, "key-value config file; flags override it"),
@@ -123,9 +126,7 @@ COMMAND_OPTS = {
     "simulate": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
                  *_RF_OPTS, *_COMMON_OPTS],
     "powder": [_COUPLING_OPT, _MAS_OPT, *_GRID_OPTS, *_RF_OPTS,
-               Opt("orient-set", str, "orientation set, grid:NxM or zcw:L",
-                   default="zcw:8"),
-               *_RELAX_OPTS, *_COMMON_OPTS],
+               _ORIENT_SET_OPT, *_RELAX_OPTS, *_COMMON_OPTS],
     "oracle": [_COUPLING_OPT, _MAS_OPT, *_ANGLE_OPTS, *_GRID_OPTS,
                *_RF_OPTS_REQUIRED,
                _SUBSTEPS_OPT, *_COMMON_OPTS],
@@ -142,9 +143,7 @@ COMMAND_OPTS = {
                 "internuclear distance; alternative to --d-khz"),
             Opt("isotopes", str, "isotope pair for the distance conversion",
                 default="1H,13C"),
-            _MAS_OPT, *_RF_OPTS,
-            Opt("orient-set", str, "orientation set, grid:NxM or zcw:L",
-                default=f"zcw:{powder.DEFAULT_FIT_LEVEL}"),
+            _MAS_OPT, *_RF_OPTS, _ORIENT_SET_OPT,
             Opt("free", str, "comma list of free parameters out of "
                 "d,r,r1,t1rho,m0", default="r,r1,t1rho,m0"),
             *_RELAX_OPTS,
@@ -187,11 +186,11 @@ def _load_config_file(path: str) -> dict[str, str]:
     cfg = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text "
                           f"({exc})") from exc
+    except (OSError, ValueError) as exc:  # also a path no OS call takes
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -537,7 +536,13 @@ _RUNNERS = {"simulate": run_simulate, "powder": run_powder,
 
 @contextmanager
 def _writing(path):
-    """Turn a failure to write ``path`` into a one-line config error."""
+    """Turn a failure to write ``path`` into a one-line config error; a
+    path no OS call takes (a NUL byte, a lone surrogate) is met by
+    `os.access` first, so a ValueError of the body itself still escapes."""
+    try:
+        os.access(path, os.F_OK)
+    except ValueError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     try:
         yield
     except OSError as exc:
@@ -570,14 +575,16 @@ def main(argv=None) -> int:
             print(note, file=sys.stderr)
         return code
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message, code = f"error: {exc}", EXIT_CONFIG
     except fitting.DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        message, code = f"data error: {exc}", EXIT_DATA
     except fitting.FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        message, code = f"fit error: {exc}", EXIT_FIT
+    # one line that any stream takes, though a path in it may hold a line
+    # break or a lone surrogate
+    print(message.replace("\n", "\\n").encode("utf-8", "backslashreplace")
+          .decode("utf-8"), file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

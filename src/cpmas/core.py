@@ -287,7 +287,8 @@ def tilt_scale(rf: RfScheme) -> float:
     naming w1I,e - w1S,e in kHz, off the match by more than MATCH_TOL.
     """
     delta = rf.omega1_ie - rf.omega1_se
-    if abs(delta) > MATCH_TOL * (rf.omega1_ie + rf.omega1_se):
+    # scaled one by one: the sum of two finite fields may overflow
+    if abs(delta) > MATCH_TOL * rf.omega1_ie + MATCH_TOL * rf.omega1_se:
         raise ValueError(
             f"the effective lock fields are off the Hartmann-Hahn match by "
             f"w1I,e - w1S,e = {delta / (2.0 * math.pi * 1e3):.6g} kHz, more "

@@ -178,10 +178,10 @@ def load_buildup(source) -> BuildUpData:
                 else source if is_bytes else source.read())
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{name}: not UTF-8 text ({exc})") from exc
+    except (OSError, ValueError) as exc:  # also a path no OS call takes
+        raise DataError(f"cannot read {name}: {exc}") from exc
 
     def check_header(where: str, line: str, names: list[str]) -> None:
         if ",".join(names).lower() not in ("time_us,magnetization",

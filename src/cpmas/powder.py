@@ -7,18 +7,19 @@ itself.  Two generators are provided: a transparent midpoint grid in
 (Fibonacci point counts) that reaches the same accuracy with far fewer
 orientations and is the default for fitting.
 
-Every average runs one array kernel.  An `OrientationSet` is three arrays,
-beta, gamma and weights, stored once in canonical (beta, gamma, weight)
-order.  The phase is linear in d: phi = d*B/(2*omega_r), with the bracket
-B of `core.phase_bracket` (or d times the stationary rate times t).  B is
-four rotor-angle terms (`core.rotor_terms`), taken once per average, times
+Every average is one pass of `averaged_efficiency` over a 1-d array of
+sample times.  An `OrientationSet` is three arrays, beta, gamma and
+weights, stored once in canonical (beta, gamma, weight) order.  The
+phase is linear in d: phi = d*B/(2*omega_r), with the bracket B of
+`core.phase_bracket` (or d times the stationary rate times t).  B is four
+rotor-angle terms (`core.rotor_terms`), taken once per average, times
 four coefficients per orientation (`core.bracket_coefficients`), taken
 once per set, and summed by `core.bracket_sum` as in `phase_bracket`:
 one `np.einsum` pass per block that adds the four products in order.  A
 point's one transcendental is tau = tan(phi/2), a vectorised call where
 numpy's cos and sin are scalar libm calls; eta = u/(1 + u) and the
 slope's (1/2)*sin(phi) = tau/(1 + u), with u = tau**2, follow by a
-multiply, an add and a divide each.  The kernel reads the d-independent
+multiply, an add and a divide each.  The pass reads the d-independent
 unit, B or the rate, of each block of ORIENT_BLOCK orientations x all
 times, multiplies it by d/2, weights each block's terms and adds them
 over its orientations in one einsum, and adds the blocks in that fixed
@@ -201,7 +202,7 @@ def phase_table(spin: SpinningParams, times,
     ``oset`` itself otherwise; `averaged_efficiency` gives bit-identical
     results from either.
     """
-    t = np.array(times, dtype=float).ravel()
+    t = np.array(times, dtype=float)
     t.flags.writeable = False
     per_orientation = t.size if spin.omega_r != 0.0 else 1
     if len(oset) * per_orientation * t.itemsize > PHASE_TABLE_BUDGET:
@@ -212,19 +213,38 @@ def phase_table(spin: SpinningParams, times,
     return PhaseTable(spin.omega_r, t, blocks)
 
 
-def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray, units,
-                       with_slope: bool):
-    """Weighted sum over ``units`` of eta(t) and, if asked, of d(eta)/dd.
+def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
+                        times, oset: OrientationSet | PhaseTable, *,
+                        with_slope: bool = False):
+    """Powder-averaged transfer efficiency at the 1-d array ``times``.
 
-    ``units`` are a table's blocks or `_phase_units` of a set.  phi/2 is
-    d/2 times a block's unit, and eta comes from the operations of
+    `powder_average` is its uniform-grid form.  ``oset`` is an orientation
+    set, whose phase units are built block by block for this call, or a
+    `phase_table` for ``spin`` and ``times``, whose blocks are reused; the
+    result is bit-identical either way.  phi/2 is d/2 times a block's
+    unit, and eta comes from the operations of
     `analytic.transfer_efficiency`: tau = tan(phi/2), u = tau**2 and
     eta = u/(1 + u), so a one-orientation set reproduces the
-    single-orientation curve bit for bit.  The slope is
-    (1/2)*sin(phi)*dphi/dd, with (1/2)*sin(phi) = tau/(1 + u) from the
-    same tan and dphi/dd = phi/d taken from the unit, never by dividing by
-    d, so d = 0 is safe.
+    single-orientation curve bit for bit.  With ``with_slope`` returns
+    ``(eta, deta_dd)``, the derivative with respect to the coupling
+    constant from the same pass; eta is bit-identical either way.  The
+    slope is (1/2)*sin(phi)*dphi/dd, with (1/2)*sin(phi) = tau/(1 + u)
+    from the same tan and dphi/dd = phi/d taken from the unit, never by
+    dividing by d, so d = 0 is safe.
+
+    Raises:
+        ValueError: if a phase table was built for another rotor frequency
+            or other times.
     """
+    t = np.asarray(times, dtype=float)
+    d, omega_r = coupling.d, spin.omega_r
+    if isinstance(oset, PhaseTable):
+        if oset.omega_r != omega_r or not np.array_equal(oset.times, t):
+            raise ValueError("phase table was built for another rotor "
+                             "frequency or other times")
+        units = oset.blocks
+    else:
+        units = _phase_units(oset, omega_r, t)
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
@@ -251,39 +271,6 @@ def _efficiency_kernel(d: float, omega_r: float, t: np.ndarray, units,
             ds *= unit if spinning else np.multiply.outer(unit, t)
             slope += np.einsum("o...,o...->...", per_d * w, ds)
     return (eta, slope) if with_slope else eta
-
-
-def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
-                        times, oset: OrientationSet | PhaseTable, *,
-                        with_slope: bool = False):
-    """Powder-averaged transfer efficiency at arbitrary sample times.
-
-    `powder_average` is its uniform-grid form.  ``oset`` is an orientation
-    set, whose phase units are built block by block for this call, or a
-    `phase_table` for ``spin`` and ``times``, whose blocks are reused; the
-    result is bit-identical either way.  With ``with_slope`` returns
-    ``(eta, deta_dd)``, the derivative with respect to the coupling
-    constant from the same kernel pass; eta is bit-identical either way.
-
-    Raises:
-        ValueError: if a phase table was built for another rotor frequency
-            or other times.
-    """
-    t = np.asarray(times, dtype=float)
-    flat = t.ravel()
-    if isinstance(oset, PhaseTable):
-        if (oset.omega_r != spin.omega_r
-                or not np.array_equal(oset.times, flat)):
-            raise ValueError("phase table was built for another rotor "
-                             "frequency or other times")
-        units = oset.blocks
-    else:
-        units = _phase_units(oset, spin.omega_r, flat)
-    out = _efficiency_kernel(coupling.d, spin.omega_r, flat, units,
-                             with_slope)
-    if with_slope:
-        return out[0].reshape(t.shape), out[1].reshape(t.shape)
-    return out.reshape(t.shape)
 
 
 def powder_average(coupling: CouplingParams, spin: SpinningParams,

@@ -452,6 +452,8 @@ class TestMatchGuard:
         # equal amplitudes, one offset: hypot(20, 80) - 80 kHz apart
         (["--b1i-khz", "80", "--b1s-khz", "80", "--offset-s-khz", "20"],
          "-2.46211"),
+        # each field is finite in rad/s, but their sum overflows
+        (["--b1i-khz", "2.8e304", "--b1s-khz", "1.5e304"], "1.3e+304"),
     ])
     def test_off_match_is_config_error(self, tmp_path, monkeypatch, capsys,
                                        command, locks, delta):
@@ -906,7 +908,8 @@ DOCUMENTED_EXITS = {"simulate": {EXIT_OK, EXIT_CONFIG},
                     "oracle": {EXIT_OK, EXIT_CONFIG},
                     "compare": {EXIT_OK, EXIT_CONFIG, EXIT_THRESHOLD},
                     "fit": {EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_FIT}}
-# flags that name files are left alone: a drawn value would be a path
+# flags that name files: a drawn value holds a NUL byte, which no path
+# the OS takes does, so no drawn value can ever create a file
 _PATH_FLAGS = {"out", "config", "data", "report"}
 EXTREME_VALUES = ["0", "-0", "5e-324", "1e308", "inf", "-inf", "nan", "-1"]
 # text that no float flag parses, some of it spread over lines
@@ -916,16 +919,17 @@ MALFORMED_TEXT = ["", "1e", "0x10", "--", "1,5", "a\nb", "zcw:\n", "r,\nq"]
 @st.composite
 def hostile_argv(draw):
     command = draw(st.sampled_from(sorted(ARGV_BASES)))
-    flags = [o.flag for o in cli.COMMAND_OPTS[command]
-             if o.flag not in _PATH_FLAGS]
+    flags = [o.flag for o in cli.COMMAND_OPTS[command]]
     chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3,
                            unique=True))
     values = st.one_of(st.sampled_from(EXTREME_VALUES),
                        st.sampled_from(MALFORMED_TEXT), st.text(max_size=6))
+    paths = st.lists(st.text(max_size=3), min_size=2, max_size=2).map(
+        "\0".join)
     base = ARGV_BASES[command]
     args = dict(zip(base[::2], base[1::2]))
     for flag in chosen:
-        args[f"--{flag}"] = draw(values)
+        args[f"--{flag}"] = draw(paths if flag in _PATH_FLAGS else values)
     if "distance-angstrom" in chosen:  # in place of --d-khz, not beside it
         args.pop("--d-khz", None)
     # --flag=value, so that text starting with "-" stays a value
@@ -936,8 +940,9 @@ def hostile_argv(draw):
 @given(drawn=hostile_argv())
 def test_hostile_flags_give_a_documented_exit(tmp_path_factory, drawn):
     # one to three flags of a valid command set to extreme floats or to
-    # arbitrary text: main returns a documented code, warns of nothing
-    # and says what went wrong on at most one line
+    # arbitrary text (a path flag to text with a NUL byte): main returns a
+    # documented code, warns of nothing and says what went wrong on at
+    # most one line
     command, argv = drawn
     out = tmp_path_factory.mktemp("argv") / "x.csv"
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -946,7 +951,8 @@ def test_hostile_flags_give_a_documented_exit(tmp_path_factory, drawn):
             contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         try:
-            code = main([*argv, f"--out={out}"])
+            # --out ahead of the drawn flags, so that a drawn one wins
+            code = main([command, f"--out={out}", *argv[1:]])
         except (Exception, SystemExit) as exc:
             pytest.fail(f"{argv}: {type(exc).__name__} left main: {exc}")
     assert not caught, (argv, [str(w.message) for w in caught])
@@ -1001,6 +1007,40 @@ class TestOutputErrors:
         assert run(["fit", *FIT_ARGS, "--out", "f.csv", "--report",
                     str(report)]) == EXIT_CONFIG
         assert_one_error_line(capsys, f"error: cannot write {report}: ")
+
+
+class TestPathsTheOsCannotTake:
+    """A NUL byte or a lone surrogate in a path flag: one stderr line with
+    that flag's exit code, as for any path that cannot be read or written."""
+
+    @staticmethod
+    def shown(path):
+        """``path`` as the error line writes it: escaped where a line break
+        or a lone surrogate would break the line or the stream."""
+        return path.replace("\n", "\\n").encode(
+            "utf-8", "backslashreplace").decode("utf-8")
+
+    @pytest.mark.parametrize("path", ["a\0b.csv", "a\ud800b.csv"])
+    @pytest.mark.parametrize("flag,code,start", [
+        ("--out", EXIT_CONFIG, "error: cannot write"),
+        ("--report", EXIT_CONFIG, "error: cannot write"),
+        ("--config", EXIT_CONFIG, "error: cannot read config file"),
+        ("--data", EXIT_DATA, "data error: cannot read")])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, flag, code,
+                            start, path):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        args = {**dict(zip(FIT_ARGS[::2], FIT_ARGS[1::2])), "--out": "f.csv",
+                flag: path}
+        assert run(["fit", *(x for kv in args.items() for x in kv)]) == code
+        assert_one_error_line(capsys, f"{start} {self.shown(path)}: ")
+
+    def test_line_break_in_a_refused_path_stays_on_one_line(self, tmp_path,
+                                                            capsys):
+        out = str(tmp_path / "missing\n" / "x.csv")
+        assert run(["simulate", *BENCH_SIM, "--out", out]) == EXIT_CONFIG
+        assert_one_error_line(capsys,
+                              f"error: cannot write {self.shown(out)}: ")
 
 
 class TestSizeCaps:

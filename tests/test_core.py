@@ -265,6 +265,13 @@ class TestTiltScale:
         else:
             assert tilt_scale(rf) == 1.0
 
+    def test_refused_when_the_sum_of_fields_overflows(self):
+        # each effective field is finite, but w1I,e + w1S,e overflows
+        rf = RfScheme(omega1_i=1.7e308, omega1_s=1e308)
+        assert rf.omega1_ie + rf.omega1_se == math.inf
+        with pytest.raises(ValueError, match="off the Hartmann-Hahn match"):
+            tilt_scale(rf)
+
 
 class TestTypeValidation:
     def test_orientation_bounds(self):
