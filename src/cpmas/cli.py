@@ -17,9 +17,11 @@ parse time.  A plain-text key-value config file can supply any flag
 (--config); explicit flags override file values.
 
 Exit codes: 0 success, 1 usage/config error (also an unwritable --out or
---report path, a time grid over 10**7 points or with a step that rounds
-to 0 s, a grid:NxM set over 10**6 orientations, an oracle or compare run
-over the substep cap of 10**6, a dipolar phase that overflows for
+--report path, which leaves neither file and prints no report, a --config
+file that cannot be read or is not UTF-8, a path that no OS call takes
+other than --data's, a time grid over 10**7 points or with a step that
+rounds to 0 s, a grid:NxM set over 10**6 orientations, an oracle or
+compare run over the substep cap of 10**6, a dipolar phase that overflows for
 simulate, powder or compare, a compare --threshold not finite and >= 0,
 locks off the Hartmann-Hahn match for simulate, powder, compare or fit,
 locks whose effective field lies on the z axis or overflows,
@@ -39,7 +41,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -66,6 +68,14 @@ DEG = math.pi / 180.0
 # orientations): an absurd --tmax-us/--dt-us or grid:NxM is a usage error.
 MAX_GRID_POINTS = 10**7
 MAX_ORIENTATIONS = 10**6
+
+# the rule each numeric flag is held to, by the words its refusal prints
+_DOMAINS = {
+    "finite": math.isfinite,
+    "finite and > 0": lambda x: math.isfinite(x) and x > 0.0,
+    "finite and >= 0": lambda x: math.isfinite(x) and x >= 0.0,
+    "> 0": lambda x: x > 0.0,   # also refuses nan
+}
 
 
 class ConfigError(Exception):
@@ -245,13 +255,24 @@ def _echo_lines(command: str, resolved: dict) -> list[str]:
                                      for key, value in _echo_items(resolved)]
 
 
+def _number(resolved, key: str, domain: str) -> float:
+    """The value of numeric flag ``key``, refused unless it is ``domain``
+    (a key of `_DOMAINS`); a ``*_khz`` value is returned in rad/s, and a
+    finite one that overflows there is refused first."""
+    value, flag = resolved[key], key.replace("_", "-")
+    scaled = value * KHZ if key.endswith("_khz") else value
+    if math.isfinite(value) and not math.isfinite(scaled):
+        raise ConfigError(f"{flag}={value} overflows double precision "
+                          "in rad/s")
+    if not _DOMAINS[domain](value):
+        raise ConfigError(f"{flag} must be {domain}, got {value}")
+    return scaled
+
+
 def _grid_from(resolved) -> tuple[TimeGrid, np.ndarray]:
     """The time grid and its sample times in microseconds."""
-    tmax, dt = resolved["tmax_us"], resolved["dt_us"]
-    if not (math.isfinite(tmax) and tmax > 0.0):
-        raise ConfigError(f"tmax-us must be finite and > 0, got {tmax}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt-us must be finite and > 0, got {dt}")
+    tmax = _number(resolved, "tmax_us", "finite and > 0")
+    dt = _number(resolved, "dt_us", "finite and > 0")
     steps = tmax / dt + 1e-9   # the grid has floor(steps) + 1 points
     if not 1.0 <= steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid must contain 2 to {MAX_GRID_POINTS} points "
@@ -283,10 +304,8 @@ def _check_phase(d: float, spin: SpinningParams, t_max: float) -> None:
 
 
 def _orientation_from(resolved) -> Orientation:
-    beta, gamma = resolved["beta_deg"], resolved["gamma_deg"]
-    if not math.isfinite(gamma):
-        raise ConfigError(f"gamma-deg must be finite, got {gamma}")
-    gamma = gamma * DEG % (2.0 * math.pi)
+    beta = resolved["beta_deg"]
+    gamma = _number(resolved, "gamma_deg", "finite") * DEG % (2.0 * math.pi)
     # a tiny negative angle wraps to a remainder that rounds up to 2*pi
     if gamma == 2.0 * math.pi:
         gamma = 0.0
@@ -296,33 +315,22 @@ def _orientation_from(resolved) -> Orientation:
         raise ConfigError(f"beta-deg must be in [0, 180], got {beta}") from exc
 
 
-def _rad_per_s(flag: str, khz: float) -> float:
-    """``khz`` in rad/s; a finite value that overflows there is refused."""
-    if math.isfinite(khz) and not math.isfinite(khz * KHZ):
-        raise ConfigError(f"{flag}={khz} overflows double precision in rad/s")
-    return khz * KHZ
-
-
 def _rf_from(resolved) -> RfScheme | None:
     """The lock scheme, or None when neither amplitude is given."""
     b1i, b1s = resolved["b1i_khz"], resolved["b1s_khz"]
-    off_i, off_s = resolved["offset_i_khz"], resolved["offset_s_khz"]
     if b1i is None and b1s is None:
-        if off_i or off_s:
+        if resolved["offset_i_khz"] or resolved["offset_s_khz"]:
             raise ConfigError("offsets need --b1i-khz and --b1s-khz for the "
                               "effective-field geometry")
         return None
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
-    for flag, value in (("b1i-khz", b1i), ("b1s-khz", b1s)):
-        if not 0.0 < _rad_per_s(flag, value) < math.inf:
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
-    for flag, value in (("offset-i-khz", off_i), ("offset-s-khz", off_s)):
-        if not math.isfinite(_rad_per_s(flag, value)):
-            raise ConfigError(f"{flag} must be finite, got {value}")
     try:
-        return RfScheme(omega1_i=b1i * KHZ, omega1_s=b1s * KHZ,
-                        offset_i=off_i * KHZ, offset_s=off_s * KHZ)
+        return RfScheme(
+            omega1_i=_number(resolved, "b1i_khz", "finite and > 0"),
+            omega1_s=_number(resolved, "b1s_khz", "finite and > 0"),
+            offset_i=_number(resolved, "offset_i_khz", "finite"),
+            offset_s=_number(resolved, "offset_s_khz", "finite"))
     except ValueError as exc:  # an effective field on z, or overflowing
         raise ConfigError(str(exc)) from exc
 
@@ -333,20 +341,12 @@ def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
         scale = 1.0 if rf is None else tilt_scale(rf)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        return CouplingParams(d=scale * _rad_per_s("d-khz", resolved["d_khz"]))
-    except ValueError as exc:
-        raise ConfigError(
-            f"d-khz must be finite, got {resolved['d_khz']}") from exc
+    return CouplingParams(d=scale * _number(resolved, "d_khz", "finite"))
 
 
 def _spin_from(resolved) -> SpinningParams:
-    mas = resolved["mas_khz"]
-    try:
-        return SpinningParams(omega_r=_rad_per_s("mas-khz", mas))
-    except ValueError as exc:
-        raise ConfigError(
-            f"mas-khz must be finite and >= 0, got {mas}") from exc
+    return SpinningParams(
+        omega_r=_number(resolved, "mas_khz", "finite and >= 0"))
 
 
 def _orientation_set(text: str) -> powder.OrientationSet:
@@ -373,10 +373,9 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
     params = {}
     for key, (name, unit) in keys.items():
         # an absent time constant is infinite: that process does not damp
-        value = math.inf if resolved[key] is None else resolved[key]
+        value = (math.inf if resolved[key] is None
+                 else _number(resolved, key, "> 0"))
         flag, t = key.replace("_", "-"), value * unit
-        if not value > 0.0:   # also nan
-            raise ConfigError(f"{flag} must be > 0, got {value}")
         if t == 0.0:
             raise ConfigError(f"{flag}={value} rounds to 0 s")
         # r and r1 are rates, the inverses of their time constants
@@ -384,9 +383,7 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
         if params[name] == math.inf and name != "t1rho":
             raise ConfigError(f"{flag}={value} is too small: its rate "
                               f"overflows")
-    m0 = resolved["m0"]
-    if not (math.isfinite(m0) and m0 > 0.0):
-        raise ConfigError(f"m0 must be finite and > 0, got {m0}")
+    m0 = _number(resolved, "m0", "finite and > 0")
     return (analytic.RelaxationParams(m0=m0, **params),
             any(resolved[key] is not None for key in keys))
 
@@ -438,10 +435,7 @@ def run_oracle(resolved) -> tuple[dict, list[str], int, str | None]:
 
 
 def run_compare(resolved) -> tuple[dict, list[str], int, str | None]:
-    threshold = resolved["threshold"]
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ConfigError(
-            f"threshold must be finite and >= 0, got {threshold}")
+    threshold = _number(resolved, "threshold", "finite and >= 0")
     columns = run_simulate(resolved)[0]
     eta, sy = columns["eta"], run_oracle(resolved)[0]["sy"]
     max_dev = float(np.max(np.abs(eta - sy)))
@@ -460,10 +454,7 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
         pair = [s.strip() for s in resolved["isotopes"].split(",")]
         if len(pair) != 2:
             raise ConfigError("--isotopes must be two comma-separated names")
-        r = resolved["distance_angstrom"]
-        if not (math.isfinite(r) and r > 0.0):
-            raise ConfigError(f"distance-angstrom must be finite and > 0, "
-                              f"got {r}")
+        r = _number(resolved, "distance_angstrom", "finite and > 0")
         try:
             d = fitting.coupling_from_distance(r, *pair)
         except ValueError as exc:
@@ -565,12 +556,18 @@ def main(argv=None) -> int:
         with _writing(resolved["out"]):
             write_curve_csv(resolved["out"], columns,
                             _echo_lines(args.command, resolved))
+        if resolved.get("report"):
+            try:
+                with _writing(resolved["report"]):
+                    Path(resolved["report"]).write_text(
+                        "\n".join(report) + "\n", encoding="utf-8")
+            except ConfigError:
+                # like any other refusal, leave no CSV behind
+                with suppress(OSError):
+                    Path(resolved["out"]).unlink()
+                raise
         if report:
             print("\n".join(report))
-        if resolved.get("report"):
-            with _writing(resolved["report"]):
-                Path(resolved["report"]).write_text("\n".join(report) + "\n",
-                                                    encoding="utf-8")
         if note:
             print(note, file=sys.stderr)
         return code

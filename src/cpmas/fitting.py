@@ -453,7 +453,8 @@ class _BuildUpModel:
     def jacobian(self, p: _Point, names: tuple[str, ...]) -> np.ndarray:
         """Analytic d(residuals)/d(names) at p with every other value fixed."""
         t, v, tilt = self.data.times, p.values, self.spec.tilt
-        envelope = np.exp(-t / v["t1rho"])
+        with np.errstate(over="ignore"):   # t/t1rho = inf decays to exactly 0
+            envelope = np.exp(-t / v["t1rho"])
         decay_r1 = np.exp(-v["r1"] * t)
         columns = {
             "d": lambda: v["m0"] * decay_r1 * envelope * (tilt * p.slope),

@@ -911,7 +911,8 @@ DOCUMENTED_EXITS = {"simulate": {EXIT_OK, EXIT_CONFIG},
 # flags that name files: a drawn value holds a NUL byte, which no path
 # the OS takes does, so no drawn value can ever create a file
 _PATH_FLAGS = {"out", "config", "data", "report"}
-EXTREME_VALUES = ["0", "-0", "5e-324", "1e308", "inf", "-inf", "nan", "-1"]
+EXTREME_VALUES = ["0", "-0", "5e-324", "1e-310", "1e308", "inf", "-inf",
+                  "nan", "-1"]
 # text that no float flag parses, some of it spread over lines
 MALFORMED_TEXT = ["", "1e", "0x10", "--", "1,5", "a\nb", "zcw:\n", "r,\nq"]
 
@@ -1006,7 +1007,22 @@ class TestOutputErrors:
         report = tmp_path / "missing" / "r.txt"
         assert run(["fit", *FIT_ARGS, "--out", "f.csv", "--report",
                     str(report)]) == EXIT_CONFIG
-        assert_one_error_line(capsys, f"error: cannot write {report}: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {report}: ")
+        assert captured.err.count("\n") == 1
+        # as every other exit-1 refusal: no CSV and no report printed
+        assert captured.out == ""
+        assert not Path("f.csv").exists()
+
+    def test_unwritable_out_writes_no_report(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(REPO_DATASET, "buildup.csv")
+        out = tmp_path / "missing" / "f.csv"
+        assert run(["fit", *FIT_ARGS, "--out", str(out), "--report",
+                    "r.txt"]) == EXIT_CONFIG
+        assert_one_error_line(capsys, f"error: cannot write {out}: ")
+        assert not Path("r.txt").exists()
 
 
 class TestPathsTheOsCannotTake:
@@ -1164,7 +1180,9 @@ def test_refusal_names_the_flag_and_its_value(tmp_path, capsys, flags,
 @pytest.mark.parametrize("flag, value", [
     ("d-khz", "1e308"), ("mas-khz", "1e308"), ("b1i-khz", "1e308"),
     ("b1s-khz", "1e308"), ("offset-i-khz", "1e308"),
-    ("offset-s-khz", "-1e308")])
+    ("offset-s-khz", "-1e308"),
+    # out of their domain too, but the overflow is named first
+    ("b1i-khz", "-1e308"), ("mas-khz", "-1e308")])
 def test_finite_value_that_overflows_in_rad_per_s(tmp_path, capsys, flag,
                                                   value):
     # finite in kHz, so the refusal says what is wrong: times 2*pi*1e3 it
@@ -1189,6 +1207,25 @@ def test_free_t1rho_guess_whose_square_underflows(tmp_path, capsys):
     assert code == EXIT_FIT
     assert capsys.readouterr().err == (
         "fit error: non-finite Jacobian at the initial guess\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("free, message", [
+    (None, "non-finite Jacobian at the initial guess"),
+    ("d,r,r1,t1rho,m0", "non-finite Jacobian at the initial guess"),
+    ("r,r1,m0", "degenerate Jacobian: parameter 'r' has no effect on the "
+     "model; consider fixing it")])
+def test_subnormal_t1rho_fit_warns_of_nothing(tmp_path, capsys, free,
+                                              message):
+    # t/t1rho overflows to inf for t1rho = 1e-313 s, and the envelope
+    # decays to exactly 0 without a RuntimeWarning
+    out = tmp_path / "o.csv"
+    code = run(["fit", "--data", str(REPO_DATASET), "--mas-khz", "5",
+                "--r-inv-us", "436", "--r1-inv-us", "207",
+                "--distance-angstrom", "1.09", "--t1rho-ms", "1e-310",
+                *(["--free", free] if free else []), "--out", str(out)])
+    assert code == EXIT_FIT
+    assert capsys.readouterr().err == f"fit error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -1237,6 +1274,21 @@ def test_tiny_negative_gamma_is_gamma_zero(tmp_path, command, value):
         assert run([command, *BENCH_CMP[:6], "--gamma-deg", gamma,
                     "--tmax-us", "100", "--dt-us", "1", *BENCH_CMP[-4:],
                     "--out", str(out)]) == EXIT_OK
+        return [line for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+
+    assert data_rows(value) == data_rows("0")
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+@pytest.mark.parametrize("value", ["-1e-322", "-5e-324"])
+def test_tiny_negative_beta_is_beta_zero(tmp_path, command, value):
+    # beta is checked in radians, where these round to -0.0
+    def data_rows(beta):
+        out = tmp_path / f"{beta}.csv"
+        assert run([command, *BENCH_CMP[:4], "--beta-deg", beta,
+                    *BENCH_CMP[6:8], "--tmax-us", "100", "--dt-us", "1",
+                    *BENCH_CMP[-4:], "--out", str(out)]) == EXIT_OK
         return [line for line in out.read_text().splitlines()
                 if not line.startswith("#")]
 
