@@ -16,9 +16,9 @@ model
 reduces to the classic stationary-sample result (cosine oscillation under
 the same envelope) when the spinning is switched off.
 
-Curves are plain arrays over sample times.  `efficiency_curve` and
-`magnetization` are the command line's uniform-grid forms of
-`transfer_efficiency` and `damped_magnetization`.
+Curves are plain arrays over sample times.  `efficiency_curve` (the pass
+`powder.averaged_efficiency` at one orientation) and `magnetization` are
+the command line's grid forms; `transfer_efficiency` is the pass's reference.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                   dipolar_phase)
+from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                   TimeGrid, dipolar_phase)
+from .powder import averaged_efficiency
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,12 @@ def transfer_efficiency(coupling: CouplingParams, orient: Orientation,
     return out if np.ndim(t) else float(out)
 
 
-def efficiency_curve(coupling: CouplingParams, orient: Orientation,
-                     spin: SpinningParams, grid: TimeGrid) -> np.ndarray:
-    """eta sampled over a uniform time grid."""
+def efficiency_curve(rf: RfScheme, coupling: CouplingParams,
+                     orient: Orientation, spin: SpinningParams,
+                     grid: TimeGrid) -> np.ndarray:
+    """eta at one orientation, for locks ``rf``, on a uniform time grid."""
     # bench/tracing.py times the CLI's calls to this by its name
-    return transfer_efficiency(coupling, orient, spin, grid.times())
+    return averaged_efficiency(rf, coupling, spin, grid.times(), orient)
 
 
 def damped_magnetization(times, eta, relax: RelaxationParams) -> np.ndarray:

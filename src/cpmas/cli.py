@@ -315,14 +315,14 @@ def _orientation_from(resolved) -> Orientation:
         raise ConfigError(f"beta-deg must be in [0, 180], got {beta}") from exc
 
 
-def _rf_from(resolved) -> RfScheme | None:
-    """The lock scheme, or None when neither amplitude is given."""
+def _rf_from(resolved) -> RfScheme:
+    """The locks; nominal 80 kHz locks on resonance when none are given."""
     b1i, b1s = resolved["b1i_khz"], resolved["b1s_khz"]
     if b1i is None and b1s is None:
         if resolved["offset_i_khz"] or resolved["offset_s_khz"]:
             raise ConfigError("offsets need --b1i-khz and --b1s-khz for the "
                               "effective-field geometry")
-        return None
+        return RfScheme(omega1_i=KHZ * 80.0, omega1_s=KHZ * 80.0)
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
     try:
@@ -335,13 +335,8 @@ def _rf_from(resolved) -> RfScheme | None:
         raise ConfigError(str(exc)) from exc
 
 
-def _coupling_from(resolved, rf: RfScheme | None = None) -> CouplingParams:
-    """The coupling, scaled by `core.tilt_scale` of locks ``rf`` if given."""
-    try:
-        scale = 1.0 if rf is None else tilt_scale(rf)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return CouplingParams(d=scale * _number(resolved, "d_khz", "finite"))
+def _coupling_from(resolved) -> CouplingParams:
+    return CouplingParams(d=_number(resolved, "d_khz", "finite"))
 
 
 def _spin_from(resolved) -> SpinningParams:
@@ -388,24 +383,33 @@ def _relaxation_from(resolved) -> tuple[analytic.RelaxationParams, bool]:
             any(resolved[key] is not None for key in keys))
 
 
+def _closed_form_inputs(resolved, t_max: float):
+    """Locks, coupling and spinning of a closed-form curve to ``t_max``:
+    refuses locks off the match, then a tilted phase that overflows."""
+    rf = _rf_from(resolved)
+    try:
+        tilt = tilt_scale(rf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    coupling, spin = _coupling_from(resolved), _spin_from(resolved)
+    _check_phase(tilt * coupling.d, spin, t_max)
+    return rf, coupling, spin
+
+
 def run_simulate(resolved) -> tuple[dict, list[str], int, str | None]:
     grid, t_us = _grid_from(resolved)
     orient = _orientation_from(resolved)
-    coupling = _coupling_from(resolved, _rf_from(resolved))
-    spin = _spin_from(resolved)
-    _check_phase(coupling.d, spin, grid.duration)
-    eta = analytic.efficiency_curve(coupling, orient, spin, grid)
+    rf, coupling, spin = _closed_form_inputs(resolved, grid.duration)
+    eta = analytic.efficiency_curve(rf, coupling, orient, spin, grid)
     return {"t_us": t_us, "eta": eta}, [], EXIT_OK, None
 
 
 def run_powder(resolved) -> tuple[dict, list[str], int, str | None]:
     grid, t_us = _grid_from(resolved)
-    coupling = _coupling_from(resolved, _rf_from(resolved))
-    spin = _spin_from(resolved)
-    _check_phase(coupling.d, spin, grid.duration)
+    rf, coupling, spin = _closed_form_inputs(resolved, grid.duration)
     oset = _orientation_set(resolved["orient_set"])
     relax, damped = _relaxation_from(resolved)
-    curve = powder.powder_average(coupling, spin, grid, oset)
+    curve = powder.powder_average(rf, coupling, spin, grid, oset)
     if damped:
         curve = analytic.magnetization(grid, curve, relax)
     return ({"t_us": t_us, "m" if damped else "eta": curve}, [], EXIT_OK,
@@ -464,10 +468,7 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
     relax, _ = _relaxation_from(resolved)
     values = {"d": d, **asdict(relax)}
     free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
-    # Fields only rescale d through the tilt angles; on resonance any
-    # matched pair is equivalent, so without locks take a nominal one.
-    rf = _rf_from(resolved) or RfScheme(omega1_i=KHZ * 80.0,
-                                        omega1_s=KHZ * 80.0)
+    rf = _rf_from(resolved)
     try:
         return fitting.FitSpec(values=values, free=free,
                                orientations=_orientation_set(resolved["orient_set"]),

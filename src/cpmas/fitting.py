@@ -9,28 +9,28 @@ converts to an internuclear distance through the point-dipole inverse-cube
 law.
 
 One record, `FitSpec`, holds the model: a value for every parameter, the
-free set and the geometry; it alone checks a model, fixed values and free
-guesses alike.  Fitting uses one damped least-squares
-(Levenberg-Marquardt) run with an analytic Jacobian, damping scaled x10 on
-a rejected step and /10 on an accepted one, and box bounds enforced by
-projection: each free parameter stays within its guess / SEARCH_SPAN to
-its guess * SEARCH_SPAN (`FitSpec.bounds`).  Each point of the
-search is evaluated once, into one record that its residuals and Jacobian
-read.  The model depends on the coupling only through the powder-averaged
-efficiency eta, so a point takes eta (and, when d is free, its slope
-d(eta)/dd from the same kernel pass) from the current point when d is
+free set and the geometry; it alone checks a model, fixed values and
+free guesses alike.  Fitting uses one damped least-squares
+(Levenberg-Marquardt) run with an analytic Jacobian, damping scaled x10
+on a rejected step and /10 on an accepted one, and box bounds enforced
+by projection: each free parameter stays within its guess / SEARCH_SPAN
+to its guess * SEARCH_SPAN (`FitSpec.bounds`).  Each point of the search
+is evaluated once, into one record that its residuals and Jacobian read.
+The model depends on the coupling only through the powder-averaged
+efficiency eta of `powder.averaged_efficiency`, which tilts d by the
+locks ``FitSpec.rf``.  A point takes eta (and, when d is free, its slope
+d(eta)/dd from the same pass) from the current point when d is
 unchanged: a fixed d is averaged once per fit, a free d once per trial.
-The phase is d times a bracket that does not depend on d, so with d free
-the bracket is built once per fit (`powder.phase_table`) and a trial d
-costs a multiply and one tan pass over it, from which eta and the slope
-both follow by a few multiply-adds and divides.  The model is linear in
-m0, so a free m0 leaves the search by variable projection (Golub &
-Pereyra 1973): every evaluation sets it to its weighted least-squares
-value, clipped to its bounds.  Accepted steps never increase the weighted
-residual sum, and the result is the better of the run's end and the
-initial guess itself, so it always satisfies rss <= rss(initial guess),
-even where projecting m0 at an optimum rounds the start's sum above it.
-`FitResult.unusable` says when that answer gives no usable uncertainty.
+With d free the d-independent phase bracket is built once per fit
+(`powder.phase_table`), and a trial d costs one tan pass over it.  The
+model is linear in m0, so a free m0 leaves the search by variable
+projection (Golub & Pereyra 1973): every evaluation sets it to its
+weighted least-squares value, clipped to its bounds.  Accepted steps
+never increase the weighted residual sum, and the result is the better
+of the run's end and the initial guess itself, so it always satisfies
+rss <= rss(initial guess), even where projecting m0 at an optimum rounds
+the start's sum above it.  `FitResult.unusable` says when that answer
+gives no usable uncertainty.
 
 `write_curve_csv` and `_read_csv` are the only writer and reader of the
 CSV row format, and `BuildUpData` alone checks the rows of a build-up.
@@ -284,8 +284,8 @@ class FitSpec:
     parameter's value is its initial guess, and the fit searches its
     `bounds`.  ``free`` names the free parameters and is kept in
     PARAMETER_NAMES order.  r, r1, t1rho and m0, fixed or free, must pass
-    `analytic.RelaxationParams`.  ``rf`` must pass `core.tilt_scale` (the
-    model holds only at the match); ``tilt`` keeps its factor on d.
+    `analytic.RelaxationParams`.  ``rf`` must pass `core.tilt_scale`: the
+    model holds only at the match.
     """
 
     values: dict[str, float]
@@ -293,7 +293,6 @@ class FitSpec:
     orientations: OrientationSet
     spin: SpinningParams
     rf: RfScheme
-    tilt: float = field(init=False)
 
     def __post_init__(self):
         if set(self.values) != set(PARAMETER_NAMES):
@@ -328,7 +327,7 @@ class FitSpec:
             if name in ("t1rho", "m0") and lo <= 0.0:
                 raise ValueError(f"{name} lower bound must be > 0")
         RelaxationParams(**{n: v for n, v in self.values.items() if n != "d"})
-        object.__setattr__(self, "tilt", tilt_scale(self.rf))
+        tilt_scale(self.rf)
 
     def bounds(self, name: str) -> tuple[float, float]:
         """The box the fit searches for free parameter ``name``: from its
@@ -340,12 +339,11 @@ class FitSpec:
 def model_curve(spec: FitSpec, times) -> np.ndarray:
     """Predicted magnetization at the requested times for ``spec.values``.
 
-    Powder-averaged transfer efficiency (coupling scaled by ``spec.tilt``)
-    pushed through the relaxation envelope.
+    Powder-averaged transfer efficiency through the relaxation envelope.
     """
     v = spec.values
-    d_eff = CouplingParams(d=spec.tilt * v["d"])
-    eta = averaged_efficiency(d_eff, spec.spin, times, spec.orientations)
+    eta = averaged_efficiency(spec.rf, CouplingParams(d=v["d"]), spec.spin,
+                              times, spec.orientations)
     return damped_magnetization(times, eta, RelaxationParams(
         m0=v["m0"], r=v["r"], r1=v["r1"], t1rho=v["t1rho"]))
 
@@ -433,9 +431,9 @@ class _BuildUpModel:
         if near is not None and near.values["d"] == v["d"]:
             eta, slope = near.eta, near.slope
         else:
-            d_eff = CouplingParams(d=self.spec.tilt * v["d"])
-            out = averaged_efficiency(d_eff, self.spec.spin, self.data.times,
-                                      self.source, with_slope=self.with_slope)
+            out = averaged_efficiency(
+                self.spec.rf, CouplingParams(d=v["d"]), self.spec.spin,
+                self.data.times, self.source, with_slope=self.with_slope)
             eta, slope = out if self.with_slope else (out, None)
         relax = RelaxationParams(m0=1.0, r=v["r"], r1=v["r1"],
                                  t1rho=v["t1rho"])
@@ -452,12 +450,12 @@ class _BuildUpModel:
 
     def jacobian(self, p: _Point, names: tuple[str, ...]) -> np.ndarray:
         """Analytic d(residuals)/d(names) at p with every other value fixed."""
-        t, v, tilt = self.data.times, p.values, self.spec.tilt
+        t, v = self.data.times, p.values
         with np.errstate(over="ignore"):   # t/t1rho = inf decays to exactly 0
             envelope = np.exp(-t / v["t1rho"])
         decay_r1 = np.exp(-v["r1"] * t)
         columns = {
-            "d": lambda: v["m0"] * decay_r1 * envelope * (tilt * p.slope),
+            "d": lambda: v["m0"] * decay_r1 * envelope * p.slope,
             "r": lambda: 0.5 * v["m0"] * t * np.exp(-v["r"] * t) * envelope,
             "r1": lambda: (0.5 * v["m0"] * t * decay_r1 * (1.0 - 2.0 * p.eta)
                            * envelope),

@@ -7,29 +7,21 @@ itself.  Two generators are provided: a transparent midpoint grid in
 (Fibonacci point counts) that reaches the same accuracy with far fewer
 orientations and is the default for fitting.
 
-Every average is one pass of `averaged_efficiency` over a 1-d array of
-sample times.  An `OrientationSet` is three arrays, beta, gamma and
-weights, stored once in canonical (beta, gamma, weight) order.  The
-phase is linear in d: phi = d*B/(2*omega_r), with the bracket B of
-`core.phase_bracket` (or d times the stationary rate times t).  B is four
-rotor-angle terms (`core.rotor_terms`), taken once per average, times
-four coefficients per orientation (`core.bracket_coefficients`), taken
-once per set, and summed by `core.bracket_sum` as in `phase_bracket`:
-one `np.einsum` pass per block that adds the four products in order.  A
-point's one transcendental is tau = tan(phi/2), a vectorised call where
-numpy's cos and sin are scalar libm calls; eta = u/(1 + u) and the
-slope's (1/2)*sin(phi) = tau/(1 + u), with u = tau**2, follow by a
-multiply, an add and a divide each.  The pass reads the d-independent
-unit, B or the rate, of each block of ORIENT_BLOCK orientations x all
-times, multiplies it by d/2, weights each block's terms and adds them
-over its orientations in one einsum, and adds the blocks in that fixed
-order, so the result is bit-identical however the orientations were
-ordered.  A set is averaged straight from the set, block by block, each
-block's unit written into one buffer that the next block reuses, as are
-those of tau, u and 1 + u.  A fit, which averages the same set at many
-d, builds the read-only blocks once as a `phase_table` and passes that
-instead; the result is the same bit for bit.  On request the same pass
-also returns d(eta)/dd for the Jacobian.
+`averaged_efficiency` is the one evaluation of the closed form: at one
+orientation, over a set or from a phase table, at a 1-d array of sample
+times, with d scaled by the locks' factor `core.tilt_scale`.  An
+`OrientationSet` is three arrays, beta, gamma and weights, stored once in
+canonical (beta, gamma, weight) order.  The phase is linear in d:
+phi = d*B/(2*omega_r), B the `core.bracket_sum` of the rotor-angle terms,
+taken once per average, and the coefficients, taken once per set (or
+phi = d times the stationary rate times t).  A point's one transcendental
+is tau = tan(phi/2): eta = u/(1 + u) and the slope's (1/2)*sin(phi) =
+tau/(1 + u), with u = tau**2.  Blocks of ORIENT_BLOCK orientations x all
+times are weighted and summed over orientations by one einsum each and
+added in that fixed order, so the result is bit-identical however the
+orientations were ordered; every block reuses one set of buffers, sized
+to the set.  A fit, which averages one set at many d, reads read-only
+blocks built once as a `phase_table`, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -39,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CouplingParams, SpinningParams, TimeGrid,
-                   bracket_coefficients, bracket_sum, coupling_shape,
-                   rotor_terms)
+from .core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                   TimeGrid, bracket_coefficients, bracket_sum,
+                   coupling_shape, rotor_terms, tilt_scale)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -185,7 +177,7 @@ def _phase_units(oset: OrientationSet, omega_r: float, t: np.ndarray,
         return
     terms = np.array(rotor_terms(omega_r * t))
     coeffs = np.array(bracket_coefficients(oset.beta, oset.gamma))
-    unit_buf = np.empty((ORIENT_BLOCK, t.size))
+    unit_buf = np.empty((min(ORIENT_BLOCK, len(oset)), t.size))
     for start in range(0, len(oset), ORIENT_BLOCK):
         blk = slice(start, start + ORIENT_BLOCK)
         w = oset.weights[blk, None]
@@ -213,38 +205,43 @@ def phase_table(spin: SpinningParams, times,
     return PhaseTable(spin.omega_r, t, blocks)
 
 
-def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
-                        times, oset: OrientationSet | PhaseTable, *,
+def averaged_efficiency(rf: RfScheme, coupling: CouplingParams,
+                        spin: SpinningParams, times,
+                        source: Orientation | OrientationSet | PhaseTable, *,
                         with_slope: bool = False):
-    """Powder-averaged transfer efficiency at the 1-d array ``times``.
+    """Transfer efficiency at the 1-d array ``times``, averaged over
+    ``source``, for the coupling tilted by the locks ``rf``.
 
-    `powder_average` is its uniform-grid form.  ``oset`` is an orientation
-    set, whose phase units are built block by block for this call, or a
+    ``source`` is an `Orientation` (the one-point set of weight 1), an
+    orientation set, whose units are built block by block for this call, or a
     `phase_table` for ``spin`` and ``times``, whose blocks are reused; the
-    result is bit-identical either way.  phi/2 is d/2 times a block's
-    unit, and eta comes from the operations of
-    `analytic.transfer_efficiency`: tau = tan(phi/2), u = tau**2 and
-    eta = u/(1 + u), so a one-orientation set reproduces the
-    single-orientation curve bit for bit.  With ``with_slope`` returns
-    ``(eta, deta_dd)``, the derivative with respect to the coupling
-    constant from the same pass; eta is bit-identical either way.  The
-    slope is (1/2)*sin(phi)*dphi/dd, with (1/2)*sin(phi) = tau/(1 + u)
-    from the same tan and dphi/dd = phi/d taken from the unit, never by
-    dividing by d, so d = 0 is safe.
+    result is bit-identical either way, and at an `Orientation` is
+    `analytic.transfer_efficiency` at the tilted d, whose operations it runs:
+    tau = tan(phi/2), u = tau**2 and eta = u/(1 + u), phi/2 being d/2 times a
+    block's unit.  With ``with_slope`` returns ``(eta, deta_dd)``, the
+    derivative with respect to the untilted d: the tilt times
+    (1/2)*sin(phi)*dphi/dd, with (1/2)*sin(phi) = tau/(1 + u) and dphi/dd =
+    phi/d taken from the unit, never by dividing by d, so d = 0 is safe; eta
+    is bit-identical either way.
 
     Raises:
-        ValueError: if a phase table was built for another rotor frequency
-            or other times.
+        ValueError: for locks off the match (`core.tilt_scale`), or a
+            phase table built for another rotor frequency or other times.
     """
     t = np.asarray(times, dtype=float)
-    d, omega_r = coupling.d, spin.omega_r
-    if isinstance(oset, PhaseTable):
-        if oset.omega_r != omega_r or not np.array_equal(oset.times, t):
+    tilt = tilt_scale(rf)
+    d, omega_r = tilt * coupling.d, spin.omega_r
+    if isinstance(source, Orientation):
+        source = OrientationSet(beta=[source.beta], gamma=[source.gamma],
+                                weights=[1.0])
+    if isinstance(source, PhaseTable):
+        if source.omega_r != omega_r or not np.array_equal(source.times, t):
             raise ValueError("phase table was built for another rotor "
                              "frequency or other times")
-        units = oset.blocks
+        units, rows = source.blocks, len(source.blocks[0][1])
     else:
-        units = _phase_units(oset, omega_r, t)
+        units = _phase_units(source, omega_r, t)
+        rows = min(ORIENT_BLOCK, len(source))
     eta = np.zeros(t.shape)
     slope = np.zeros(t.shape) if with_slope else None
     spinning = omega_r != 0.0
@@ -252,7 +249,7 @@ def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
     per_d = 1.0 / (2.0 * omega_r) if spinning else 1.0
     # halving is exact, so half_d * unit rounds as half of d * unit
     half_d = 0.5 * (d / (2.0 * omega_r)) if spinning else 0.5 * d
-    tau_buf = np.empty((ORIENT_BLOCK, t.size))
+    tau_buf = np.empty((rows, t.size))
     u_buf = np.empty_like(tau_buf)
     den_buf = np.empty_like(tau_buf) if with_slope else None
     for unit, w in units:
@@ -270,11 +267,12 @@ def averaged_efficiency(coupling: CouplingParams, spin: SpinningParams,
             ds = np.divide(tau, den, out=tau)
             ds *= unit if spinning else np.multiply.outer(unit, t)
             slope += np.einsum("o...,o...->...", per_d * w, ds)
-    return (eta, slope) if with_slope else eta
+    return (eta, tilt * slope) if with_slope else eta
 
 
-def powder_average(coupling: CouplingParams, spin: SpinningParams,
-                   grid: TimeGrid, oset: OrientationSet) -> np.ndarray:
+def powder_average(rf: RfScheme, coupling: CouplingParams,
+                   spin: SpinningParams, grid: TimeGrid,
+                   oset: OrientationSet) -> np.ndarray:
     """Powder-averaged transfer efficiency on a uniform time grid."""
     # bench/tracing.py times the CLI's calls to this by its name
-    return averaged_efficiency(coupling, spin, grid.times(), oset)
+    return averaged_efficiency(rf, coupling, spin, grid.times(), oset)

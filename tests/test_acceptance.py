@@ -193,7 +193,7 @@ def test_criterion_6_powder_average_convergence():
     grid = TimeGrid(dt=10e-6, n_points=201)
 
     def averaged(oset):
-        return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset)
+        return powder_average(CRYSTAL_RF, POWDER_COUPLING, POWDER_MAS, grid, oset)
 
     coarse = averaged(grid_orientation_set(64, 64))
     fine = averaged(grid_orientation_set(128, 128))

@@ -7,11 +7,13 @@ from cpmas import oracle
 from cpmas.analytic import (RelaxationParams, damped_magnetization,
                             efficiency_curve, magnetization,
                             transfer_efficiency)
-from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                        dipolar_coupling_at)
+from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                        TimeGrid, dipolar_coupling_at)
 
 KHZ = 2.0 * math.pi * 1e3
 STATIC = SpinningParams(omega_r=0.0)
+# matched locks on resonance, whose tilt factor on d is exactly 1
+LOCKS = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ)
 
 
 def random_orientations(n, seed=0):
@@ -62,13 +64,15 @@ class TestTransferEfficiency:
 class TestEfficiencyCurve:
     def test_zero_orientation_gives_zero_curve(self, bench_coupling, slow_mas):
         grid = TimeGrid(dt=1e-6, n_points=100)
-        curve = efficiency_curve(bench_coupling, Orientation(beta=0.0, gamma=0.0),
-                                 slow_mas, grid)
+        curve = efficiency_curve(LOCKS, bench_coupling,
+                                 Orientation(beta=0.0, gamma=0.0), slow_mas,
+                                 grid)
         assert np.all(curve == 0.0)
 
     def test_single_point_grid(self, bench_coupling, slow_mas, bench_orientation):
         grid = TimeGrid(dt=1e-6, n_points=1)
-        curve = efficiency_curve(bench_coupling, bench_orientation, slow_mas, grid)
+        curve = efficiency_curve(LOCKS, bench_coupling, bench_orientation,
+                                 slow_mas, grid)
         assert curve.shape == (1,)
         assert curve[0] == 0.0
 
@@ -76,7 +80,8 @@ class TestEfficiencyCurve:
         # 2 kHz spinning, 1 us sampling: exact zeros at 500 us and 1 ms
         grid = TimeGrid(dt=1e-6, n_points=1001)
         for orient in random_orientations(8, seed=13):
-            curve = efficiency_curve(bench_coupling, orient, slow_mas, grid)
+            curve = efficiency_curve(LOCKS, bench_coupling, orient, slow_mas,
+                                     grid)
             assert abs(curve[500]) < 1e-9
             assert abs(curve[1000]) < 1e-9
 
@@ -86,14 +91,16 @@ class TestMagnetization:
         grid = TimeGrid(dt=1e-6, n_points=50)
         relax = RelaxationParams(m0=2.0, r=3000.0, r1=7000.0, t1rho=2e-3)
         for orient in random_orientations(4, seed=14):
-            eta = efficiency_curve(bench_coupling, orient, slow_mas, grid)
+            eta = efficiency_curve(LOCKS, bench_coupling, orient, slow_mas,
+                                   grid)
             m = magnetization(grid, eta, relax)
             assert m[0] == 0.0
 
     def test_no_damping_reduces_to_efficiency(self, bench_coupling, slow_mas,
                                               bench_orientation):
         grid = TimeGrid(dt=2e-6, n_points=200)
-        eta = efficiency_curve(bench_coupling, bench_orientation, slow_mas, grid)
+        eta = efficiency_curve(LOCKS, bench_coupling, bench_orientation,
+                               slow_mas, grid)
         m = magnetization(grid, eta, RelaxationParams(m0=1.0))
         np.testing.assert_allclose(m, eta, rtol=0, atol=1e-15)
 
@@ -113,13 +120,15 @@ class TestMagnetization:
         grid = TimeGrid(dt=5e-6, n_points=400)
         relax = RelaxationParams(m0=1.3, r=3438.0, r1=7251.0, t1rho=1.867e-3)
         for orient in random_orientations(6, seed=15):
-            eta = efficiency_curve(bench_coupling, orient, slow_mas, grid)
+            eta = efficiency_curve(LOCKS, bench_coupling, orient, slow_mas,
+                                   grid)
             assert magnetization(grid, eta, relax).min() >= 0.0
 
     def test_longer_t1rho_raises_curve(self, bench_coupling, slow_mas,
                                        bench_orientation):
         grid = TimeGrid(dt=5e-6, n_points=400)
-        eta = efficiency_curve(bench_coupling, bench_orientation, slow_mas, grid)
+        eta = efficiency_curve(LOCKS, bench_coupling, bench_orientation,
+                               slow_mas, grid)
         short = magnetization(grid, eta,
                               RelaxationParams(r=3438.0, t1rho=1e-3))
         longer = magnetization(grid, eta,
@@ -140,7 +149,7 @@ class TestStaticMagnetization:
     def test_identically_zero_when_unmodulated(self):
         # d(0) = 0 orientation, no damping
         grid = TimeGrid(dt=1e-6, n_points=64)
-        eta = efficiency_curve(CouplingParams(d=2.5 * KHZ),
+        eta = efficiency_curve(LOCKS, CouplingParams(d=2.5 * KHZ),
                                Orientation(beta=0.0, gamma=0.0), STATIC, grid)
         curve = magnetization(grid, eta, RelaxationParams())
         assert np.all(curve == 0.0)
@@ -149,7 +158,7 @@ class TestStaticMagnetization:
         relax = RelaxationParams(m0=1.0, r=3438.0, r1=7251.0, t1rho=1.867e-3)
         grid = TimeGrid(dt=2e-6, n_points=300)
         orient = Orientation(beta=1.0, gamma=0.7)
-        eta = efficiency_curve(bench_coupling, orient, STATIC, grid)
+        eta = efficiency_curve(LOCKS, bench_coupling, orient, STATIC, grid)
         curve = magnetization(grid, eta, relax)
         t = grid.times()
         d0 = dipolar_coupling_at(bench_coupling, orient, STATIC, 0.0)

@@ -489,9 +489,9 @@ class TestFitBuildup:
         calls = []
         original = fitting.averaged_efficiency
 
-        def counting(coupling, *args, **kwargs):
+        def counting(rf, coupling, *args, **kwargs):
             calls.append(coupling.d)
-            return original(coupling, *args, **kwargs)
+            return original(rf, coupling, *args, **kwargs)
 
         data, oset = self.make_data(noise=0.01, n=61)
         monkeypatch.setattr(fitting, "averaged_efficiency", counting)
@@ -513,9 +513,9 @@ class TestFitBuildup:
         calls = []
         original = fitting.averaged_efficiency
 
-        def counting(coupling, *args, **kwargs):
+        def counting(rf, coupling, *args, **kwargs):
             calls.append(coupling.d)
-            return original(coupling, *args, **kwargs)
+            return original(rf, coupling, *args, **kwargs)
 
         data, oset = self.make_data(noise=0.01, n=61)
         fm = fitting._BuildUpModel(data, benchmark_spec(oset, free=free))
@@ -551,9 +551,9 @@ class TestFitBuildup:
         distinct = set()
         averaged = fitting.averaged_efficiency
 
-        def recording(coupling, *args, **kwargs):
+        def recording(rf, coupling, *args, **kwargs):
             distinct.add(coupling.d)
-            return averaged(coupling, *args, **kwargs)
+            return averaged(rf, coupling, *args, **kwargs)
 
         monkeypatch.setattr(fitting, "averaged_efficiency", recording)
         fit_buildup(data, benchmark_spec(
@@ -944,12 +944,31 @@ class TestFitSpecValidation:
                                 free=free)
         assert str(info.value) == message
 
-    def test_tilt_is_the_factor_of_the_locks(self):
-        spec = benchmark_spec(zcw_orientation_set(1))
-        assert spec.tilt == 1.0
+    def test_tilted_locks_are_the_nominal_model_at_the_tilted_d(self):
+        # 45-degree locks: equal offsets as large as the amplitudes
         rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ,
                       offset_i=80.0 * KHZ, offset_s=80.0 * KHZ)
-        assert dataclasses.replace(spec, rf=rf).tilt == core.tilt_scale(rf)
+        tilt = core.tilt_scale(rf)
+        assert tilt != 1.0
+        times = np.arange(121) * 25e-6
+        data = BuildUpData(times=times, magnetizations=np.full(121, 0.5))
+        free = ("d", "r", "r1", "t1rho")
+        nominal = benchmark_spec(zcw_orientation_set(1), free=free)
+        tilted = dataclasses.replace(nominal, rf=rf)
+        scaled = dataclasses.replace(nominal, values={
+            **nominal.values, "d": tilt * nominal.values["d"]})
+        assert (model_curve(tilted, times).tobytes()
+                == model_curve(scaled, times).tobytes())
+        # the fit's d column is d(M)/dd of the untilted d: by the chain
+        # rule the nominal column at the tilted d, its slope times the tilt
+        at_tilted = fitting._BuildUpModel(data, tilted)
+        at_scaled = fitting._BuildUpModel(data, scaled)
+        p, q = at_tilted.at(tilted.values), at_scaled.at(scaled.values)
+        assert p.eta.tobytes() == q.eta.tobytes()
+        assert p.slope.tobytes() == (tilt * q.slope).tobytes()
+        chained = dataclasses.replace(q, slope=tilt * q.slope)
+        assert (at_tilted.jacobian(p, ("d",)).tobytes()
+                == at_scaled.jacobian(chained, ("d",)).tobytes())
 
     def test_free_set_follows_parameter_names(self):
         spec = benchmark_spec(zcw_orientation_set(1), free=["m0", "d", "r"])

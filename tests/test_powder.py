@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import cpmas.powder as powder
 from cpmas.analytic import efficiency_curve, transfer_efficiency
-from cpmas.core import (CouplingParams, Orientation, SpinningParams, TimeGrid,
-                        bracket_coefficients, coupling_shape, dipolar_phase,
-                        phase_bracket, rotor_terms)
+from cpmas.core import (CouplingParams, Orientation, RfScheme, SpinningParams,
+                        TimeGrid, bracket_coefficients, coupling_shape,
+                        dipolar_phase, phase_bracket, rotor_terms, tilt_scale)
 from cpmas.fitting import coupling_from_distance
 from cpmas.powder import (ORIENT_BLOCK, OrientationSet, ZCW_SET_SIZES,
                           averaged_efficiency, grid_orientation_set,
@@ -25,10 +25,12 @@ EFFICIENCY_RANGE_TOL = 1e-12
 POWDER_COUPLING = CouplingParams(d=coupling_from_distance(1.09, "1H", "13C"))
 POWDER_MAS = SpinningParams(omega_r=5.0 * KHZ)
 POWDER_GRID = TimeGrid(dt=10e-6, n_points=201)
+# matched locks on resonance, whose tilt factor on d is exactly 1
+LOCKS = RfScheme(omega1_i=80.0 * KHZ, omega1_s=80.0 * KHZ)
 
 
 def powder_eta(oset, grid=POWDER_GRID):
-    return powder_average(POWDER_COUPLING, POWDER_MAS, grid, oset)
+    return powder_average(LOCKS, POWDER_COUPLING, POWDER_MAS, grid, oset)
 
 
 def set_average(oset, fn):
@@ -115,11 +117,18 @@ class TestPowderAverage:
     @pytest.mark.parametrize("spin", [POWDER_MAS, SpinningParams(omega_r=0.0)],
                              ids=["spinning", "stationary"])
     def test_singleton_identity(self, spin):
+        # the pass at one orientation, or over its one-point set, is the
+        # per-orientation reference bit for bit
         orient = Orientation(beta=1.0, gamma=2.0)
         oset = OrientationSet(beta=[orient.beta], gamma=[orient.gamma],
                               weights=[1.0])
-        direct = efficiency_curve(POWDER_COUPLING, orient, spin, POWDER_GRID)
-        averaged = powder_average(POWDER_COUPLING, spin, POWDER_GRID, oset)
+        direct = transfer_efficiency(POWDER_COUPLING, orient, spin,
+                                     POWDER_GRID.times())
+        curve = efficiency_curve(LOCKS, POWDER_COUPLING, orient, spin,
+                                 POWDER_GRID)
+        averaged = powder_average(LOCKS, POWDER_COUPLING, spin, POWDER_GRID,
+                                  oset)
+        assert np.array_equal(curve, direct)
         assert np.array_equal(averaged, direct)
 
     def test_constant_curve_preserved(self):
@@ -129,7 +138,7 @@ class TestPowderAverage:
         oset = OrientationSet(beta=[orient.beta] * len(weights),
                               gamma=[orient.gamma] * len(weights),
                               weights=weights)
-        direct = efficiency_curve(POWDER_COUPLING, orient, POWDER_MAS,
+        direct = efficiency_curve(LOCKS, POWDER_COUPLING, orient, POWDER_MAS,
                                   POWDER_GRID)
         np.testing.assert_allclose(powder_eta(oset), direct,
                                    rtol=0, atol=1e-12)
@@ -169,7 +178,7 @@ class TestAveragedEfficiency:
     def test_matches_curve_average_on_uniform_grid(self):
         oset = zcw_orientation_set(3)
         via_curves = powder_eta(oset)
-        pointwise = averaged_efficiency(POWDER_COUPLING, POWDER_MAS,
+        pointwise = averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS,
                                         POWDER_GRID.times(), oset)
         assert np.array_equal(via_curves, pointwise)
 
@@ -177,30 +186,42 @@ class TestAveragedEfficiency:
         oset = zcw_orientation_set(3)
         times = np.array([0.0, 13e-6, 40e-6, 41e-6, 250e-6, 1e-3])
         d = POWDER_COUPLING.d
-        eta, slope = averaged_efficiency(POWDER_COUPLING, POWDER_MAS, times,
-                                         oset, with_slope=True)
+        eta, slope = averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS,
+                                         times, oset, with_slope=True)
         assert np.array_equal(eta, averaged_efficiency(
-            POWDER_COUPLING, POWDER_MAS, times, oset))
+            LOCKS, POWDER_COUPLING, POWDER_MAS, times, oset))
         h = 1e-5 * d
-        central = (averaged_efficiency(CouplingParams(d=d + h), POWDER_MAS,
-                                       times, oset)
-                   - averaged_efficiency(CouplingParams(d=d - h), POWDER_MAS,
-                                         times, oset)) / (2 * h)
+        central = (averaged_efficiency(LOCKS, CouplingParams(d=d + h),
+                                       POWDER_MAS, times, oset)
+                   - averaged_efficiency(LOCKS, CouplingParams(d=d - h),
+                                         POWDER_MAS, times, oset)) / (2 * h)
         np.testing.assert_allclose(slope, central, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(central)))
 
     def test_slope_at_zero_coupling_is_zero(self):
         for spin in (POWDER_MAS, SpinningParams(omega_r=0.0)):
             eta, slope = averaged_efficiency(
-                CouplingParams(d=0.0), spin, POWDER_GRID.times(),
+                LOCKS, CouplingParams(d=0.0), spin, POWDER_GRID.times(),
                 zcw_orientation_set(2), with_slope=True)
             assert np.all(eta == 0.0)
             assert np.all(slope == 0.0)
 
+    def test_refuses_locks_off_the_match_as_tilt_scale_does(self):
+        rf = RfScheme(omega1_i=80.0 * KHZ, omega1_s=60.0 * KHZ)
+        with pytest.raises(ValueError) as expected:
+            tilt_scale(rf)
+        for source in (Orientation(beta=1.0, gamma=2.0),
+                       zcw_orientation_set(1)):
+            with pytest.raises(ValueError) as refused:
+                averaged_efficiency(rf, POWDER_COUPLING, POWDER_MAS,
+                                    POWDER_GRID.times(), source)
+            assert str(refused.value) == str(expected.value)
+
     def test_supports_irregular_times(self):
         oset = zcw_orientation_set(1)
         times = np.array([0.0, 13e-6, 40e-6, 41e-6, 1e-3])
-        values = averaged_efficiency(POWDER_COUPLING, POWDER_MAS, times, oset)
+        values = averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS,
+                                     times, oset)
         assert values.shape == times.shape
         assert values[0] == 0.0
 
@@ -293,6 +314,21 @@ def weighted_sets(draw):
     return arrays, tuple(a[perm] for a in arrays)
 
 
+@st.composite
+def matched_locks(draw):
+    """Locks at the Hartmann-Hahn match: on resonance, equal locks with
+    equal offsets, or unequal amplitudes whose 3-4-5 offsets match them."""
+    b1 = draw(st.floats(20.0, 200.0)) * KHZ
+    kind = draw(st.sampled_from(["on", "equal", "3-4-5"]))
+    if kind == "on":
+        return RfScheme(omega1_i=b1, omega1_s=b1)
+    if kind == "equal":
+        offset = draw(st.floats(-3.0, 3.0)) * b1
+        return RfScheme(omega1_i=b1, omega1_s=b1, offset_i=offset,
+                        offset_s=offset)
+    return RfScheme(omega1_i=b1, omega1_s=0.6 * b1, offset_s=0.8 * b1)
+
+
 class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     @given(sets=weighted_sets(),
@@ -303,11 +339,11 @@ class TestKernelProperties:
         arrays, shuffled = sets
         coupling = CouplingParams(d=d)
         spin = SpinningParams(omega_r=omega_r)
-        eta = averaged_efficiency(coupling, spin, KERNEL_TIMES,
+        eta = averaged_efficiency(LOCKS, coupling, spin, KERNEL_TIMES,
                                   OrientationSet(*arrays))
         assert eta.min() >= 0.0
         assert eta.max() <= 1.0 + EFFICIENCY_RANGE_TOL
-        again = averaged_efficiency(coupling, spin, KERNEL_TIMES,
+        again = averaged_efficiency(LOCKS, coupling, spin, KERNEL_TIMES,
                                     OrientationSet(*shuffled))
         assert np.array_equal(eta, again)
         per_orientation = [w * transfer_efficiency(
@@ -316,6 +352,23 @@ class TestKernelProperties:
                            for b, g, w in zip(*arrays)]
         scalar = np.array([math.fsum(col) for col in zip(*per_orientation)])
         np.testing.assert_allclose(eta, scalar, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rf=matched_locks(),
+           d=st.one_of(st.just(0.0), st.floats(-2e5, -1.0),
+                       st.floats(-2e5, 2e5)),
+           omega_r=st.one_of(st.just(0.0), st.floats(1e3, 1e5)),
+           beta=st.floats(0.0, math.pi),
+           gamma=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_one_orientation_is_the_reference_at_the_tilted_coupling(
+            self, rf, d, omega_r, beta, gamma):
+        orient = Orientation(beta=beta, gamma=gamma)
+        spin = SpinningParams(omega_r=omega_r)
+        eta = averaged_efficiency(rf, CouplingParams(d=d), spin,
+                                  KERNEL_TIMES, orient)
+        reference = transfer_efficiency(
+            CouplingParams(d=tilt_scale(rf) * d), orient, spin, KERNEL_TIMES)
+        assert eta.tobytes() == reference.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(sets=weighted_sets(),
@@ -327,15 +380,15 @@ class TestKernelProperties:
         spin = SpinningParams(omega_r=omega_r)
         table = phase_table(spin, KERNEL_TIMES, oset)
         assert table is not oset
-        one_shot = averaged_efficiency(coupling, spin, KERNEL_TIMES, oset,
-                                       with_slope=True)
-        cached = averaged_efficiency(coupling, spin, KERNEL_TIMES, table,
-                                     with_slope=True)
+        one_shot = averaged_efficiency(LOCKS, coupling, spin, KERNEL_TIMES,
+                                       oset, with_slope=True)
+        cached = averaged_efficiency(LOCKS, coupling, spin, KERNEL_TIMES,
+                                     table, with_slope=True)
         assert np.array_equal(one_shot[0], cached[0])
         assert np.array_equal(one_shot[1], cached[1])
         assert np.array_equal(
             one_shot[0],
-            averaged_efficiency(coupling, spin, KERNEL_TIMES, table))
+            averaged_efficiency(LOCKS, coupling, spin, KERNEL_TIMES, table))
 
 
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -360,7 +413,7 @@ class TestHalfAngleForm:
         phi = dipolar_phase(coupling, HALF_ANGLE_ORIENT, STATIONARY, ONE_SECOND)
         eta = transfer_efficiency(coupling, HALF_ANGLE_ORIENT, STATIONARY,
                                   ONE_SECOND)
-        _, slope = averaged_efficiency(coupling, STATIONARY, ONE_SECOND,
+        _, slope = averaged_efficiency(LOCKS, coupling, STATIONARY, ONE_SECOND,
                                        HALF_ANGLE_SET, with_slope=True)
         wide = np.longdouble(phi[0])
         rate = np.longdouble(coupling_shape(HALF_ANGLE_ORIENT.beta,
@@ -394,7 +447,7 @@ class TestHalfAngleForm:
             eta = transfer_efficiency(coupling, HALF_ANGLE_ORIENT, STATIONARY,
                                       ONE_SECOND)
             averaged, slope = averaged_efficiency(
-                coupling, STATIONARY, ONE_SECOND, HALF_ANGLE_SET,
+                LOCKS, coupling, STATIONARY, ONE_SECOND, HALF_ANGLE_SET,
                 with_slope=True)
         assert np.all(np.isfinite(eta)) and 0.0 <= eta[0] <= 1.0
         assert np.array_equal(averaged, eta)
@@ -413,7 +466,7 @@ class TestPhaseTable:
         assert streamed is oset
         for with_slope in (False, True):
             from_set, from_table = (
-                averaged_efficiency(POWDER_COUPLING, POWDER_MAS,
+                averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS,
                                     KERNEL_TIMES, source,
                                     with_slope=with_slope)
                 for source in (streamed, table))
@@ -436,13 +489,13 @@ class TestPhaseTable:
             return original(rotor_angle)
 
         monkeypatch.setattr(powder, "rotor_terms", counting)
-        averaged_efficiency(POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES, oset,
-                            with_slope=True)
+        averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS, KERNEL_TIMES,
+                            oset, with_slope=True)
         assert len(calls) == 1
         table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
         assert len(calls) == 2
         for d in (1.0, 2.0):
-            averaged_efficiency(CouplingParams(d=d), POWDER_MAS,
+            averaged_efficiency(LOCKS, CouplingParams(d=d), POWDER_MAS,
                                 KERNEL_TIMES, table)
         assert len(calls) == 2
 
@@ -473,11 +526,11 @@ class TestPhaseTable:
         oset = zcw_orientation_set(1)
         table = phase_table(POWDER_MAS, KERNEL_TIMES, oset)
         with pytest.raises(ValueError, match="phase table"):
-            averaged_efficiency(POWDER_COUPLING,
+            averaged_efficiency(LOCKS, POWDER_COUPLING,
                                 SpinningParams(omega_r=POWDER_MAS.omega_r / 2),
                                 KERNEL_TIMES, table)
         with pytest.raises(ValueError, match="phase table"):
-            averaged_efficiency(POWDER_COUPLING, POWDER_MAS,
+            averaged_efficiency(LOCKS, POWDER_COUPLING, POWDER_MAS,
                                 KERNEL_TIMES[:-1], table)
 
 
@@ -510,7 +563,7 @@ class TestRotorEcho:
         bracket_tol = 16.0 * EPS * 2.0 * math.pi * (n + 1)
         assert abs(phase_bracket(beta, gamma, omega_r * t)) <= bracket_tol
         phi_max = abs(POWDER_COUPLING.d) / (2.0 * omega_r) * bracket_tol
-        eta = averaged_efficiency(POWDER_COUPLING,
+        eta = averaged_efficiency(LOCKS, POWDER_COUPLING,
                                   SpinningParams(omega_r=omega_r),
                                   np.array([t]), zcw_orientation_set(2))
         assert 0.0 <= eta[0] <= phi_max ** 2 / 4.0 + 2.0 * EPS
@@ -595,11 +648,11 @@ class TestElementwiseParity:
         eta, slope = elementwise_kernel(POWDER_COUPLING.d, spin.omega_r, t,
                                         oset)
         for source in (oset, phase_table(spin, t, oset)):
-            got, got_slope = averaged_efficiency(POWDER_COUPLING, spin, t,
-                                                 source, with_slope=True)
+            got, got_slope = averaged_efficiency(LOCKS, POWDER_COUPLING, spin,
+                                                 t, source, with_slope=True)
             assert got.tobytes() == eta.tobytes()
             assert got_slope.tobytes() == slope.tobytes()
-            assert averaged_efficiency(POWDER_COUPLING, spin, t,
+            assert averaged_efficiency(LOCKS, POWDER_COUPLING, spin, t,
                                        source).tobytes() == eta.tobytes()
 
     @pytest.mark.parametrize("spin", PARITY_SPINS)
@@ -617,7 +670,7 @@ class TestElementwiseParity:
             slope_tol = 2 * n * EPS * sum(abs(s).sum() for _, s in blocks)
             for source in (oset, phase_table(spin, t, oset)):
                 got, got_slope = averaged_efficiency(
-                    POWDER_COUPLING, spin, t, source, with_slope=True)
+                    LOCKS, POWDER_COUPLING, spin, t, source, with_slope=True)
                 assert abs(got[0] - eta[0]) <= eta_tol
                 assert abs(got_slope[0] - slope[0]) <= slope_tol
 
