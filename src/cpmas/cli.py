@@ -325,14 +325,11 @@ def _rf_from(resolved) -> RfScheme:
         return RfScheme(omega1_i=KHZ * 80.0, omega1_s=KHZ * 80.0)
     if b1i is None or b1s is None:
         raise ConfigError("both --b1i-khz and --b1s-khz are required here")
-    try:
-        return RfScheme(
-            omega1_i=_number(resolved, "b1i_khz", "finite and > 0"),
-            omega1_s=_number(resolved, "b1s_khz", "finite and > 0"),
-            offset_i=_number(resolved, "offset_i_khz", "finite"),
-            offset_s=_number(resolved, "offset_s_khz", "finite"))
-    except ValueError as exc:  # an effective field on z, or overflowing
-        raise ConfigError(str(exc)) from exc
+    return RfScheme(
+        omega1_i=_number(resolved, "b1i_khz", "finite and > 0"),
+        omega1_s=_number(resolved, "b1s_khz", "finite and > 0"),
+        offset_i=_number(resolved, "offset_i_khz", "finite"),
+        offset_s=_number(resolved, "offset_s_khz", "finite"))
 
 
 def _coupling_from(resolved) -> CouplingParams:
@@ -387,10 +384,7 @@ def _closed_form_inputs(resolved, t_max: float):
     """Locks, coupling and spinning of a closed-form curve to ``t_max``:
     refuses locks off the match, then a tilted phase that overflows."""
     rf = _rf_from(resolved)
-    try:
-        tilt = tilt_scale(rf)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tilt = tilt_scale(rf)
     coupling, spin = _coupling_from(resolved), _spin_from(resolved)
     _check_phase(tilt * coupling.d, spin, t_max)
     return rf, coupling, spin
@@ -428,12 +422,9 @@ def run_oracle(resolved) -> tuple[dict, list[str], int, str | None]:
     coupling = _coupling_from(resolved)
     spin = _spin_from(resolved)
     i_e, s_e = oracle.tilted_spin_operators(rf)
-    try:
-        sy, iy, dq_y = oracle.propagate_expectations(
-            i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
-            resolved["substeps"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sy, iy, dq_y = oracle.propagate_expectations(
+        i_e, (s_e, i_e, oracle.DQ_Y), rf, coupling, orient, spin, grid,
+        resolved["substeps"])
     return ({"t_us": t_us, "sy": sy, "iy": iy, "dq_y": dq_y}, [], EXIT_OK,
             None)
 
@@ -459,22 +450,16 @@ def _fit_spec_from(resolved) -> fitting.FitSpec:
         if len(pair) != 2:
             raise ConfigError("--isotopes must be two comma-separated names")
         r = _number(resolved, "distance_angstrom", "finite and > 0")
-        try:
-            d = fitting.coupling_from_distance(r, *pair)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        d = fitting.coupling_from_distance(r, *pair)
     else:
         d = _coupling_from(resolved).d
     relax, _ = _relaxation_from(resolved)
     values = {"d": d, **asdict(relax)}
     free = [s.strip() for s in resolved["free"].split(",") if s.strip()]
     rf = _rf_from(resolved)
-    try:
-        return fitting.FitSpec(values=values, free=free,
-                               orientations=_orientation_set(resolved["orient_set"]),
-                               spin=_spin_from(resolved), rf=rf)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return fitting.FitSpec(values=values, free=free,
+                           orientations=_orientation_set(resolved["orient_set"]),
+                           spin=_spin_from(resolved), rf=rf)
 
 
 def _fit_report(resolved, data, spec, result) -> list[str]:
@@ -510,10 +495,7 @@ def run_fit(resolved) -> tuple[dict, list[str], int, str | None]:
     # the largest |d| the search may try
     _check_phase(max(map(abs, spec.bounds("d"))) if "d" in spec.free
                  else spec.values["d"], spec.spin, data.times[-1])
-    try:
-        result = fitting.fit_buildup(data, spec)
-    except fitting.GuessError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = fitting.fit_buildup(data, spec)
     columns = {"time_us": data.times_us(),
                "magnetization": data.magnetizations, "model": result.model,
                "residual": result.model - data.magnetizations}
@@ -530,7 +512,8 @@ _RUNNERS = {"simulate": run_simulate, "powder": run_powder,
 def _writing(path):
     """Turn a failure to write ``path`` into a one-line config error; a
     path no OS call takes (a NUL byte, a lone surrogate) is met by
-    `os.access` first, so a ValueError of the body itself still escapes."""
+    `os.access` first, so a ValueError of the body itself reaches `main`
+    without the "cannot write" label."""
     try:
         os.access(path, os.F_OK)
     except ValueError as exc:
@@ -548,6 +531,11 @@ def main(argv=None) -> int:
     the CSV columns by header name, the lines printed to stdout (and
     written to ``--report`` when given), the exit code this returns, and
     a line for stderr once the outputs are written, or None.
+
+    A refusal ends the run with one line on stderr and its exit code:
+    `ConfigError`, or any other ``ValueError`` the library raises on an
+    input outside its domain, exits 1; `fitting.DataError` exits 3; and
+    `fitting.FitError` exits 4.
     """
     try:
         parser = build_parser()
@@ -572,10 +560,10 @@ def main(argv=None) -> int:
         if note:
             print(note, file=sys.stderr)
         return code
-    except ConfigError as exc:
-        message, code = f"error: {exc}", EXIT_CONFIG
-    except fitting.DataError as exc:
+    except fitting.DataError as exc:   # a ValueError, so caught first
         message, code = f"data error: {exc}", EXIT_DATA
+    except (ConfigError, ValueError) as exc:
+        message, code = f"error: {exc}", EXIT_CONFIG
     except fitting.FitError as exc:
         message, code = f"fit error: {exc}", EXIT_FIT
     # one line that any stream takes, though a path in it may hold a line

@@ -81,10 +81,6 @@ class DataError(ValueError):
     """Malformed or inconsistent data; the message names the line or row."""
 
 
-class GuessError(ValueError):
-    """The initial guess is unusable: its residual sum is not finite."""
-
-
 class FitError(RuntimeError):
     """The fit cannot proceed (e.g., a degenerate Jacobian)."""
 
@@ -548,8 +544,9 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         DataError: if the data under-determine the requested free set, or
             the residual sum at the initial guess is finite and its
             weighted sum overflows.
-        GuessError: if the unweighted residual sum at the initial guess
-            is not finite.
+        ValueError: if the unweighted residual sum at the initial guess
+            is not finite (not a `DataError`: the guess is at fault, not
+            the data).
         FitError: if the Jacobian at the start is rank deficient (the
             message suggests which parameter to fix), or if the normal
             equations turn singular.
@@ -571,7 +568,7 @@ def fit_buildup(data: BuildUpData, spec: FitSpec) -> FitResult:
         res = model - data.magnetizations
         rss = float(res @ res)
         if not math.isfinite(rss):
-            raise GuessError(f"the residual sum at the initial guess is "
+            raise ValueError(f"the residual sum at the initial guess is "
                              f"{rss!r}; start from a guess nearer the data")
         res = res * fm.weights   # all 1 without a sigma column
         guess = _Point(v, start.eta, start.slope, start.shape, model, res,

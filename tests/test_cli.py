@@ -995,6 +995,36 @@ def assert_one_error_line(capsys, start):
     assert err.count("\n") == 1
 
 
+# the library call each command's runner makes once its inputs are read
+_LIBRARY_CALLS = {"simulate": (cli.analytic, "efficiency_curve"),
+                  "powder": (cli.powder, "powder_average"),
+                  "oracle": (cli.oracle, "propagate_expectations"),
+                  "compare": (cli.oracle, "propagate_expectations"),
+                  "fit": (cli.fitting, "fit_buildup")}
+
+
+@pytest.mark.parametrize("command", sorted(_LIBRARY_CALLS))
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError, EXIT_CONFIG, "error"),
+    (fitting.DataError, EXIT_DATA, "data error"),
+    (fitting.FitError, EXIT_FIT, "fit error")],
+    ids=["ValueError", "DataError", "FitError"])
+def test_library_refusal_exits_by_one_rule(tmp_path, monkeypatch, capsys,
+                                           command, error, code, prefix):
+    # main alone maps what the library raises to an exit code: any
+    # ValueError but a DataError exits 1, whichever command meets it
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(*_LIBRARY_CALLS[command], refuse)
+    out = tmp_path / "x.csv"
+    assert run([command, *ARGV_BASES[command], "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: refused\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestOutputErrors:
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

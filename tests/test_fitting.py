@@ -774,6 +774,24 @@ class TestFitBuildup:
         with pytest.raises(DataError, match="under-determined"):
             fit_buildup(data2, benchmark_spec(oset))
 
+    @pytest.mark.parametrize("sigma", [None, 0.01],
+                             ids=["unweighted", "weighted"])
+    def test_guess_whose_residual_sum_is_not_finite(self, sigma):
+        # the guess is at fault, not the data: a ValueError that is not a
+        # DataError, checked before the weights are applied
+        oset = zcw_orientation_set(1)
+        n = 11
+        data = BuildUpData(times=np.arange(n) * 50e-6,
+                           magnetizations=np.full(n, 0.5),
+                           sigmas=None if sigma is None else np.full(n, sigma))
+        spec = benchmark_spec(oset)
+        spec = dataclasses.replace(spec, values={**spec.values, "m0": 1e200})
+        with pytest.raises(ValueError) as info:
+            fit_buildup(data, spec)
+        assert not isinstance(info.value, DataError)
+        assert str(info.value) == ("the residual sum at the initial guess is "
+                                   "inf; start from a guess nearer the data")
+
     def test_degenerate_jacobian_suggests_fixing(self, monkeypatch):
         # with d = 0 the two rates play identical roles when started from
         # the same guess: the Jacobian columns coincide
